@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -177,13 +178,19 @@ def _cmd_replay(args) -> int:
     if args.reference_checkpoints:
         with open(args.reference_checkpoints) as fh:
             ref = json.load(fh)["checkpoints"]
+        # replay is bit-exact, so every replayed field must equal its reference
         worst = 0.0
         for s in summaries:
-            key = f"{s['time']:.17g}"
-            if key in ref:
-                worst = max(worst, abs(s["m2"] - ref[key]["m2"]), abs(s["m4"] - ref[key]["m4"]))
+            r = ref.get(f"{s['time']:.17g}")
+            if r is None:
+                continue
+            got = [s["m2"], s["m4"], *s["momentum"], *s["truncated_m2"].values()]
+            want = [r["m2"], r["m4"], *r["momentum"],
+                    *(r["truncated_m2"].get(k, math.inf) for k in s["truncated_m2"])]
+            for a, b in zip(got, want):
+                worst = max(worst, abs(a - b))
         report["max_abs_checkpoint_gap"] = worst
-        if worst > 1e-12:
+        if worst != 0.0:
             print(json.dumps(report))
             return EXIT_RUNTIME
     print(json.dumps(report))

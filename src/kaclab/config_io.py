@@ -24,7 +24,7 @@ except ImportError:  # pragma: no cover
 
 from . import __version__
 from .engine import (EventLog, InitialCondition, ParticleState, SimConfig,
-                     Trajectory, final_state_from_log, make_rng, simulate)
+                     Trajectory, make_rng, replay_events, simulate, state_moments)
 from .girsanov import TiltingScheme
 from .kinetics import Kernel
 
@@ -277,40 +277,25 @@ def replay(sidecar_path: str, events_path: str, force: bool = False):
             "pass force=True to replay anyway"
         )
     cfg = sidecar["config"]
-    cps = sorted(cfg["checkpoint_times"])
     thresholds = cfg.get("truncation_thresholds", [])
     v = state0.velocities.copy()
     out = []
-    idx = 0
-
-    def summary(t):
-        s = np.sum(v * v, axis=1)
-        return {
+    start = 0
+    for t in sorted(cfg["checkpoint_times"]):
+        # the checkpoint at t follows every row stamped at or before t
+        stop = int(np.searchsorted(log.t, t, side="right"))
+        for _ in replay_events(v, log, start, stop):
+            pass
+        start = stop
+        momentum, m2, m4, trunc = state_moments(v, thresholds)
+        out.append({
             "time": t,
             "mass": 1.0,
-            "momentum": v.mean(axis=0).tolist(),
-            "m2": float(np.mean(s)),
-            "m4": float(np.mean(s * s)),
-            "truncated_m2": {str(float(thr)): float(np.mean(s * (np.sqrt(s) <= thr)))
-                             for thr in thresholds},
-        }
-
-    for k in range(len(log)):
-        t_k = float(log.t[k])
-        while idx < len(cps) and cps[idx] < t_k:
-            out.append(summary(cps[idx]))
-            idx += 1
-        if not log.fictitious[k]:
-            i, j = int(log.i[k]), int(log.j[k])
-            if i != j:
-                sigma = log.sigma[k]
-                a = float((v[i] - v[j]) @ sigma)
-                step_vec = a * sigma
-                v[i] = v[i] - step_vec
-                v[j] = v[j] + step_vec
-    while idx < len(cps):
-        out.append(summary(cps[idx]))
-        idx += 1
+            "momentum": momentum.tolist(),
+            "m2": m2,
+            "m4": m4,
+            "truncated_m2": {str(thr): val for thr, val in trunc.items()},
+        })
     return sidecar, out
 
 

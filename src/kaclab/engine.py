@@ -36,7 +36,7 @@ from scipy.spatial.distance import cdist
 
 from .fenwick import FenwickSampler
 from .girsanov import RNLedger, TiltingScheme, sample_tilted_initial
-from .kinetics import Kernel
+from .kinetics import Kernel, _collide
 from .metrics import WeightedMeasure
 from .reference import ReferenceMeasure
 
@@ -55,6 +55,8 @@ __all__ = [
     "empirical_measure",
     "flux_measure",
     "replay_events",
+    "apply_collision",
+    "state_moments",
     "make_rng",
 ]
 
@@ -595,12 +597,7 @@ class _Engine:
                 pre = self.tracker.pre_collision(i, j) if self.tracker is not None else None
                 # apply the collision in the recorded parametrisation so a
                 # replay of the log reproduces the arithmetic bit for bit
-                w = self.V[ri]
-                w_star = self.V[rj]
-                a = float((w - w_star) @ rsigma)
-                step_vec = a * rsigma
-                self.V[ri] = w - step_vec
-                self.V[rj] = w_star + step_vec
+                apply_collision(self.V, ri, rj, rsigma)
                 self.speeds[i] = math.sqrt(float(self.V[i] @ self.V[i]))
                 self.speeds[j] = math.sqrt(float(self.V[j] @ self.V[j]))
                 if self.fen is not None:
@@ -673,18 +670,22 @@ def step(state: ParticleState, kernel: Kernel, tilt: TiltingScheme | None, rng: 
     return new_state, event
 
 
+def state_moments(v: np.ndarray, thresholds) -> tuple:
+    """(momentum, m2, m4, {threshold: m2 of particles with |v| <= threshold})."""
+    s = np.sum(v * v, axis=1)
+    trunc = {float(thr): float(np.mean(s * (np.sqrt(s) <= thr))) for thr in thresholds}
+    return v.mean(axis=0), float(np.mean(s)), float(np.mean(s * s)), trunc
+
+
 def _checkpoint(eng: _Engine, cfg: SimConfig, t: float) -> CheckpointSummary:
     v = eng.V
-    s = np.sum(v * v, axis=1)
-    trunc = {}
-    for thr in cfg.truncation_thresholds:
-        trunc[float(thr)] = float(np.mean(s * (np.sqrt(s) <= thr)))
+    momentum, m2, m4, trunc = state_moments(v, cfg.truncation_thresholds)
     return CheckpointSummary(
         time=t,
         mass=1.0,
-        momentum=v.mean(axis=0).copy(),
-        m2=float(np.mean(s)),
-        m4=float(np.mean(s * s)),
+        momentum=momentum,
+        m2=m2,
+        m4=m4,
         truncated_m2=trunc,
         n_events=eng.n_events,
         n_collisions=eng.n_collisions,
@@ -762,40 +763,38 @@ def empirical_measure(state: ParticleState) -> WeightedMeasure:
     return WeightedMeasure(state.velocities.copy(), np.full(n, 1.0 / n))
 
 
-def replay_events(initial_state: ParticleState, log: EventLog):
-    """Re-apply a log to an initial state event by event.
+def apply_collision(V: np.ndarray, i: int, j: int, sigma: np.ndarray) -> None:
+    """Collide rows i and j of V in place, in the (i, j, sigma) labelling."""
+    V[i], V[j] = _collide(V[i], V[j], sigma)
 
-    Yields (t, i, j, pre_v, pre_v_star, sigma, fictitious, live_velocities)
-    per event, with the collision applied to the live array after the yield.
-    The arithmetic matches the engine's exactly, so the terminal state is
-    bit-identical to the original simulation.
+
+def replay_events(v: np.ndarray, log: EventLog, start: int = 0, stop: int | None = None,
+                  tracker: _LedgerTracker | None = None):
+    """Walk rows start..stop-1 of a log, applying each to v in place.
+
+    Yields each row index k while v holds the state just before row k; the
+    row is applied when the caller resumes.  Fictitious and diagonal rows
+    leave v unchanged; a tracker's pre/post_collision hooks bracket every
+    row that does change it.  The arithmetic is the engine's, so the final
+    v is bit-identical to the simulated state.
     """
-    v = initial_state.velocities.copy()
-    for k in range(len(log)):
-        i, j = int(log.i[k]), int(log.j[k])
-        sigma = log.sigma[k]
-        fict = bool(log.fictitious[k])
-        yield float(log.t[k]), i, j, v[i].copy(), v[j].copy(), sigma, fict, v
-        if not fict and i != j:
-            a = float((v[i] - v[j]) @ sigma)
-            step_vec = a * sigma
-            v[i] = v[i] - step_vec
-            v[j] = v[j] + step_vec
+    stop = len(log) if stop is None else stop
+    rows = zip(range(start, stop), log.i[start:stop].tolist(), log.j[start:stop].tolist(),
+               log.fictitious[start:stop].tolist())
+    for k, i, j, fict in rows:
+        yield k
+        if fict or i == j:
+            continue
+        pre = tracker.pre_collision(i, j) if tracker is not None else None
+        apply_collision(v, i, j, log.sigma[k])
+        if tracker is not None:
+            tracker.post_collision(i, j, pre)
 
 
 def final_state_from_log(initial_state: ParticleState, log: EventLog) -> ParticleState:
     v = initial_state.velocities.copy()
-    for k in range(len(log)):
-        if log.fictitious[k]:
-            continue
-        i, j = int(log.i[k]), int(log.j[k])
-        if i == j:
-            continue
-        sigma = log.sigma[k]
-        a = float((v[i] - v[j]) @ sigma)
-        step_vec = a * sigma
-        v[i] = v[i] - step_vec
-        v[j] = v[j] + step_vec
+    for _ in replay_events(v, log):
+        pass
     return ParticleState(v, log.horizon)
 
 
@@ -809,16 +808,17 @@ def flux_measure(trajectory: Trajectory) -> WeightedMeasure:
         raise ValueError("trajectory was run without an event log")
     log = trajectory.log
     n_atoms = log.n_collisions
-    d = trajectory.initial_state.d
+    v = trajectory.initial_state.velocities.copy()
+    d = v.shape[1]
     pts = np.empty((n_atoms, 1 + 3 * d))
-    k = 0
-    for t, i, j, pre_v, pre_vs, sigma, fict, _ in replay_events(trajectory.initial_state, log):
-        if fict:
+    a = 0
+    for k in replay_events(v, log):
+        if log.fictitious[k]:
             continue
-        pts[k, 0] = t
-        pts[k, 1 : 1 + d] = pre_v
-        pts[k, 1 + d : 1 + 2 * d] = pre_vs
-        pts[k, 1 + 2 * d :] = sigma
-        k += 1
+        pts[a, 0] = log.t[k]
+        pts[a, 1 : 1 + d] = v[log.i[k]]
+        pts[a, 1 + d : 1 + 2 * d] = v[log.j[k]]
+        pts[a, 1 + 2 * d :] = log.sigma[k]
+        a += 1
     w = np.full(n_atoms, 1.0 / log.n_particles)
     return WeightedMeasure(pts, w)

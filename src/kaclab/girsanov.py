@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .kinetics import Kernel, sphere_quadrature
+from .kinetics import Kernel
 from .reference import ReferenceMeasure
 
 _NORMALISATION_TOL = 1e-8
@@ -72,9 +72,6 @@ class TiltingScheme:
     deltas: np.ndarray = field(default_factory=lambda: np.array([0.0]))
     frozen_sets: list = field(default_factory=lambda: [np.array([], dtype=np.int64)])
     multiplier_bound: float = 1.0
-    # optional sigma-dependent multiplier on top of K, only consumed by the
-    # quadrature path of accumulate_compensator (no scheme in scope uses it)
-    sigma_dependent_k: object = None
 
     def __post_init__(self):
         self.breakpoints = np.asarray(self.breakpoints, dtype=float)
@@ -266,10 +263,7 @@ def _pair_distances(velocities: np.ndarray) -> np.ndarray:
 
 
 def compensator_rate(state_velocities: np.ndarray, scheme: TiltingScheme, kernel: Kernel, t: float) -> float:
-    """(1/N) sum_{i,j} sigma-average[(K - 1) B] at a frozen state.
-
-    Exact for sigma-independent K; O(N^2).
-    """
+    """(1/N) sum_{i,j} (K - 1) B at a frozen state; exact, O(N^2)."""
     v = np.asarray(state_velocities, dtype=float)
     n = len(v)
     k_idx = scheme.interval_index(t)
@@ -281,13 +275,6 @@ def compensator_rate(state_velocities: np.ndarray, scheme: TiltingScheme, kernel
     kmat = c * (1.0 + delta * u)
     alive = ~frozen
     kmat *= np.outer(alive, alive)
-    if scheme.sigma_dependent_k is not None:
-        # sigma-average of the extra factor by sphere quadrature
-        pts, wts = sphere_quadrature(v.shape[1])
-        extra = np.zeros_like(kmat)
-        for p, w in zip(pts, wts):
-            extra += w * scheme.sigma_dependent_k(t, v[:, None, :], v[None, :, :], p)
-        kmat = kmat * extra
     return float(np.sum((kmat - 1.0) * b)) / n
 
 

@@ -8,7 +8,10 @@ to
     v_star' = v_star + ((v - v_star) . sigma) sigma
 
 which conserves momentum and kinetic energy exactly (up to float rounding),
-is an involution, and is invariant under ``sigma -> -sigma``.
+is an involution, and is invariant under ``sigma -> -sigma``.  ``_collide``
+is the one copy of this arithmetic: the engine, every log replay and the
+rate-function increments all call it, so a replayed path reproduces the
+simulated one bit for bit.
 
 Two kernels are supported: Maxwell molecules ``B = 1`` and regularised hard
 spheres ``B = 1 + |v - v_star|``; both are bounded below by 1 and independent
@@ -56,7 +59,12 @@ def post_collision(v: np.ndarray, v_star: np.ndarray, sigma: np.ndarray):
     nrm = np.linalg.norm(sigma)
     if abs(nrm - 1.0) > _UNIT_TOL:
         raise ValueError(f"sigma is not a unit vector: |sigma| = {nrm!r}")
-    a = np.dot(v - v_star, sigma)
+    return _collide(v, v_star, sigma)
+
+
+def _collide(v: np.ndarray, v_star: np.ndarray, sigma: np.ndarray):
+    """The collision map on float arrays, unchecked; returns (v', v_star')."""
+    a = float((v - v_star) @ sigma)
     step = a * sigma
     return v - step, v_star + step
 
@@ -72,9 +80,9 @@ def sample_sigma(rng: np.random.Generator, d: int = 3) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Deterministic sphere quadrature, used to sigma-average integrands that do
-# depend on sigma.  All tilting functions in this package are
-# sigma-independent, so this is a generality fallback; for d = 3 the rule is
-# the 26-point octahedral (Lebedev) rule, exact for polynomials of degree 7.
+# depend on sigma (the sigma-coupled flux test function of Xi_2); for d = 3
+# the rule is the 26-point octahedral (Lebedev) rule, exact for polynomials
+# of degree 7.
 
 _LEBEDEV26_A = (1.0 / 21.0, 4.0 / 105.0, 27.0 / 840.0)
 

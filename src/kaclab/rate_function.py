@@ -25,6 +25,7 @@ involved.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.spatial.distance import cdist
 
+from .engine import _LedgerTracker, replay_events
 from .girsanov import InitialTilt, TiltingScheme
 from .kinetics import post_collision, sphere_quadrature
 from .metrics import WeightedMeasure
@@ -210,35 +212,6 @@ def relative_entropy(mu, reference: ReferenceMeasure, log_density_ratio=None) ->
 
 
 # ---------------------------------------------------------------------------
-# replay helpers
-
-
-def _interval_iter(trajectory):
-    """Yield (t0, t1, V, event_or_None) with V the state on [t0, t1).
-
-    The final tuple closes the horizon with event None.
-    """
-    if trajectory.log is None:
-        raise ValueError("trajectory was run without an event log")
-    log = trajectory.log
-    v = trajectory.initial_state.velocities.copy()
-    t_prev = 0.0
-    for k in range(len(log)):
-        t_k = float(log.t[k])
-        i, j = int(log.i[k]), int(log.j[k])
-        fict = bool(log.fictitious[k])
-        yield t_prev, t_k, v, (k, i, j, fict)
-        if not fict and i != j:
-            sigma = log.sigma[k]
-            a = float((v[i] - v[j]) @ sigma)
-            step_vec = a * sigma
-            v[i] = v[i] - step_vec
-            v[j] = v[j] + step_vec
-        t_prev = t_k
-    yield t_prev, trajectory.config.t_max, v, None
-
-
-# ---------------------------------------------------------------------------
 # dynamic cost
 
 
@@ -256,8 +229,6 @@ def dynamic_cost(trajectory, scheme: TiltingScheme, mode: str = "auto",
     estimate with reported standard error ("subsample").  stderr is 0 for
     exact evaluations.
     """
-    from .engine import _LedgerTracker  # shared incremental pair-distance sums
-
     if trajectory.log is None:
         raise ValueError("trajectory was run without an event log")
     beta = trajectory.config.kernel.slope
@@ -274,80 +245,45 @@ def dynamic_cost(trajectory, scheme: TiltingScheme, mode: str = "auto",
         return k * math.log(k) - k + 1.0 if k > 0.0 else 1.0
 
     v = trajectory.initial_state.velocities.copy()
-    interior = [float(b) for b in scheme.breakpoints if 0.0 < b < t_max]
-    state = {"k_idx": scheme.interval_index(0.0), "tracker": None, "alive": None, "n_alive": n}
-
-    def enter_interval(k_idx):
-        state["k_idx"] = k_idx
-        frozen = scheme.frozen_mask(k_idx, n)
-        state["alive"] = ~frozen
-        state["n_alive"] = int(state["alive"].sum())
-        if use_sums:
-            state["tracker"] = _LedgerTracker(v, frozen, need_all=beta > 0.0, need_uu=True)
-
-    enter_interval(scheme.interval_index(0.0))
+    edges = [0.0] + [float(b) for b in scheme.breakpoints if 0.0 < b < t_max] + [t_max]
     total = 0.0
     var = 0.0
-
-    def add_span(a, b):
-        nonlocal total, var
-        dt = b - a
-        if dt <= 0.0:
-            return
-        c = float(scheme.coeffs[state["k_idx"]])
-        delta = float(scheme.deltas[state["k_idx"]])
-        alive = state["alive"]
-        if use_sums:
-            tr = state["tracker"]
-            nu = state["n_alive"]
-            live_mass = nu * nu + beta * tr.d_uu
-            all_mass = n * n + beta * tr.d_all if beta > 0.0 else float(n * n)
-            total += dt * (tau_scalar(c) * live_mass + (all_mass - live_mass)) / n**2
-        elif mode == "exact":
-            u = cdist(v, v)
-            b_kernel = 1.0 + beta * u
-            kmat = c * (1.0 + delta * u) * np.outer(alive, alive)
-            total += dt * float(np.sum(tau(kmat) * b_kernel)) / n**2
-        else:
-            ii = rng.integers(0, n, size=pairs_per_interval)
-            jj = rng.integers(0, n, size=pairs_per_interval)
-            u = np.linalg.norm(v[ii] - v[jj], axis=1)
-            b_kernel = 1.0 + beta * u
-            kvals = c * (1.0 + delta * u) * (alive[ii] & alive[jj])
-            samples = tau(kvals) * b_kernel
-            total += dt * float(samples.mean())
-            if pairs_per_interval > 1:
-                var += dt * dt * float(samples.var(ddof=1)) / pairs_per_interval
-
-    def advance_to(t):
-        nonlocal interior
-        t_prev = advance_to.t_prev
-        while interior and interior[0] <= t:
-            b = interior.pop(0)
-            add_span(t_prev, b)
-            t_prev = b
-            enter_interval(scheme.interval_index(b))
-        add_span(t_prev, t)
-        advance_to.t_prev = t
-
-    advance_to.t_prev = 0.0
-    for k in range(len(log)):
-        t_k = float(log.t[k])
-        advance_to(t_k)
-        if log.fictitious[k]:
-            continue
-        i, j = int(log.i[k]), int(log.j[k])
-        if i == j:
-            continue
-        sigma = log.sigma[k]
-        pre = state["tracker"].pre_collision(i, j) if use_sums else None
-        a = float((v[i] - v[j]) @ sigma)
-        step_vec = a * sigma
-        v[i] = v[i] - step_vec
-        v[j] = v[j] + step_vec
-        if use_sums:
-            state["tracker"].post_collision(i, j, pre)
-    advance_to(t_max)
+    # one scheme interval [b0, b1) at a time; a row stamped at b0 belongs to it
+    for b0, b1 in zip(edges[:-1], edges[1:]):
+        k_idx = scheme.interval_index(b0)
+        c = float(scheme.coeffs[k_idx])
+        delta = float(scheme.deltas[k_idx])
+        frozen = scheme.frozen_mask(k_idx, n)
+        alive = ~frozen
+        nu = int(alive.sum())
+        tracker = _LedgerTracker(v, frozen, need_all=beta > 0.0, need_uu=True) if use_sums else None
+        lo, hi = np.searchsorted(log.t, (b0, b1))
+        t_prev = b0
+        for k in itertools.chain(replay_events(v, log, lo, hi, tracker), (None,)):
+            t = b1 if k is None else float(log.t[k])
+            dt = t - t_prev
+            t_prev = t
+            if dt <= 0.0:
+                continue
+            if use_sums:
+                live_mass = nu * nu + beta * tracker.d_uu
+                all_mass = n * n + beta * tracker.d_all if beta > 0.0 else float(n * n)
+                total += dt * (tau_scalar(c) * live_mass + (all_mass - live_mass)) / n**2
+            elif mode == "exact":
+                u = cdist(v, v)
+                b_kernel = 1.0 + beta * u
+                kmat = c * (1.0 + delta * u) * np.outer(alive, alive)
+                total += dt * float(np.sum(tau(kmat) * b_kernel)) / n**2
+            else:
+                ii = rng.integers(0, n, size=pairs_per_interval)
+                jj = rng.integers(0, n, size=pairs_per_interval)
+                u = np.linalg.norm(v[ii] - v[jj], axis=1)
+                b_kernel = 1.0 + beta * u
+                kvals = c * (1.0 + delta * u) * (alive[ii] & alive[jj])
+                samples = tau(kvals) * b_kernel
+                total += dt * float(samples.mean())
+                if pairs_per_interval > 1:
+                    var += dt * dt * float(samples.var(ddof=1)) / pairs_per_interval
     return total, math.sqrt(var)
 
 
@@ -381,6 +317,8 @@ def xi_functionals(trajectory, phi: TestFunctionDescriptor | None,
         return xi0, xi1, xi2
 
     log = trajectory.log
+    if log is None:
+        raise ValueError("trajectory was run without an event log")
     b_mean = float(np.mean(f._b(v0, f.b_kind if f.kind == "product" else f.kind))) if f is not None else 0.0
     time_integral = 0.0
     event_sum = 0.0
@@ -390,7 +328,10 @@ def xi_functionals(trajectory, phi: TestFunctionDescriptor | None,
     if g is not None and g.sigma_coupling != 0.0:
         sphere_pts, sphere_wts = sphere_quadrature(trajectory.initial_state.d)
 
-    for t0, t1, v, ev in _interval_iter(trajectory):
+    v = trajectory.initial_state.velocities.copy()
+    t0 = 0.0
+    for k in itertools.chain(replay_events(v, log), (None,)):
+        t1 = t_max if k is None else float(log.t[k])
         dt = t1 - t0
         if f is not None and dt > 0.0:
             time_integral += (f.a_of_t(t1) - f.a_of_t(t0)) * b_mean
@@ -406,16 +347,14 @@ def xi_functionals(trajectory, phi: TestFunctionDescriptor | None,
                     gv = g.g(v[:, None, :], v[None, :, :], p)
                     acc += wq * (np.exp(gv) - 1.0)
                 g_compensator += dt * float(np.sum(acc * b_kernel)) / n**2
-        if ev is None:
+        t0 = t1
+        if k is None or log.fictitious[k]:
             continue
-        k, i, j, fict = ev
-        if fict:
-            continue
+        i, j = log.i[k], log.j[k]
         sigma = log.sigma[k]
-        t_e = float(log.t[k])
         if f is not None:
             db = f.delta_b(v[i], v[j], sigma)
-            event_sum += f.a_of_t(t_e) * db / n
+            event_sum += f.a_of_t(t1) * db / n
             b_mean += db / n
         if g is not None:
             g_flux += float(g.g(v[i], v[j], sigma)) / n

@@ -20,23 +20,16 @@ from scipy.special import gammainc, gammaincc, gammaincinv, gammainccinv
 class ReferenceMeasure:
     """Isotropic Gaussian on R^d with unit second moment.
 
-    ``z1 < z2`` witness a finite exponential moment, ``z2`` is the exact
-    blow-up threshold of ``E_z = int exp(z|v|^2)``, and ``z3`` (with
-    ``density_floor``) witness the pointwise Gaussian lower bound of the
-    density.
+    ``z2`` is the exact blow-up threshold of ``E_z = int exp(z|v|^2)``.
     """
 
     d: int = 3
-    z1: float = field(init=False)
     z2: float = field(init=False)
-    z3: float = field(init=False)
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
         object.__setattr__(self, "z2", self.d / 2.0)
-        object.__setattr__(self, "z1", self.d / 4.0)
-        object.__setattr__(self, "z3", self.d / 2.0)
         # construction-time sanity: <|v|^2> = a*theta must be 1 to 1e-8
         if abs(self.shape * self.scale - 1.0) > 1e-8:
             raise AssertionError("reference measure is not unit-energy")
@@ -49,11 +42,6 @@ class ReferenceMeasure:
     @property
     def scale(self) -> float:
         return 2.0 / self.d
-
-    @property
-    def density_floor(self) -> float:
-        """Constant c with density >= c * exp(-z3 |v|^2)."""
-        return (self.d / (2.0 * np.pi)) ** (self.d / 2.0)
 
     def gaussian_moment(self, z: float) -> float:
         """E_z = int exp(z|v|^2) dmu; finite iff z < z2."""

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from kaclab.cli import main
@@ -63,7 +64,23 @@ class TestReplayCommand:
                    "--reference-checkpoints", f"{out}/run_checkpoints.json"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["max_abs_checkpoint_gap"] <= 1e-12
+        assert report["max_abs_checkpoint_gap"] == 0.0
+
+    def test_replay_rejects_one_ulp_momentum_edit(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "cfg.json", dict(BASE, truncation_thresholds=[1.0, 2.0]))
+        out = str(tmp_path / "out")
+        main(["simulate", "--config", cfg, "--out-dir", out])
+        path = f"{out}/run_checkpoints.json"
+        ref = json.load(open(path))
+        cp = ref["checkpoints"]["0.5"]
+        cp["momentum"][1] = float(np.nextafter(cp["momentum"][1], np.inf))
+        json.dump(ref, open(path, "w"))
+        capsys.readouterr()
+        rc = main(["replay", "--sidecar", f"{out}/run_sidecar.json",
+                   "--events", f"{out}/run_events.csv", "--reference-checkpoints", path])
+        assert rc == 3
+        report = json.loads(capsys.readouterr().out)
+        assert 0.0 < report["max_abs_checkpoint_gap"] < 1e-15
 
     def test_version_mismatch_exit_code(self, tmp_path, capsys):
         cfg = _write(tmp_path / "cfg.json", BASE)

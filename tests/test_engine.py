@@ -1,8 +1,12 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import kaclab as kl
+from kaclab import config_io
 from kaclab.engine import (MajorantViolationError, ParticleState, _Draws, _EventBuffer,
                            _Engine, final_state_from_log, replay_events)
 from kaclab.girsanov import RNLedger, TiltingScheme
@@ -103,9 +107,12 @@ class TestSimulate:
     def test_fictitious_events_leave_state_unchanged(self):
         cfg = kl.SimConfig(n=20, t_max=1.0, kernel=Kernel.HARD_SPHERE, seed=10)
         traj = kl.simulate(cfg)
-        assert traj.log.fictitious.sum() > 0
-        v_prev = traj.initial_state.velocities.copy()
-        for t, i, j, pv, pvs, sig, fict, live in replay_events(traj.initial_state, traj.log):
+        log = traj.log
+        assert log.fictitious.sum() > 0
+        live = traj.initial_state.velocities.copy()
+        v_prev = live.copy()
+        for k in replay_events(live, log):
+            i, j, sig, fict = log.i[k], log.j[k], log.sigma[k], log.fictitious[k]
             if fict:
                 assert np.array_equal(live, v_prev)
             v_prev = live.copy()
@@ -133,6 +140,13 @@ class TestSimulate:
         diag = traj.log.i == traj.log.j
         assert diag.sum() > 0
         assert not traj.log.fictitious[diag].any()
+        # a replayed diagonal row is a state no-op
+        v = traj.initial_state.velocities.copy()
+        before = None
+        for k in itertools.chain(replay_events(v, traj.log), (None,)):
+            if before is not None:
+                assert np.array_equal(v, before)
+            before = v.copy() if k is not None and diag[k] else None
 
 
 class TestThinning:
@@ -250,9 +264,11 @@ class TestContinuityEquation:
         lhs = float(np.mean(f._b(traj.final_state.velocities))
                     - np.mean(f._b(traj.initial_state.velocities)))
         rhs = 0.0
-        for t, i, j, pv, pvs, sig, fict, _ in replay_events(traj.initial_state, traj.log):
-            if not fict:
-                rhs += f.delta_b(pv, pvs, sig) / 150.0
+        log = traj.log
+        v = traj.initial_state.velocities.copy()
+        for k in replay_events(v, log):
+            if not log.fictitious[k]:
+                rhs += f.delta_b(v[log.i[k]], v[log.j[k]], log.sigma[k]) / 150.0
         assert abs(lhs - rhs) <= 1e-9 * (1 + len(traj.log))
 
 
@@ -324,3 +340,72 @@ class TestSegmentResumability:
         eng2b.run_segment(1.0)
         assert eng2a.n_events + eng2b.n_events == eng1.n_events
         assert np.array_equal(eng2b.V, eng1.V)
+
+
+# sha256 of (t, i, j, sigma, assignment, fictitious) plus the final velocities;
+# any change to the engine's arithmetic or RNG consumption changes them, so
+# they change only with a change meant to alter the bytes of a run
+GOLDEN_DIGESTS = {
+    "maxwell": "8660cbd6df8d485df1a8b01986658373f1c4e45e89402eac1c914d6b934026b9",
+    "hard_sphere": "446c0ad7d3c6b7014fcfb73a6dc4c12b29302055d86fa1230aa7f1b3d5ed4ac0",
+    "pairwise_q": "abee48c4430163e067600f284f3c6d4c6382a7f9072c6f946c1cdb0074a9d239",
+    "constant_p": "6604667629874929458db202156964b6c6d556dc6aebe72ff86b47499078ed7a",
+    "freeze": "6b972a3977a9fdfd21de8ba1d3da64a889048384ef3aad57f6ad5bbc6cb2e326",
+}
+
+
+def _golden_run(name):
+    thresholds = (1.0, 2.0)
+    cps = (0.0, 0.5, 1.0)
+    if name == "maxwell":
+        cfg = kl.SimConfig(n=30, t_max=1.0, kernel=Kernel.MAXWELL, seed=301,
+                           checkpoint_times=cps, truncation_thresholds=thresholds)
+        return kl.simulate(cfg)
+    if name == "hard_sphere":
+        cfg = kl.SimConfig(n=30, t_max=1.0, kernel=Kernel.HARD_SPHERE, seed=302,
+                           checkpoint_times=cps, truncation_thresholds=thresholds)
+        return kl.simulate(cfg)
+    if name == "pairwise_q":
+        cfg = kl.SimConfig(n=20, t_max=1.0, kernel=Kernel.MAXWELL, seed=303,
+                           checkpoint_times=cps, truncation_thresholds=(1.0,))
+        return kl.simulate(cfg, TiltingScheme.pairwise(1.0, 0.3))
+    if name == "constant_p":
+        cfg = kl.SimConfig(n=20, t_max=1.0, kernel=Kernel.HARD_SPHERE, seed=304, measure="P",
+                           checkpoint_times=cps, truncation_thresholds=(1.0,))
+        return kl.simulate(cfg, TiltingScheme.constant(1.5))
+    ref = kl.ReferenceMeasure(3)
+    th = kl.ThetaSchedule(jump_times=(0.5,), levels=(1.0, 2.0), horizon=1.0)
+    plan = kl.design_freeze_experiment(ref, th, M=2.0, r=2)
+    rng = kl.make_rng(305, 0)
+    v0 = kl.sample_tilted_initial(ref, TiltingScheme(initial_tilt=plan.initial_tilt), 40, rng)
+    cfg = kl.SimConfig(n=40, t_max=1.0, kernel=Kernel.HARD_SPHERE, seed=305,
+                       checkpoint_times=(0.0, 0.25, 0.5, 0.75, 1.0), truncation_thresholds=thresholds)
+    return kl.simulate(cfg, kl.build_freeze_scheme(v0, plan), rng=rng,
+                       initial_state=ParticleState(v0))
+
+
+class TestGoldenDeterminism:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+    def test_pinned_log_and_exact_readers(self, name, tmp_path):
+        traj = _golden_run(name)
+        log = traj.log
+        h = hashlib.sha256()
+        for arr in (log.t, log.i, log.j, log.sigma, log.assignment, log.fictitious,
+                    traj.final_state.velocities):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == GOLDEN_DIGESTS[name]
+
+        final = final_state_from_log(traj.initial_state, log)
+        assert np.array_equal(final.velocities, traj.final_state.velocities)
+
+        paths = config_io.save_trajectory(str(tmp_path), traj)
+        _, summaries = config_io.replay(paths["sidecar"], paths["events"])
+        assert len(summaries) == len(traj.checkpoints)
+        for got, cp in zip(summaries, traj.checkpoints):
+            want = cp.to_dict()
+            assert got == {key: want[key] for key in got}
+
+        v = traj.initial_state.velocities.copy()
+        atoms = [np.concatenate(([log.t[k]], v[log.i[k]], v[log.j[k]], log.sigma[k]))
+                 for k in replay_events(v, log) if not log.fictitious[k]]
+        assert np.array_equal(kl.flux_measure(traj).points, np.array(atoms))

@@ -304,12 +304,14 @@ class TestRunExperiment:
         from kaclab.engine import replay_events
         def jump_sum(lg):
             total, hit = 0.0, False
-            for t, i, j, pv, pvs, sig, fict, _ in replay_events(traj.initial_state, lg):
-                if fict:
+            v = traj.initial_state.velocities.copy()
+            for row in replay_events(v, lg):
+                if lg.fictitious[row]:
                     continue
+                t, i, j = float(lg.t[row]), lg.i[row], lg.j[row]
                 k = scheme.interval_index(t)
                 frozen = scheme.frozen_mask(k, 40)
-                kv = scheme.k_value(t, float(np.linalg.norm(pv - pvs)), frozen[i], frozen[j])
+                kv = scheme.k_value(t, float(np.linalg.norm(v[i] - v[j])), frozen[i], frozen[j])
                 if kv == 0.0:
                     hit = True
                 else:
