@@ -178,10 +178,12 @@ def _cmd_replay(args) -> int:
     if args.reference_checkpoints:
         with open(args.reference_checkpoints) as fh:
             ref = json.load(fh)["checkpoints"]
-        # replay is bit-exact, so every replayed field must equal its reference
-        worst = 0.0
-        for s in summaries:
-            r = ref.get(f"{s['time']:.17g}")
+        # replay is bit-exact, so every replayed field must equal its
+        # reference, and a checkpoint on one side only is a mismatch
+        keys = [f"{s['time']:.17g}" for s in summaries]
+        worst = 0.0 if set(keys) == set(ref) else math.inf
+        for key, s in zip(keys, summaries):
+            r = ref.get(key)
             if r is None:
                 continue
             got = [s["m2"], s["m4"], *s["momentum"], *s["truncated_m2"].values()]

@@ -24,6 +24,12 @@ Every proposal is logged: accepted proposals become flux atoms of mass 1/N
 (diagonal pairs are state no-ops but still carry flux mass, matching the
 product-measure form of the generator), rejected proposals are retained as
 fictitious events so the thinning chain can be replayed.
+
+Under a ledger scheme the compensator rate (1/N) sum_{ij} (K - 1) B is a
+`_PairSum`: built in row blocks once per scheme interval (none where K = 1),
+in O(N) memory, and updated exactly in O(N) per collision.  The same pair
+sum serves the exact dynamic cost, Xi_2 and `total_rate`, each with its own
+pair function.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .fenwick import FenwickSampler
 from .girsanov import RNLedger, TiltingScheme, sample_tilted_initial
@@ -370,61 +375,61 @@ class _Draws:
 
 
 # ---------------------------------------------------------------------------
-# incremental pair-distance sums for the compensator
+# incremental pair sums
+
+_BLOCK_PAIRS = 1 << 16  # pairs evaluated at once while a pair sum is built
 
 
-class _LedgerTracker:
-    """Maintains D = sum_{ij} u_ij and its unfrozen-block restriction.
+def _distances(v: np.ndarray, rows) -> np.ndarray:
+    """|v_a - v_b| for a in rows and every b, shape (len(rows), N).
 
-    The compensator rate (1/N) sum_{ij} (K - 1) B is a fixed linear
-    combination of N_U^2, D_UU, N^2 and D for the scheme family in scope,
-    so O(N) row updates per collision keep it exact between events.
+    One coordinate at a time, so each operation runs along N; an (m, N, d)
+    difference array would run its inner loops over d.
+    """
+    vr = v[rows]
+    sq = (v[:, 0] - vr[:, 0, None]) ** 2
+    for k in range(1, v.shape[1]):
+        sq += (v[:, k] - vr[:, k, None]) ** 2
+    return np.sqrt(sq, out=sq)
+
+
+class _PairSum:
+    """S = sum_{a,b} h(a, b) over ordered pairs, diagonal included.
+
+    h(rows) returns the rows [h(a, b) for every b] for a in rows (a slice
+    or an index array), for a symmetric pair function of the live
+    velocities.  S is built in row blocks, so no N x N array exists, and a
+    collision of i and j updates it exactly from the old and new rows of
+    its two particles:
+    S += 2 dR_i + 2 dR_j - dh(i, i) - dh(j, j) - 2 dh(i, j).
     """
 
-    __slots__ = ("v", "alive", "n", "n_alive", "d_all", "d_uu", "need_all", "need_uu")
+    __slots__ = ("h", "total")
 
-    def __init__(self, velocities: np.ndarray, frozen_mask: np.ndarray, need_all: bool, need_uu: bool):
-        self.v = velocities  # live view, updated in place by the engine
-        self.alive = ~frozen_mask
-        self.n = len(velocities)
-        self.n_alive = int(self.alive.sum())
-        self.need_all = need_all
-        self.need_uu = need_uu
-        self.d_all = 0.0
-        self.d_uu = 0.0
-        if need_all or need_uu:
-            u = cdist(velocities, velocities)
-            total = float(u.sum())
-            if need_all:
-                self.d_all = total
-            if need_uu:
-                self.d_uu = total if self.n_alive == self.n else float(
-                    u[np.ix_(self.alive, self.alive)].sum()
-                )
+    def __init__(self, n: int, h):
+        self.h = h
+        step = max(1, _BLOCK_PAIRS // n)
+        self.total = sum(float(h(slice(a, a + step)).sum()) for a in range(0, n, step))
 
-    def row_sums(self, idx: int):
-        diff = self.v - self.v[idx]
-        row = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        all_sum = float(row.sum()) if self.need_all else 0.0
-        uu_sum = float(row[self.alive].sum()) if (self.need_uu and self.alive[idx]) else 0.0
-        return all_sum, uu_sum
+    def pre_collision(self, i: int, j: int) -> np.ndarray:
+        return self.h(np.array((i, j)))
 
-    def pre_collision(self, i: int, j: int):
-        ai, ui = self.row_sums(i)
-        aj, uj = self.row_sums(j)
-        uij = float(np.linalg.norm(self.v[i] - self.v[j]))
-        return ai, ui, aj, uj, uij
+    def post_collision(self, i: int, j: int, old: np.ndarray):
+        dh = self.h(np.array((i, j))) - old
+        self.total += float(2.0 * dh.sum() - dh[0, i] - dh[1, j] - 2.0 * dh[0, j])
 
-    def post_collision(self, i: int, j: int, pre):
-        ai0, ui0, aj0, uj0, uij0 = pre
-        ai1, ui1 = self.row_sums(i)
-        aj1, uj1 = self.row_sums(j)
-        uij1 = float(np.linalg.norm(self.v[i] - self.v[j]))
-        if self.need_all:
-            self.d_all += 2.0 * (ai1 + aj1 - ai0 - aj0) - 2.0 * (uij1 - uij0)
-        if self.need_uu:
-            both = self.alive[i] and self.alive[j]
-            self.d_uu += 2.0 * (ui1 + uj1 - ui0 - uj0) - (2.0 * (uij1 - uij0) if both else 0.0)
+
+def _tilt_pair_sum(v: np.ndarray, scheme: TiltingScheme, k: int, beta: float, f) -> _PairSum:
+    """The pair sum of f(K) B on interval k of a scheme, B = 1 + beta u."""
+    alive = ~scheme.frozen_mask(k, len(v)) if len(scheme.frozen_sets[k]) else None
+
+    def h(rows):
+        # factors that are 1 on every pair (nothing frozen, B = 1) are skipped
+        u = _distances(v, rows)
+        fk = f(scheme.pair_k(k, u, True if alive is None else alive[rows, None] & alive))
+        return fk * (1.0 + beta * u) if beta else fk
+
+    return _PairSum(len(v), h)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +464,7 @@ class _Engine:
         self.c_led = 1.0
         self.delta_led = 0.0
         self.frozen_led = None
-        self.any_frozen_led = False
+        self.k_led = None
         self.tracker = None
 
     # -- time bookkeeping ------------------------------------------------
@@ -490,32 +495,16 @@ class _Engine:
         if self.gamma > 0.0 and self.fen is None:
             self.fen = FenwickSampler(self.speeds)
         led = self.ledger_scheme
-        if led is not None and not led.is_trivial():
-            kl = led.interval_index(t0)
+        kl = led.interval_index(t0) if led is not None else None
+        if kl != self.k_led:
+            # one ledger pair sum per scheme interval, carried across
+            # checkpoints; none where K = 1, as log K = K - 1 = 0 there
+            self.k_led = kl
             self.c_led = float(led.coeffs[kl])
             self.delta_led = float(led.deltas[kl])
-            frozen_led = led.frozen_mask(kl, self.n)
-            need_all = self.beta > 0.0
-            need_uu = (self.delta_led + self.beta) > 0.0
-            self.frozen_led = frozen_led
-            self.any_frozen_led = bool(frozen_led.any())
-            self.tracker = _LedgerTracker(self.V, frozen_led, need_all, need_uu)
-        else:
-            self.frozen_led = None
-            self.any_frozen_led = False
-            self.tracker = None
-
-    def compensator_rate(self) -> float:
-        """(1/N) sum_{ij} (K - 1) B from the maintained sums."""
-        led = self.ledger_scheme
-        if led is None or self.tracker is None:
-            return 0.0
-        n = self.n
-        tr = self.tracker
-        nu = tr.n_alive
-        gamma_led = self.delta_led + self.beta
-        val = self.c_led * (nu * nu + gamma_led * tr.d_uu) - (n * n + self.beta * tr.d_all)
-        return val / n
+            self.frozen_led = led.frozen_mask(kl, self.n) if len(led.frozen_sets[kl]) else None
+            self.tracker = None if led.is_unit(kl) else _tilt_pair_sum(
+                self.V, led, kl, self.beta, lambda kk: kk - 1.0)
 
     # -- one proposal -------------------------------------------------------
 
@@ -589,7 +578,7 @@ class _Engine:
         if accepted:
             self.n_collisions += 1
             if self.tracker is not None:
-                if self.any_frozen_led and (self.frozen_led[i] or self.frozen_led[j]):
+                if self.frozen_led is not None and (self.frozen_led[i] or self.frozen_led[j]):
                     self.ledger.hit_zero = True
                 else:
                     self.ledger.jump_term += math.log(self.c_led * (1.0 + self.delta_led * u_dist))
@@ -611,8 +600,9 @@ class _Engine:
         return True
 
     def _settle_compensator(self, dt: float):
+        # the compensator rate is (1/N) sum_{ij} (K - 1) B
         if self.tracker is not None and dt > 0.0:
-            self.ledger.compensator_term += dt * self.compensator_rate()
+            self.ledger.compensator_term += dt * (self.tracker.total / self.n)
 
     def run_segment(self, t_end: float):
         self.enter_segment(self.t)
@@ -627,19 +617,12 @@ class _Engine:
 def total_rate(state: ParticleState, kernel: Kernel, tilt: TiltingScheme | None = None) -> float:
     """Total event rate N int K B dmu dmu dsigma = (1/N) sum_{ij} K_ij B_ij.
 
-    Exact O(N^2) pair sum (sigma-independent K); diagonal pairs included.
+    Exact pair sum (sigma-independent K), built in row blocks in O(N)
+    memory; diagonal pairs included.
     """
-    v = state.velocities
-    n = state.n
-    u = cdist(v, v)
-    b = 1.0 + kernel.slope * u
-    if tilt is None:
-        return float(b.sum()) / n
+    tilt = tilt if tilt is not None else _IDENTITY_SCHEME
     k_idx = tilt.interval_index(state.time)
-    kmat = tilt.coeffs[k_idx] * (1.0 + tilt.deltas[k_idx] * u)
-    alive = ~tilt.frozen_mask(k_idx, n)
-    kmat *= np.outer(alive, alive)
-    return float((kmat * b).sum()) / n
+    return _tilt_pair_sum(state.velocities, tilt, k_idx, kernel.slope, lambda kk: kk).total / state.n
 
 
 def step(state: ParticleState, kernel: Kernel, tilt: TiltingScheme | None, rng: np.random.Generator):
@@ -769,7 +752,7 @@ def apply_collision(V: np.ndarray, i: int, j: int, sigma: np.ndarray) -> None:
 
 
 def replay_events(v: np.ndarray, log: EventLog, start: int = 0, stop: int | None = None,
-                  tracker: _LedgerTracker | None = None):
+                  tracker: _PairSum | None = None):
     """Walk rows start..stop-1 of a log, applying each to v in place.
 
     Yields each row index k while v holds the state just before row k; the

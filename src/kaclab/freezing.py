@@ -152,14 +152,6 @@ def tilted_truncated_energy(reference: ReferenceMeasure, M: float, lam: float, x
     return (inside + tail) * math.exp(-psi)
 
 
-def tilted_tail_mass(reference: ReferenceMeasure, M: float, lam: float, x: float) -> float:
-    """P(|v| >= x) under the tilted measure, for x >= M."""
-    psi = cumulant_psi(reference, M, lam)
-    scale_t = 1.0 / (1.0 / reference.scale - lam)
-    growth = (scale_t / reference.scale) ** reference.shape
-    return math.exp(-psi) * growth * float(reference.speed2_sf(x * x, scale=scale_t))
-
-
 def solve_lambda(reference: ReferenceMeasure, M: float, theta_final: float) -> float:
     """The unique lam in (0, z2) with tilted energy equal to theta_final.
 
@@ -254,7 +246,6 @@ class FreezeScheme:
     lam: float
     psi: float
     delta: float = 0.0
-    frozen_indices_schedule: list | None = None  # filled per realisation
 
     @property
     def initial_tilt(self) -> InitialTilt:
@@ -333,7 +324,7 @@ def build_freeze_scheme(state0_velocities: np.ndarray, fs: FreezeScheme) -> Tilt
         coeffs.append(n / n_t)
         deltas.append(fs.delta)
     kappa = max(c * max(1.0, fs.delta) for c in coeffs)
-    scheme = TiltingScheme(
+    return TiltingScheme(
         initial_tilt=fs.initial_tilt if fs.lam > 0.0 else None,
         breakpoints=np.asarray(fs.t_grid, dtype=float),
         coeffs=np.asarray(coeffs),
@@ -341,8 +332,6 @@ def build_freeze_scheme(state0_velocities: np.ndarray, fs: FreezeScheme) -> Tilt
         frozen_sets=frozen_sets,
         multiplier_bound=kappa,
     )
-    fs.frozen_indices_schedule = frozen_sets
-    return scheme
 
 
 # ---------------------------------------------------------------------------

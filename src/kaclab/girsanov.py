@@ -157,20 +157,21 @@ class TiltingScheme:
         mask[idx[idx < n]] = True
         return mask
 
+    def pair_k(self, k: int, u, alive) -> np.ndarray:
+        """K on interval k for pairs at distances u; alive is True for the
+        pairs with no frozen particle.  Broadcasts."""
+        return self.coeffs[k] * (1.0 + self.deltas[k] * u) * alive
+
+    def is_unit(self, k: int) -> bool:
+        """K = 1 on every pair of interval k."""
+        return self.coeffs[k] == 1.0 and self.deltas[k] == 0.0 and len(self.frozen_sets[k]) == 0
+
     def k_value(self, t: float, u_dist: float, i_frozen: bool = False, j_frozen: bool = False) -> float:
         """K at a collision point with pair distance u_dist = |v - v_star|."""
-        if i_frozen or j_frozen:
-            return 0.0
-        k = self.interval_index(t)
-        return float(self.coeffs[k] * (1.0 + self.deltas[k] * u_dist))
+        return float(self.pair_k(self.interval_index(t), u_dist, not (i_frozen or j_frozen)))
 
     def is_trivial(self) -> bool:
-        return (
-            self.initial_tilt is None
-            and np.all(self.coeffs == 1.0)
-            and np.all(self.deltas == 0.0)
-            and all(len(f) == 0 for f in self.frozen_sets)
-        )
+        return self.initial_tilt is None and all(map(self.is_unit, range(self.n_intervals())))
 
 
 # ---------------------------------------------------------------------------

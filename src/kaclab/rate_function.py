@@ -31,9 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.spatial.distance import cdist
 
-from .engine import _LedgerTracker, replay_events
+from .engine import _distances, _PairSum, _tilt_pair_sum, replay_events
 from .girsanov import InitialTilt, TiltingScheme
 from .kinetics import post_collision, sphere_quadrature
 from .metrics import WeightedMeasure
@@ -221,13 +220,12 @@ def dynamic_cost(trajectory, scheme: TiltingScheme, mode: str = "auto",
 
     The integrand is piecewise constant in time between events and scheme
     breakpoints, so the integral splits exactly over those spans.  K = 0
-    regions contribute tau(0) = 1 times their mbar mass.  When K is
-    constant on the unfrozen block (delta = 0) the pair sums reduce to
-    incrementally maintained distance sums and the integral is exact in
-    O(N) per event; otherwise either an O(N^2) exact pair sum per span
-    ("exact", for small N) or an unbiased uniform pair-subsampling
-    estimate with reported standard error ("subsample").  stderr is 0 for
-    exact evaluations.
+    regions contribute tau(0) = 1 times their mbar mass.  "exact" keeps
+    the pair sum sum_{ij} tau(K) B as a `_PairSum`, built once per scheme
+    interval in O(N) memory and updated in O(N) per collision; intervals
+    where K = 1 cost nothing (tau(1) = 0) and build none.  "subsample" is
+    an unbiased uniform pair-subsampling estimate with reported standard
+    error.  stderr is 0 for exact evaluations.
     """
     if trajectory.log is None:
         raise ValueError("trajectory was run without an event log")
@@ -239,10 +237,7 @@ def dynamic_cost(trajectory, scheme: TiltingScheme, mode: str = "auto",
     needs_pairs = bool(np.any(scheme.deltas > 0.0))
     if mode == "auto":
         mode = "exact" if (not needs_pairs or n <= 256) else "subsample"
-    use_sums = mode == "exact" and not needs_pairs
-
-    def tau_scalar(k):
-        return k * math.log(k) - k + 1.0 if k > 0.0 else 1.0
+    exact = mode == "exact"
 
     v = trajectory.initial_state.velocities.copy()
     edges = [0.0] + [float(b) for b in scheme.breakpoints if 0.0 < b < t_max] + [t_max]
@@ -251,35 +246,29 @@ def dynamic_cost(trajectory, scheme: TiltingScheme, mode: str = "auto",
     # one scheme interval [b0, b1) at a time; a row stamped at b0 belongs to it
     for b0, b1 in zip(edges[:-1], edges[1:]):
         k_idx = scheme.interval_index(b0)
-        c = float(scheme.coeffs[k_idx])
-        delta = float(scheme.deltas[k_idx])
-        frozen = scheme.frozen_mask(k_idx, n)
-        alive = ~frozen
-        nu = int(alive.sum())
-        tracker = _LedgerTracker(v, frozen, need_all=beta > 0.0, need_uu=True) if use_sums else None
         lo, hi = np.searchsorted(log.t, (b0, b1))
+        if b1 <= b0 or (exact and scheme.is_unit(k_idx)):
+            # no span, or tau(1) = 0 on every pair: only the path moves on
+            for _ in replay_events(v, log, lo, hi):
+                pass
+            continue
+        alive = ~scheme.frozen_mask(k_idx, n)
+        pair_sum = _tilt_pair_sum(v, scheme, k_idx, beta, tau) if exact else None
         t_prev = b0
-        for k in itertools.chain(replay_events(v, log, lo, hi, tracker), (None,)):
+        for k in itertools.chain(replay_events(v, log, lo, hi, pair_sum), (None,)):
             t = b1 if k is None else float(log.t[k])
             dt = t - t_prev
             t_prev = t
             if dt <= 0.0:
                 continue
-            if use_sums:
-                live_mass = nu * nu + beta * tracker.d_uu
-                all_mass = n * n + beta * tracker.d_all if beta > 0.0 else float(n * n)
-                total += dt * (tau_scalar(c) * live_mass + (all_mass - live_mass)) / n**2
-            elif mode == "exact":
-                u = cdist(v, v)
-                b_kernel = 1.0 + beta * u
-                kmat = c * (1.0 + delta * u) * np.outer(alive, alive)
-                total += dt * float(np.sum(tau(kmat) * b_kernel)) / n**2
+            if exact:
+                total += dt * pair_sum.total / n**2
             else:
                 ii = rng.integers(0, n, size=pairs_per_interval)
                 jj = rng.integers(0, n, size=pairs_per_interval)
                 u = np.linalg.norm(v[ii] - v[jj], axis=1)
                 b_kernel = 1.0 + beta * u
-                kvals = c * (1.0 + delta * u) * (alive[ii] & alive[jj])
+                kvals = scheme.pair_k(k_idx, u, alive[ii] & alive[jj])
                 samples = tau(kvals) * b_kernel
                 total += dt * float(samples.mean())
                 if pairs_per_interval > 1:
@@ -291,6 +280,21 @@ def dynamic_cost(trajectory, scheme: TiltingScheme, mode: str = "auto",
 # variational functionals
 
 
+def _xi2_pair_sum(v: np.ndarray, g: TestFunctionDescriptor, beta: float) -> _PairSum:
+    """The pair sum of the sigma-averaged (e^g - 1) B over the live velocities v."""
+    if g.sigma_coupling == 0.0:
+        pts, wts = (None,), (1.0,)
+    else:
+        pts, wts = sphere_quadrature(v.shape[1])
+
+    def h(rows):
+        va = v[rows, None, :]
+        acc = sum(wq * (np.exp(g.g(va, v[None, :, :], p)) - 1.0) for p, wq in zip(pts, wts))
+        return acc * (1.0 + beta * _distances(v, rows))
+
+    return _PairSum(len(v), h)
+
+
 def xi_functionals(trajectory, phi: TestFunctionDescriptor | None,
                    f: TestFunctionDescriptor | None,
                    g: TestFunctionDescriptor | None,
@@ -298,7 +302,9 @@ def xi_functionals(trajectory, phi: TestFunctionDescriptor | None,
     """(Xi_0, Xi_1, Xi_2) on a simulated trajectory.
 
     f must vanish at time 0 (reject otherwise); time integrals are exact
-    piecewise between events.
+    piecewise between events.  The Xi_2 compensator int (e^g - 1) dmbar
+    keeps its pair sum as a `_PairSum`, built once and updated in O(N) per
+    collision.
     """
     n = trajectory.initial_state.n
     v0 = trajectory.initial_state.velocities
@@ -324,29 +330,16 @@ def xi_functionals(trajectory, phi: TestFunctionDescriptor | None,
     event_sum = 0.0
     g_flux = 0.0
     g_compensator = 0.0
-    beta = trajectory.config.kernel.slope
-    if g is not None and g.sigma_coupling != 0.0:
-        sphere_pts, sphere_wts = sphere_quadrature(trajectory.initial_state.d)
-
     v = trajectory.initial_state.velocities.copy()
+    g_pairs = _xi2_pair_sum(v, g, trajectory.config.kernel.slope) if g is not None else None
     t0 = 0.0
-    for k in itertools.chain(replay_events(v, log), (None,)):
+    for k in itertools.chain(replay_events(v, log, tracker=g_pairs), (None,)):
         t1 = t_max if k is None else float(log.t[k])
         dt = t1 - t0
         if f is not None and dt > 0.0:
             time_integral += (f.a_of_t(t1) - f.a_of_t(t0)) * b_mean
         if g is not None and dt > 0.0:
-            u = cdist(v, v)
-            b_kernel = 1.0 + beta * u
-            if g.sigma_coupling == 0.0:
-                gv = g.g(v[:, None, :], v[None, :, :], None)
-                g_compensator += dt * float(np.sum((np.exp(gv) - 1.0) * b_kernel)) / n**2
-            else:
-                acc = np.zeros((n, n))
-                for p, wq in zip(sphere_pts, sphere_wts):
-                    gv = g.g(v[:, None, :], v[None, :, :], p)
-                    acc += wq * (np.exp(gv) - 1.0)
-                g_compensator += dt * float(np.sum(acc * b_kernel)) / n**2
+            g_compensator += dt * g_pairs.total / n**2
         t0 = t1
         if k is None or log.fictitious[k]:
             continue

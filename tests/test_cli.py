@@ -82,6 +82,20 @@ class TestReplayCommand:
         report = json.loads(capsys.readouterr().out)
         assert 0.0 < report["max_abs_checkpoint_gap"] < 1e-15
 
+    def test_replay_rejects_missing_checkpoint(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "cfg.json", dict(BASE, checkpoints=[0.5]))
+        out = str(tmp_path / "out")
+        main(["simulate", "--config", cfg, "--out-dir", out])
+        path = f"{out}/run_checkpoints.json"
+        ref = json.load(open(path))
+        (cp,) = ref["checkpoints"].values()
+        ref["checkpoints"] = {"0.125": cp}
+        json.dump(ref, open(path, "w"))
+        capsys.readouterr()
+        rc = main(["replay", "--sidecar", f"{out}/run_sidecar.json",
+                   "--events", f"{out}/run_events.csv", "--reference-checkpoints", path])
+        assert rc == 3
+
     def test_version_mismatch_exit_code(self, tmp_path, capsys):
         cfg = _write(tmp_path / "cfg.json", BASE)
         out = str(tmp_path / "out")

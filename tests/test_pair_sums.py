@@ -1,0 +1,183 @@
+"""The incremental pair sums against dense recomputation, their memory, and
+how often they are built."""
+
+import itertools
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import kaclab as kl
+from kaclab import engine, freezing
+from kaclab.engine import _tilt_pair_sum, replay_events
+from kaclab.girsanov import TiltingScheme, compensator_rate
+from kaclab.kinetics import Kernel, sphere_quadrature
+from kaclab.rate_function import TestFunctionDescriptor, _xi2_pair_sum, dynamic_cost, tau, xi_functionals
+
+REF = kl.ReferenceMeasure(3)
+RTOL = 1e-10
+
+
+def _run(name):
+    """Small runs with diagonal and fictitious rows; returns (trajectory, scheme)."""
+    if name == "maxwell_pairwise":
+        scheme = TiltingScheme.pairwise(1.0, 0.3)
+        cfg = kl.SimConfig(n=16, t_max=2.0, kernel=Kernel.MAXWELL, seed=401, measure="Q")
+    else:
+        # three intervals: two with frozen sets, then K = 1
+        scheme = TiltingScheme(
+            breakpoints=np.array([0.0, 0.3, 0.6, 1.0]), coeffs=np.array([1.25, 1.5, 1.0]),
+            deltas=np.zeros(3), frozen_sets=[np.array([0, 3, 5]), np.array([2]), np.array([], int)],
+            multiplier_bound=2.0)
+        cfg = kl.SimConfig(n=16, t_max=1.0, kernel=Kernel.HARD_SPHERE, seed=402, measure="Q")
+    traj = kl.simulate(cfg, scheme)
+    assert np.any(traj.log.fictitious) and np.any(traj.log.i == traj.log.j)
+    return traj, scheme
+
+
+def _xi2_dense(v, g, beta):
+    """sum_ab of the sigma-averaged (e^g - 1) B, as one dense table."""
+    u = np.sqrt(np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1))
+    if g.sigma_coupling == 0.0:
+        e = np.exp(g.g(v[:, None, :], v[None, :, :], None)) - 1.0
+    else:
+        pts, wts = sphere_quadrature(v.shape[1])
+        e = sum(w * (np.exp(g.g(v[:, None, :], v[None, :, :], p)) - 1.0) for p, w in zip(pts, wts))
+    return float(np.sum(e * (1.0 + beta * u)))
+
+
+def _tilt_dense(v, scheme, k, beta):
+    """(sum K B, sum tau(K) B) at interval k, as dense tables."""
+    n = len(v)
+    u = np.sqrt(np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1))
+    alive = np.ones(n, bool)
+    alive[scheme.frozen_sets[k]] = False
+    kmat = scheme.coeffs[k] * (1.0 + scheme.deltas[k] * u) * np.outer(alive, alive)
+    b = 1.0 + beta * u
+    return float(np.sum(kmat * b)), float(np.sum(tau(kmat) * b))
+
+
+class _Fan:
+    """Forwards the collision hooks to several pair sums."""
+
+    def __init__(self, sums):
+        self.sums = sums
+
+    def pre_collision(self, i, j):
+        return [s.pre_collision(i, j) for s in self.sums]
+
+    def post_collision(self, i, j, pre):
+        for s, p in zip(self.sums, pre):
+            s.post_collision(i, j, p)
+
+
+@pytest.mark.parametrize("name", ["maxwell_pairwise", "hs_frozen_intervals"])
+def test_four_sums_match_dense_after_every_row(name):
+    traj, scheme = _run(name)
+    log = traj.log
+    n = traj.initial_state.n
+    beta = traj.config.kernel.slope
+    g = TestFunctionDescriptor(kind="flux_test", coeff=0.4, radius=2.5, sigma_coupling=0.3)
+    v = traj.initial_state.velocities.copy()
+    checked = 0
+    for k_int in range(scheme.n_intervals()):
+        b0, b1 = scheme.breakpoints[k_int], scheme.breakpoints[k_int + 1]
+        lo, hi = np.searchsorted(log.t, (b0, b1))
+        ledger, cost, total = (_tilt_pair_sum(v, scheme, k_int, beta, f)
+                               for f in (lambda kk: kk - 1.0, tau, lambda kk: kk))
+        xi2 = _xi2_pair_sum(v, g, beta)
+        for _ in itertools.chain(replay_events(v, log, lo, hi, _Fan([ledger, cost, total, xi2])), (None,)):
+            # v now holds the state after every row before this one
+            want_total, want_cost = _tilt_dense(v, scheme, k_int, beta)
+            want_ledger = compensator_rate(v, scheme, traj.config.kernel, b0) * n
+            assert ledger.total == pytest.approx(want_ledger, rel=RTOL, abs=0.0)
+            assert cost.total == pytest.approx(want_cost, rel=RTOL, abs=0.0)
+            assert total.total == pytest.approx(want_total, rel=RTOL, abs=0.0)
+            assert xi2.total == pytest.approx(_xi2_dense(v, g, beta), rel=RTOL, abs=0.0)
+            checked += 1
+    assert checked == len(log) + scheme.n_intervals()
+
+
+@pytest.mark.parametrize("name", ["maxwell_pairwise", "hs_frozen_intervals"])
+@pytest.mark.parametrize("coupling", [0.0, 0.3])
+def test_dynamic_cost_and_xi2_match_dense_spans(name, coupling):
+    traj, scheme = _run(name)
+    log = traj.log
+    n = traj.initial_state.n
+    t_max = traj.config.t_max
+    beta = traj.config.kernel.slope
+    g = TestFunctionDescriptor(kind="flux_test", coeff=-0.3, radius=2.0, sigma_coupling=coupling)
+    cuts = [float(b) for b in scheme.breakpoints if 0.0 < b < t_max]
+    cost = comp = flux = 0.0
+    v = traj.initial_state.velocities.copy()
+    t0 = 0.0
+    for k in itertools.chain(replay_events(v, log), (None,)):
+        t1 = t_max if k is None else float(log.t[k])
+        pts = [t0] + [b for b in cuts if t0 < b < t1] + [t1]
+        for a, b in zip(pts[:-1], pts[1:]):
+            if b > a:
+                cost += (b - a) * _tilt_dense(v, scheme, scheme.interval_index(a), beta)[1] / n**2
+        comp += (t1 - t0) * _xi2_dense(v, g, beta) / n**2
+        if k is not None and not log.fictitious[k]:
+            flux += float(g.g(v[log.i[k]], v[log.j[k]], log.sigma[k])) / n
+        t0 = t1
+    value, se = dynamic_cost(traj, scheme, mode="exact")
+    assert se == 0.0
+    assert value == pytest.approx(cost, rel=RTOL, abs=0.0)
+    assert xi_functionals(traj, None, None, g, REF)[2] == pytest.approx(flux - comp, rel=RTOL, abs=0.0)
+
+
+def test_pair_sums_take_o_n_memory():
+    # a dense N x N float table would be 8 N^2 bytes
+    n = 4000
+    scheme = TiltingScheme(coeffs=np.array([n / (n - 2)]), frozen_sets=[np.array([0, 1])],
+                           multiplier_bound=n / (n - 2))
+    cfg = kl.SimConfig(n=n, t_max=1e-5, kernel=Kernel.HARD_SPHERE, seed=403)
+    tracemalloc.start()
+    try:
+        traj = kl.simulate(cfg, scheme)
+        peak_simulate = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        rate = kl.total_rate(traj.final_state, cfg.kernel, scheme)
+        peak_total_rate = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rate > 0.0
+    assert peak_simulate < 2 * n * n
+    assert peak_total_rate < 2 * n * n
+
+
+def test_freeze_run_builds_one_pair_sum_per_tilted_interval(monkeypatch):
+    # the criterion 7 configuration: t_grid [0, .5, .5, .5, 1], K = 1 after
+    # t = 0.5, and checkpoints every 0.05
+    builds = []
+    init = engine._PairSum.__init__
+
+    def counting_init(self, n, h):
+        builds.append(n)
+        init(self, n, h)
+
+    schemes, after_simulate = [], []
+    build_scheme, simulate = freezing.build_freeze_scheme, freezing.simulate
+
+    def keep_scheme(v0, plan):
+        schemes.append(build_scheme(v0, plan))
+        return schemes[-1]
+
+    def counted_simulate(*args, **kwargs):
+        traj = simulate(*args, **kwargs)
+        after_simulate.append(len(builds))
+        return traj
+
+    monkeypatch.setattr(engine._PairSum, "__init__", counting_init)
+    monkeypatch.setattr(freezing, "build_freeze_scheme", keep_scheme)
+    monkeypatch.setattr(freezing, "simulate", counted_simulate)
+    theta = kl.ThetaSchedule(jump_times=(0.5,), levels=(1.0, 2.0), horizon=1.0)
+    kl.run_experiment(n=300, kernel=Kernel.HARD_SPHERE, theta=theta, M=4.0, r=4, n_runs=1,
+                      master_seed=108, checkpoint_times=np.arange(0.0, 1.001, 0.05))
+    (scheme,) = schemes
+    assert np.array_equal(scheme.breakpoints, [0.0, 0.5, 0.5, 0.5, 1.0])
+    assert len(scheme.frozen_sets[0]) > 0
+    assert scheme.is_unit(scheme.interval_index(0.5))
+    assert after_simulate == [1]
+    assert len(builds) == 2
