@@ -9,6 +9,7 @@ stream derives from (master seed, run index).
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import json
 import math
 import os
@@ -215,12 +216,18 @@ def read_event_csv(path: str, n_particles: int, horizon: float) -> EventLog:
     return EventLog(t, i, j, sigma, assignment, fict, n_particles, horizon)
 
 
+def state_digest(v: np.ndarray) -> str:
+    """sha256 of the bytes of a velocity array (float64, C order)."""
+    return hashlib.sha256(np.ascontiguousarray(v, dtype=np.float64).tobytes()).hexdigest()
+
+
 def write_sidecar(path: str, trajectory: Trajectory) -> None:
     payload = {
         "version": __version__,
         "config": trajectory.config.to_dict(),
         "seed": trajectory.seed,
         "initial_velocities": trajectory.initial_state.velocities.tolist(),
+        "final_sha256": state_digest(trajectory.final_state.velocities),
         "ledger": trajectory.rn_ledger.to_dict(),
     }
     _atomic_write(path, json.dumps(payload, indent=1))
@@ -263,12 +270,17 @@ class VersionMismatchError(RuntimeError):
     pass
 
 
+class ReplayMismatchError(RuntimeError):
+    """A replayed log does not end in the final state its sidecar records."""
+
+
 def replay(sidecar_path: str, events_path: str, force: bool = False):
     """Re-apply a persisted log to its initial state.
 
     Refuses manifests stamped by a different tool version unless forced.
-    Returns (sidecar, checkpoint summaries recomputed at the persisted
-    checkpoint times).
+    Replays the whole log and raises ReplayMismatchError unless the final
+    state's sha256 equals the sidecar's `final_sha256`.  Returns (sidecar,
+    checkpoint summaries recomputed at the persisted checkpoint times).
     """
     sidecar, state0, log = load_trajectory_inputs(sidecar_path, events_path)
     if sidecar.get("version") != __version__ and not force:
@@ -296,6 +308,12 @@ def replay(sidecar_path: str, events_path: str, force: bool = False):
             "m4": m4,
             "truncated_m2": {str(thr): val for thr, val in trunc.items()},
         })
+    for _ in replay_events(v, log, start):
+        pass
+    if state_digest(v) != sidecar.get("final_sha256"):
+        raise ReplayMismatchError(
+            f"replaying {events_path} does not reproduce the final state recorded in "
+            f"{sidecar_path} (sha256 {sidecar.get('final_sha256')})")
     return sidecar, out
 
 

@@ -20,6 +20,11 @@ ends); by memorylessness this leaves the law of the process unchanged and
 makes runs exactly decomposable across segments.  Event times accumulate in
 compensated (Kahan) summation.
 
+Where a segment has no ledger pair sum, `run_segment` runs the proposals
+in the compiled loop of `_kloop.c`, which repeats `propose` operation by
+operation, so the two give the same bytes; `propose` runs `step()`, the
+tracked segments, and everything where no compiler is available.
+
 Every proposal is logged: accepted proposals become flux atoms of mass 1/N
 (diagonal pairs are state no-ops but still carry flux mass, matching the
 product-measure form of the generator), rejected proposals are retained as
@@ -39,7 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fenwick import FenwickSampler
+from . import _kloop
+from .fenwick import BAD_WEIGHT, ZERO_TOTAL, FenwickSampler
 from .girsanov import RNLedger, TiltingScheme, sample_tilted_initial
 from .kinetics import Kernel, _collide
 from .metrics import WeightedMeasure
@@ -68,6 +74,13 @@ __all__ = [
 
 class MajorantViolationError(RuntimeError):
     """The factorised bound was exceeded: the tilting scheme is invalid."""
+
+
+def _majorant_violation(kb, majorant, i, j) -> MajorantViolationError:
+    return MajorantViolationError(
+        f"K*B = {kb} exceeds majorant {majorant} at pair ({i},{j}); "
+        "the tilting scheme's multiplier bound is invalid"
+    )
 
 
 _IDENTITY_SCHEME = TiltingScheme.identity()
@@ -349,10 +362,21 @@ class _Draws:
         chunk = int(min(8192, max(64, expect)))
         return _Draws(rng, chunk)
 
+    def refill(self, which: int) -> None:
+        """Redraw buffer 0 (uniforms), 1 (exponentials) or 2 (normals) in
+        place: the same variates as a fresh array, and buffer addresses the
+        compiled loop can keep."""
+        if which == 0:
+            self.rng.random(out=self._u)
+        elif which == 1:
+            self.rng.standard_exponential(out=self._e)
+        else:
+            self.rng.standard_normal(out=self._n)
+
     def uniform(self) -> float:
         i = self._iu
         if i == self._chunk:
-            self._u = self.rng.random(self._chunk)
+            self.refill(0)
             i = 0
         self._iu = i + 1
         return self._u[i]
@@ -360,7 +384,7 @@ class _Draws:
     def exponential(self) -> float:
         i = self._ie
         if i == self._chunk:
-            self._e = self.rng.standard_exponential(self._chunk)
+            self.refill(1)
             i = 0
         self._ie = i + 1
         return self._e[i]
@@ -368,7 +392,7 @@ class _Draws:
     def normals(self, d: int) -> np.ndarray:
         i = self._in
         if i + d > self._chunk:
-            self._n = self.rng.standard_normal(self._chunk)
+            self.refill(2)
             i = 0
         self._in = i + d
         return self._n[i : i + d]
@@ -562,10 +586,7 @@ class _Engine:
         kb = 0.0 if frozen_pair else self.c_dyn * (1.0 + gamma * u_dist)
         majorant = self.c_dyn * self.inflation * (1.0 + gamma * (self.speeds[i] + self.speeds[j]))
         if kb > majorant * (1.0 + 1e-12):
-            raise MajorantViolationError(
-                f"K*B = {kb} exceeds majorant {majorant} at pair ({i},{j}); "
-                "the tilting scheme's multiplier bound is invalid"
-            )
+            raise _majorant_violation(kb, majorant, i, j)
         accepted = u_accept * majorant < kb
 
         # recorded assignment view: 0 (i,j,s) 1 (i,j,-s) 2 (j,i,s) 3 (j,i,-s)
@@ -606,8 +627,69 @@ class _Engine:
 
     def run_segment(self, t_end: float):
         self.enter_segment(self.t)
-        while self.propose(t_end):
-            pass
+        lib = _kloop.kernel(self.d) if self.tracker is None else None
+        # the kernel reads V in C order and a whole sigma from one buffer
+        if lib is not None and self.V.flags.c_contiguous and self.d <= self.draws._chunk:
+            self._run_compiled(lib, t_end)
+        else:
+            while self.propose(t_end):
+                pass
+
+    def _run_compiled(self, lib, t_end: float):
+        """`propose` up to t_end in the compiled loop, on this engine's arrays.
+
+        Only where there is no ledger pair sum: the loop settles no
+        compensator.  It returns to grow the event buffer, and on an error,
+        which is raised here as the Python loop raises it.
+        """
+        draws, ev, fen = self.draws, self.events, self.fen
+        # scalars in and out, in the slots of the F_* and K_* enums of _kloop.c
+        f = np.array([self.t, self._t_comp, t_end, self.c_dyn, self.inflation, self.gamma, 0.0, 0.0])
+        k = np.array([draws._iu, draws._ie, draws._in, self.n_events, self.n_collisions,
+                      ev.size if ev is not None else 0, 0, 0, 0], dtype=np.int64)
+        raised = []
+
+        def refill(which):
+            try:
+                draws.refill(which)
+            except BaseException as exc:  # re-raised below, not across C
+                raised.append(exc)
+                return 1
+            return 0
+
+        callback = _kloop.REFILL(refill)
+        status = _kloop.GROW
+        while status == _kloop.GROW:
+            if ev is not None:
+                if k[5] == len(ev.t):
+                    ev.size = int(k[5])
+                    ev._grow()
+                k[6] = len(ev.t)
+                cols = [a.ctypes.data for a in (ev.t, ev.i, ev.j, ev.sigma, ev.assignment, ev.fictitious)]
+            else:
+                cols = [None] * 6
+            status = lib.kac_run(
+                f.ctypes.data, k.ctypes.data, self.n, self.d, draws._chunk,
+                self.V.ctypes.data, self.speeds.ctypes.data,
+                fen.tree.ctypes.data if fen is not None else None,
+                fen.weights.ctypes.data if fen is not None else None,
+                self.frozen_dyn.ctypes.data if self.any_frozen_dyn else None,
+                draws._u.ctypes.data, draws._e.ctypes.data, draws._n.ctypes.data, callback, *cols)
+        self.t, self._t_comp = float(f[0]), float(f[1])
+        draws._iu, draws._ie, draws._in, self.n_events, self.n_collisions = (int(x) for x in k[:5])
+        if ev is not None:
+            ev.size = int(k[5])
+        if status == _kloop.DONE:
+            return
+        if status == _kloop.ERR_MAJORANT:
+            raise _majorant_violation(float(f[6]), f[7], int(k[7]), int(k[8]))
+        if status == _kloop.ERR_WEIGHT:
+            raise ValueError(BAD_WEIGHT)
+        if status == _kloop.ERR_ZERO_TOTAL:
+            raise ValueError(ZERO_TOTAL)
+        if status == _kloop.ERR_REFILL:
+            raise raised[0]
+        raise IndexError(f"particle index out of bounds for {self.n} particles")
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,45 @@ class TestReplayCommand:
                    "--events", f"{out}/run_events.csv", "--reference-checkpoints", path])
         assert rc == 3
 
+    @staticmethod
+    def _run_checkpointed_at_zero(tmp_path):
+        """A hard-sphere run (compiled loop) whose only checkpoint is t = 0,
+        so only the final-state digest can catch a change to its log."""
+        cfg = _write(tmp_path / "cfg.json", dict(BASE, checkpoints=[0.0]))
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", cfg, "--out-dir", out]) == 0
+        return f"{out}/run_sidecar.json", f"{out}/run_events.csv"
+
+    def _replay(self, sidecar, events, capsys):
+        capsys.readouterr()
+        return main(["replay", "--sidecar", sidecar, "--events", events])
+
+    def test_replay_checks_final_state(self, tmp_path, capsys):
+        sidecar, events = self._run_checkpointed_at_zero(tmp_path)
+        assert self._replay(sidecar, events, capsys) == 0
+
+    def test_replay_rejects_edited_sigma(self, tmp_path, capsys):
+        sidecar, events = self._run_checkpointed_at_zero(tmp_path)
+        lines = open(events).read().splitlines()
+        # the first collision that moves two particles
+        k = next(k for k, line in enumerate(lines[1:], 1)
+                 if line.endswith(",0") and line.split(",")[1] != line.split(",")[2])
+        cols = lines[k].split(",")
+        digits = cols[3]
+        pos = next(p for p in range(3, len(digits)) if digits[p].isdigit())
+        cols[3] = digits[:pos] + str((int(digits[pos]) + 1) % 10) + digits[pos + 1:]
+        lines[k] = ",".join(cols)
+        open(events, "w").write("\n".join(lines) + "\n")
+        assert self._replay(sidecar, events, capsys) == 3
+        assert "final state" in capsys.readouterr().err
+
+    def test_replay_rejects_missing_digest(self, tmp_path, capsys):
+        sidecar, events = self._run_checkpointed_at_zero(tmp_path)
+        payload = json.load(open(sidecar))
+        del payload["final_sha256"]
+        json.dump(payload, open(sidecar, "w"))
+        assert self._replay(sidecar, events, capsys) == 3
+
     def test_version_mismatch_exit_code(self, tmp_path, capsys):
         cfg = _write(tmp_path / "cfg.json", BASE)
         out = str(tmp_path / "out")

@@ -47,3 +47,23 @@ def test_invalid_weights_rejected():
     empty = FenwickSampler([0.0, 0.0])
     with pytest.raises(ValueError):
         empty.sample(0.5)
+
+
+def _loop_build(w):
+    """The one-node-at-a-time Fenwick build the sampler used to run."""
+    tree = np.zeros(len(w) + 1)
+    tree[1:] = w
+    for i in range(1, len(w) + 1):
+        j = i + (i & -i)
+        if j <= len(w):
+            tree[j] += tree[i]
+    return tree
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 1000, 10000, 12345])
+def test_level_build_matches_loop_bit_for_bit(n):
+    # weights spread over many magnitudes, so any change in the order of
+    # the additions shows in the last bits
+    rng = np.random.default_rng(n)
+    w = rng.random(n) * np.exp(rng.uniform(-30.0, 30.0, n))
+    assert FenwickSampler(w).tree.tobytes() == _loop_build(w).tobytes()
