@@ -1,15 +1,23 @@
-/* The proposal loop of kaclab's engine, compiled.
+/* The proposal loop of kaclab's engine, compiled, and the rows of its
+ * tilt pair sums.
  *
- * kac_run is `_Engine.propose` repeated up to the end of a segment, for
- * segments with no ledger pair sum.  It works in place on the engine's own
- * arrays (velocities, speeds, Fenwick tree and weights, draw buffers, event
- * columns) and does every operation of the Python loop in its order, so
- * event logs and states are bit-identical to it:
+ * kac_run is `_Engine.propose` repeated up to the end of a segment, tracked
+ * or not: under a ledger scheme it also keeps the ledger's pair sum
+ * (`_PairSum.post_collision`) and settles the compensator and jump terms.
+ * It works in place on the engine's own arrays (velocities, speeds,
+ * Fenwick tree and weights, draw buffers, event columns) and does every
+ * operation of the Python loop in its order, so event logs, states and
+ * ledgers are bit-identical to it:
  *   - a dot product is an FMA chain s = fma(x_k, y_k, s), as numpy's BLAS
  *     computes a short `x @ y` (checked against numpy when loaded);
+ *   - a row is summed in numpy's pairwise order (kac_sum, also checked
+ *     when loaded);
  *   - all other arithmetic is unfused (built with -ffp-contract=off);
  *   - an empty draw buffer is refilled through the callback at exactly the
  *     draw where the Python loop refills it.
+ * kac_rows evaluates the rows f(K) B of `engine._TiltRows` in the order of
+ * `engine._distances` and `TiltingScheme.pair_k`; kac_pair_rows and
+ * kac_pair_update are `_PairSum.pre_collision` and `post_collision` on them.
  * Errors are returned as status codes; the caller raises the Python loop's
  * exception for each.
  */
@@ -20,11 +28,30 @@
 typedef int (*refill_fn)(int which); /* 0 uniforms, 1 exponentials, 2 normals */
 
 /* slots of the scalar arrays shared with the caller */
-enum { F_T, F_COMP, F_TEND, F_C, F_INFL, F_GAMMA, F_KB, F_MAJ };
-enum { K_IU, K_IE, K_IN, K_EVENTS, K_COLL, K_SIZE, K_CAP, K_I, K_J };
+enum { F_T, F_COMP, F_TEND, F_C, F_INFL, F_GAMMA, F_KB, F_MAJ, F_TOTAL, F_COMPENSATOR, F_JUMP };
+enum { K_IU, K_IE, K_IN, K_EVENTS, K_COLL, K_SIZE, K_CAP, K_I, K_J, K_LEDGER, K_HIT };
 
 enum { DONE = 0, GROW = 1, ERR_MAJORANT = -1, ERR_WEIGHT = -2, ERR_ZERO_TOTAL = -3,
-       ERR_REFILL = -4, ERR_INDEX = -5 };
+       ERR_REFILL = -4, ERR_INDEX = -5, ERR_LOG = -6, TABLE_MISS = -7 };
+
+/* the ledger of a segment: none (K = 1), a pair sum whose rows change at
+ * collisions, or one whose rows are one constant (no rows evaluated) */
+enum { LEDGER_NONE, LEDGER_ROWS, LEDGER_CONSTANT };
+
+/* the pair function f(K) of a row */
+enum { F_K_MINUS_1, F_K_ITSELF, F_K_TABLE };
+
+/* the rows f(K) B on one scheme interval: K = c (1 + delta u) live_a live_b,
+ * B = 1 + beta u, u = |v_a - v_b| (`engine._TiltRows`) */
+struct rowspec {
+    const double *V;    /* (n, d) velocities in C order */
+    const double *live; /* 1.0 outside the frozen set, 0.0 in it; NULL: none */
+    double *scratch;    /* 4n doubles: the old rows of a pair, then dh */
+    int64_t n, d, f;
+    double c, delta, beta;
+    double f0, fc; /* a table f: f(0) and f(c) */
+    double inc;    /* out: the change of the pair sum at a collision */
+};
 
 double kac_dot(const double *x, const double *y, int64_t d)
 {
@@ -32,6 +59,121 @@ double kac_dot(const double *x, const double *y, int64_t d)
     for (int64_t k = 0; k < d; k++)
         s = fma(x[k], y[k], s);
     return s;
+}
+
+/* numpy's pairwise summation of n doubles: under 8 elements one loop, up
+ * to 128 eight accumulators, above that two halves split at a multiple
+ * of 8 */
+static double pairwise(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int q = 0; q < 8; q++)
+            r[q] = a[q];
+        int64_t i;
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int q = 0; q < 8; q++)
+                r[q] += a[i + q];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise(a, n2) + pairwise(a + n2, n - n2);
+}
+
+/* `a.sum()` of a contiguous array: the reduction starts from +0.0 */
+double kac_sum(const double *a, int64_t n)
+{
+    return 0.0 + pairwise(a, n);
+}
+
+/* o[b] = |v_a - v_b|, coordinate by coordinate as `engine._distances` */
+static inline void distances(const double *restrict V, int64_t n, int64_t d, int64_t a,
+                             double *restrict o)
+{
+    const double *va = V + a * d;
+    for (int64_t b = 0; b < n; b++) {
+        const double *vb = V + b * d;
+        double t = vb[0] - va[0], s = t * t;
+        for (int64_t q = 1; q < d; q++) {
+            t = vb[q] - va[q];
+            s += t * t;
+        }
+        o[b] = sqrt(s);
+    }
+}
+
+/* o[b] = f(K_ab) B_ab for every b.  A table f serves delta = 0 only; it
+ * misses where K is neither 0 nor c (a non-finite u). */
+static int row(const struct rowspec *sp, int64_t a, double *restrict o)
+{
+    const int64_t n = sp->n, f = sp->f;
+    const double c = sp->c, delta = sp->delta, beta = sp->beta, f0 = sp->f0, fc = sp->fc;
+    const double *restrict live = sp->live;
+    if (sp->d == 3)
+        distances(sp->V, n, 3, a, o);
+    else
+        distances(sp->V, n, sp->d, a, o);
+    const double la = live ? live[a] : 1.0;
+    int64_t miss = 0; /* as wide as a double, so the loop vectorises */
+    for (int64_t b = 0; b < n; b++) {
+        double u = o[b];
+        double k = c * (1.0 + delta * u);
+        if (live)
+            k = k * (la * live[b]);
+        double fk;
+        if (f == F_K_MINUS_1) {
+            fk = k - 1.0;
+        } else if (f == F_K_ITSELF) {
+            fk = k;
+        } else {
+            fk = k == 0.0 ? f0 : fc;
+            miss |= (int64_t)((k != 0.0) & (k != c));
+        }
+        o[b] = beta != 0.0 ? fk * (1.0 + beta * u) : fk;
+    }
+    return miss ? TABLE_MISS : DONE;
+}
+
+/* m rows into out, (m, n) in C order: row r is particle rows[r], or
+ * first + r when rows is NULL */
+int kac_rows(const struct rowspec *sp, const int64_t *rows, int64_t first, int64_t m,
+             double *out)
+{
+    int status = DONE;
+    for (int64_t r = 0; r < m; r++)
+        status |= row(sp, rows ? rows[r] : first + r, out + r * sp->n);
+    return status ? TABLE_MISS : DONE;
+}
+
+/* _PairSum.pre_collision: the rows of i and j into the first half of scratch */
+int kac_pair_rows(const struct rowspec *sp, int64_t i, int64_t j)
+{
+    return row(sp, i, sp->scratch) | row(sp, j, sp->scratch + sp->n) ? TABLE_MISS : DONE;
+}
+
+/* _PairSum.post_collision: dh = new rows - old rows in the second half of
+ * scratch, and the change of the pair sum in sp->inc */
+int kac_pair_update(struct rowspec *sp, int64_t i, int64_t j)
+{
+    const int64_t n = sp->n;
+    const double *old = sp->scratch;
+    double *dh = sp->scratch + 2 * n;
+    if (row(sp, i, dh) | row(sp, j, dh + n))
+        return TABLE_MISS;
+    for (int64_t b = 0; b < 2 * n; b++)
+        dh[b] = dh[b] - old[b];
+    sp->inc = ((2.0 * kac_sum(dh, 2 * n) - dh[i]) - dh[n + j]) - 2.0 * dh[j];
+    return DONE;
 }
 
 static double fen_total(const double *tree, int64_t n)
@@ -82,17 +224,28 @@ static int fen_sample(const double *tree, int64_t n, double u, int64_t *out)
 #define CHECK(call) do { if ((status = (call)) != DONE) goto out; } while (0)
 #define SIGMA(k) (neg ? -(raw[k] / nrm) : raw[k] / nrm)
 
+/* the compensator over dt: dt (1/N) sum (K - 1) B, as _settle_compensator */
+#define SETTLE(dt)                                                        \
+    do {                                                                  \
+        if (ledger != LEDGER_NONE && (dt) > 0.0)                          \
+            compensator += (dt) * (total / (double)n);                    \
+    } while (0)
+
+/* led holds the ledger's rows, K - 1 on its interval (NULL: no ledger) */
 int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
             double *V, double *speeds, double *tree, double *weights,
             const uint8_t *frozen, const double *ubuf, const double *ebuf,
             const double *nbuf, refill_fn refill,
             double *ev_t, int64_t *ev_i, int64_t *ev_j, double *ev_sigma,
-            int8_t *ev_asg, uint8_t *ev_fict)
+            int8_t *ev_asg, uint8_t *ev_fict, struct rowspec *led)
 {
     double t = f[F_T], comp = f[F_COMP];
     const double t_end = f[F_TEND], c = f[F_C], infl = f[F_INFL], gamma = f[F_GAMMA];
+    double total = f[F_TOTAL], compensator = f[F_COMPENSATOR], jump = f[F_JUMP];
     int64_t iu = k[K_IU], ie = k[K_IE], in = k[K_IN];
     int64_t events = k[K_EVENTS], coll = k[K_COLL], size = k[K_SIZE];
+    const int64_t ledger = led ? k[K_LEDGER] : LEDGER_NONE;
+    int64_t hit = k[K_HIT];
     int status = DONE;
 
     for (;;) {
@@ -103,6 +256,7 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
         double a_sum = gamma > 0.0 ? fen_total(tree, n) : 0.0;
         double rate = c * infl * ((double)n + 2.0 * gamma * a_sum);
         if (rate <= 0.0) {
+            SETTLE(t_end - t);
             t = t_end;
             comp = 0.0;
             break;
@@ -111,10 +265,12 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
         DRAW(e, ebuf, ie, 1);
         double dt = e / rate;
         if (t + dt >= t_end) {
+            SETTLE(t_end - t);
             t = t_end;
             comp = 0.0;
             break;
         }
+        SETTLE(dt);
         double y = dt - comp, s = t + y; /* Kahan-summed clock */
         comp = (s - t) - y;
         t = s;
@@ -188,7 +344,21 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
         int neg = asg % 2;
         if (accepted) {
             coll++;
+            if (ledger != LEDGER_NONE) {
+                if (led->live && !(led->live[i] != 0.0 && led->live[j] != 0.0)) {
+                    hit = 1;
+                } else {
+                    double arg = led->c * (1.0 + led->delta * u_dist);
+                    if (arg <= 0.0) { /* math.log refuses it */
+                        status = ERR_LOG;
+                        goto out;
+                    }
+                    jump += log(arg);
+                }
+            }
             if (i != j) {
+                if (ledger == LEDGER_ROWS)
+                    kac_pair_rows(led, i, j);
                 /* kinetics._collide in the recorded parametrisation */
                 double *a = V + ri * d, *b = V + rj * d;
                 double dot = 0.0;
@@ -204,6 +374,10 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
                 if (tree) {
                     CHECK(fen_update(tree, weights, n, i, speeds[i]));
                     CHECK(fen_update(tree, weights, n, j, speeds[j]));
+                }
+                if (ledger == LEDGER_ROWS) { /* K - 1 rows never miss */
+                    kac_pair_update(led, i, j);
+                    total += led->inc;
                 }
             }
         }
@@ -222,6 +396,10 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
 out:
     f[F_T] = t;
     f[F_COMP] = comp;
+    f[F_TOTAL] = total;
+    f[F_COMPENSATOR] = compensator;
+    f[F_JUMP] = jump;
+    k[K_HIT] = hit;
     k[K_IU] = iu;
     k[K_IE] = ie;
     k[K_IN] = in;

@@ -1,11 +1,12 @@
-"""Build and load the compiled proposal loop, `_kloop.c`.
+"""Build and load the compiled proposal loop and pair-sum rows, `_kloop.c`.
 
 On first use the C source is compiled with gcc into `_build/` next to this
 file, under a name made from the sha256 of the source and the compile
 command, and loaded through ctypes.  `kernel(d)` returns the library, or
-None where the Python loop must run instead: no gcc, a failed build or
-load, or a kernel dot product that differs from numpy's `x @ y` in
-dimension d (the kernel must reproduce numpy's arithmetic bit for bit).
+None where the Python loop and the numpy rows must run instead: no gcc, a
+failed build or load, a kernel sum that differs from numpy's `a.sum()`, or
+a kernel dot product that differs from numpy's `x @ y` in dimension d (the
+kernel must reproduce numpy's arithmetic bit for bit).
 """
 
 from __future__ import annotations
@@ -22,13 +23,25 @@ import numpy as np
 _HERE = os.path.dirname(os.path.abspath(__file__))
 SOURCE = os.path.join(_HERE, "_kloop.c")
 BUILD_DIR = os.path.join(_HERE, "_build")
-CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-Wall", "-Wextra")
+CFLAGS = ("-O3", "-fno-math-errno", "-fPIC", "-shared", "-ffp-contract=off", "-Wall", "-Wextra")
 
-# status codes of kac_run, as in _kloop.c
+# status codes of kac_run and kac_rows, as in _kloop.c
 DONE, GROW = 0, 1
-ERR_MAJORANT, ERR_WEIGHT, ERR_ZERO_TOTAL, ERR_REFILL, ERR_INDEX = -1, -2, -3, -4, -5
+ERR_MAJORANT, ERR_WEIGHT, ERR_ZERO_TOTAL, ERR_REFILL, ERR_INDEX, ERR_LOG, TABLE_MISS = range(-1, -8, -1)
+# the ledger of a segment, and the pair function f(K) of a row, as in _kloop.c
+LEDGER_NONE, LEDGER_ROWS, LEDGER_CONSTANT = 0, 1, 2
+F_K_MINUS_1, F_K_ITSELF, F_K_TABLE = 0, 1, 2
 
 REFILL = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int)
+
+
+class RowSpec(ctypes.Structure):
+    """`struct rowspec` of _kloop.c: the rows f(K) B of one scheme interval."""
+
+    _fields_ = [("V", ctypes.c_void_p), ("live", ctypes.c_void_p), ("scratch", ctypes.c_void_p),
+                ("n", ctypes.c_int64), ("d", ctypes.c_int64), ("f", ctypes.c_int64),
+                ("c", ctypes.c_double), ("delta", ctypes.c_double), ("beta", ctypes.c_double),
+                ("f0", ctypes.c_double), ("fc", ctypes.c_double), ("inc", ctypes.c_double)]
 
 _UNLOADED = object()
 _lib = _UNLOADED  # the library once loaded; None runs the Python loop everywhere
@@ -61,13 +74,31 @@ def _load():
         lib = ctypes.CDLL(path)
     except OSError:
         return None
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    ptr, i64, dbl = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.kac_dot.argtypes = (ptr, ptr, i64)
-    lib.kac_dot.restype = ctypes.c_double
+    lib.kac_dot.restype = dbl
+    lib.kac_sum.argtypes = (ptr, i64)
+    lib.kac_sum.restype = dbl
+    spec = ctypes.POINTER(RowSpec)
+    lib.kac_rows.argtypes = (spec, ptr, i64, i64, ptr)
+    lib.kac_pair_rows.argtypes = (spec, i64, i64)
+    lib.kac_pair_update.argtypes = (spec, i64, i64)
     lib.kac_run.argtypes = (ptr, ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-                            REFILL, ptr, ptr, ptr, ptr, ptr, ptr)
-    lib.kac_run.restype = ctypes.c_int
-    return lib
+                            REFILL, ptr, ptr, ptr, ptr, ptr, ptr, spec)
+    for fn in (lib.kac_rows, lib.kac_pair_rows, lib.kac_pair_update, lib.kac_run):
+        fn.restype = ctypes.c_int
+    return lib if _sum_matches(lib) else None
+
+
+def _sum_matches(lib) -> bool:
+    # numpy sums a contiguous (2, N) row pair as one run of 2N elements;
+    # lengths up to 600 cross every branch, 24690 several splits
+    rng = np.random.default_rng(0)
+    for n in (*range(1, 601, 7), 24690):
+        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 9.0, n)
+        if lib.kac_sum(a.ctypes.data, n) != float(a.sum()):
+            return False
+    return True
 
 
 def _dot_matches(lib, d: int) -> bool:

@@ -254,12 +254,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (MajorantViolationError, VersionMismatchError, RuntimeError) as exc:
+        # first: an engine.SimulationError is both a RuntimeError and a ValueError
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MajorantViolationError, VersionMismatchError, RuntimeError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except OSError as exc:
         print(f"io error [{exc.filename}]: {exc}", file=sys.stderr)
         return EXIT_IO

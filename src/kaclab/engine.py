@@ -20,10 +20,11 @@ ends); by memorylessness this leaves the law of the process unchanged and
 makes runs exactly decomposable across segments.  Event times accumulate in
 compensated (Kahan) summation.
 
-Where a segment has no ledger pair sum, `run_segment` runs the proposals
-in the compiled loop of `_kloop.c`, which repeats `propose` operation by
-operation, so the two give the same bytes; `propose` runs `step()`, the
-tracked segments, and everything where no compiler is available.
+`run_segment` runs the proposals in the compiled loop of `_kloop.c`, which
+repeats `propose` operation by operation, so the two give the same bytes;
+on a tracked segment it also keeps the ledger pair sum and settles the
+ledger.  `propose` runs `step()` and everything where no compiler is
+available.
 
 Every proposal is logged: accepted proposals become flux atoms of mass 1/N
 (diagonal pairs are state no-ops but still carry flux mass, matching the
@@ -34,7 +35,9 @@ Under a ledger scheme the compensator rate (1/N) sum_{ij} (K - 1) B is a
 `_PairSum`: built in row blocks once per scheme interval (none where K = 1),
 in O(N) memory, and updated exactly in O(N) per collision.  The same pair
 sum serves the exact dynamic cost, Xi_2 and `total_rate`, each with its own
-pair function.
+pair function.  The rows f(K) B of the tilt pair sums (`_TiltRows`) come
+from the kernel too, bit-identical to numpy's; where they are one constant
+no collision evaluates them.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ __all__ = [
     "InitialCondition",
     "SimConfig",
     "MajorantViolationError",
+    "SimulationError",
     "total_rate",
     "step",
     "simulate",
@@ -74,6 +78,12 @@ __all__ = [
 
 class MajorantViolationError(RuntimeError):
     """The factorised bound was exceeded: the tilting scheme is invalid."""
+
+
+class SimulationError(ValueError, RuntimeError):
+    """A ValueError raised while `simulate` runs its segments, such as a
+    speed that overflowed into the Fenwick tree: a failure of the run, not
+    of its configuration.  It stays a ValueError for callers that catch one."""
 
 
 def _majorant_violation(kb, majorant, i, j) -> MajorantViolationError:
@@ -118,6 +128,14 @@ class ParticleState:
 
     def copy(self) -> "ParticleState":
         return ParticleState(self.velocities.copy(), self.time)
+
+    @classmethod
+    def _unchecked(cls, velocities: np.ndarray, time: float) -> "ParticleState":
+        """A state around velocities that a state already validated: no copy,
+        no check."""
+        state = cls.__new__(cls)
+        state.velocities, state.time = velocities, time
+        return state
 
 
 @dataclass(frozen=True)
@@ -176,6 +194,7 @@ class _EventBuffer:
     def __init__(self, d: int, capacity: int = 1024):
         self.d = d
         self.size = 0
+        self._addr = None
         self.t = np.empty(capacity)
         self.i = np.empty(capacity, dtype=np.int64)
         self.j = np.empty(capacity, dtype=np.int64)
@@ -183,7 +202,15 @@ class _EventBuffer:
         self.assignment = np.empty(capacity, dtype=np.int8)
         self.fictitious = np.empty(capacity, dtype=bool)
 
+    def addresses(self) -> tuple:
+        """Addresses of the six columns, for the compiled loop."""
+        if self._addr is None:
+            self._addr = tuple(a.ctypes.data for a in (self.t, self.i, self.j, self.sigma,
+                                                        self.assignment, self.fictitious))
+        return self._addr
+
     def _grow(self):
+        self._addr = None
         cap = len(self.t) * 2
         self.t = np.resize(self.t, cap)
         self.i = np.resize(self.i, cap)
@@ -443,17 +470,117 @@ class _PairSum:
         self.total += float(2.0 * dh.sum() - dh[0, i] - dh[1, j] - 2.0 * dh[0, j])
 
 
+def _k_minus_1(kk):
+    return kk - 1.0
+
+
+def _k_itself(kk):
+    return kk
+
+
+# the pair functions the compiled rows evaluate for every delta; any other
+# f is read from a table of f(0) and f(c), which serves delta = 0 only
+_COMPILED_F = {_k_minus_1: _kloop.F_K_MINUS_1, _k_itself: _kloop.F_K_ITSELF}
+
+
+class _TiltRows:
+    """h(rows) = f(K) B on interval k of a scheme, B = 1 + beta u.
+
+    The rows come from the compiled kernel where it is loaded and knows f
+    (`_COMPILED_F`, or a table at delta = 0), and from numpy otherwise; the
+    two agree bit for bit, and numpy is the reference.  `constant` rows are
+    one value on every pair of finite velocities (delta = beta = 0, nothing
+    frozen).
+    """
+
+    __slots__ = ("v", "scheme", "k", "beta", "f", "alive", "constant", "lib", "spec", "live", "scratch")
+
+    def __init__(self, v: np.ndarray, scheme: TiltingScheme, k: int, beta: float, f):
+        self.v, self.scheme, self.k, self.beta, self.f = v, scheme, k, beta, f
+        c, delta = float(scheme.coeffs[k]), float(scheme.deltas[k])
+        self.alive = ~scheme.frozen_mask(k, len(v)) if len(scheme.frozen_sets[k]) else None
+        self.constant = beta == 0.0 and delta == 0.0 and self.alive is None
+        mode = _COMPILED_F.get(f, _kloop.F_K_TABLE if delta == 0.0 else None)
+        self.lib = self.spec = self.live = self.scratch = None
+        if mode is None or not v.flags.c_contiguous or v.dtype != np.float64:
+            return
+        self.lib = _kloop.kernel(v.shape[1])
+        if self.lib is None:
+            return
+        # the kernel multiplies K by live_a live_b, each 1.0 or 0.0, as numpy
+        # multiplies it by the boolean alive_a & alive_b
+        self.live = None if self.alive is None else self.alive.astype(float)
+        self.scratch = np.empty(4 * len(v))  # the old rows of a pair, then dh
+        f0, fc = f(np.array([0.0, c])) if mode == _kloop.F_K_TABLE else (0.0, 0.0)
+        # the spec points into v, live and scratch, which this object keeps
+        self.spec = _kloop.RowSpec(v.ctypes.data, None if self.live is None else self.live.ctypes.data,
+                                   self.scratch.ctypes.data, len(v), v.shape[1], mode, c, delta,
+                                   beta, f0, fc, 0.0)
+
+    def numpy(self, rows) -> np.ndarray:
+        # factors that are 1 on every pair (nothing frozen, B = 1) are skipped
+        alive = self.alive
+        u = _distances(self.v, rows)
+        fk = self.f(self.scheme.pair_k(self.k, u, True if alive is None else alive[rows, None] & alive))
+        return fk * (1.0 + self.beta * u) if self.beta else fk
+
+    def __call__(self, rows) -> np.ndarray:
+        n = len(self.v)
+        if self.lib is None:
+            return self.numpy(rows)
+        if isinstance(rows, slice):
+            first, stop, stride = rows.indices(n)
+            idx, m = None, max(0, stop - first)
+            valid = stride == 1
+        else:
+            idx = np.ascontiguousarray(rows, dtype=np.int64)
+            first, m = 0, len(idx)
+            valid = idx.ndim == 1 and (m == 0 or (0 <= idx.min() and idx.max() < n))
+        if not valid:  # numpy's indexing rules, or its IndexError
+            return self.numpy(rows)
+        out = np.empty((m, n))
+        status = self.lib.kac_rows(self.spec, None if idx is None else idx.ctypes.data,
+                                   first, m, out.ctypes.data)
+        # a table misses only on a non-finite distance
+        return out if status == _kloop.DONE else self.numpy(rows)
+
+
+class _TiltPairSum(_PairSum):
+    """The `_PairSum` of `_TiltRows`.
+
+    Constant rows change by exactly 0.0 at a collision, so none are
+    evaluated after the build.  With the kernel loaded, a collision's old
+    rows wait in the kernel's scratch and the update is made there, with
+    numpy's summation order; a table miss falls back to the numpy update.
+    """
+
+    __slots__ = ()
+
+    def pre_collision(self, i: int, j: int):
+        rows = self.h
+        if rows.constant:
+            return None
+        # an index outside [0, N) takes numpy's indexing rules, or its IndexError
+        if (rows.lib is not None and 0 <= i < rows.spec.n and 0 <= j < rows.spec.n
+                and rows.lib.kac_pair_rows(rows.spec, i, j) == 0):
+            return None
+        return _PairSum.pre_collision(self, i, j)
+
+    def post_collision(self, i: int, j: int, old) -> None:
+        rows = self.h
+        if rows.constant:
+            return
+        if old is None:
+            if rows.lib.kac_pair_update(rows.spec, i, j) == 0:
+                self.total += rows.spec.inc
+                return
+            old = rows.scratch[: 2 * len(rows.v)].reshape(2, -1).copy()
+        _PairSum.post_collision(self, i, j, old)
+
+
 def _tilt_pair_sum(v: np.ndarray, scheme: TiltingScheme, k: int, beta: float, f) -> _PairSum:
     """The pair sum of f(K) B on interval k of a scheme, B = 1 + beta u."""
-    alive = ~scheme.frozen_mask(k, len(v)) if len(scheme.frozen_sets[k]) else None
-
-    def h(rows):
-        # factors that are 1 on every pair (nothing frozen, B = 1) are skipped
-        u = _distances(v, rows)
-        fk = f(scheme.pair_k(k, u, True if alive is None else alive[rows, None] & alive))
-        return fk * (1.0 + beta * u) if beta else fk
-
-    return _PairSum(len(v), h)
+    return _TiltPairSum(len(v), _TiltRows(v, scheme, k, beta, f))
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +617,9 @@ class _Engine:
         self.frozen_led = None
         self.k_led = None
         self.tracker = None
+        # addresses of the arrays the compiled loop works on, taken on first use
+        self._addr = None
+        self._fen_addr = None
 
     # -- time bookkeeping ------------------------------------------------
 
@@ -528,7 +658,7 @@ class _Engine:
             self.delta_led = float(led.deltas[kl])
             self.frozen_led = led.frozen_mask(kl, self.n) if len(led.frozen_sets[kl]) else None
             self.tracker = None if led.is_unit(kl) else _tilt_pair_sum(
-                self.V, led, kl, self.beta, lambda kk: kk - 1.0)
+                self.V, led, kl, self.beta, _k_minus_1)
 
     # -- one proposal -------------------------------------------------------
 
@@ -627,9 +757,11 @@ class _Engine:
 
     def run_segment(self, t_end: float):
         self.enter_segment(self.t)
-        lib = _kloop.kernel(self.d) if self.tracker is None else None
-        # the kernel reads V in C order and a whole sigma from one buffer
-        if lib is not None and self.V.flags.c_contiguous and self.d <= self.draws._chunk:
+        lib = _kloop.kernel(self.d)
+        # the kernel reads V in C order and a whole sigma from one buffer;
+        # a ledger pair sum is always one of K - 1 rows, which it evaluates
+        if (lib is not None and self.V.flags.c_contiguous and self.d <= self.draws._chunk
+                and (self.tracker is None or self.tracker.h.lib is not None)):
             self._run_compiled(lib, t_end)
         else:
             while self.propose(t_end):
@@ -638,15 +770,26 @@ class _Engine:
     def _run_compiled(self, lib, t_end: float):
         """`propose` up to t_end in the compiled loop, on this engine's arrays.
 
-        Only where there is no ledger pair sum: the loop settles no
-        compensator.  It returns to grow the event buffer, and on an error,
-        which is raised here as the Python loop raises it.
+        The loop keeps the ledger pair sum, compensator, jump term and
+        hit_zero flag, carried in and out through the scalar slots.  It
+        returns to grow the event buffer, and on an error, which is raised
+        here as the Python loop raises it.
         """
-        draws, ev, fen = self.draws, self.events, self.fen
+        draws, ev, fen, tracker, ledger = self.draws, self.events, self.fen, self.tracker, self.ledger
+        if self._addr is None:  # these arrays are only ever changed in place
+            self._addr = tuple(a.ctypes.data for a in (self.V, self.speeds, draws._u, draws._e, draws._n))
+        if fen is not None and self._fen_addr is None:
+            self._fen_addr = (fen.tree.ctypes.data, fen.weights.ctypes.data)
+        if tracker is None:
+            mode, total, spec = _kloop.LEDGER_NONE, 0.0, None
+        else:
+            mode = _kloop.LEDGER_CONSTANT if tracker.h.constant else _kloop.LEDGER_ROWS
+            total, spec = tracker.total, tracker.h.spec
         # scalars in and out, in the slots of the F_* and K_* enums of _kloop.c
-        f = np.array([self.t, self._t_comp, t_end, self.c_dyn, self.inflation, self.gamma, 0.0, 0.0])
+        f = np.array([self.t, self._t_comp, t_end, self.c_dyn, self.inflation, self.gamma, 0.0, 0.0,
+                      total, ledger.compensator_term, ledger.jump_term])
         k = np.array([draws._iu, draws._ie, draws._in, self.n_events, self.n_collisions,
-                      ev.size if ev is not None else 0, 0, 0, 0], dtype=np.int64)
+                      ev.size if ev is not None else 0, 0, 0, 0, mode, ledger.hit_zero], dtype=np.int64)
         raised = []
 
         def refill(which):
@@ -665,20 +808,23 @@ class _Engine:
                     ev.size = int(k[5])
                     ev._grow()
                 k[6] = len(ev.t)
-                cols = [a.ctypes.data for a in (ev.t, ev.i, ev.j, ev.sigma, ev.assignment, ev.fictitious)]
+                cols = ev.addresses()
             else:
-                cols = [None] * 6
+                cols = (None,) * 6
+            v_addr, speeds_addr, u_addr, e_addr, n_addr = self._addr
             status = lib.kac_run(
-                f.ctypes.data, k.ctypes.data, self.n, self.d, draws._chunk,
-                self.V.ctypes.data, self.speeds.ctypes.data,
-                fen.tree.ctypes.data if fen is not None else None,
-                fen.weights.ctypes.data if fen is not None else None,
+                f.ctypes.data, k.ctypes.data, self.n, self.d, draws._chunk, v_addr, speeds_addr,
+                *(self._fen_addr if fen is not None else (None, None)),
                 self.frozen_dyn.ctypes.data if self.any_frozen_dyn else None,
-                draws._u.ctypes.data, draws._e.ctypes.data, draws._n.ctypes.data, callback, *cols)
+                u_addr, e_addr, n_addr, callback, *cols, spec)
         self.t, self._t_comp = float(f[0]), float(f[1])
         draws._iu, draws._ie, draws._in, self.n_events, self.n_collisions = (int(x) for x in k[:5])
         if ev is not None:
             ev.size = int(k[5])
+        if tracker is not None:
+            tracker.total = float(f[8])
+            ledger.compensator_term, ledger.jump_term = float(f[9]), float(f[10])
+            ledger.hit_zero = bool(k[10])
         if status == _kloop.DONE:
             return
         if status == _kloop.ERR_MAJORANT:
@@ -687,6 +833,8 @@ class _Engine:
             raise ValueError(BAD_WEIGHT)
         if status == _kloop.ERR_ZERO_TOTAL:
             raise ValueError(ZERO_TOTAL)
+        if status == _kloop.ERR_LOG:
+            raise ValueError("math domain error")
         if status == _kloop.ERR_REFILL:
             raise raised[0]
         raise IndexError(f"particle index out of bounds for {self.n} particles")
@@ -704,7 +852,7 @@ def total_rate(state: ParticleState, kernel: Kernel, tilt: TiltingScheme | None 
     """
     tilt = tilt if tilt is not None else _IDENTITY_SCHEME
     k_idx = tilt.interval_index(state.time)
-    return _tilt_pair_sum(state.velocities, tilt, k_idx, kernel.slope, lambda kk: kk).total / state.n
+    return _tilt_pair_sum(state.velocities, tilt, k_idx, kernel.slope, _k_itself).total / state.n
 
 
 def step(state: ParticleState, kernel: Kernel, tilt: TiltingScheme | None, rng: np.random.Generator):
@@ -755,7 +903,7 @@ def _checkpoint(eng: _Engine, cfg: SimConfig, t: float) -> CheckpointSummary:
         n_events=eng.n_events,
         n_collisions=eng.n_collisions,
         ledger=eng.ledger.copy(),
-        state=ParticleState(v.copy(), t) if cfg.record_full_states else None,
+        state=ParticleState._unchecked(v.copy(), t) if cfg.record_full_states else None,
     )
 
 
@@ -790,11 +938,6 @@ def simulate(config: SimConfig, scheme: TiltingScheme | None = None,
         ledger.initial_term = float(np.sum(scheme.initial_tilt.phi(state.velocities)))
 
     dynamics = scheme if (scheme is not None and config.measure == "Q") else _IDENTITY_SCHEME
-    events = _EventBuffer(config.d) if config.store_log else None
-    eng = _Engine(state, config.kernel, dynamics, scheme, ledger,
-                  _Draws.sized_for(rng, config.n, config.t_max), events,
-                  inflation=config.majorant_inflation)
-
     boundaries = {0.0, config.t_max}
     boundaries.update(config.checkpoint_times)
     for sch in (scheme, dynamics):
@@ -803,18 +946,25 @@ def simulate(config: SimConfig, scheme: TiltingScheme | None = None,
     boundaries = sorted(boundaries)
     checkpoint_set = set(config.checkpoint_times)
 
-    initial = ParticleState(state.velocities.copy(), 0.0)
+    initial = ParticleState._unchecked(state.velocities.copy(), 0.0)
+    events = _EventBuffer(config.d) if config.store_log else None
     checkpoints = []
-    if 0.0 in checkpoint_set:
-        eng.enter_segment(0.0)
-        checkpoints.append(_checkpoint(eng, config, 0.0))
-    for t0, t1 in zip(boundaries[:-1], boundaries[1:]):
-        if t1 <= t0:
-            continue
-        eng.run_segment(t1)
-        if t1 in checkpoint_set:
-            checkpoints.append(_checkpoint(eng, config, t1))
-    final = ParticleState(state.velocities.copy(), config.t_max)
+    try:
+        eng = _Engine(state, config.kernel, dynamics, scheme, ledger,
+                      _Draws.sized_for(rng, config.n, config.t_max), events,
+                      inflation=config.majorant_inflation)
+        if 0.0 in checkpoint_set:
+            eng.enter_segment(0.0)
+            checkpoints.append(_checkpoint(eng, config, 0.0))
+        for t0, t1 in zip(boundaries[:-1], boundaries[1:]):
+            if t1 <= t0:
+                continue
+            eng.run_segment(t1)
+            if t1 in checkpoint_set:
+                checkpoints.append(_checkpoint(eng, config, t1))
+    except ValueError as exc:
+        raise SimulationError(str(exc)) from exc
+    final = ParticleState._unchecked(state.velocities.copy(), config.t_max)
     log = events.to_log(config.n, config.t_max) if events is not None else None
     return Trajectory(
         initial_state=initial, final_state=final, checkpoints=checkpoints,

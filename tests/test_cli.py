@@ -267,3 +267,45 @@ class TestTiltExperimentCommand:
         assert len(report["checkpoint_times"]) == 4
         csv_lines = open(f"{out}/experiment_energy.csv").read().strip().splitlines()
         assert csv_lines[0] == "t,window_energy_mean,window_energy_se,theta"
+
+
+class TestExitCodes:
+    """Runtime failures inside `simulate` exit 3 from either proposal loop;
+    configuration errors exit 2, also when `simulate` raises them."""
+
+    # a collision sends one speed^2 past the largest double: the Fenwick
+    # tree refuses the infinite weight in the middle of the run
+    OVERFLOWING = np.array([[1e154, 0.5e154, 0.0], [1e154, -0.5e154, 0.0]])
+
+    def _overflowing_run(self, tmp_path, monkeypatch, capsys):
+        from kaclab import engine
+        monkeypatch.setattr(engine.InitialCondition, "sample",
+                            lambda self, reference, n, rng: TestExitCodes.OVERFLOWING.copy())
+        cfg = _write(tmp_path / "cfg.json", dict(BASE, N=2, T=50.0, checkpoints=[0.0, 50.0]))
+        rc = main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out")])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_fenwick_failure_in_compiled_loop_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        from kaclab import _kloop
+        if _kloop.kernel(3) is None:
+            pytest.skip("no compiled loop")
+        rc, err = self._overflowing_run(tmp_path, monkeypatch, capsys)
+        assert rc == 3
+        assert "runtime error: weights must be finite and nonnegative" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_fenwick_failure_in_python_loop_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        from kaclab import _kloop
+        monkeypatch.setattr(_kloop, "_lib", None)
+        rc, err = self._overflowing_run(tmp_path, monkeypatch, capsys)
+        assert rc == 3
+        assert "runtime error: weights must be finite and nonnegative" in err
+
+    def test_config_error_inside_simulate_exits_2(self, tmp_path, capsys):
+        # the mixture weights are checked when simulate samples the initial data
+        cfg = _write(tmp_path / "cfg.json",
+                     dict(BASE, initial={"kind": "scale_mixture", "weights": [0.5, 0.4],
+                                         "scales": [1.0, 2.0]}))
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "config error: mixture weights" in capsys.readouterr().err

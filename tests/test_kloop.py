@@ -205,3 +205,170 @@ def test_huge_velocity_fails_alike(monkeypatch):
                 kl.simulate(cfg, initial_state=state)
             messages.append(str(info.value))
     assert messages[0] == messages[1] == "weights must be finite and nonnegative"
+
+
+# ---------------------------------------------------------------------------
+# tracked segments: the tilt rows, their sum, and the ledger in the kernel
+
+from kaclab.engine import _k_itself, _k_minus_1, _TiltRows  # noqa: E402
+from kaclab.rate_function import tau  # noqa: E402
+
+
+def _frozen_scheme(delta):
+    return TiltingScheme(breakpoints=np.array([0.0, 0.5, 1.0]), coeffs=np.array([1.25, 0.8]),
+                         deltas=np.array([delta, delta]),
+                         frozen_sets=[np.array([0, 3, 5]), np.array([], int)],
+                         multiplier_bound=2.0)
+
+
+@needs_gcc
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("f", ["k_minus_1", "k", "tau"])
+def test_row_kernel_matches_numpy_rows(f, frozen, beta, d):
+    func = {"k_minus_1": _k_minus_1, "k": _k_itself, "tau": tau}[f]
+    rng = np.random.default_rng(7 * d)
+    # a table f serves delta = 0 only; K - 1 and K run in C for every delta
+    deltas = (0.0,) if f == "tau" else (0.0, 0.3)
+    for delta in deltas:
+        scheme = _frozen_scheme(delta)
+        for n in (1, 7, 300):
+            v = rng.standard_normal((n, d)) * np.exp(rng.uniform(-3.0, 3.0, (n, 1)))
+            rows = _TiltRows(v, scheme, 0 if frozen else 1, beta, func)
+            assert rows.lib is not None
+            for sel in (slice(0, n), slice(n // 2, n + 5), np.array([n - 1, 0]), np.array([0])):
+                assert rows(sel).tobytes() == rows.numpy(sel).tobytes(), (delta, n, sel)
+
+
+@needs_gcc
+def test_pair_sum_matches_numpy_sum():
+    lib = _kloop.kernel(3)
+    rng = np.random.default_rng(31)
+    for n in (*range(1, 301), 12345):
+        a = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-8.0, 9.0, (2, n))
+        assert lib.kac_sum(a.ctypes.data, 2 * n) == float(a.sum()), n
+    zeros = -np.zeros((2, 8))  # the reduction starts from +0.0
+    assert str(lib.kac_sum(zeros.ctypes.data, 16)) == str(float(zeros.sum())) == "0.0"
+
+
+@pytest.fixture
+def tracked_calls(monkeypatch):
+    """For each segment run by the compiled loop: did it carry a ledger pair sum?"""
+    calls = []
+    original = _Engine._run_compiled
+
+    def counted(self, lib, t_end):
+        calls.append(self.tracker is not None)
+        return original(self, lib, t_end)
+
+    monkeypatch.setattr(_Engine, "_run_compiled", counted)
+    return calls
+
+
+def _hit_zero_run():
+    # measure P collides the particles the ledger scheme freezes: hit_zero
+    cfg = kl.SimConfig(n=40, t_max=1.0, kernel=Kernel.HARD_SPHERE, seed=77, measure="P",
+                       checkpoint_times=(0.0, 0.25, 0.5, 1.0))
+    traj = kl.simulate(cfg, _frozen_scheme(0.0))
+    assert traj.rn_ledger.hit_zero
+    return traj
+
+
+PAIRWISE = TiltingScheme.pairwise(1.0, 0.2)
+TRACKED = {
+    **{f"pairwise_{m}_n{n}": (dict(n=n, measure=m, kernel=Kernel.MAXWELL), PAIRWISE)
+       for m in ("P", "Q") for n in (1, 2, 200)},
+    "constant": (dict(n=150, kernel=Kernel.MAXWELL), TiltingScheme.constant(1.5)),
+    "constant_hs": (dict(n=60, kernel=Kernel.HARD_SPHERE), TiltingScheme.constant(1.5)),
+    "frozen_q": (dict(n=60, kernel=Kernel.HARD_SPHERE), _frozen_scheme(0.0)),
+    "frozen_maxwell_delta": (dict(n=60, kernel=Kernel.MAXWELL), _frozen_scheme(0.3)),
+}
+
+
+@needs_gcc
+@pytest.mark.parametrize("name", sorted(TRACKED) + ["hit_zero", "freeze"])
+def test_tracked_runs_are_byte_identical(name, monkeypatch, tracked_calls):
+    if name == "hit_zero":
+        run = _hit_zero_run
+    elif name == "freeze":
+        run = _freeze_run
+    else:
+        kwargs, scheme = TRACKED[name]
+        cfg = kl.SimConfig(t_max=1.0, seed=93, checkpoint_times=(0.0, 0.3, 1.0),
+                           truncation_thresholds=(1.0,), **kwargs)
+
+        def run():
+            return kl.simulate(cfg, scheme)
+    compiled = run()
+    assert any(tracked_calls), "no tracked segment ran in the compiled loop"
+    n_calls = len(tracked_calls)
+    python = _python_loop(monkeypatch, run)
+    assert len(tracked_calls) == n_calls
+    assert _outputs(python) == _outputs(compiled)
+    # all four ledger terms, to the bit
+    for term in ("initial_term", "jump_term", "compensator_term"):
+        assert float(getattr(python.rn_ledger, term)).hex() == float(getattr(compiled.rn_ledger, term)).hex()
+    assert python.rn_ledger.hit_zero is compiled.rn_ledger.hit_zero
+
+
+def _tracked_engine(chunk=37, capacity=1, scheme=None):
+    rng = kl.make_rng(29)
+    state = kl.ParticleState(kl.ReferenceMeasure(3).sample(rng, 50))
+    scheme = scheme if scheme is not None else _frozen_scheme(0.0)
+    return _Engine(state, Kernel.HARD_SPHERE, TiltingScheme.identity(), scheme,
+                   RNLedger(), _Draws(rng, chunk=chunk), _EventBuffer(3, capacity=capacity))
+
+
+@needs_gcc
+def test_tracked_refills_and_buffer_growth_are_byte_identical(monkeypatch, tracked_calls):
+    # a 1-row event buffer and 37-draw buffers, through a tracked interval
+    # and into the K = 1 one
+    scheme = TiltingScheme(breakpoints=np.array([0.0, 0.5, 1.0]), coeffs=np.array([1.25, 1.0]),
+                           deltas=np.zeros(2), frozen_sets=[np.array([0, 3, 5]), np.array([], int)],
+                           multiplier_bound=2.0)
+
+    def run():
+        eng = _tracked_engine(scheme=scheme)
+        out = []
+        for t_end in (0.2, 0.5, 0.8, 1.0):
+            eng.run_segment(t_end)
+            out.append(float(eng.tracker.total).hex() if eng.tracker is not None else None)
+        log = eng.events.to_log(eng.n, eng.t)
+        columns = ("t", "i", "j", "sigma", "assignment", "fictitious")
+        return [*out, eng.t, eng.n_events, eng.n_collisions, eng.V.tobytes(), eng.fen.tree.tobytes(),
+                eng.draws._iu, eng.draws._ie, eng.draws._in, json.dumps(eng.ledger.to_dict()),
+                *(getattr(log, name).tobytes() for name in columns)]
+
+    compiled = run()
+    assert tracked_calls == [True, True, False, False] and compiled[5] > 100
+    assert _python_loop(monkeypatch, run) == compiled
+
+
+@needs_gcc
+def test_tracked_majorant_violation_matches_python_loop(monkeypatch, tracked_calls):
+    def fail():
+        eng = _tracked_engine(chunk=64, capacity=16)
+        eng.enter_segment(0.0)
+        eng.speeds[:] = 1e-9  # the cached speeds lie, so the majorant is too small
+        for idx in range(eng.n):
+            eng.fen.update(idx, 1e-9)
+        with pytest.raises(MajorantViolationError) as info:
+            eng.run_segment(0.5)
+        return (str(info.value), eng.t, eng.n_events, eng.n_collisions, eng.V.tobytes(),
+                float(eng.tracker.total).hex(), json.dumps(eng.ledger.to_dict()), eng.events.size)
+
+    compiled = fail()
+    assert tracked_calls == [True]
+    assert _python_loop(monkeypatch, fail) == compiled
+
+
+@needs_gcc
+def test_freeze_run_calls_no_python_propose(monkeypatch):
+    """With a C compiler on the path, tracked segments do not fall back."""
+    def refuse(self, t_end):
+        raise AssertionError("Python proposal loop ran")
+
+    monkeypatch.setattr(_Engine, "propose", refuse)
+    traj = _freeze_run()
+    assert traj.log.n_collisions > 0 and traj.rn_ledger.compensator_term != 0.0

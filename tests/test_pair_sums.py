@@ -181,3 +181,72 @@ def test_freeze_run_builds_one_pair_sum_per_tilted_interval(monkeypatch):
     assert scheme.is_unit(scheme.interval_index(0.5))
     assert after_simulate == [1]
     assert len(builds) == 2
+
+
+# ---------------------------------------------------------------------------
+# the compiled rows and updates against numpy's, and the constant-row skip
+
+
+def _replayed_totals(traj, scheme, f):
+    """The totals of the tilt pair sums of f after every row of the log."""
+    log, beta = traj.log, traj.config.kernel.slope
+    v = traj.initial_state.velocities.copy()
+    totals = []
+    for k_int in range(scheme.n_intervals()):
+        lo, hi = np.searchsorted(log.t, scheme.breakpoints[k_int: k_int + 2])
+        pair_sum = _tilt_pair_sum(v, scheme, k_int, beta, f)
+        for _ in replay_events(v, log, lo, hi, pair_sum):
+            totals.append(float(pair_sum.total).hex())
+        totals.append(float(pair_sum.total).hex())
+    return totals
+
+
+@pytest.mark.parametrize("name", ["maxwell_pairwise", "hs_frozen_intervals"])
+@pytest.mark.parametrize("f", ["k_minus_1", "k", "tau"])
+def test_compiled_updates_match_numpy_bit_for_bit(name, f, monkeypatch):
+    func = {"k_minus_1": engine._k_minus_1, "k": engine._k_itself, "tau": tau}[f]
+    traj, scheme = _run(name)
+    compiled = _replayed_totals(traj, scheme, func)
+    with monkeypatch.context() as m:
+        m.setattr(engine._kloop, "_lib", None)
+        assert _replayed_totals(traj, scheme, func) == compiled
+        cost = dynamic_cost(traj, scheme, mode="exact")
+        rate = kl.total_rate(traj.final_state, traj.config.kernel, scheme)
+    assert dynamic_cost(traj, scheme, mode="exact") == cost
+    assert kl.total_rate(traj.final_state, traj.config.kernel, scheme) == rate
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_table_rows_fall_back_on_non_finite_distances():
+    # tau by table needs K in {0, c}; an infinite velocity makes K NaN
+    v = np.random.default_rng(5).standard_normal((9, 3))
+    v[4, 1] = np.inf
+    scheme = TiltingScheme(coeffs=np.array([1.5]), frozen_sets=[np.array([2])], multiplier_bound=1.5)
+    rows = engine._TiltRows(v, scheme, 0, 1.0, tau)
+    for sel in (slice(0, 9), np.array([4, 0])):
+        assert rows(sel).tobytes() == rows.numpy(sel).tobytes()
+
+
+@pytest.mark.parametrize("force_numpy", [False, True])
+def test_constant_rows_are_skipped_and_bit_identical(force_numpy, monkeypatch):
+    # Maxwell under a constant tilt: h = c - 1 on every pair, so each
+    # collision's dh is exactly 0.0 and no row is evaluated after the build
+    if force_numpy:
+        monkeypatch.setattr(engine._kloop, "_lib", None)
+    scheme = TiltingScheme.constant(1.5)
+    traj = kl.simulate(kl.SimConfig(n=40, t_max=1.0, kernel=Kernel.MAXWELL, seed=409), scheme)
+    assert traj.log.n_collisions > 10
+    v = traj.initial_state.velocities.copy()
+    skipping = _tilt_pair_sum(v, scheme, 0, 0.0, engine._k_minus_1)
+    evaluating = engine._PairSum(len(v), skipping.h)  # the plain update, rows and all
+    calls = []
+    call = engine._TiltRows.__call__
+    monkeypatch.setattr(engine._TiltRows, "__call__", lambda self, rows: calls.append(1) or call(self, rows))
+    scratch = skipping.h.scratch if skipping.h.lib is not None else np.empty(0)
+    scratch[:] = np.nan  # the kernel's pair rows would land here
+    for _ in replay_events(v.copy(), traj.log, tracker=skipping):
+        pass
+    assert calls == [] and np.isnan(scratch).all()
+    for _ in replay_events(v, traj.log, tracker=_Fan([skipping, evaluating])):
+        assert float(skipping.total).hex() == float(evaluating.total).hex()
+    assert len(calls) == 2 * int(np.sum(~traj.log.fictitious & (traj.log.i != traj.log.j)))
