@@ -144,14 +144,13 @@ static int row(const struct rowspec *sp, int64_t a, double *restrict o)
     return miss ? TABLE_MISS : DONE;
 }
 
-/* m rows into out, (m, n) in C order: row r is particle rows[r], or
- * first + r when rows is NULL */
-int kac_rows(const struct rowspec *sp, const int64_t *rows, int64_t first, int64_t m,
-             double *out)
+/* the m rows of particles first, ..., first + m - 1 into out, (m, n) in
+ * C order */
+int kac_rows(const struct rowspec *sp, int64_t first, int64_t m, double *out)
 {
     int status = DONE;
     for (int64_t r = 0; r < m; r++)
-        status |= row(sp, rows ? rows[r] : first + r, out + r * sp->n);
+        status |= row(sp, first + r, out + r * sp->n);
     return status ? TABLE_MISS : DONE;
 }
 

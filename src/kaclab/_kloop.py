@@ -3,10 +3,12 @@
 On first use the C source is compiled with gcc into `_build/` next to this
 file, under a name made from the sha256 of the source and the compile
 command, and loaded through ctypes.  `kernel(d)` returns the library, or
-None where the Python loop and the numpy rows must run instead: no gcc, a
-failed build or load, a kernel sum that differs from numpy's `a.sum()`, or
-a kernel dot product that differs from numpy's `x @ y` in dimension d (the
-kernel must reproduce numpy's arithmetic bit for bit).
+None where the Python loop must run instead: no gcc, a failed build or
+load, or a kernel dot product that differs from numpy's `x @ y` in
+dimension d (the kernel must reproduce numpy's arithmetic bit for bit).
+`kernel(d, sums=True)`, for the pair-sum rows and the tracked segments
+that update them, also asks that the kernel's row sum equals numpy's
+`a.sum()`; where it does not, only they run in Python and numpy.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ class RowSpec(ctypes.Structure):
 _UNLOADED = object()
 _lib = _UNLOADED  # the library once loaded; None runs the Python loop everywhere
 _dot_ok = {}  # dimension -> the kernel's dot matches numpy's
+_sum_ok = False  # the kernel's row sum matches numpy's
 
 
 def compile_kernel(out_path: str) -> subprocess.CompletedProcess:
@@ -80,14 +83,14 @@ def _load():
     lib.kac_sum.argtypes = (ptr, i64)
     lib.kac_sum.restype = dbl
     spec = ctypes.POINTER(RowSpec)
-    lib.kac_rows.argtypes = (spec, ptr, i64, i64, ptr)
+    lib.kac_rows.argtypes = (spec, i64, i64, ptr)
     lib.kac_pair_rows.argtypes = (spec, i64, i64)
     lib.kac_pair_update.argtypes = (spec, i64, i64)
     lib.kac_run.argtypes = (ptr, ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
                             REFILL, ptr, ptr, ptr, ptr, ptr, ptr, spec)
     for fn in (lib.kac_rows, lib.kac_pair_rows, lib.kac_pair_update, lib.kac_run):
         fn.restype = ctypes.c_int
-    return lib if _sum_matches(lib) else None
+    return lib
 
 
 def _sum_matches(lib) -> bool:
@@ -106,13 +109,15 @@ def _dot_matches(lib, d: int) -> bool:
     return all(lib.kac_dot(x.ctypes.data, y.ctypes.data, d) == float(x @ y) for x, y in pairs)
 
 
-def kernel(d: int):
-    """The compiled loop for velocities in R^d, or None."""
-    global _lib
+def kernel(d: int, sums: bool = False):
+    """The compiled loop for velocities in R^d, or None; with `sums`, the
+    compiled pair-sum rows too, or None."""
+    global _lib, _sum_ok
     if _lib is _UNLOADED:
         _lib = _load()
+        _sum_ok = _lib is not None and _sum_matches(_lib)
     if _lib is None:
         return None
     if d not in _dot_ok:
         _dot_ok[d] = _dot_matches(_lib, d)
-    return _lib if _dot_ok[d] else None
+    return _lib if _dot_ok[d] and (_sum_ok or not sums) else None

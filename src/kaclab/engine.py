@@ -194,7 +194,6 @@ class _EventBuffer:
     def __init__(self, d: int, capacity: int = 1024):
         self.d = d
         self.size = 0
-        self._addr = None
         self.t = np.empty(capacity)
         self.i = np.empty(capacity, dtype=np.int64)
         self.j = np.empty(capacity, dtype=np.int64)
@@ -202,15 +201,7 @@ class _EventBuffer:
         self.assignment = np.empty(capacity, dtype=np.int8)
         self.fictitious = np.empty(capacity, dtype=bool)
 
-    def addresses(self) -> tuple:
-        """Addresses of the six columns, for the compiled loop."""
-        if self._addr is None:
-            self._addr = tuple(a.ctypes.data for a in (self.t, self.i, self.j, self.sigma,
-                                                        self.assignment, self.fictitious))
-        return self._addr
-
     def _grow(self):
-        self._addr = None
         cap = len(self.t) * 2
         self.t = np.resize(self.t, cap)
         self.i = np.resize(self.i, cap)
@@ -486,9 +477,11 @@ _COMPILED_F = {_k_minus_1: _kloop.F_K_MINUS_1, _k_itself: _kloop.F_K_ITSELF}
 class _TiltRows:
     """h(rows) = f(K) B on interval k of a scheme, B = 1 + beta u.
 
-    The rows come from the compiled kernel where it is loaded and knows f
-    (`_COMPILED_F`, or a table at delta = 0), and from numpy otherwise; the
-    two agree bit for bit, and numpy is the reference.  `constant` rows are
+    A range of rows (a slice, as the build asks for) comes from the
+    compiled kernel where it is loaded and knows f (`_COMPILED_F`, or a
+    table at delta = 0), and from numpy otherwise; the two agree bit for
+    bit, and numpy is the reference.  A collision's two rows are read by
+    `_TiltPairSum` straight into the kernel's scratch.  `constant` rows are
     one value on every pair of finite velocities (delta = beta = 0, nothing
     frozen).
     """
@@ -504,7 +497,7 @@ class _TiltRows:
         self.lib = self.spec = self.live = self.scratch = None
         if mode is None or not v.flags.c_contiguous or v.dtype != np.float64:
             return
-        self.lib = _kloop.kernel(v.shape[1])
+        self.lib = _kloop.kernel(v.shape[1], sums=True)
         if self.lib is None:
             return
         # the kernel multiplies K by live_a live_b, each 1.0 or 0.0, as numpy
@@ -525,24 +518,16 @@ class _TiltRows:
         return fk * (1.0 + self.beta * u) if self.beta else fk
 
     def __call__(self, rows) -> np.ndarray:
+        # the kernel takes a range of rows, as the build asks for them
+        if self.lib is None or not isinstance(rows, slice) or rows.step not in (None, 1):
+            return self.numpy(rows)
         n = len(self.v)
-        if self.lib is None:
-            return self.numpy(rows)
-        if isinstance(rows, slice):
-            first, stop, stride = rows.indices(n)
-            idx, m = None, max(0, stop - first)
-            valid = stride == 1
-        else:
-            idx = np.ascontiguousarray(rows, dtype=np.int64)
-            first, m = 0, len(idx)
-            valid = idx.ndim == 1 and (m == 0 or (0 <= idx.min() and idx.max() < n))
-        if not valid:  # numpy's indexing rules, or its IndexError
-            return self.numpy(rows)
-        out = np.empty((m, n))
-        status = self.lib.kac_rows(self.spec, None if idx is None else idx.ctypes.data,
-                                   first, m, out.ctypes.data)
+        first, stop, _ = rows.indices(n)
+        out = np.empty((max(0, stop - first), n))
         # a table misses only on a non-finite distance
-        return out if status == _kloop.DONE else self.numpy(rows)
+        if self.lib.kac_rows(self.spec, first, len(out), out.ctypes.data) == _kloop.DONE:
+            return out
+        return self.numpy(rows)
 
 
 class _TiltPairSum(_PairSum):
@@ -617,9 +602,6 @@ class _Engine:
         self.frozen_led = None
         self.k_led = None
         self.tracker = None
-        # addresses of the arrays the compiled loop works on, taken on first use
-        self._addr = None
-        self._fen_addr = None
 
     # -- time bookkeeping ------------------------------------------------
 
@@ -760,6 +742,7 @@ class _Engine:
         lib = _kloop.kernel(self.d)
         # the kernel reads V in C order and a whole sigma from one buffer;
         # a ledger pair sum is always one of K - 1 rows, which it evaluates
+        # where they are compiled (the row sum check passed)
         if (lib is not None and self.V.flags.c_contiguous and self.d <= self.draws._chunk
                 and (self.tracker is None or self.tracker.h.lib is not None)):
             self._run_compiled(lib, t_end)
@@ -776,10 +759,6 @@ class _Engine:
         here as the Python loop raises it.
         """
         draws, ev, fen, tracker, ledger = self.draws, self.events, self.fen, self.tracker, self.ledger
-        if self._addr is None:  # these arrays are only ever changed in place
-            self._addr = tuple(a.ctypes.data for a in (self.V, self.speeds, draws._u, draws._e, draws._n))
-        if fen is not None and self._fen_addr is None:
-            self._fen_addr = (fen.tree.ctypes.data, fen.weights.ctypes.data)
         if tracker is None:
             mode, total, spec = _kloop.LEDGER_NONE, 0.0, None
         else:
@@ -808,15 +787,16 @@ class _Engine:
                     ev.size = int(k[5])
                     ev._grow()
                 k[6] = len(ev.t)
-                cols = ev.addresses()
+                cols = [a.ctypes.data for a in (ev.t, ev.i, ev.j, ev.sigma, ev.assignment, ev.fictitious)]
             else:
-                cols = (None,) * 6
-            v_addr, speeds_addr, u_addr, e_addr, n_addr = self._addr
+                cols = [None] * 6
             status = lib.kac_run(
-                f.ctypes.data, k.ctypes.data, self.n, self.d, draws._chunk, v_addr, speeds_addr,
-                *(self._fen_addr if fen is not None else (None, None)),
+                f.ctypes.data, k.ctypes.data, self.n, self.d, draws._chunk,
+                self.V.ctypes.data, self.speeds.ctypes.data,
+                fen.tree.ctypes.data if fen is not None else None,
+                fen.weights.ctypes.data if fen is not None else None,
                 self.frozen_dyn.ctypes.data if self.any_frozen_dyn else None,
-                u_addr, e_addr, n_addr, callback, *cols, spec)
+                draws._u.ctypes.data, draws._e.ctypes.data, draws._n.ctypes.data, callback, *cols, spec)
         self.t, self._t_comp = float(f[0]), float(f[1])
         draws._iu, draws._ie, draws._in, self.n_events, self.n_collisions = (int(x) for x in k[:5])
         if ev is not None:

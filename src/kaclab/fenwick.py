@@ -8,11 +8,7 @@ prefix-sum descent.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-_SMALL = 16  # at most this many weights, the tree is built on Python floats
 
 BAD_WEIGHT = "weights must be finite and nonnegative"
 ZERO_TOTAL = "cannot sample from an all-zero weight vector"
@@ -27,12 +23,9 @@ class FenwickSampler:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1:
             raise ValueError("weights must be one-dimensional")
-        self.n = len(w)
-        if self.n <= _SMALL:
-            self._build_small(w)
-            return
         if (w < 0.0).any() or not np.isfinite(w).all():
             raise ValueError(BAD_WEIGHT)
+        self.n = len(w)
         self.weights = w.copy()
         # tree[j] holds the sum of w over the block ending at index j (1-based).
         # A node j with L trailing zero bits (level L) adds its children
@@ -50,21 +43,6 @@ class FenwickSampler:
                 nodes += tree[first - (1 << m) : self.n + 1 - (1 << m) : step]
             level += 1
         self.tree = tree
-
-    def _build_small(self, w: np.ndarray) -> None:
-        # the one-node-at-a-time build on Python floats: at a few weights
-        # numpy's per-call cost is most of the set-up; the same additions
-        # in the same order give the same tree
-        tree = [0.0, *w.tolist()]
-        if not all(0.0 <= x < math.inf for x in tree):
-            raise ValueError(BAD_WEIGHT)
-        n = self.n
-        for i in range(1, n + 1):
-            j = i + (i & -i)
-            if j <= n:
-                tree[j] += tree[i]
-        self.weights = w.copy()
-        self.tree = np.array(tree)
 
     @property
     def total(self) -> float:

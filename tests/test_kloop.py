@@ -237,7 +237,7 @@ def test_row_kernel_matches_numpy_rows(f, frozen, beta, d):
             v = rng.standard_normal((n, d)) * np.exp(rng.uniform(-3.0, 3.0, (n, 1)))
             rows = _TiltRows(v, scheme, 0 if frozen else 1, beta, func)
             assert rows.lib is not None
-            for sel in (slice(0, n), slice(n // 2, n + 5), np.array([n - 1, 0]), np.array([0])):
+            for sel in (slice(0, n), slice(n // 2, n + 5), slice(n - 1, None), slice(-1, 0)):
                 assert rows(sel).tobytes() == rows.numpy(sel).tobytes(), (delta, n, sel)
 
 
@@ -250,6 +250,23 @@ def test_pair_sum_matches_numpy_sum():
         assert lib.kac_sum(a.ctypes.data, 2 * n) == float(a.sum()), n
     zeros = -np.zeros((2, 8))  # the reduction starts from +0.0
     assert str(lib.kac_sum(zeros.ctypes.data, 16)) == str(float(zeros.sum())) == "0.0"
+
+
+@needs_gcc
+def test_sum_check_gates_only_the_pair_sum_rows(monkeypatch, tracked_calls):
+    lib = _kloop.kernel(3)
+    assert lib is not None and _kloop.kernel(3, sums=True) is lib
+    monkeypatch.setattr(_kloop, "_sum_ok", False)
+    assert _kloop.kernel(3) is lib and _kloop.kernel(3, sums=True) is None
+    # the tracked interval runs in Python, the K = 1 one still compiled
+    scheme = TiltingScheme(breakpoints=np.array([0.0, 0.5, 1.0]), coeffs=np.array([1.25, 1.0]),
+                           deltas=np.zeros(2), frozen_sets=[np.array([0, 3, 5]), np.array([], int)],
+                           multiplier_bound=2.0)
+    eng = _tracked_engine(scheme=scheme)
+    eng.run_segment(0.5)
+    assert eng.tracker.h.lib is None
+    eng.run_segment(1.0)
+    assert tracked_calls == [False] and eng.n_events > 0
 
 
 @pytest.fixture

@@ -223,8 +223,10 @@ def test_table_rows_fall_back_on_non_finite_distances():
     v[4, 1] = np.inf
     scheme = TiltingScheme(coeffs=np.array([1.5]), frozen_sets=[np.array([2])], multiplier_bound=1.5)
     rows = engine._TiltRows(v, scheme, 0, 1.0, tau)
-    for sel in (slice(0, 9), np.array([4, 0])):
+    for sel in (slice(0, 9), slice(4, 5)):
         assert rows(sel).tobytes() == rows.numpy(sel).tobytes()
+    # and a collision's rows, which the kernel reads into its scratch
+    assert engine._TiltPairSum(9, rows).pre_collision(4, 0).tobytes() == rows.numpy(np.array([4, 0])).tobytes()
 
 
 @pytest.mark.parametrize("force_numpy", [False, True])
