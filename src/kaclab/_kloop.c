@@ -2,8 +2,8 @@
  * tilt pair sums.
  *
  * kac_run is `_Engine.propose` repeated up to the end of a segment, tracked
- * or not: under a ledger scheme it also keeps the ledger's pair sum
- * (`_PairSum.post_collision`) and settles the compensator and jump terms.
+ * or not: given a ledger it also keeps its pair sum, unless the rows are
+ * constant, and settles the compensator and jump terms.
  * It works in place on the engine's own arrays (velocities, speeds,
  * Fenwick tree and weights, draw buffers, event columns) and does every
  * operation of the Python loop in its order, so event logs, states and
@@ -15,8 +15,8 @@
  *   - all other arithmetic is unfused (built with -ffp-contract=off);
  *   - an empty draw buffer is refilled through the callback at exactly the
  *     draw where the Python loop refills it.
- * kac_rows evaluates the rows f(K) B of `engine._TiltRows` in the order of
- * `engine._distances` and `TiltingScheme.pair_k`; kac_pair_rows and
+ * kac_rows evaluates the rows f(K) B of `engine._TiltPairSum` in the order
+ * of `engine._distances` and `TiltingScheme.pair_k`; kac_pair_rows and
  * kac_pair_update are `_PairSum.pre_collision` and `post_collision` on them.
  * Errors are returned as status codes; the caller raises the Python loop's
  * exception for each.
@@ -29,25 +29,22 @@ typedef int (*refill_fn)(int which); /* 0 uniforms, 1 exponentials, 2 normals */
 
 /* slots of the scalar arrays shared with the caller */
 enum { F_T, F_COMP, F_TEND, F_C, F_INFL, F_GAMMA, F_KB, F_MAJ, F_TOTAL, F_COMPENSATOR, F_JUMP };
-enum { K_IU, K_IE, K_IN, K_EVENTS, K_COLL, K_SIZE, K_CAP, K_I, K_J, K_LEDGER, K_HIT };
+enum { K_IU, K_IE, K_IN, K_EVENTS, K_COLL, K_SIZE, K_CAP, K_I, K_J, K_HIT };
 
 enum { DONE = 0, GROW = 1, ERR_MAJORANT = -1, ERR_WEIGHT = -2, ERR_ZERO_TOTAL = -3,
        ERR_REFILL = -4, ERR_INDEX = -5, ERR_LOG = -6, TABLE_MISS = -7 };
 
-/* the ledger of a segment: none (K = 1), a pair sum whose rows change at
- * collisions, or one whose rows are one constant (no rows evaluated) */
-enum { LEDGER_NONE, LEDGER_ROWS, LEDGER_CONSTANT };
-
-/* the pair function f(K) of a row */
-enum { F_K_MINUS_1, F_K_ITSELF, F_K_TABLE };
+/* the pair function f(K) of a row: K - 1, or a table of f(0) and f(c) */
+enum { F_K_MINUS_1, F_K_TABLE };
 
 /* the rows f(K) B on one scheme interval: K = c (1 + delta u) live_a live_b,
- * B = 1 + beta u, u = |v_a - v_b| (`engine._TiltRows`) */
+ * B = 1 + beta u, u = |v_a - v_b| (`engine._TiltPairSum`) */
 struct rowspec {
     const double *V;    /* (n, d) velocities in C order */
     const double *live; /* 1.0 outside the frozen set, 0.0 in it; NULL: none */
     double *scratch;    /* 4n doubles: the old rows of a pair, then dh */
     int64_t n, d, f;
+    int64_t constant;   /* the rows are one value and never change */
     double c, delta, beta;
     double f0, fc; /* a table f: f(0) and f(c) */
     double inc;    /* out: the change of the pair sum at a collision */
@@ -133,8 +130,6 @@ static int row(const struct rowspec *sp, int64_t a, double *restrict o)
         double fk;
         if (f == F_K_MINUS_1) {
             fk = k - 1.0;
-        } else if (f == F_K_ITSELF) {
-            fk = k;
         } else {
             fk = k == 0.0 ? f0 : fc;
             miss |= (int64_t)((k != 0.0) & (k != c));
@@ -226,11 +221,11 @@ static int fen_sample(const double *tree, int64_t n, double u, int64_t *out)
 /* the compensator over dt: dt (1/N) sum (K - 1) B, as _settle_compensator */
 #define SETTLE(dt)                                                        \
     do {                                                                  \
-        if (ledger != LEDGER_NONE && (dt) > 0.0)                          \
+        if (led && (dt) > 0.0)                                            \
             compensator += (dt) * (total / (double)n);                    \
     } while (0)
 
-/* led holds the ledger's rows, K - 1 on its interval (NULL: no ledger) */
+/* led: the ledger's K and its K - 1 rows on this interval (NULL: none) */
 int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
             double *V, double *speeds, double *tree, double *weights,
             const uint8_t *frozen, const double *ubuf, const double *ebuf,
@@ -243,7 +238,7 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
     double total = f[F_TOTAL], compensator = f[F_COMPENSATOR], jump = f[F_JUMP];
     int64_t iu = k[K_IU], ie = k[K_IE], in = k[K_IN];
     int64_t events = k[K_EVENTS], coll = k[K_COLL], size = k[K_SIZE];
-    const int64_t ledger = led ? k[K_LEDGER] : LEDGER_NONE;
+    const int rows = led && !led->constant; /* rows that change at collisions */
     int64_t hit = k[K_HIT];
     int status = DONE;
 
@@ -343,7 +338,7 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
         int neg = asg % 2;
         if (accepted) {
             coll++;
-            if (ledger != LEDGER_NONE) {
+            if (led) {
                 if (led->live && !(led->live[i] != 0.0 && led->live[j] != 0.0)) {
                     hit = 1;
                 } else {
@@ -356,7 +351,7 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
                 }
             }
             if (i != j) {
-                if (ledger == LEDGER_ROWS)
+                if (rows)
                     kac_pair_rows(led, i, j);
                 /* kinetics._collide in the recorded parametrisation */
                 double *a = V + ri * d, *b = V + rj * d;
@@ -374,7 +369,7 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
                     CHECK(fen_update(tree, weights, n, i, speeds[i]));
                     CHECK(fen_update(tree, weights, n, j, speeds[j]));
                 }
-                if (ledger == LEDGER_ROWS) { /* K - 1 rows never miss */
+                if (rows) { /* K - 1 rows never miss */
                     kac_pair_update(led, i, j);
                     total += led->inc;
                 }

@@ -6,9 +6,10 @@ command, and loaded through ctypes.  `kernel(d)` returns the library, or
 None where the Python loop must run instead: no gcc, a failed build or
 load, or a kernel dot product that differs from numpy's `x @ y` in
 dimension d (the kernel must reproduce numpy's arithmetic bit for bit).
-`kernel(d, sums=True)`, for the pair-sum rows and the tracked segments
-that update them, also asks that the kernel's row sum equals numpy's
-`a.sum()`; where it does not, only they run in Python and numpy.
+`kernel(d, sums=True)`, for the rows of `engine._TiltPairSum` and the
+tracked segments that update them, also asks that the kernel's row sum
+equals numpy's `a.sum()`; where it does not, only they run in Python and
+numpy.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ CFLAGS = ("-O3", "-fno-math-errno", "-fPIC", "-shared", "-ffp-contract=off", "-W
 # status codes of kac_run and kac_rows, as in _kloop.c
 DONE, GROW = 0, 1
 ERR_MAJORANT, ERR_WEIGHT, ERR_ZERO_TOTAL, ERR_REFILL, ERR_INDEX, ERR_LOG, TABLE_MISS = range(-1, -8, -1)
-# the ledger of a segment, and the pair function f(K) of a row, as in _kloop.c
-LEDGER_NONE, LEDGER_ROWS, LEDGER_CONSTANT = 0, 1, 2
-F_K_MINUS_1, F_K_ITSELF, F_K_TABLE = 0, 1, 2
+# the pair function f(K) of a row, as in _kloop.c
+F_K_MINUS_1, F_K_TABLE = 0, 1
 
 REFILL = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int)
 
@@ -41,9 +41,8 @@ class RowSpec(ctypes.Structure):
     """`struct rowspec` of _kloop.c: the rows f(K) B of one scheme interval."""
 
     _fields_ = [("V", ctypes.c_void_p), ("live", ctypes.c_void_p), ("scratch", ctypes.c_void_p),
-                ("n", ctypes.c_int64), ("d", ctypes.c_int64), ("f", ctypes.c_int64),
-                ("c", ctypes.c_double), ("delta", ctypes.c_double), ("beta", ctypes.c_double),
-                ("f0", ctypes.c_double), ("fc", ctypes.c_double), ("inc", ctypes.c_double)]
+                *((name, ctypes.c_int64) for name in ("n", "d", "f", "constant")),
+                *((name, ctypes.c_double) for name in ("c", "delta", "beta", "f0", "fc", "inc"))]
 
 _UNLOADED = object()
 _lib = _UNLOADED  # the library once loaded; None runs the Python loop everywhere

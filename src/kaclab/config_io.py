@@ -16,12 +16,8 @@ import os
 import time
 from dataclasses import dataclass
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from . import __version__
 from .engine import (EventLog, InitialCondition, ParticleState, SimConfig,
@@ -147,12 +143,11 @@ def parse_config(path_or_dict) -> ParsedConfig:
     else:
         with open(path_or_dict) as fh:
             raw = json.load(fh)
-    if jsonschema is not None:
-        validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-        errors = sorted(validator.iter_errors(raw), key=lambda e: e.json_path)
-        if errors:
-            msgs = "; ".join(f"{e.json_path}: {e.message}" for e in errors)
-            raise ConfigError(msgs)
+    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    errors = sorted(validator.iter_errors(raw), key=lambda e: e.json_path)
+    if errors:
+        msgs = "; ".join(f"{e.json_path}: {e.message}" for e in errors)
+        raise ConfigError(msgs)
     echo = _materialise(raw)
     sim = SimConfig(
         n=echo["N"],

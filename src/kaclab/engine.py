@@ -35,8 +35,9 @@ Under a ledger scheme the compensator rate (1/N) sum_{ij} (K - 1) B is a
 `_PairSum`: built in row blocks once per scheme interval (none where K = 1),
 in O(N) memory, and updated exactly in O(N) per collision.  The same pair
 sum serves the exact dynamic cost, Xi_2 and `total_rate`, each with its own
-pair function.  The rows f(K) B of the tilt pair sums (`_TiltRows`) come
-from the kernel too, bit-identical to numpy's; where they are one constant
+pair function.  Each tilt pair sum of f(K) B is a `_TiltPairSum`, which
+also gives the ledger's jump term its K; its rows come from the kernel where
+it evaluates f, bit-identical to numpy's, and where they are one constant
 no collision evaluates them.
 """
 
@@ -397,7 +398,7 @@ class _Draws:
             self.refill(0)
             i = 0
         self._iu = i + 1
-        return self._u[i]
+        return float(self._u[i])
 
     def exponential(self) -> float:
         i = self._ie
@@ -405,7 +406,7 @@ class _Draws:
             self.refill(1)
             i = 0
         self._ie = i + 1
-        return self._e[i]
+        return float(self._e[i])
 
     def normals(self, d: int) -> np.ndarray:
         i = self._in
@@ -438,11 +439,11 @@ def _distances(v: np.ndarray, rows) -> np.ndarray:
 class _PairSum:
     """S = sum_{a,b} h(a, b) over ordered pairs, diagonal included.
 
-    h(rows) returns the rows [h(a, b) for every b] for a in rows (a slice
-    or an index array), for a symmetric pair function of the live
-    velocities.  S is built in row blocks, so no N x N array exists, and a
-    collision of i and j updates it exactly from the old and new rows of
-    its two particles:
+    rows(rows) returns the rows [h(a, b) for every b] for a in rows (a
+    slice or an index array), for a symmetric pair function h of the live
+    velocities: h(rows) itself, or a subclass's own `rows` (h = None).  S is
+    built in row blocks, so no N x N array exists, and a collision of i and
+    j updates it exactly from the old and new rows of its two particles:
     S += 2 dR_i + 2 dR_j - dh(i, i) - dh(j, j) - 2 dh(i, j).
     """
 
@@ -451,13 +452,16 @@ class _PairSum:
     def __init__(self, n: int, h):
         self.h = h
         step = max(1, _BLOCK_PAIRS // n)
-        self.total = sum(float(h(slice(a, a + step)).sum()) for a in range(0, n, step))
+        self.total = sum(float(self.rows(slice(a, a + step)).sum()) for a in range(0, n, step))
+
+    def rows(self, rows) -> np.ndarray:
+        return self.h(rows)
 
     def pre_collision(self, i: int, j: int) -> np.ndarray:
-        return self.h(np.array((i, j)))
+        return self.rows(np.array((i, j)))
 
     def post_collision(self, i: int, j: int, old: np.ndarray):
-        dh = self.h(np.array((i, j))) - old
+        dh = self.rows(np.array((i, j))) - old
         self.total += float(2.0 * dh.sum() - dh[0, i] - dh[1, j] - 2.0 * dh[0, j])
 
 
@@ -469,46 +473,44 @@ def _k_itself(kk):
     return kk
 
 
-# the pair functions the compiled rows evaluate for every delta; any other
-# f is read from a table of f(0) and f(c), which serves delta = 0 only
-_COMPILED_F = {_k_minus_1: _kloop.F_K_MINUS_1, _k_itself: _kloop.F_K_ITSELF}
+class _TiltPairSum(_PairSum):
+    """The pair sum of h = f(K) B on interval k of a scheme, B = 1 + beta u.
 
-
-class _TiltRows:
-    """h(rows) = f(K) B on interval k of a scheme, B = 1 + beta u.
-
-    A range of rows (a slice, as the build asks for) comes from the
-    compiled kernel where it is loaded and knows f (`_COMPILED_F`, or a
-    table at delta = 0), and from numpy otherwise; the two agree bit for
-    bit, and numpy is the reference.  A collision's two rows are read by
-    `_TiltPairSum` straight into the kernel's scratch.  `constant` rows are
-    one value on every pair of finite velocities (delta = beta = 0, nothing
-    frozen).
+    In `rows` (a method, so the object holds no reference to itself) a
+    range of rows, as the build asks for them, comes from the compiled
+    kernel where it evaluates f (K - 1 at every delta, any f by a table of
+    f(0) and f(c) at delta = 0), any other selection from `numpy`, the
+    reference, which the kernel matches bit for bit.  A collision's old
+    rows wait in the kernel's scratch and the update is made there, in
+    numpy's summation order; a table miss falls back to numpy.  `constant`
+    rows (delta = beta = 0, nothing frozen) change by exactly 0.0 at a
+    collision, so none are evaluated after the build.
     """
 
-    __slots__ = ("v", "scheme", "k", "beta", "f", "alive", "constant", "lib", "spec", "live", "scratch")
+    __slots__ = ("v", "scheme", "k", "beta", "f", "c", "delta", "alive", "constant",
+                 "lib", "spec", "live", "scratch")
 
     def __init__(self, v: np.ndarray, scheme: TiltingScheme, k: int, beta: float, f):
         self.v, self.scheme, self.k, self.beta, self.f = v, scheme, k, beta, f
         c, delta = float(scheme.coeffs[k]), float(scheme.deltas[k])
+        self.c, self.delta = c, delta
         self.alive = ~scheme.frozen_mask(k, len(v)) if len(scheme.frozen_sets[k]) else None
         self.constant = beta == 0.0 and delta == 0.0 and self.alive is None
-        mode = _COMPILED_F.get(f, _kloop.F_K_TABLE if delta == 0.0 else None)
+        mode = _kloop.F_K_MINUS_1 if f is _k_minus_1 else _kloop.F_K_TABLE if delta == 0.0 else None
         self.lib = self.spec = self.live = self.scratch = None
-        if mode is None or not v.flags.c_contiguous or v.dtype != np.float64:
-            return
-        self.lib = _kloop.kernel(v.shape[1], sums=True)
-        if self.lib is None:
-            return
-        # the kernel multiplies K by live_a live_b, each 1.0 or 0.0, as numpy
-        # multiplies it by the boolean alive_a & alive_b
-        self.live = None if self.alive is None else self.alive.astype(float)
-        self.scratch = np.empty(4 * len(v))  # the old rows of a pair, then dh
-        f0, fc = f(np.array([0.0, c])) if mode == _kloop.F_K_TABLE else (0.0, 0.0)
-        # the spec points into v, live and scratch, which this object keeps
-        self.spec = _kloop.RowSpec(v.ctypes.data, None if self.live is None else self.live.ctypes.data,
-                                   self.scratch.ctypes.data, len(v), v.shape[1], mode, c, delta,
-                                   beta, f0, fc, 0.0)
+        if mode is not None and v.flags.c_contiguous and v.dtype == np.float64:
+            self.lib = _kloop.kernel(v.shape[1], sums=True)
+        if self.lib is not None:
+            # the kernel multiplies K by live_a live_b, each 1.0 or 0.0, as
+            # numpy multiplies it by the boolean alive_a & alive_b
+            self.live = None if self.alive is None else self.alive.astype(float)
+            self.scratch = np.empty(4 * len(v))  # the old rows of a pair, then dh
+            f0, fc = f(np.array([0.0, c])) if mode == _kloop.F_K_TABLE else (0.0, 0.0)
+            # the spec points into v, live and scratch, which this object keeps
+            self.spec = _kloop.RowSpec(v.ctypes.data, None if self.live is None else self.live.ctypes.data,
+                                       self.scratch.ctypes.data, len(v), v.shape[1], mode,
+                                       self.constant, c, delta, beta, f0, fc, 0.0)
+        super().__init__(len(v), None)
 
     def numpy(self, rows) -> np.ndarray:
         # factors that are 1 on every pair (nothing frozen, B = 1) are skipped
@@ -517,7 +519,7 @@ class _TiltRows:
         fk = self.f(self.scheme.pair_k(self.k, u, True if alive is None else alive[rows, None] & alive))
         return fk * (1.0 + self.beta * u) if self.beta else fk
 
-    def __call__(self, rows) -> np.ndarray:
+    def rows(self, rows) -> np.ndarray:
         # the kernel takes a range of rows, as the build asks for them
         if self.lib is None or not isinstance(rows, slice) or rows.step not in (None, 1):
             return self.numpy(rows)
@@ -529,43 +531,24 @@ class _TiltRows:
             return out
         return self.numpy(rows)
 
-
-class _TiltPairSum(_PairSum):
-    """The `_PairSum` of `_TiltRows`.
-
-    Constant rows change by exactly 0.0 at a collision, so none are
-    evaluated after the build.  With the kernel loaded, a collision's old
-    rows wait in the kernel's scratch and the update is made there, with
-    numpy's summation order; a table miss falls back to the numpy update.
-    """
-
-    __slots__ = ()
-
     def pre_collision(self, i: int, j: int):
-        rows = self.h
-        if rows.constant:
+        if self.constant:
             return None
         # an index outside [0, N) takes numpy's indexing rules, or its IndexError
-        if (rows.lib is not None and 0 <= i < rows.spec.n and 0 <= j < rows.spec.n
-                and rows.lib.kac_pair_rows(rows.spec, i, j) == 0):
+        if (self.lib is not None and 0 <= i < len(self.v) and 0 <= j < len(self.v)
+                and self.lib.kac_pair_rows(self.spec, i, j) == _kloop.DONE):
             return None
         return _PairSum.pre_collision(self, i, j)
 
     def post_collision(self, i: int, j: int, old) -> None:
-        rows = self.h
-        if rows.constant:
+        if self.constant:
             return
         if old is None:
-            if rows.lib.kac_pair_update(rows.spec, i, j) == 0:
-                self.total += rows.spec.inc
+            if self.lib.kac_pair_update(self.spec, i, j) == _kloop.DONE:
+                self.total += self.spec.inc
                 return
-            old = rows.scratch[: 2 * len(rows.v)].reshape(2, -1).copy()
+            old = self.scratch[: 2 * len(self.v)].reshape(2, -1).copy()
         _PairSum.post_collision(self, i, j, old)
-
-
-def _tilt_pair_sum(v: np.ndarray, scheme: TiltingScheme, k: int, beta: float, f) -> _PairSum:
-    """The pair sum of f(K) B on interval k of a scheme, B = 1 + beta u."""
-    return _TiltPairSum(len(v), _TiltRows(v, scheme, k, beta, f))
 
 
 # ---------------------------------------------------------------------------
@@ -597,9 +580,6 @@ class _Engine:
         self.gamma = 0.0
         self.frozen_dyn = np.zeros(self.n, dtype=bool)
         self.any_frozen_dyn = False
-        self.c_led = 1.0
-        self.delta_led = 0.0
-        self.frozen_led = None
         self.k_led = None
         self.tracker = None
 
@@ -636,11 +616,7 @@ class _Engine:
             # one ledger pair sum per scheme interval, carried across
             # checkpoints; none where K = 1, as log K = K - 1 = 0 there
             self.k_led = kl
-            self.c_led = float(led.coeffs[kl])
-            self.delta_led = float(led.deltas[kl])
-            self.frozen_led = led.frozen_mask(kl, self.n) if len(led.frozen_sets[kl]) else None
-            self.tracker = None if led.is_unit(kl) else _tilt_pair_sum(
-                self.V, led, kl, self.beta, _k_minus_1)
+            self.tracker = None if led.is_unit(kl) else _TiltPairSum(self.V, led, kl, self.beta, _k_minus_1)
 
     # -- one proposal -------------------------------------------------------
 
@@ -708,15 +684,16 @@ class _Engine:
             ri, rj = i, j
         rsigma = sigma if assignment % 2 == 0 else -sigma
 
+        tracker = self.tracker
         if accepted:
             self.n_collisions += 1
-            if self.tracker is not None:
-                if self.frozen_led is not None and (self.frozen_led[i] or self.frozen_led[j]):
+            if tracker is not None:
+                if tracker.alive is not None and not (tracker.alive[i] and tracker.alive[j]):
                     self.ledger.hit_zero = True
                 else:
-                    self.ledger.jump_term += math.log(self.c_led * (1.0 + self.delta_led * u_dist))
+                    self.ledger.jump_term += math.log(tracker.c * (1.0 + tracker.delta * u_dist))
             if i != j:
-                pre = self.tracker.pre_collision(i, j) if self.tracker is not None else None
+                pre = tracker.pre_collision(i, j) if tracker is not None else None
                 # apply the collision in the recorded parametrisation so a
                 # replay of the log reproduces the arithmetic bit for bit
                 apply_collision(self.V, ri, rj, rsigma)
@@ -725,8 +702,8 @@ class _Engine:
                 if self.fen is not None:
                     self.fen.update(i, self.speeds[i])
                     self.fen.update(j, self.speeds[j])
-                if self.tracker is not None:
-                    self.tracker.post_collision(i, j, pre)
+                if tracker is not None:
+                    tracker.post_collision(i, j, pre)
         if self.events is not None:
             self.events.append(self.t, ri, rj, rsigma, assignment, not accepted)
         self.n_events += 1
@@ -744,7 +721,7 @@ class _Engine:
         # a ledger pair sum is always one of K - 1 rows, which it evaluates
         # where they are compiled (the row sum check passed)
         if (lib is not None and self.V.flags.c_contiguous and self.d <= self.draws._chunk
-                and (self.tracker is None or self.tracker.h.lib is not None)):
+                and (self.tracker is None or self.tracker.lib is not None)):
             self._run_compiled(lib, t_end)
         else:
             while self.propose(t_end):
@@ -759,16 +736,12 @@ class _Engine:
         here as the Python loop raises it.
         """
         draws, ev, fen, tracker, ledger = self.draws, self.events, self.fen, self.tracker, self.ledger
-        if tracker is None:
-            mode, total, spec = _kloop.LEDGER_NONE, 0.0, None
-        else:
-            mode = _kloop.LEDGER_CONSTANT if tracker.h.constant else _kloop.LEDGER_ROWS
-            total, spec = tracker.total, tracker.h.spec
+        total, spec = (0.0, None) if tracker is None else (tracker.total, tracker.spec)
         # scalars in and out, in the slots of the F_* and K_* enums of _kloop.c
         f = np.array([self.t, self._t_comp, t_end, self.c_dyn, self.inflation, self.gamma, 0.0, 0.0,
                       total, ledger.compensator_term, ledger.jump_term])
         k = np.array([draws._iu, draws._ie, draws._in, self.n_events, self.n_collisions,
-                      ev.size if ev is not None else 0, 0, 0, 0, mode, ledger.hit_zero], dtype=np.int64)
+                      ev.size if ev is not None else 0, 0, 0, 0, ledger.hit_zero], dtype=np.int64)
         raised = []
 
         def refill(which):
@@ -804,7 +777,7 @@ class _Engine:
         if tracker is not None:
             tracker.total = float(f[8])
             ledger.compensator_term, ledger.jump_term = float(f[9]), float(f[10])
-            ledger.hit_zero = bool(k[10])
+            ledger.hit_zero = bool(k[9])
         if status == _kloop.DONE:
             return
         if status == _kloop.ERR_MAJORANT:
@@ -832,7 +805,7 @@ def total_rate(state: ParticleState, kernel: Kernel, tilt: TiltingScheme | None 
     """
     tilt = tilt if tilt is not None else _IDENTITY_SCHEME
     k_idx = tilt.interval_index(state.time)
-    return _tilt_pair_sum(state.velocities, tilt, k_idx, kernel.slope, _k_itself).total / state.n
+    return _TiltPairSum(state.velocities, tilt, k_idx, kernel.slope, _k_itself).total / state.n
 
 
 def step(state: ParticleState, kernel: Kernel, tilt: TiltingScheme | None, rng: np.random.Generator):

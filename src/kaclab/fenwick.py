@@ -51,7 +51,7 @@ class FenwickSampler:
         while i > 0:
             s += self.tree[i]
             i -= i & -i
-        return s
+        return float(s)
 
     def get(self, i: int) -> float:
         return self.weights[i]

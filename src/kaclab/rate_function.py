@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .engine import _distances, _PairSum, _tilt_pair_sum, replay_events
+from .engine import _distances, _PairSum, _TiltPairSum, replay_events
 from .girsanov import InitialTilt, TiltingScheme
 from .kinetics import post_collision, sphere_quadrature
 from .metrics import WeightedMeasure
@@ -136,28 +136,11 @@ class TestFunctionDescriptor:
             return t**self.a_param
         raise ValueError(f"unknown time kind {self.a_kind!r}")
 
-    def f(self, t: float, v: np.ndarray) -> np.ndarray:
-        if self.kind == "product":
-            return self.a_of_t(t) * self._b(v, self.b_kind)
-        return self._b(v)
-
-    def dt_f(self, t: float, v: np.ndarray) -> np.ndarray:
-        if self.kind != "product":
-            return np.zeros(np.asarray(v).shape[:-1])
-        if self.a_kind == "sin":
-            da = self.a_param * math.cos(self.a_param * t)
-        else:
-            da = self.a_param * t ** (self.a_param - 1.0) if self.a_param != 0 else 0.0
-        return da * self._b(v, self.b_kind)
-
     def delta_b(self, v: np.ndarray, v_star: np.ndarray, sigma: np.ndarray) -> float:
         """Collisional increment of the spatial part, via the collision map."""
         vp, vsp = post_collision(v, v_star, sigma)
         kind = self.b_kind if self.kind == "product" else self.kind
         return float(self._b(vp, kind) + self._b(vsp, kind) - self._b(v, kind) - self._b(v_star, kind))
-
-    def delta_f(self, t: float, v: np.ndarray, v_star: np.ndarray, sigma: np.ndarray) -> float:
-        return self.a_of_t(t) * self.delta_b(v, v_star, sigma)
 
     # ---- flux test ------------------------------------------------------
 
@@ -214,7 +197,7 @@ def relative_entropy(mu, reference: ReferenceMeasure, log_density_ratio=None) ->
 # dynamic cost
 
 
-def dynamic_cost(trajectory, scheme: TiltingScheme, mode: str = "auto",
+def dynamic_cost(trajectory, scheme: TiltingScheme, mode: str = "exact",
                  pairs_per_interval: int = 64, seed: int = 0) -> tuple[float, float]:
     """int tau(K) dmbar along a simulated path; returns (value, stderr).
 
@@ -227,6 +210,8 @@ def dynamic_cost(trajectory, scheme: TiltingScheme, mode: str = "auto",
     an unbiased uniform pair-subsampling estimate with reported standard
     error.  stderr is 0 for exact evaluations.
     """
+    if mode not in ("exact", "subsample"):
+        raise ValueError(f"unknown dynamic cost mode {mode!r}: use 'exact' or 'subsample'")
     if trajectory.log is None:
         raise ValueError("trajectory was run without an event log")
     beta = trajectory.config.kernel.slope
@@ -234,9 +219,6 @@ def dynamic_cost(trajectory, scheme: TiltingScheme, mode: str = "auto",
     log = trajectory.log
     t_max = trajectory.config.t_max
     rng = np.random.default_rng(seed)
-    needs_pairs = bool(np.any(scheme.deltas > 0.0))
-    if mode == "auto":
-        mode = "exact" if (not needs_pairs or n <= 256) else "subsample"
     exact = mode == "exact"
 
     v = trajectory.initial_state.velocities.copy()
@@ -253,7 +235,7 @@ def dynamic_cost(trajectory, scheme: TiltingScheme, mode: str = "auto",
                 pass
             continue
         alive = ~scheme.frozen_mask(k_idx, n)
-        pair_sum = _tilt_pair_sum(v, scheme, k_idx, beta, tau) if exact else None
+        pair_sum = _TiltPairSum(v, scheme, k_idx, beta, tau) if exact else None
         t_prev = b0
         for k in itertools.chain(replay_events(v, log, lo, hi, pair_sum), (None,)):
             t = b1 if k is None else float(log.t[k])

@@ -49,14 +49,6 @@ class ReferenceMeasure:
             return np.inf
         return (1.0 - z / self.z2) ** (-self.d / 2.0)
 
-    def log_density(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        s = np.sum(v * v, axis=-1)
-        return 0.5 * self.d * np.log(self.d / (2.0 * np.pi)) - 0.5 * self.d * s
-
-    def density(self, v: np.ndarray) -> np.ndarray:
-        return np.exp(self.log_density(v))
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. velocities, shape (n, d)."""
         return rng.standard_normal((n, self.d)) / np.sqrt(self.d)

@@ -4,7 +4,12 @@ import os
 import numpy as np
 import pytest
 
+import kaclab as kl
 from kaclab.cli import main
+from kaclab.config_io import load_trajectory_inputs
+from kaclab.girsanov import TiltingScheme
+from kaclab.kinetics import Kernel
+from kaclab.rate_function import dynamic_cost
 
 
 def _write(path, payload):
@@ -185,6 +190,26 @@ class TestRateEvalCommand:
         assert report["dynamic_cost"]["value"] == pytest.approx(
             (2 * math.log(2) - 1) * BASE["T"], abs=1e-9)
         assert report["relative_entropy"] == 0.0
+
+    def test_dynamic_cost_is_exact_under_pairwise_tilt(self, tmp_path, capsys):
+        tilting = {"kind": "pairwise", "a": 1.0, "b": 0.2}
+        cfg = _write(tmp_path / "cfg.json", dict(BASE, N=300, kernel="maxwell", tilting=tilting))
+        out = str(tmp_path / "out")
+        main(["simulate", "--config", cfg, "--out-dir", out])
+        desc = _write(tmp_path / "desc.json", {"descriptors": [], "tilting": tilting})
+        capsys.readouterr()
+        rc = main(["rate-eval", "--sidecar", f"{out}/run_sidecar.json",
+                   "--events", f"{out}/run_events.csv", "--descriptors", desc,
+                   "--out-dir", out])
+        assert rc == 0
+        report = json.load(open(f"{out}/rate_eval.json"))
+        sidecar, state0, log = load_trajectory_inputs(f"{out}/run_sidecar.json", f"{out}/run_events.csv")
+        traj = kl.Trajectory(initial_state=state0, final_state=None, checkpoints=[], log=log,
+                             rn_ledger=None, seed=sidecar["seed"],
+                             config=kl.SimConfig(n=300, t_max=BASE["T"], kernel=Kernel.MAXWELL))
+        exact = dynamic_cost(traj, TiltingScheme.pairwise(1.0, 0.2), mode="exact")
+        assert report["dynamic_cost"] == {"value": exact[0], "stderr": 0.0}
+        assert exact[0] > 0.0
 
 
 class TestSimulateWithTilting:

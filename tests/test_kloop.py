@@ -210,7 +210,7 @@ def test_huge_velocity_fails_alike(monkeypatch):
 # ---------------------------------------------------------------------------
 # tracked segments: the tilt rows, their sum, and the ledger in the kernel
 
-from kaclab.engine import _k_itself, _k_minus_1, _TiltRows  # noqa: E402
+from kaclab.engine import _k_itself, _k_minus_1, _TiltPairSum  # noqa: E402
 from kaclab.rate_function import tau  # noqa: E402
 
 
@@ -229,16 +229,16 @@ def _frozen_scheme(delta):
 def test_row_kernel_matches_numpy_rows(f, frozen, beta, d):
     func = {"k_minus_1": _k_minus_1, "k": _k_itself, "tau": tau}[f]
     rng = np.random.default_rng(7 * d)
-    # a table f serves delta = 0 only; K - 1 and K run in C for every delta
-    deltas = (0.0,) if f == "tau" else (0.0, 0.3)
+    # a table f serves delta = 0 only; K - 1 runs in C for every delta
+    deltas = (0.0, 0.3) if f == "k_minus_1" else (0.0,)
     for delta in deltas:
         scheme = _frozen_scheme(delta)
         for n in (1, 7, 300):
             v = rng.standard_normal((n, d)) * np.exp(rng.uniform(-3.0, 3.0, (n, 1)))
-            rows = _TiltRows(v, scheme, 0 if frozen else 1, beta, func)
-            assert rows.lib is not None
+            pair_sum = _TiltPairSum(v, scheme, 0 if frozen else 1, beta, func)
+            assert pair_sum.lib is not None
             for sel in (slice(0, n), slice(n // 2, n + 5), slice(n - 1, None), slice(-1, 0)):
-                assert rows(sel).tobytes() == rows.numpy(sel).tobytes(), (delta, n, sel)
+                assert pair_sum.rows(sel).tobytes() == pair_sum.numpy(sel).tobytes(), (delta, n, sel)
 
 
 @needs_gcc
@@ -264,7 +264,7 @@ def test_sum_check_gates_only_the_pair_sum_rows(monkeypatch, tracked_calls):
                            multiplier_bound=2.0)
     eng = _tracked_engine(scheme=scheme)
     eng.run_segment(0.5)
-    assert eng.tracker.h.lib is None
+    assert eng.tracker.lib is None
     eng.run_segment(1.0)
     assert tracked_calls == [False] and eng.n_events > 0
 
@@ -389,3 +389,24 @@ def test_freeze_run_calls_no_python_propose(monkeypatch):
     monkeypatch.setattr(_Engine, "propose", refuse)
     traj = _freeze_run()
     assert traj.log.n_collisions > 0 and traj.rn_ledger.compensator_term != 0.0
+
+
+@needs_gcc
+@pytest.mark.parametrize("name", ["pairwise_Q_n200", "frozen_q"])
+def test_python_loop_writes_python_floats(name, monkeypatch):
+    # the compiled loop writes Python floats; the Python loop must too, or a
+    # ledger's repr would say which loop ran (np.float64(...))
+    kwargs, scheme = TRACKED[name]
+    cfg = kl.SimConfig(t_max=1.0, seed=95, checkpoint_times=(0.0, 0.3, 1.0), **kwargs)
+
+    def ledgers(traj):
+        return [traj.rn_ledger] + [cp.ledger for cp in traj.checkpoints]
+
+    compiled = kl.simulate(cfg, scheme)
+    python = _python_loop(monkeypatch, lambda: kl.simulate(cfg, scheme))
+    for a, b in zip(ledgers(python), ledgers(compiled), strict=True):
+        for term in ("initial_term", "jump_term", "compensator_term"):
+            assert type(getattr(a, term)) is float and repr(getattr(a, term)) == repr(getattr(b, term))
+    # the clock between events, which only the Python loop's step() returns
+    state, event = kl.step(kl.ParticleState(compiled.final_state.velocities), cfg.kernel, scheme, kl.make_rng(95))
+    assert type(state.time) is float and state.time == event.time > 0.0

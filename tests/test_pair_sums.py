@@ -2,6 +2,7 @@
 how often they are built."""
 
 import itertools
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import kaclab as kl
 from kaclab import engine, freezing
-from kaclab.engine import _tilt_pair_sum, replay_events
+from kaclab.engine import _TiltPairSum, replay_events
 from kaclab.girsanov import TiltingScheme, compensator_rate
 from kaclab.kinetics import Kernel, sphere_quadrature
 from kaclab.rate_function import TestFunctionDescriptor, _xi2_pair_sum, dynamic_cost, tau, xi_functionals
@@ -83,7 +84,7 @@ def test_four_sums_match_dense_after_every_row(name):
     for k_int in range(scheme.n_intervals()):
         b0, b1 = scheme.breakpoints[k_int], scheme.breakpoints[k_int + 1]
         lo, hi = np.searchsorted(log.t, (b0, b1))
-        ledger, cost, total = (_tilt_pair_sum(v, scheme, k_int, beta, f)
+        ledger, cost, total = (_TiltPairSum(v, scheme, k_int, beta, f)
                                for f in (lambda kk: kk - 1.0, tau, lambda kk: kk))
         xi2 = _xi2_pair_sum(v, g, beta)
         for _ in itertools.chain(replay_events(v, log, lo, hi, _Fan([ledger, cost, total, xi2])), (None,)):
@@ -194,7 +195,7 @@ def _replayed_totals(traj, scheme, f):
     totals = []
     for k_int in range(scheme.n_intervals()):
         lo, hi = np.searchsorted(log.t, scheme.breakpoints[k_int: k_int + 2])
-        pair_sum = _tilt_pair_sum(v, scheme, k_int, beta, f)
+        pair_sum = _TiltPairSum(v, scheme, k_int, beta, f)
         for _ in replay_events(v, log, lo, hi, pair_sum):
             totals.append(float(pair_sum.total).hex())
         totals.append(float(pair_sum.total).hex())
@@ -222,11 +223,11 @@ def test_table_rows_fall_back_on_non_finite_distances():
     v = np.random.default_rng(5).standard_normal((9, 3))
     v[4, 1] = np.inf
     scheme = TiltingScheme(coeffs=np.array([1.5]), frozen_sets=[np.array([2])], multiplier_bound=1.5)
-    rows = engine._TiltRows(v, scheme, 0, 1.0, tau)
+    pair_sum = _TiltPairSum(v, scheme, 0, 1.0, tau)
     for sel in (slice(0, 9), slice(4, 5)):
-        assert rows(sel).tobytes() == rows.numpy(sel).tobytes()
+        assert pair_sum.rows(sel).tobytes() == pair_sum.numpy(sel).tobytes()
     # and a collision's rows, which the kernel reads into its scratch
-    assert engine._TiltPairSum(9, rows).pre_collision(4, 0).tobytes() == rows.numpy(np.array([4, 0])).tobytes()
+    assert pair_sum.pre_collision(4, 0).tobytes() == pair_sum.numpy(np.array([4, 0])).tobytes()
 
 
 @pytest.mark.parametrize("force_numpy", [False, True])
@@ -239,12 +240,13 @@ def test_constant_rows_are_skipped_and_bit_identical(force_numpy, monkeypatch):
     traj = kl.simulate(kl.SimConfig(n=40, t_max=1.0, kernel=Kernel.MAXWELL, seed=409), scheme)
     assert traj.log.n_collisions > 10
     v = traj.initial_state.velocities.copy()
-    skipping = _tilt_pair_sum(v, scheme, 0, 0.0, engine._k_minus_1)
-    evaluating = engine._PairSum(len(v), skipping.h)  # the plain update, rows and all
     calls = []
-    call = engine._TiltRows.__call__
-    monkeypatch.setattr(engine._TiltRows, "__call__", lambda self, rows: calls.append(1) or call(self, rows))
-    scratch = skipping.h.scratch if skipping.h.lib is not None else np.empty(0)
+    rows = _TiltPairSum.rows
+    monkeypatch.setattr(_TiltPairSum, "rows", lambda self, sel: calls.append(1) or rows(self, sel))
+    skipping = _TiltPairSum(v, scheme, 0, 0.0, engine._k_minus_1)
+    evaluating = engine._PairSum(len(v), lambda sel: skipping.rows(sel))  # the plain update, rows and all
+    calls.clear()  # the two builds
+    scratch = skipping.scratch if skipping.lib is not None else np.empty(0)
     scratch[:] = np.nan  # the kernel's pair rows would land here
     for _ in replay_events(v.copy(), traj.log, tracker=skipping):
         pass
@@ -252,3 +254,22 @@ def test_constant_rows_are_skipped_and_bit_identical(force_numpy, monkeypatch):
     for _ in replay_events(v, traj.log, tracker=_Fan([skipping, evaluating])):
         assert float(skipping.total).hex() == float(evaluating.total).hex()
     assert len(calls) == 2 * int(np.sum(~traj.log.fictitious & (traj.log.i != traj.log.j)))
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
+def test_freeze_rows_are_all_compiled(monkeypatch):
+    # the ledger's K - 1 rows and the replay's tau rows (a table at delta = 0)
+    calls = []
+    numpy = _TiltPairSum.numpy
+    monkeypatch.setattr(_TiltPairSum, "numpy", lambda self, sel: calls.append(1) or numpy(self, sel))
+    theta = kl.ThetaSchedule(jump_times=(0.5,), levels=(1.0, 2.0), horizon=1.0)
+    plan = kl.design_freeze_experiment(REF, theta, M=4.0, r=4)
+    rng = kl.make_rng(410, 0)
+    v0 = kl.sample_tilted_initial(REF, TiltingScheme(initial_tilt=plan.initial_tilt), 300, rng)
+    scheme = kl.build_freeze_scheme(v0, plan)
+    assert len(scheme.frozen_sets[0]) > 0
+    cfg = kl.SimConfig(n=300, t_max=1.0, kernel=Kernel.HARD_SPHERE, seed=410)
+    traj = kl.simulate(cfg, scheme, rng=rng, initial_state=kl.ParticleState(v0))
+    cost, se = dynamic_cost(traj, scheme)
+    assert traj.log.n_collisions > 0 and traj.rn_ledger.compensator_term != 0.0 and cost > 0.0
+    assert calls == []

@@ -108,6 +108,14 @@ class TestDynamicCost:
         assert se > 0.0
         assert abs(value - exact) < 5 * se
 
+    def test_unknown_mode_rejected(self):
+        # a typo must not run the subsample estimator
+        scheme = TiltingScheme.pairwise(1.0, 0.2)
+        traj = kl.simulate(kl.SimConfig(n=20, t_max=0.2, kernel=Kernel.MAXWELL, seed=8), scheme)
+        for mode in ("exat", "auto", ""):
+            with pytest.raises(ValueError, match="dynamic cost mode"):
+                dynamic_cost(traj, scheme, mode=mode)
+
 
 class TestXiFunctionals:
     def _trajectory(self, n=32, t_max=0.8, seed=7, kernel=Kernel.HARD_SPHERE, scheme=None,
