@@ -17,12 +17,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config_io import (ConfigError, VersionMismatchError, _atomic_write,
+from .config_io import (CONFIG_SCHEMA, ConfigError, VersionMismatchError, _atomic_write,
                         load_trajectory_inputs, parse_config, pool_summaries, replay,
-                        run_ensemble, save_trajectory)
-from .engine import MajorantViolationError, Trajectory, make_rng, simulate
+                        run_ensemble, save_trajectory, tilting_scheme, validate)
+from .engine import MajorantViolationError, SimConfig, Trajectory, make_rng, simulate
 from .freezing import ThetaSchedule, run_experiment
-from .girsanov import TiltingScheme
 from .metrics import WeightedMeasure, bl_distance, flux_distance
 from .moment_ode import maxwell_m4_curve
 from .rate_function import TestFunctionDescriptor, dynamic_cost, relative_entropy, xi_functionals
@@ -59,7 +58,7 @@ def _cmd_simulate(args) -> int:
         print(json.dumps(pool_summaries(summaries), indent=1))
         return EXIT_OK
     rng = make_rng(parsed.sim.seed, 0)
-    traj = simulate(parsed.sim, parsed.scheme(), rng=rng)
+    traj = simulate(parsed.sim, tilting_scheme(parsed.tilting), rng=rng)
     paths = save_trajectory(out_dir, traj)
     print(json.dumps({"artifacts": paths, "events": len(traj.log) if traj.log else 0,
                       "collisions": traj.log.n_collisions if traj.log else 0,
@@ -99,22 +98,20 @@ def _cmd_tilt_experiment(args) -> int:
 def _descriptor(d: dict | None) -> TestFunctionDescriptor | None:
     if d is None:
         return None
-    return TestFunctionDescriptor(**d)
+    try:
+        return TestFunctionDescriptor(**d)
+    except TypeError as exc:
+        raise ConfigError(f"test function descriptor {d!r}: {exc}") from exc
 
 
 def _cmd_rate_eval(args) -> int:
     with open(args.descriptors) as fh:
         spec = json.load(fh)
     sidecar, state0, log = load_trajectory_inputs(args.sidecar, args.events)
-    cfg = parse_config({k: v for k, v in {
-        "N": sidecar["config"]["n"], "T": sidecar["config"]["t_max"],
-        "kernel": sidecar["config"]["kernel"], "d": sidecar["config"]["d"],
-        "checkpoints": sidecar["config"]["checkpoint_times"],
-        "truncation_thresholds": sidecar["config"]["truncation_thresholds"],
-    }.items()})
+    cfg = SimConfig.from_dict(sidecar["config"])
     traj = Trajectory(initial_state=state0, final_state=None, checkpoints=[],
-                      log=log, rn_ledger=None, seed=sidecar["seed"], config=cfg.sim)
-    reference = ReferenceMeasure(cfg.sim.d)
+                      log=log, rn_ledger=None, seed=sidecar["seed"], config=cfg)
+    reference = ReferenceMeasure(cfg.d)
     report = {"version": __version__, "ledger": sidecar.get("ledger"), "descriptors": []}
     for item in spec.get("descriptors", []):
         phi = _descriptor(item.get("phi"))
@@ -123,13 +120,8 @@ def _cmd_rate_eval(args) -> int:
         xi0, xi1, xi2 = xi_functionals(traj, phi, f, g, reference)
         report["descriptors"].append({"xi0": xi0, "xi1": xi1, "xi2": xi2})
     if spec.get("tilting") is not None:
-        tilt = spec["tilting"]
-        if tilt["kind"] == "constant":
-            scheme = TiltingScheme.constant(tilt["kappa"])
-        elif tilt["kind"] == "pairwise":
-            scheme = TiltingScheme.pairwise(tilt["a"], tilt.get("b", 0.0))
-        else:
-            raise ConfigError("rate-eval supports constant and pairwise tilting descriptors")
+        validate(spec["tilting"], CONFIG_SCHEMA["properties"]["tilting"])
+        scheme = tilting_scheme(spec["tilting"])
         value, se = dynamic_cost(traj, scheme)
         report["dynamic_cost"] = {"value": value, "stderr": se}
         report["relative_entropy"] = relative_entropy(scheme, reference)

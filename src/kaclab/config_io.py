@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import jsonschema
 import numpy as np
@@ -78,6 +78,11 @@ CONFIG_SCHEMA = {
                     },
                 },
             },
+            # the parameters each kind is built from
+            "allOf": [{"if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
+                       "then": {"required": required}}
+                      for kind, required in (("constant", ["kappa"]), ("pairwise", ["a"]),
+                                             ("freeze", ["M", "r", "theta"]))],
         },
     },
 }
@@ -95,20 +100,21 @@ class ParsedConfig:
     tilting: dict | None
     echo: dict
 
-    def scheme(self) -> TiltingScheme | None:
-        """Realise a state-independent tilting scheme from the descriptor.
 
-        Freeze tilts depend on sampled initial data and are realised per
-        run by the experiment driver, not here.
-        """
-        if self.tilting is None:
-            return None
-        kind = self.tilting["kind"]
-        if kind == "constant":
-            return TiltingScheme.constant(self.tilting["kappa"])
-        if kind == "pairwise":
-            return TiltingScheme.pairwise(self.tilting["a"], self.tilting.get("b", 0.0))
-        raise ConfigError("freeze tilting is realised per run; use the tilt-experiment driver")
+def tilting_scheme(tilting: dict | None) -> TiltingScheme | None:
+    """Realise a state-independent tilting scheme from a validated descriptor.
+
+    Freeze tilts depend on sampled initial data and are realised per run by
+    the experiment driver, not here.
+    """
+    if tilting is None:
+        return None
+    kind = tilting["kind"]
+    if kind == "constant":
+        return TiltingScheme.constant(tilting["kappa"])
+    if kind == "pairwise":
+        return TiltingScheme.pairwise(tilting["a"], tilting.get("b", 0.0))
+    raise ConfigError("freeze tilting is realised per run; use the tilt-experiment driver")
 
 
 def _materialise(raw: dict) -> dict:
@@ -136,6 +142,14 @@ def _materialise(raw: dict) -> dict:
     return echo
 
 
+def validate(instance, schema: dict = CONFIG_SCHEMA) -> None:
+    """Raise ConfigError listing every way `instance` breaks `schema`."""
+    errors = sorted(jsonschema.Draft202012Validator(schema).iter_errors(instance),
+                    key=lambda e: e.json_path)
+    if errors:
+        raise ConfigError("; ".join(f"{e.json_path}: {e.message}" for e in errors))
+
+
 def parse_config(path_or_dict) -> ParsedConfig:
     """Validate strictly (unknown keys are errors) and materialise defaults."""
     if isinstance(path_or_dict, dict):
@@ -143,11 +157,7 @@ def parse_config(path_or_dict) -> ParsedConfig:
     else:
         with open(path_or_dict) as fh:
             raw = json.load(fh)
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: e.json_path)
-    if errors:
-        msgs = "; ".join(f"{e.json_path}: {e.message}" for e in errors)
-        raise ConfigError(msgs)
+    validate(raw)
     echo = _materialise(raw)
     sim = SimConfig(
         n=echo["N"],
@@ -255,8 +265,8 @@ def save_trajectory(out_dir: str, trajectory: Trajectory, stem: str = "run") -> 
 def load_trajectory_inputs(sidecar_path: str, events_path: str):
     with open(sidecar_path) as fh:
         sidecar = json.load(fh)
-    cfg = sidecar["config"]
-    log = read_event_csv(events_path, cfg["n"], cfg["T"] if "T" in cfg else cfg["t_max"])
+    cfg = SimConfig.from_dict(sidecar["config"])
+    log = read_event_csv(events_path, cfg.n, cfg.t_max)
     v0 = np.asarray(sidecar["initial_velocities"], dtype=float)
     return sidecar, ParticleState(v0), log
 
@@ -283,18 +293,17 @@ def replay(sidecar_path: str, events_path: str, force: bool = False):
             f"log was written by version {sidecar.get('version')}, this is {__version__}; "
             "pass force=True to replay anyway"
         )
-    cfg = sidecar["config"]
-    thresholds = cfg.get("truncation_thresholds", [])
+    cfg = SimConfig.from_dict(sidecar["config"])
     v = state0.velocities.copy()
     out = []
     start = 0
-    for t in sorted(cfg["checkpoint_times"]):
+    for t in cfg.checkpoint_times:
         # the checkpoint at t follows every row stamped at or before t
         stop = int(np.searchsorted(log.t, t, side="right"))
         for _ in replay_events(v, log, start, stop):
             pass
         start = stop
-        momentum, m2, m4, trunc = state_moments(v, thresholds)
+        momentum, m2, m4, trunc = state_moments(v, cfg.truncation_thresholds)
         out.append({
             "time": t,
             "mass": 1.0,
@@ -342,23 +351,23 @@ class RunManifest:
     wallclock_seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "master_seed": self.master_seed,
-            "config": self.config,
-            "run_indices": self.run_indices,
-            "seed_derivation": self.seed_derivation,
-            "artifacts": self.artifacts,
-            "wallclock_seconds": self.wallclock_seconds,
-        }
+        return asdict(self)
+
+
+def map_runs(fn, args: list, threads: int) -> list:
+    """[fn(a) for a in args], in `threads` worker processes when threads > 1.
+
+    Results come back in the order of `args` however the runs are scheduled.
+    """
+    if threads > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, args))
+    return [fn(a) for a in args]
 
 
 def _one_run(args):
-    parsed_echo, run_index = args
-    parsed = parse_config(dict(parsed_echo, runs=1, threads=1))
-    cfg = parsed.sim
-    rng = make_rng(cfg.seed, run_index)
-    traj = simulate(cfg, parsed.scheme(), rng=rng)
+    cfg, tilting, run_index = args
+    traj = simulate(cfg, tilting_scheme(tilting), rng=make_rng(cfg.seed, run_index))
     return _summarise(traj, run_index)
 
 
@@ -390,13 +399,7 @@ def run_ensemble(parsed: ParsedConfig, n_runs: int | None = None, run_offset: in
     threads = parsed.threads if threads is None else threads
     t0 = time.time()
     indices = list(range(run_offset, run_offset + n_runs))
-    args = [(parsed.echo, idx) for idx in indices]
-    if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            summaries = list(pool.map(_one_run, args))
-    else:
-        summaries = [_one_run(a) for a in args]
-    summaries.sort(key=lambda s: s.run_index)
+    summaries = map_runs(_one_run, [(parsed.sim, parsed.tilting, idx) for idx in indices], threads)
     manifest = RunManifest(
         version=__version__,
         master_seed=parsed.sim.seed,

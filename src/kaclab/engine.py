@@ -44,7 +44,7 @@ no collision evaluates them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -109,7 +109,8 @@ class ParticleState:
     time: float = 0.0
 
     def __post_init__(self):
-        self.velocities = np.atleast_2d(np.asarray(self.velocities, dtype=float))
+        # C order: the compiled loop reads the engine's velocities in place
+        self.velocities = np.atleast_2d(np.ascontiguousarray(self.velocities, dtype=float))
         if not np.all(np.isfinite(self.velocities)):
             raise ValueError("velocities must be finite")
 
@@ -349,6 +350,26 @@ class SimConfig:
             "majorant_inflation": self.majorant_inflation,
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "SimConfig":
+        """The inverse of `to_dict`: every key it writes is required, and no
+        other key is accepted (ValueError)."""
+        _check_keys("config", data, [f.name for f in fields(cls)])
+        initial = data["initial"]
+        _check_keys("config.initial", initial, [f.name for f in fields(InitialCondition)])
+        return cls(**dict(data, kernel=Kernel(data["kernel"]),
+                          checkpoint_times=tuple(data["checkpoint_times"]),
+                          truncation_thresholds=tuple(data["truncation_thresholds"]),
+                          initial=InitialCondition(initial["kind"], tuple(initial["weights"]),
+                                                   tuple(initial["scales"]))))
+
+
+def _check_keys(what: str, data, keys: list) -> None:
+    got = set(data) if isinstance(data, dict) else set()
+    if got != set(keys):
+        raise ValueError(f"{what}: missing keys {sorted(set(keys) - got)}, "
+                         f"unknown keys {sorted(got - set(keys))}")
+
 
 def make_rng(master_seed: int, run_index: int = 0) -> np.random.Generator:
     """Splittable counter-based stream for (master seed, run index)."""
@@ -375,10 +396,11 @@ class _Draws:
         self._in = 0
 
     @staticmethod
-    def sized_for(rng: np.random.Generator, n: int, t_max: float) -> "_Draws":
-        # ~8 draws per proposal; proposal rates are a few times N
+    def sized_for(rng: np.random.Generator, n: int, t_max: float, d: int) -> "_Draws":
+        # ~8 draws per proposal; proposal rates are a few times N; the
+        # normals buffer holds at least one sigma
         expect = 8.0 * (4.0 * n * t_max + 16.0)
-        chunk = int(min(8192, max(64, expect)))
+        chunk = max(d, int(min(8192, max(64, expect))))
         return _Draws(rng, chunk)
 
     def refill(self, which: int) -> None:
@@ -561,7 +583,6 @@ class _Engine:
                  draws: _Draws, events: _EventBuffer | None, inflation: float = 1.0):
         self.V = state.velocities
         self.n, self.d = self.V.shape
-        self.kernel = kernel
         self.beta = kernel.slope
         self.dynamics = dynamics
         self.ledger_scheme = ledger_scheme
@@ -717,11 +738,9 @@ class _Engine:
     def run_segment(self, t_end: float):
         self.enter_segment(self.t)
         lib = _kloop.kernel(self.d)
-        # the kernel reads V in C order and a whole sigma from one buffer;
-        # a ledger pair sum is always one of K - 1 rows, which it evaluates
-        # where they are compiled (the row sum check passed)
-        if (lib is not None and self.V.flags.c_contiguous and self.d <= self.draws._chunk
-                and (self.tracker is None or self.tracker.lib is not None)):
+        # a ledger pair sum is always one of K - 1 rows, which the kernel
+        # evaluates where they are compiled (the row sum check passed)
+        if lib is not None and (self.tracker is None or self.tracker.lib is not None):
             self._run_compiled(lib, t_end)
         else:
             while self.propose(t_end):
@@ -904,7 +923,7 @@ def simulate(config: SimConfig, scheme: TiltingScheme | None = None,
     checkpoints = []
     try:
         eng = _Engine(state, config.kernel, dynamics, scheme, ledger,
-                      _Draws.sized_for(rng, config.n, config.t_max), events,
+                      _Draws.sized_for(rng, config.n, config.t_max, config.d), events,
                       inflation=config.majorant_inflation)
         if 0.0 in checkpoint_set:
             eng.enter_segment(0.0)

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.integrate import quad
 
+from .config_io import map_runs
 from .engine import ParticleState, SimConfig, make_rng, simulate
 from .girsanov import InitialTilt, TiltingScheme, sample_tilted_initial
 from .kinetics import Kernel
@@ -124,16 +125,7 @@ def cumulant_psi(reference: ReferenceMeasure, M: float, lam: float) -> float:
 
 def tilted_energy(reference: ReferenceMeasure, M: float, lam: float) -> float:
     """<|v|^2> under the tilted measure exp(lam |v|^2 1[|v| >= M] - psi) dmu."""
-    psi = cumulant_psi(reference, M, lam)
-    m2 = M * M
-    a, th_b = reference.shape, reference.scale
-    if lam == 0.0:
-        return 1.0
-    scale_t = 1.0 / (1.0 / th_b - lam)
-    growth = (scale_t / th_b) ** a
-    inside = float(reference.partial_m2(m2))
-    tail = growth * (a * scale_t - float(reference.partial_m2(m2, scale=scale_t)))
-    return (inside + tail) * math.exp(-psi)
+    return tilted_truncated_energy(reference, M, lam, math.inf)
 
 
 def tilted_truncated_energy(reference: ReferenceMeasure, M: float, lam: float, x: float) -> float:
@@ -160,17 +152,30 @@ def solve_lambda(reference: ReferenceMeasure, M: float, theta_final: float) -> f
     """
     if theta_final <= 1.0:
         raise ValueError(f"target energy must exceed 1, got {theta_final}")
-    lo, hi = 0.0, reference.z2 * (1.0 - 1e-14)
-    e_lo = 1.0
+    hi = reference.z2 * (1.0 - 1e-14)
     while tilted_energy(reference, M, hi) < theta_final:  # pragma: no cover
         hi = reference.z2 - 0.1 * (reference.z2 - hi)
+    e_lo = 1.0  # the tilted energy at the lower end of the bracket
+
+    def energy(lam):
+        nonlocal e_lo
+        e = tilted_energy(reference, M, lam)
+        if e < e_lo - 1e-12:
+            raise AssertionError("tilted energy is not increasing in lam")
+        if e < theta_final:
+            e_lo = e
+        return e
+
+    return _bisect(energy, theta_final, 0.0, hi)
+
+
+def _bisect(fn, target: float, lo: float, hi: float) -> float:
+    """The root of fn = target in [lo, hi] for an increasing fn with
+    fn(lo) < target <= fn(hi), by bisection to relative tolerance 1e-10."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        e_mid = tilted_energy(reference, M, mid)
-        if e_mid < e_lo - 1e-12:
-            raise AssertionError("tilted energy is not increasing in lam")
-        if e_mid < theta_final:
-            lo, e_lo = mid, e_mid
+        if fn(mid) < target:
+            lo = mid
         else:
             hi = mid
         if hi - lo <= _BISECT_RTOL * max(hi, 1e-30):
@@ -269,18 +274,10 @@ def freeze_thresholds(reference: ReferenceMeasure, M: float, lam: float,
         if target >= theta_final * (1.0 - 1e-12):
             out[i] = np.inf
             continue
-        lo, hi = M, max(2.0 * M, 4.0)
+        hi = max(2.0 * M, 4.0)
         while tilted_truncated_energy(reference, M, lam, hi) < target:
             hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if tilted_truncated_energy(reference, M, lam, mid) < target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= _BISECT_RTOL * max(hi, 1e-30):
-                break
-        out[i] = 0.5 * (lo + hi)
+        out[i] = _bisect(lambda x: tilted_truncated_energy(reference, M, lam, x), target, M, hi)
     finite = out[np.isfinite(out)]
     if np.any(np.diff(finite) < 0.0) or (len(finite) < len(out) and not np.all(np.isinf(out[len(finite):]))):
         raise AssertionError("freeze thresholds must be nondecreasing")
@@ -323,14 +320,12 @@ def build_freeze_scheme(state0_velocities: np.ndarray, fs: FreezeScheme) -> Tilt
         frozen_sets.append(frozen)
         coeffs.append(n / n_t)
         deltas.append(fs.delta)
-    kappa = max(c * max(1.0, fs.delta) for c in coeffs)
     return TiltingScheme(
         initial_tilt=fs.initial_tilt if fs.lam > 0.0 else None,
         breakpoints=np.asarray(fs.t_grid, dtype=float),
         coeffs=np.asarray(coeffs),
         deltas=np.asarray(deltas),
         frozen_sets=frozen_sets,
-        multiplier_bound=kappa,
     )
 
 
@@ -372,32 +367,8 @@ class ExperimentReport:
     freeze_plan: dict
 
     def to_dict(self) -> dict:
-        def arr(x):
-            return np.asarray(x).tolist()
-
-        return {
-            "config": self.config,
-            "checkpoint_times": arr(self.checkpoint_times),
-            "theta_at_checkpoints": arr(self.theta_at_checkpoints),
-            "window_energy_mean": arr(self.window_energy_mean),
-            "window_energy_se": arr(self.window_energy_se),
-            "subsystem_energy_mean": arr(self.subsystem_energy_mean),
-            "subsystem_energy_se": arr(self.subsystem_energy_se),
-            "unfrozen_fraction_mean": arr(self.unfrozen_fraction_mean),
-            "total_energy_mean": arr(self.total_energy_mean),
-            "max_relative_energy_drift": self.max_relative_energy_drift,
-            "truncated_initial_energy_mean": arr(self.truncated_initial_energy_mean),
-            "truncated_initial_energy_se": arr(self.truncated_initial_energy_se),
-            "theta_right_at_grid": arr(self.theta_right_at_grid),
-            "per_run_log_rn": arr(self.per_run_log_rn),
-            "per_particle_log_rn": arr(self.per_particle_log_rn),
-            "rn_reference_level": self.rn_reference_level,
-            "dynamic_costs": arr(self.dynamic_costs),
-            "dynamic_cost_se": arr(self.dynamic_cost_se),
-            "dynamic_cost_bound": self.dynamic_cost_bound,
-            "a_bound_curve": arr(self.a_bound_curve),
-            "freeze_plan": self.freeze_plan,
-        }
+        # tolist() turns arrays into lists, and returns floats and dicts as they are
+        return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -412,8 +383,7 @@ class ExperimentReport:
 
 
 def _experiment_one_run(args):
-    (run, n, kernel, d, plan, t_max, checkpoint_times, master_seed,
-     cost_pairs_per_interval, delta) = args
+    run, n, kernel, d, plan, t_max, checkpoint_times, master_seed, cost_pairs_per_interval = args
     reference = ReferenceMeasure(d)
     r_eff = len(plan.t_grid) - 1
     rng = make_rng(master_seed, run)
@@ -457,7 +427,7 @@ def _experiment_one_run(args):
 
     led = traj.rn_ledger
     ledger = np.array([led.initial_term, led.jump_term, led.compensator_term, float(led.hit_zero)])
-    mode = "subsample" if delta > 0.0 else "exact"
+    mode = "subsample" if plan.delta > 0.0 else "exact"
     cost, cost_se = dynamic_cost(traj, scheme, mode=mode,
                                  pairs_per_interval=cost_pairs_per_interval,
                                  seed=master_seed + run)
@@ -481,15 +451,9 @@ def run_experiment(n: int, kernel: Kernel, theta: ThetaSchedule, M: float, r: in
         checkpoint_times = np.linspace(0.0, t_max, 21)
     checkpoint_times = np.asarray(sorted(set(float(t) for t in checkpoint_times)))
 
-    args = [(run, n, kernel, d, plan, t_max, checkpoint_times, master_seed,
-             cost_pairs_per_interval, delta) for run in range(n_runs)]
-    if threads > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_experiment_one_run, args))
-    else:
-        results = [_experiment_one_run(a) for a in args]
+    args = [(run, n, kernel, d, plan, t_max, checkpoint_times, master_seed, cost_pairs_per_interval)
+            for run in range(n_runs)]
+    results = map_runs(_experiment_one_run, args, threads)
 
     window = np.stack([res[0] for res in results])
     subsystem = np.stack([res[1] for res in results])

@@ -63,7 +63,6 @@ class TiltingScheme:
     ``breakpoints`` has length m+1 with breakpoints[0] = 0; interval k is
     [breakpoints[k], breakpoints[k+1]).  ``frozen_sets[k]`` is a sorted int
     array of particle indices excluded from collisions (K = 0) on interval k.
-    ``multiplier_bound`` is kappa with K*B <= kappa*(1 + |v| + |v_star|).
     """
 
     initial_tilt: InitialTilt | None = None
@@ -71,7 +70,6 @@ class TiltingScheme:
     coeffs: np.ndarray = field(default_factory=lambda: np.array([1.0]))
     deltas: np.ndarray = field(default_factory=lambda: np.array([0.0]))
     frozen_sets: list = field(default_factory=lambda: [np.array([], dtype=np.int64)])
-    multiplier_bound: float = 1.0
 
     def __post_init__(self):
         self.breakpoints = np.asarray(self.breakpoints, dtype=float)
@@ -84,8 +82,6 @@ class TiltingScheme:
             raise TiltingSchemeError("breakpoints must start at 0 and be sorted")
         if np.any(self.coeffs < 0.0) or np.any(self.deltas < 0.0):
             raise TiltingSchemeError("K must be nonnegative")
-        if not np.isfinite(self.multiplier_bound):
-            raise TiltingSchemeError("multiplier bound must be finite")
         self.frozen_sets = [np.asarray(f, dtype=np.int64) for f in self.frozen_sets]
 
     # ---- constructors -------------------------------------------------
@@ -97,19 +93,14 @@ class TiltingScheme:
     @classmethod
     def constant(cls, kappa: float) -> "TiltingScheme":
         """K identically equal to kappa."""
-        return cls(coeffs=np.array([float(kappa)]), multiplier_bound=float(kappa))
+        return cls(coeffs=np.array([float(kappa)]))
 
     @classmethod
     def pairwise(cls, a: float, b: float, initial_tilt: InitialTilt | None = None) -> "TiltingScheme":
         """K = a + b |v - v_star| with a > 0, b >= 0."""
         if a <= 0.0 or b < 0.0:
             raise TiltingSchemeError("pairwise tilt requires a > 0, b >= 0")
-        return cls(
-            initial_tilt=initial_tilt,
-            coeffs=np.array([a]),
-            deltas=np.array([b / a]),
-            multiplier_bound=max(a, b),
-        )
+        return cls(initial_tilt=initial_tilt, coeffs=np.array([a]), deltas=np.array([b / a]))
 
     # ---- evaluation ----------------------------------------------------
 
@@ -137,8 +128,8 @@ class TiltingScheme:
             raise TiltingSchemeError(f"initial tilt is not normalised: int e^phi = {val!r}")
 
     def validate_kernel(self, kernel: Kernel) -> None:
-        # K*B must stay inside kappa*(1+|v|+|v_star|); a pairwise-growing K
-        # combined with a growing kernel is quadratic and not admissible
+        # K*B must stay below the engine's majorant c(1 + gamma(|v| + |v_star|));
+        # a pairwise-growing K combined with a growing kernel is quadratic
         if kernel.slope > 0.0 and np.any(self.deltas > 0.0):
             raise TiltingSchemeError(
                 "pairwise tilt with a growing kernel has no linear majorant"

@@ -151,33 +151,26 @@ def bl_distance(mu: WeightedMeasure, nu: WeightedMeasure, support_cap: int = 400
                 subsample_seed: int = 0) -> float:
     """Bounded-Lipschitz (flat) distance between probability measures.
 
-    Exact LP optimum on the combined support; always <= 2.  Inputs whose
-    combined support exceeds `support_cap` are i.i.d.-subsampled (seeded)
-    to the cap before solving.
+    `flux_distance` after a check that the masses agree; always <= 2.
     """
     if abs(mu.total_mass - nu.total_mass) > 1e-9 * max(mu.total_mass, 1.0):
         raise ValueError(
             f"mass mismatch: {mu.total_mass} vs {nu.total_mass}; use flux_distance for unequal masses"
         )
-    mu = mu.merge_atoms()
-    nu = nu.merge_atoms()
-    if len(mu) + len(nu) > support_cap:
-        half = support_cap // 2
-        if len(mu) > half:
-            mu = mu.subsample(half, subsample_seed)
-        if len(nu) > half:
-            nu = nu.subsample(half, subsample_seed + 1)
-    return _flat_distance(mu.points, mu.weights, nu.points, nu.weights)
+    return flux_distance(mu, nu, support_cap, subsample_seed)
 
 
 def flux_distance(w1: WeightedMeasure, w2: WeightedMeasure, support_cap: int = 4000,
                   subsample_seed: int = 0) -> float:
     """Same dual metric on the flux space E in R^{3d+1}; masses may differ.
 
-    The |g| <= 1 cap keeps the value finite: excess mass costs 1 per unit.
+    Exact LP optimum on the combined support.  The |g| <= 1 cap keeps the
+    value finite: excess mass costs 1 per unit.  Inputs whose combined
+    support exceeds `support_cap` are i.i.d.-subsampled (seeded) to the cap
+    before solving.
     """
-    w1 = w1.merge_atoms() if len(w1) else w1
-    w2 = w2.merge_atoms() if len(w2) else w2
+    w1 = w1.merge_atoms()
+    w2 = w2.merge_atoms()
     if len(w1) + len(w2) > support_cap:
         half = support_cap // 2
         if len(w1) > half:

@@ -334,3 +334,67 @@ class TestExitCodes:
                                          "scales": [1.0, 2.0]}))
         assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
         assert "config error: mixture weights" in capsys.readouterr().err
+
+
+class TestMalformedInputs:
+    """Every malformed config, descriptors file or sidecar exits 2 with a
+    one-line config error, and no traceback."""
+
+    FREEZE = {"kind": "freeze", "M": 2.0, "r": 2,
+              "theta": {"jump_times": [0.25], "levels": [1.0, 2.0]}}
+
+    def _assert_config_error(self, argv, capsys):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("tilting", [{"kind": "constant"}, {"kind": "pairwise", "b": 0.1},
+                                         {"kind": "freeze", "M": 2.0, "r": 2}])
+    def test_simulate_tilting_without_its_parameters(self, tmp_path, capsys, tilting):
+        cfg = _write(tmp_path / "cfg.json", dict(BASE, kernel="maxwell", tilting=tilting))
+        self._assert_config_error(["simulate", "--config", cfg, "--out-dir", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize("drop", ["theta", "M", "r"])
+    def test_tilt_experiment_freeze_without_its_parameters(self, tmp_path, capsys, drop):
+        tilting = {k: v for k, v in self.FREEZE.items() if k != drop}
+        cfg = _write(tmp_path / "cfg.json", dict(BASE, tilting=tilting))
+        self._assert_config_error(["tilt-experiment", "--config", cfg, "--out-dir", str(tmp_path)],
+                                  capsys)
+
+    def _simulated(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", _write(tmp_path / "cfg.json", dict(BASE, kernel="maxwell")),
+                     "--out-dir", out]) == 0
+        return f"{out}/run_sidecar.json", f"{out}/run_events.csv"
+
+    @pytest.mark.parametrize("spec", [
+        {"descriptors": [], "tilting": {"kind": "constant"}},
+        {"descriptors": [], "tilting": {"kind": "constant", "kappa": 2.0, "oops": 1}},
+        {"descriptors": [], "tilting": FREEZE},
+        {"descriptors": [{"phi": {"kind": "energy", "coef": 0.2}}]},
+    ])
+    def test_rate_eval_malformed_descriptors(self, tmp_path, capsys, spec):
+        sidecar, events = self._simulated(tmp_path)
+        desc = _write(tmp_path / "desc.json", spec)
+        self._assert_config_error(["rate-eval", "--sidecar", sidecar, "--events", events,
+                                   "--descriptors", desc, "--out-dir", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize("command", ["replay", "rate-eval"])
+    @pytest.mark.parametrize("edit", ["drop n", "drop checkpoint_times", "add T", "bad kernel"])
+    def test_malformed_sidecar_config(self, tmp_path, capsys, command, edit):
+        sidecar, events = self._simulated(tmp_path)
+        payload = json.load(open(sidecar))
+        verb, key = edit.split()
+        if verb == "drop":
+            del payload["config"][key]
+        elif verb == "add":
+            payload["config"][key] = 1.0
+        else:
+            payload["config"]["kernel"] = "billiards"
+        _write(sidecar, payload)
+        argv = [command, "--sidecar", sidecar, "--events", events]
+        if command == "rate-eval":
+            argv += ["--descriptors", _write(tmp_path / "desc.json", {"descriptors": []}),
+                     "--out-dir", str(tmp_path)]
+        self._assert_config_error(argv, capsys)

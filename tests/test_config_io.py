@@ -47,6 +47,40 @@ class TestParseConfig:
         assert json.dumps(echo1, sort_keys=True) == json.dumps(echo2, sort_keys=True)
 
 
+class TestSimConfigFromDict:
+    CONFIGS = [
+        kl.SimConfig(n=10, t_max=1.0),
+        kl.SimConfig(n=7, t_max=0.5, kernel=Kernel.HARD_SPHERE, d=2, seed=4,
+                     checkpoint_times=(0.5, 0.0, 0.25), truncation_thresholds=(1.0, 2.5),
+                     initial=kl.InitialCondition("scale_mixture", (0.25, 0.75), (1.0, 2.0))),
+        kl.SimConfig(n=3, t_max=2.0, measure="P", store_log=False, record_full_states=True),
+        kl.SimConfig(n=5, t_max=1.0, majorant_inflation=1.5),
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_inverts_to_dict(self, cfg):
+        assert kl.SimConfig.from_dict(cfg.to_dict()) == cfg
+        assert kl.SimConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    @pytest.mark.parametrize("key", ["n", "checkpoint_times", "initial"])
+    def test_missing_key(self, key):
+        data = kl.SimConfig(n=10, t_max=1.0).to_dict()
+        del data[key]
+        with pytest.raises(ValueError, match=f"missing keys \\['{key}'\\]"):
+            kl.SimConfig.from_dict(data)
+
+    def test_extra_key(self):
+        data = dict(kl.SimConfig(n=10, t_max=1.0).to_dict(), T=1.0)
+        with pytest.raises(ValueError, match="unknown keys \\['T'\\]"):
+            kl.SimConfig.from_dict(data)
+
+    def test_extra_initial_key(self):
+        data = kl.SimConfig(n=10, t_max=1.0).to_dict()
+        data["initial"]["shape"] = 2.0
+        with pytest.raises(ValueError, match="config.initial"):
+            kl.SimConfig.from_dict(data)
+
+
 class TestPersistence:
     def _traj(self, **kw):
         cfg = kl.SimConfig(n=24, t_max=0.8, kernel=Kernel.HARD_SPHERE, seed=3,

@@ -29,7 +29,7 @@ class TestTotalRate:
     def test_frozen_tilt_zeroes_pairs(self):
         state = ParticleState(np.array([[1.0, 0, 0], [-1.0, 0, 0]]))
         scheme = TiltingScheme(breakpoints=[0.0, np.inf], coeffs=[2.0], deltas=[0.0],
-                               frozen_sets=[np.array([1])], multiplier_bound=4.0)
+                               frozen_sets=[np.array([1])])
         # only the (0,0) diagonal survives, with K = 2
         assert kl.total_rate(state, Kernel.HARD_SPHERE, scheme) == pytest.approx(1.0, abs=1e-14)
 
@@ -288,6 +288,16 @@ class TestOtherDimensions:
         traj = kl.simulate(cfg)
         e0 = traj.initial_state.energy()
         assert abs(traj.final_state.energy() - e0) <= 1e-9 * e0
+        assert np.max(np.abs(traj.final_state.momentum() - traj.initial_state.momentum())) <= 1e-12
+
+    @pytest.mark.parametrize("n,seed", [(1, 1), (2, 0)])
+    def test_more_dimensions_than_draws_per_buffer(self, n, seed):
+        # a short small-N run sizes its draw buffers below d = 200 variates;
+        # each buffer must still hold one sigma
+        cfg = kl.SimConfig(n=n, t_max=0.5, kernel=Kernel.MAXWELL, seed=seed, d=200)
+        traj = kl.simulate(cfg)
+        e0 = traj.initial_state.energy()
+        assert abs(traj.final_state.energy() - e0) <= 1e-12 * e0
         assert np.max(np.abs(traj.final_state.momentum() - traj.initial_state.momentum())) <= 1e-12
 
 

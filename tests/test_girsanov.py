@@ -62,7 +62,7 @@ class TestLedgerOps:
     def test_freeze_without_frozen_particles_zero(self):
         state = ParticleState(np.random.default_rng(2).normal(size=(8, 3)))
         scheme = TiltingScheme(breakpoints=[0.0, np.inf], coeffs=[8.0 / 8.0], deltas=[0.0],
-                               frozen_sets=[np.array([], dtype=int)], multiplier_bound=1.0)
+                               frozen_sets=[np.array([], dtype=int)])
         led = accumulate_compensator(RNLedger(), state, scheme, Kernel.HARD_SPHERE, 0.3)
         assert led.compensator_term == 0.0
 
@@ -77,7 +77,7 @@ class TestLedgerOps:
 
     def test_jump_on_frozen_set_kills_density(self):
         scheme = TiltingScheme(breakpoints=[0.0, np.inf], coeffs=[2.0], deltas=[0.0],
-                               frozen_sets=[np.array([1])], multiplier_bound=2.0)
+                               frozen_sets=[np.array([1])])
         event = kl.CollisionEvent(time=0.2, i=0, j=1, sigma=np.array([1.0, 0, 0]),
                                   assignment=0, pre_v=np.ones(3), pre_v_star=np.zeros(3),
                                   fictitious=False)
@@ -95,8 +95,7 @@ class TestLedgerOps:
         # the engine's incremental compensator against the O(N^2) reference
         scheme = TiltingScheme(
             breakpoints=np.array([0.0, 0.4, 1.0]), coeffs=np.array([1.2, 1.0]),
-            deltas=np.array([0.0, 0.0]), frozen_sets=[np.array([2]), np.array([], dtype=int)],
-            multiplier_bound=2.0)
+            deltas=np.array([0.0, 0.0]), frozen_sets=[np.array([2]), np.array([], dtype=int)])
         cfg = kl.SimConfig(n=10, t_max=1.0, kernel=Kernel.HARD_SPHERE, seed=3, measure="P")
         traj = kl.simulate(cfg, scheme)
         led = RNLedger()

@@ -217,8 +217,7 @@ from kaclab.rate_function import tau  # noqa: E402
 def _frozen_scheme(delta):
     return TiltingScheme(breakpoints=np.array([0.0, 0.5, 1.0]), coeffs=np.array([1.25, 0.8]),
                          deltas=np.array([delta, delta]),
-                         frozen_sets=[np.array([0, 3, 5]), np.array([], int)],
-                         multiplier_bound=2.0)
+                         frozen_sets=[np.array([0, 3, 5]), np.array([], int)])
 
 
 @needs_gcc
@@ -260,8 +259,7 @@ def test_sum_check_gates_only_the_pair_sum_rows(monkeypatch, tracked_calls):
     assert _kloop.kernel(3) is lib and _kloop.kernel(3, sums=True) is None
     # the tracked interval runs in Python, the K = 1 one still compiled
     scheme = TiltingScheme(breakpoints=np.array([0.0, 0.5, 1.0]), coeffs=np.array([1.25, 1.0]),
-                           deltas=np.zeros(2), frozen_sets=[np.array([0, 3, 5]), np.array([], int)],
-                           multiplier_bound=2.0)
+                           deltas=np.zeros(2), frozen_sets=[np.array([0, 3, 5]), np.array([], int)])
     eng = _tracked_engine(scheme=scheme)
     eng.run_segment(0.5)
     assert eng.tracker.lib is None
@@ -342,8 +340,7 @@ def test_tracked_refills_and_buffer_growth_are_byte_identical(monkeypatch, track
     # a 1-row event buffer and 37-draw buffers, through a tracked interval
     # and into the K = 1 one
     scheme = TiltingScheme(breakpoints=np.array([0.0, 0.5, 1.0]), coeffs=np.array([1.25, 1.0]),
-                           deltas=np.zeros(2), frozen_sets=[np.array([0, 3, 5]), np.array([], int)],
-                           multiplier_bound=2.0)
+                           deltas=np.zeros(2), frozen_sets=[np.array([0, 3, 5]), np.array([], int)])
 
     def run():
         eng = _tracked_engine(scheme=scheme)

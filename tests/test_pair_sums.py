@@ -28,8 +28,7 @@ def _run(name):
         # three intervals: two with frozen sets, then K = 1
         scheme = TiltingScheme(
             breakpoints=np.array([0.0, 0.3, 0.6, 1.0]), coeffs=np.array([1.25, 1.5, 1.0]),
-            deltas=np.zeros(3), frozen_sets=[np.array([0, 3, 5]), np.array([2]), np.array([], int)],
-            multiplier_bound=2.0)
+            deltas=np.zeros(3), frozen_sets=[np.array([0, 3, 5]), np.array([2]), np.array([], int)])
         cfg = kl.SimConfig(n=16, t_max=1.0, kernel=Kernel.HARD_SPHERE, seed=402, measure="Q")
     traj = kl.simulate(cfg, scheme)
     assert np.any(traj.log.fictitious) and np.any(traj.log.i == traj.log.j)
@@ -131,8 +130,7 @@ def test_dynamic_cost_and_xi2_match_dense_spans(name, coupling):
 def test_pair_sums_take_o_n_memory():
     # a dense N x N float table would be 8 N^2 bytes
     n = 4000
-    scheme = TiltingScheme(coeffs=np.array([n / (n - 2)]), frozen_sets=[np.array([0, 1])],
-                           multiplier_bound=n / (n - 2))
+    scheme = TiltingScheme(coeffs=np.array([n / (n - 2)]), frozen_sets=[np.array([0, 1])])
     cfg = kl.SimConfig(n=n, t_max=1e-5, kernel=Kernel.HARD_SPHERE, seed=403)
     tracemalloc.start()
     try:
@@ -222,7 +220,7 @@ def test_table_rows_fall_back_on_non_finite_distances():
     # tau by table needs K in {0, c}; an infinite velocity makes K NaN
     v = np.random.default_rng(5).standard_normal((9, 3))
     v[4, 1] = np.inf
-    scheme = TiltingScheme(coeffs=np.array([1.5]), frozen_sets=[np.array([2])], multiplier_bound=1.5)
+    scheme = TiltingScheme(coeffs=np.array([1.5]), frozen_sets=[np.array([2])])
     pair_sum = _TiltPairSum(v, scheme, 0, 1.0, tau)
     for sel in (slice(0, 9), slice(4, 5)):
         assert pair_sum.rows(sel).tobytes() == pair_sum.numpy(sel).tobytes()
