@@ -12,7 +12,9 @@ problem with an extra "abstain" node at cost 1 from everything:
 * when both measures have a common atom-weight unit (empirical measures),
   the transportation polytope has integral vertices and the problem reduces
   to a rectangular assignment, solved exactly by scipy;
-* otherwise a sparse LP (HiGHS) on the augmented transportation problem.
+* otherwise a sparse LP (HiGHS) on the pairs closer than the cap only:
+  moving a unit costs c_ij against 2 for destroying and creating it, so
+  some optimum leaves the pairs at the cap empty; dropping them is exact.
 
 Both routes return the same optimum; the dual formulation is kept in the
 test suite as an independent oracle.  The same machinery with unequal
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import coo_matrix
+from scipy.sparse import csc_matrix
 from scipy.spatial.distance import cdist
 
 _WEIGHT_TOL = 1e-12
@@ -100,35 +102,25 @@ def _assignment_route(cost: np.ndarray, unit: float, n1: int, n2: int) -> float:
 
 
 def _lp_route(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
-    """Sparse LP on the augmented transportation problem (general weights)."""
+    """Sparse HiGHS LP on the pairs closer than the cap (general weights).
+
+    m1 + m2 + min sum (c_ij - 2) pi_ij, row sums <= w1, column sums <= w2.
+    Interior point with crossover, which ends on an exact vertex: dual simplex
+    took 4x as long once a sixth of 4M pairs fell below the cap.
+    """
     n1, n2 = cost.shape
-    m1, m2 = float(w1.sum()), float(w2.sum())
-    # variables: pi (n1 x n2), destroy (n1), create (n2)
-    n_var = n1 * n2 + n1 + n2
-    c = np.concatenate([cost.ravel(), np.ones(n1 + n2)])
-    rows, cols, vals = [], [], []
-    for i in range(n1):
-        base = i * n2
-        rows.extend([i] * n2)
-        cols.extend(range(base, base + n2))
-        vals.extend([1.0] * n2)
-        rows.append(i)
-        cols.append(n1 * n2 + i)
-        vals.append(1.0)
-    for j in range(n2):
-        r = n1 + j
-        rows.extend([r] * n1)
-        cols.extend(range(j, n1 * n2, n2))
-        vals.extend([1.0] * n1)
-        rows.append(r)
-        cols.append(n1 * n2 + n1 + j)
-        vals.append(1.0)
-    a_eq = coo_matrix((vals, (rows, cols)), shape=(n1 + n2, n_var))
-    b_eq = np.concatenate([w1, w2])
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    base = float(w1.sum() + w2.sum())
+    ii, jj = np.nonzero(cost < DISTANCE_CAP)
+    if len(ii) == 0:
+        return base
+    # column k has a unit entry in row ii[k] (w1) and in row n1 + jj[k] (w2)
+    a_ub = csc_matrix((np.ones(2 * len(ii)), np.stack([ii, n1 + jj], axis=1).ravel(),
+                       np.arange(0, 2 * len(ii) + 1, 2)), shape=(n1 + n2, len(ii)))
+    res = linprog(cost[ii, jj] - DISTANCE_CAP, A_ub=a_ub, b_ub=np.concatenate([w1, w2]),
+                  bounds=(0, None), method="highs-ipm")
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun)
+    return base + float(res.fun)
 
 
 def _flat_distance(p1: np.ndarray, w1: np.ndarray, p2: np.ndarray, w2: np.ndarray) -> float:

@@ -307,7 +307,10 @@ def xi_functionals(trajectory, phi: TestFunctionDescriptor | None,
     log = trajectory.log
     if log is None:
         raise ValueError("trajectory was run without an event log")
-    b_mean = float(np.mean(f._b(v0, f.b_kind if f.kind == "product" else f.kind))) if f is not None else 0.0
+    if f is not None:
+        b_kind = f.b_kind if f.kind == "product" else f.kind
+        b = f._b(v0, b_kind).tolist()  # b(v) per particle, kept current through the walk
+        b_mean = float(np.mean(b))
     time_integral = 0.0
     event_sum = 0.0
     g_flux = 0.0
@@ -315,8 +318,16 @@ def xi_functionals(trajectory, phi: TestFunctionDescriptor | None,
     v = trajectory.initial_state.velocities.copy()
     g_pairs = _xi2_pair_sum(v, g, trajectory.config.kernel.slope) if g is not None else None
     t0 = 0.0
+    pending = None  # (i, j, a(t)) of the last collision, settled once v holds its outcome
     for k in itertools.chain(replay_events(v, log, tracker=g_pairs), (None,)):
         t1 = t_max if k is None else float(log.t[k])
+        if pending is not None:
+            (i, j, a), pending = pending, None
+            bi, bj = f._b(v[[i, j]], b_kind).tolist()
+            db = bi + bj - b[i] - b[j]
+            b[i], b[j] = bi, bj
+            event_sum += a * db / n
+            b_mean += db / n
         dt = t1 - t0
         if f is not None and dt > 0.0:
             time_integral += (f.a_of_t(t1) - f.a_of_t(t0)) * b_mean
@@ -326,13 +337,10 @@ def xi_functionals(trajectory, phi: TestFunctionDescriptor | None,
         if k is None or log.fictitious[k]:
             continue
         i, j = log.i[k], log.j[k]
-        sigma = log.sigma[k]
         if f is not None:
-            db = f.delta_b(v[i], v[j], sigma)
-            event_sum += f.a_of_t(t1) * db / n
-            b_mean += db / n
+            pending = (i, j, f.a_of_t(t1))
         if g is not None:
-            g_flux += float(g.g(v[i], v[j], sigma)) / n
+            g_flux += float(g.g(v[i], v[j], log.sigma[k])) / n
 
     if f is not None:
         xi1 = f.a_of_t(t_max) * b_mean - time_integral - event_sum

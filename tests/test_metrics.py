@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import kaclab as kl
 from conftest import dual_lp_oracle, vertex_enumeration_oracle
@@ -154,6 +155,67 @@ class TestFluxDistance:
         w2 = WeightedMeasure(np.ones((1, 4)), [0.5])
         d = flux_distance(w1, w2)
         assert d == pytest.approx(0.5 * 2.0 + 1.5, abs=1e-9)  # transport 0.5 at cost 2, dump 1.5
+
+
+class TestPrunedLP:
+    """The LP route carries only the pairs closer than the cap."""
+
+    @staticmethod
+    def _unequal_pair(rng, d, spread):
+        # uniform units 1/n1 and 0.8/n2 differ, so the LP route runs
+        n1, n2 = rng.integers(3, 10, size=2)
+        centres = rng.normal(size=(3, d)) * spread
+        p1 = centres[rng.integers(0, 3, n1)] + rng.normal(size=(n1, d)) * 0.3
+        p2 = centres[rng.integers(0, 3, n2)] + rng.normal(size=(n2, d)) * 0.3
+        return (WeightedMeasure(p1, np.full(n1, 1.0 / n1)),
+                WeightedMeasure(p2, np.full(n2, 0.8 / n2)))
+
+    @pytest.mark.parametrize("d", [3, 10])
+    def test_near_and_far_pairs_match_dual_oracle(self, d):
+        rng = np.random.default_rng(20 + d)
+        seen_near = seen_far = False
+        for _ in range(25):
+            mu, nu = self._unequal_pair(rng, d, spread=1.2)
+            dist = cdist(mu.points, nu.points)
+            seen_near |= bool(np.any(dist < 2.0))
+            seen_far |= bool(np.any(dist >= 2.0))
+            assert flux_distance(mu, nu) == pytest.approx(dual_lp_oracle(mu, nu), abs=1e-9)
+        assert seen_near and seen_far
+
+    def test_pairs_at_exactly_the_cap(self):
+        mu = WeightedMeasure([[0.0, 0, 0], [4.0, 0, 0], [1.0, 1, 0]], [0.3, 0.5, 0.15])
+        nu = WeightedMeasure([[2.0, 0, 0], [0.0, 2, 0], [4.0, 1, 0]], [0.2, 0.25, 0.4])
+        dist = cdist(mu.points, nu.points)
+        assert np.sum(dist == 2.0) == 3 and np.any(dist < 2.0)
+        assert flux_distance(mu, nu) == pytest.approx(dual_lp_oracle(mu, nu), abs=1e-9)
+
+    def test_duplicated_atoms_after_subsampling(self):
+        rng = np.random.default_rng(31)
+        mu = WeightedMeasure(rng.normal(size=(8, 3)) * 0.8, rng.random(8) + 0.1)
+        nu = WeightedMeasure(rng.normal(size=(7, 3)) * 0.8, rng.random(7) + 0.1)
+        cap, seed = 10, 4
+        # flux_distance merges equal atoms, then draws each side with replacement
+        sub_mu = mu.merge_atoms().subsample(cap // 2, seed)
+        sub_nu = nu.merge_atoms().subsample(cap // 2, seed + 1)
+        assert len(np.unique(sub_mu.points, axis=0)) < len(sub_mu)
+        assert len(np.unique(sub_nu.points, axis=0)) < len(sub_nu)
+        got = flux_distance(mu, nu, support_cap=cap, subsample_seed=seed)
+        assert got == pytest.approx(dual_lp_oracle(sub_mu, sub_nu), abs=1e-9)
+
+    def test_all_pairs_at_the_cap_skip_the_solver(self, monkeypatch):
+        def no_solver(*args, **kwargs):
+            raise AssertionError("the LP solver was called")
+
+        monkeypatch.setattr("kaclab.metrics.linprog", no_solver)
+        # dyadic weights: m1 + m2 is exact in any summation order
+        mu = WeightedMeasure([[0.0, 0, 0], [0.0, 5, 0], [0.0, 0, 9]], [0.25, 0.5, 0.125])
+        nu = WeightedMeasure([[2.0, 0, 0], [3.0, 3, 3]], [0.375, 0.25])
+        assert np.all(cdist(mu.points, nu.points) >= 2.0)
+        assert flux_distance(mu, nu) == 1.5
+
+    def test_repeat_calls_identical(self):
+        mu, nu = self._unequal_pair(np.random.default_rng(40), 10, spread=0.8)
+        assert flux_distance(mu, nu) == flux_distance(mu, nu)
 
 
 class TestEstimateLdpRate:

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import kaclab as kl
-from kaclab.engine import ParticleState
+from kaclab.engine import ParticleState, replay_events
 from kaclab.girsanov import InitialTilt, TiltingScheme
 from kaclab.kinetics import Kernel, post_collision
 from kaclab.metrics import WeightedMeasure
@@ -180,6 +181,41 @@ class TestXiFunctionals:
             vp, vsp = post_collision(v, vs, sig)
             direct = (f._b(vp) + f._b(vsp) - f._b(v) - f._b(vs))
             assert f.delta_b(v, vs, sig) == pytest.approx(float(direct), abs=1e-12)
+
+    @staticmethod
+    def _xi1_by_collision_map(traj, f):
+        """Xi_1 from a walk that applies every logged collision a second time,
+        through the validating `post_collision` (via `delta_b`)."""
+        n, t_max, log = traj.initial_state.n, traj.config.t_max, traj.log
+        v = traj.initial_state.velocities.copy()
+        b_mean = float(np.mean(f._b(v, f.b_kind)))
+        time_integral = event_sum = 0.0
+        t0 = 0.0
+        for k in itertools.chain(replay_events(v, log), (None,)):
+            t1 = t_max if k is None else float(log.t[k])
+            if t1 - t0 > 0.0:
+                time_integral += (f.a_of_t(t1) - f.a_of_t(t0)) * b_mean
+            t0 = t1
+            if k is None or log.fictitious[k]:
+                continue
+            db = f.delta_b(v[log.i[k]], v[log.j[k]], log.sigma[k])
+            event_sum += f.a_of_t(t1) * db / n
+            b_mean += db / n
+        return f.a_of_t(t_max) * b_mean - time_integral - event_sum
+
+    @pytest.mark.parametrize("kernel,n,t_max,seed", [(Kernel.HARD_SPHERE, 24, 0.6, 7),
+                                                     (Kernel.MAXWELL, 10, 3.0, 2)])
+    def test_xi1_bit_identical_to_collision_map_walk(self, kernel, n, t_max, seed):
+        traj = self._trajectory(n=n, t_max=t_max, seed=seed, kernel=kernel)
+        log = traj.log
+        if kernel is Kernel.MAXWELL:
+            assert np.any((log.i == log.j) & ~log.fictitious)  # diagonal rows
+        for a_kind in ("sin", "poly"):
+            for b_kind in ("constant", "coordinate", "energy", "radial_bump"):
+                f = TestFunctionDescriptor(kind="product", coeff=1.3, a_kind=a_kind, a_param=1.7,
+                                           b_kind=b_kind, radius=1.5, axis=1)
+                _, xi1, _ = xi_functionals(traj, None, f, None, REF)
+                assert xi1 == self._xi1_by_collision_map(traj, f), (a_kind, b_kind)
 
     def test_variational_lower_bound(self):
         # Xi_0 + Xi_1 + Xi_2 <= H + J + statistical slack for a tilted run
