@@ -3,7 +3,9 @@
  *
  * kac_run is `_Engine.propose` repeated up to the end of a segment, tracked
  * or not: given a ledger it also keeps its pair sum, unless the rows are
- * constant, and settles the compensator and jump terms.
+ * constant, and settles the compensator and jump terms; given a cost it
+ * keeps the pair sum of tau(K) B from the same distance rows and
+ * integrates the dynamic cost over the spans between events.
  * It works in place on the engine's own arrays (velocities, speeds,
  * Fenwick tree and weights, draw buffers, event columns) and does every
  * operation of the Python loop in its order, so event logs, states and
@@ -28,13 +30,16 @@
 typedef int (*refill_fn)(int which); /* 0 uniforms, 1 exponentials, 2 normals */
 
 /* slots of the scalar arrays shared with the caller */
-enum { F_T, F_COMP, F_TEND, F_C, F_INFL, F_GAMMA, F_KB, F_MAJ, F_TOTAL, F_COMPENSATOR, F_JUMP };
+enum { F_T, F_COMP, F_TEND, F_C, F_INFL, F_GAMMA, F_KB, F_MAJ, F_TOTAL, F_COMPENSATOR, F_JUMP,
+       F_COST_TOTAL, F_COST, F_COST_T };
 enum { K_IU, K_IE, K_IN, K_EVENTS, K_COLL, K_SIZE, K_CAP, K_I, K_J, K_HIT };
 
 enum { DONE = 0, GROW = 1, ERR_MAJORANT = -1, ERR_WEIGHT = -2, ERR_ZERO_TOTAL = -3,
-       ERR_REFILL = -4, ERR_INDEX = -5, ERR_LOG = -6, TABLE_MISS = -7 };
+       ERR_REFILL = -4, ERR_INDEX = -5, ERR_LOG = -6 };
 
-/* the pair function f(K) of a row: K - 1, or a table of f(0) and f(c) */
+/* the pair function f(K) of a row: K - 1, or a table of f at the three
+ * values K takes at delta = 0: 0 (a frozen pair), c, and the NaN of a
+ * non-finite distance */
 enum { F_K_MINUS_1, F_K_TABLE };
 
 /* the rows f(K) B on one scheme interval: K = c (1 + delta u) live_a live_b,
@@ -42,12 +47,11 @@ enum { F_K_MINUS_1, F_K_TABLE };
 struct rowspec {
     const double *V;    /* (n, d) velocities in C order */
     const double *live; /* 1.0 outside the frozen set, 0.0 in it; NULL: none */
-    double *scratch;    /* 4n doubles: the old rows of a pair, then dh */
+    double *scratch;    /* 6n doubles: the old rows of a pair, dh, distance rows */
     int64_t n, d, f;
     int64_t constant;   /* the rows are one value and never change */
     double c, delta, beta;
-    double f0, fc; /* a table f: f(0) and f(c) */
-    double inc;    /* out: the change of the pair sum at a collision */
+    double f0, fc, fnan; /* a table f */
 };
 
 double kac_dot(const double *x, const double *y, int64_t d)
@@ -109,65 +113,127 @@ static inline void distances(const double *restrict V, int64_t n, int64_t d, int
     }
 }
 
-/* o[b] = f(K_ab) B_ab for every b.  A table f serves delta = 0 only; it
- * misses where K is neither 0 nor c (a non-finite u). */
-static int row(const struct rowspec *sp, int64_t a, double *restrict o)
+/* the distance row of a into o */
+static void dist_row(const struct rowspec *sp, int64_t a, double *o)
+{
+    if (sp->d == 3)
+        distances(sp->V, sp->n, 3, a, o);
+    else
+        distances(sp->V, sp->n, sp->d, a, o);
+}
+
+/* o[b] = f(K_ab) B_ab from the distance row u[b] = |v_a - v_b|, less
+ * old[b] with an old row; with a cost, whose K and B are this spec's, also
+ * cost_o[b] = tau(K_ab) B_ab (less cost_old[b]) from the same K and B, by
+ * the cost's table */
+static inline void map(const struct rowspec *sp, const struct rowspec *cost, int64_t a,
+                       const double *restrict u, double *restrict o, double *restrict cost_o,
+                       const double *restrict old, const double *restrict cost_old)
 {
     const int64_t n = sp->n, f = sp->f;
-    const double c = sp->c, delta = sp->delta, beta = sp->beta, f0 = sp->f0, fc = sp->fc;
+    const double c = sp->c, delta = sp->delta, beta = sp->beta;
+    const double f0 = sp->f0, fc = sp->fc, fnan = sp->fnan;
     const double *restrict live = sp->live;
-    if (sp->d == 3)
-        distances(sp->V, n, 3, a, o);
-    else
-        distances(sp->V, n, sp->d, a, o);
     const double la = live ? live[a] : 1.0;
-    int64_t miss = 0; /* as wide as a double, so the loop vectorises */
+    if (cost) { /* the ledger's K - 1 and the cost's table */
+        const double g0 = cost->f0, gc = cost->fc, gnan = cost->fnan;
+        for (int64_t b = 0; b < n; b++) {
+            double ub = u[b];
+            double k = c * (1.0 + delta * ub);
+            if (live)
+                k = k * (la * live[b]);
+            double fk = k - 1.0, gk = k == 0.0 ? g0 : k == c ? gc : gnan;
+            if (beta != 0.0) {
+                double bb = 1.0 + beta * ub;
+                fk = fk * bb;
+                gk = gk * bb;
+            }
+            o[b] = old ? fk - old[b] : fk;
+            cost_o[b] = old ? gk - cost_old[b] : gk;
+        }
+        return;
+    }
     for (int64_t b = 0; b < n; b++) {
-        double u = o[b];
-        double k = c * (1.0 + delta * u);
+        double ub = u[b];
+        double k = c * (1.0 + delta * ub);
         if (live)
             k = k * (la * live[b]);
         double fk;
-        if (f == F_K_MINUS_1) {
+        if (f == F_K_MINUS_1)
             fk = k - 1.0;
-        } else {
-            fk = k == 0.0 ? f0 : fc;
-            miss |= (int64_t)((k != 0.0) & (k != c));
-        }
-        o[b] = beta != 0.0 ? fk * (1.0 + beta * u) : fk;
+        else
+            fk = k == 0.0 ? f0 : k == c ? fc : fnan;
+        fk = beta != 0.0 ? fk * (1.0 + beta * ub) : fk;
+        o[b] = old ? fk - old[b] : fk;
     }
-    return miss ? TABLE_MISS : DONE;
 }
 
 /* the m rows of particles first, ..., first + m - 1 into out, (m, n) in
- * C order */
-int kac_rows(const struct rowspec *sp, int64_t first, int64_t m, double *out)
-{
-    int status = DONE;
-    for (int64_t r = 0; r < m; r++)
-        status |= row(sp, first + r, out + r * sp->n);
-    return status ? TABLE_MISS : DONE;
-}
-
-/* _PairSum.pre_collision: the rows of i and j into the first half of scratch */
-int kac_pair_rows(const struct rowspec *sp, int64_t i, int64_t j)
-{
-    return row(sp, i, sp->scratch) | row(sp, j, sp->scratch + sp->n) ? TABLE_MISS : DONE;
-}
-
-/* _PairSum.post_collision: dh = new rows - old rows in the second half of
- * scratch, and the change of the pair sum in sp->inc */
-int kac_pair_update(struct rowspec *sp, int64_t i, int64_t j)
+ * C order, and with a cost (sp then holds the ledger's K - 1 rows) the
+ * cost's rows from the same distances into cost_out */
+void kac_rows(const struct rowspec *sp, const struct rowspec *cost, int64_t first, int64_t m,
+              double *out, double *cost_out)
 {
     const int64_t n = sp->n;
-    const double *old = sp->scratch;
-    double *dh = sp->scratch + 2 * n;
-    if (row(sp, i, dh) | row(sp, j, dh + n))
-        return TABLE_MISS;
-    for (int64_t b = 0; b < 2 * n; b++)
-        dh[b] = dh[b] - old[b];
-    sp->inc = ((2.0 * kac_sum(dh, 2 * n) - dh[i]) - dh[n + j]) - 2.0 * dh[j];
-    return DONE;
+    double *dist = sp->scratch + 4 * n;
+    for (int64_t r = 0; r < m; r++) {
+        dist_row(sp, first + r, dist);
+        map(sp, cost, first + r, dist, out + r * n, cost ? cost_out + r * n : 0, 0, 0);
+    }
+}
+
+/* the distance rows of i and j into dist, (2, n) */
+static void pair_dist(const struct rowspec *sp, int64_t i, int64_t j, double *dist)
+{
+    dist_row(sp, i, dist);
+    dist_row(sp, j, dist + sp->n);
+}
+
+/* the rows of the pair (i, j) from dist, their distance rows: before the
+ * collision into the first part of scratch, after it (post) as dh = new
+ * rows - old rows into the second part; with a cost, the cost's rows of
+ * the pair into its scratch alike, in the order (i, j) or, when swapped,
+ * (j, i) */
+static void pair_rows(const struct rowspec *sp, const struct rowspec *cost, int64_t i, int64_t j,
+                      int swapped, const double *dist, int post)
+{
+    const int64_t n = sp->n;
+    double *o = sp->scratch + (post ? 2 * n : 0), *old = post ? sp->scratch : 0;
+    double *co = 0, *cold = 0;
+    if (cost) {
+        co = cost->scratch + (post ? 2 * n : 0);
+        cold = post ? cost->scratch : 0;
+    }
+    int64_t ci = swapped ? n : 0, cj = swapped ? 0 : n; /* offsets of i and j in the cost's rows */
+    map(sp, cost, i, dist, o, co ? co + ci : 0, old, cold ? cold + ci : 0);
+    map(sp, cost, j, dist + n, o + n, co ? co + cj : 0, old ? old + n : 0, cold ? cold + cj : 0);
+}
+
+/* the change of the pair sum from dh of the pair (a, b), as
+ * `_PairSum.post_collision` */
+static double settle(const struct rowspec *sp, int64_t a, int64_t b)
+{
+    const int64_t n = sp->n;
+    const double *dh = sp->scratch + 2 * n;
+    return ((2.0 * kac_sum(dh, 2 * n) - dh[a]) - dh[n + b]) - 2.0 * dh[b];
+}
+
+/* _PairSum.pre_collision: the rows of i and j into the first part of scratch */
+void kac_pair_rows(const struct rowspec *sp, int64_t i, int64_t j)
+{
+    double *dist = sp->scratch + 4 * sp->n;
+    pair_dist(sp, i, j, dist);
+    pair_rows(sp, 0, i, j, 0, dist, 0);
+}
+
+/* _PairSum.post_collision: dh into the second part of scratch; returns
+ * the change of the pair sum */
+double kac_pair_update(const struct rowspec *sp, int64_t i, int64_t j)
+{
+    double *dist = sp->scratch + 4 * sp->n;
+    pair_dist(sp, i, j, dist);
+    pair_rows(sp, 0, i, j, 0, dist, 1);
+    return settle(sp, i, j);
 }
 
 static double fen_total(const double *tree, int64_t n)
@@ -225,17 +291,24 @@ static int fen_sample(const double *tree, int64_t n, double u, int64_t *out)
             compensator += (dt) * (total / (double)n);                    \
     } while (0)
 
-/* led: the ledger's K and its K - 1 rows on this interval (NULL: none) */
+/* led: the ledger's K and its K - 1 rows on this interval (NULL: none);
+ * cost: the tau(K) B rows of the same interval (NULL: none), whose pair sum
+ * is updated at the recorded pair, as a replay of the log updates it */
 int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
             double *V, double *speeds, double *tree, double *weights,
             const uint8_t *frozen, const double *ubuf, const double *ebuf,
             const double *nbuf, refill_fn refill,
             double *ev_t, int64_t *ev_i, int64_t *ev_j, double *ev_sigma,
-            int8_t *ev_asg, uint8_t *ev_fict, struct rowspec *led)
+            int8_t *ev_asg, uint8_t *ev_fict, const struct rowspec *led,
+            const struct rowspec *cost)
 {
     double t = f[F_T], comp = f[F_COMP];
     const double t_end = f[F_TEND], c = f[F_C], infl = f[F_INFL], gamma = f[F_GAMMA];
     double total = f[F_TOTAL], compensator = f[F_COMPENSATOR], jump = f[F_JUMP];
+    /* the cost's pair sum, the cost so far, and the time it reaches */
+    double cost_total = f[F_COST_TOTAL], cost_so_far = f[F_COST], cost_t = f[F_COST_T];
+    const double nn = (double)(n * n);
+    double *dist = led ? led->scratch + 4 * n : 0;
     int64_t iu = k[K_IU], ie = k[K_IE], in = k[K_IN];
     int64_t events = k[K_EVENTS], coll = k[K_COLL], size = k[K_SIZE];
     const int rows = led && !led->constant; /* rows that change at collisions */
@@ -268,6 +341,12 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
         double y = dt - comp, s = t + y; /* Kahan-summed clock */
         comp = (s - t) - y;
         t = s;
+        if (cost) { /* the span since the last event, as dynamic_cost's replay */
+            double span = t - cost_t;
+            if (span > 0.0)
+                cost_so_far += span * cost_total / nn;
+            cost_t = t;
+        }
 
         /* mixture component, then the ordered pair */
         int64_t i, j;
@@ -351,8 +430,10 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
                 }
             }
             if (i != j) {
-                if (rows)
-                    kac_pair_rows(led, i, j);
+                if (rows) {
+                    pair_dist(led, i, j, dist);
+                    pair_rows(led, cost, i, j, ri != i, dist, 0);
+                }
                 /* kinetics._collide in the recorded parametrisation */
                 double *a = V + ri * d, *b = V + rj * d;
                 double dot = 0.0;
@@ -369,9 +450,12 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
                     CHECK(fen_update(tree, weights, n, i, speeds[i]));
                     CHECK(fen_update(tree, weights, n, j, speeds[j]));
                 }
-                if (rows) { /* K - 1 rows never miss */
-                    kac_pair_update(led, i, j);
-                    total += led->inc;
+                if (rows) {
+                    pair_dist(led, i, j, dist);
+                    pair_rows(led, cost, i, j, ri != i, dist, 1);
+                    total += settle(led, i, j);
+                    if (cost)
+                        cost_total += settle(cost, ri, rj);
                 }
             }
         }
@@ -393,6 +477,9 @@ out:
     f[F_TOTAL] = total;
     f[F_COMPENSATOR] = compensator;
     f[F_JUMP] = jump;
+    f[F_COST_TOTAL] = cost_total;
+    f[F_COST] = cost_so_far;
+    f[F_COST_T] = cost_t;
     k[K_HIT] = hit;
     k[K_IU] = iu;
     k[K_IE] = ie;

@@ -28,9 +28,9 @@ SOURCE = os.path.join(_HERE, "_kloop.c")
 BUILD_DIR = os.path.join(_HERE, "_build")
 CFLAGS = ("-O3", "-fno-math-errno", "-fPIC", "-shared", "-ffp-contract=off", "-Wall", "-Wextra")
 
-# status codes of kac_run and kac_rows, as in _kloop.c
+# status codes of kac_run, as in _kloop.c
 DONE, GROW = 0, 1
-ERR_MAJORANT, ERR_WEIGHT, ERR_ZERO_TOTAL, ERR_REFILL, ERR_INDEX, ERR_LOG, TABLE_MISS = range(-1, -8, -1)
+ERR_MAJORANT, ERR_WEIGHT, ERR_ZERO_TOTAL, ERR_REFILL, ERR_INDEX, ERR_LOG = range(-1, -7, -1)
 # the pair function f(K) of a row, as in _kloop.c
 F_K_MINUS_1, F_K_TABLE = 0, 1
 
@@ -42,7 +42,7 @@ class RowSpec(ctypes.Structure):
 
     _fields_ = [("V", ctypes.c_void_p), ("live", ctypes.c_void_p), ("scratch", ctypes.c_void_p),
                 *((name, ctypes.c_int64) for name in ("n", "d", "f", "constant")),
-                *((name, ctypes.c_double) for name in ("c", "delta", "beta", "f0", "fc", "inc"))]
+                *((name, ctypes.c_double) for name in ("c", "delta", "beta", "f0", "fc", "fnan"))]
 
 _UNLOADED = object()
 _lib = _UNLOADED  # the library once loaded; None runs the Python loop everywhere
@@ -82,13 +82,15 @@ def _load():
     lib.kac_sum.argtypes = (ptr, i64)
     lib.kac_sum.restype = dbl
     spec = ctypes.POINTER(RowSpec)
-    lib.kac_rows.argtypes = (spec, i64, i64, ptr)
+    lib.kac_rows.argtypes = (spec, spec, i64, i64, ptr, ptr)
+    lib.kac_rows.restype = None
     lib.kac_pair_rows.argtypes = (spec, i64, i64)
+    lib.kac_pair_rows.restype = None
     lib.kac_pair_update.argtypes = (spec, i64, i64)
+    lib.kac_pair_update.restype = dbl
     lib.kac_run.argtypes = (ptr, ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-                            REFILL, ptr, ptr, ptr, ptr, ptr, ptr, spec)
-    for fn in (lib.kac_rows, lib.kac_pair_rows, lib.kac_pair_update, lib.kac_run):
-        fn.restype = ctypes.c_int
+                            REFILL, ptr, ptr, ptr, ptr, ptr, ptr, spec, spec)
+    lib.kac_run.restype = ctypes.c_int
     return lib
 
 

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import time
+import warnings
 from dataclasses import asdict, dataclass
 
 import jsonschema
@@ -208,17 +209,19 @@ def write_event_csv(path: str, log: EventLog, d: int) -> None:
 
 
 def read_event_csv(path: str, n_particles: int, horizon: float) -> EventLog:
+    """The log `write_event_csv` wrote; d comes from the header, and a row
+    without as many fields as the header is a ValueError."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         d = len(header) - 5
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    t = np.array([float(r[0]) for r in rows])
-    i = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    j = np.array([int(r[2]) for r in rows], dtype=np.int64)
-    sigma = np.array([[float(x) for x in r[3 : 3 + d]] for r in rows]) if rows else np.empty((0, d))
-    assignment = np.array([int(r[3 + d]) for r in rows], dtype=np.int8)
-    fict = np.array([bool(int(r[4 + d])) for r in rows])
-    return EventLog(t, i, j, sigma, assignment, fict, n_particles, horizon)
+        columns = [("t", float), ("i", np.int64), ("j", np.int64), ("sigma", float, (d,)),
+                   ("assignment", np.int8), ("fictitious", np.int8)]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # no rows
+            rows = np.loadtxt(fh, delimiter=",", dtype=columns, ndmin=1)
+    t, i, j, sigma, assignment = (np.ascontiguousarray(rows[name])
+                                  for name in ("t", "i", "j", "sigma", "assignment"))
+    return EventLog(t, i, j, sigma, assignment, rows["fictitious"] != 0, n_particles, horizon)
 
 
 def state_digest(v: np.ndarray) -> str:

@@ -38,7 +38,10 @@ sum serves the exact dynamic cost, Xi_2 and `total_rate`, each with its own
 pair function.  Each tilt pair sum of f(K) B is a `_TiltPairSum`, which
 also gives the ledger's jump term its K; its rows come from the kernel where
 it evaluates f, bit-identical to numpy's, and where they are one constant
-no collision evaluates them.
+no collision evaluates them.  At delta = 0 the ledger's pair sum carries the
+pair sum of tau(K) B from the same distance rows, and the run integrates the
+exact dynamic cost over the spans between its events, as `dynamic_cost`
+replays it (`Trajectory.dynamic_cost`).
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import numpy as np
 
 from . import _kloop
 from .fenwick import BAD_WEIGHT, ZERO_TOTAL, FenwickSampler
-from .girsanov import RNLedger, TiltingScheme, sample_tilted_initial
+from .girsanov import RNLedger, TiltingScheme, sample_tilted_initial, tau
 from .kinetics import Kernel, _collide
 from .metrics import WeightedMeasure
 from .reference import ReferenceMeasure
@@ -264,6 +267,17 @@ class CheckpointSummary:
 
 @dataclass
 class Trajectory:
+    """One run: its initial and final states, checkpoints, event log and
+    Radon-Nikodym ledger.
+
+    dynamic_cost is int tau(K) dmbar over [0, T] under the scheme passed to
+    `simulate`, integrated during the run in the spans and the arithmetic
+    of `rate_function.dynamic_cost`, so it is that replay's exact value to
+    the bit.  It is 0.0 with no scheme, and None where a tracked interval
+    has delta > 0 (no tau of the kernel there is numpy's to the bit) or on
+    a trajectory `simulate` did not make.
+    """
+
     initial_state: ParticleState
     final_state: ParticleState
     checkpoints: list
@@ -271,6 +285,7 @@ class Trajectory:
     rn_ledger: RNLedger
     seed: int
     config: "SimConfig"
+    dynamic_cost: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +473,12 @@ def _distances(v: np.ndarray, rows) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
+def _blocks(n: int) -> list:
+    """The row ranges a pair sum is built in, each of at most _BLOCK_PAIRS pairs."""
+    step = max(1, _BLOCK_PAIRS // n)
+    return [slice(a, a + step) for a in range(0, n, step)]
+
+
 class _PairSum:
     """S = sum_{a,b} h(a, b) over ordered pairs, diagonal included.
 
@@ -473,8 +494,10 @@ class _PairSum:
 
     def __init__(self, n: int, h):
         self.h = h
-        step = max(1, _BLOCK_PAIRS // n)
-        self.total = sum(float(self.rows(slice(a, a + step)).sum()) for a in range(0, n, step))
+        self.total = self._build(n)
+
+    def _build(self, n: int) -> float:
+        return sum(float(self.rows(sel).sum()) for sel in _blocks(n))
 
     def rows(self, rows) -> np.ndarray:
         return self.h(rows)
@@ -500,19 +523,52 @@ class _TiltPairSum(_PairSum):
 
     In `rows` (a method, so the object holds no reference to itself) a
     range of rows, as the build asks for them, comes from the compiled
-    kernel where it evaluates f (K - 1 at every delta, any f by a table of
-    f(0) and f(c) at delta = 0), any other selection from `numpy`, the
-    reference, which the kernel matches bit for bit.  A collision's old
-    rows wait in the kernel's scratch and the update is made there, in
-    numpy's summation order; a table miss falls back to numpy.  `constant`
-    rows (delta = beta = 0, nothing frozen) change by exactly 0.0 at a
-    collision, so none are evaluated after the build.
+    kernel where it evaluates f (K - 1 at every delta, any f at delta = 0
+    by a table of f at the three values K takes there: 0 on a frozen pair,
+    c, and the NaN of a non-finite distance), any other selection from
+    `numpy`, the reference, which the kernel matches bit for bit.  A
+    collision's old rows wait in the kernel's scratch and the update is
+    made there, in numpy's summation order.  `constant` rows (delta = beta
+    = 0, nothing frozen) change by exactly 0.0 at a collision, so none are
+    evaluated after the build.
+
+    With `cost`, the object also carries `cost`, the pair sum of tau(K) B
+    on the same interval, built from the same distance rows; the compiled
+    loop updates both from one distance pass per collision.
     """
 
     __slots__ = ("v", "scheme", "k", "beta", "f", "c", "delta", "alive", "constant",
-                 "lib", "spec", "live", "scratch")
+                 "lib", "spec", "live", "scratch", "cost")
 
-    def __init__(self, v: np.ndarray, scheme: TiltingScheme, k: int, beta: float, f):
+    def __init__(self, v: np.ndarray, scheme: TiltingScheme, k: int, beta: float, f,
+                 cost: bool = False):
+        self._describe(v, scheme, k, beta, f)
+        if cost:  # built with this object, in `_build`
+            self.cost = _TiltPairSum.__new__(_TiltPairSum)
+            self.cost._describe(v, scheme, k, beta, tau)
+        super().__init__(len(v), None)
+
+    def _build(self, n: int) -> float:
+        cost = self.cost
+        if cost is None:
+            return _PairSum._build(self, n)
+        blocks = _blocks(n)
+        if self.lib is None or cost.lib is None:
+            sums = [(float(self.rows(sel).sum()), float(cost.rows(sel).sum())) for sel in blocks]
+        else:
+            # one distance pass per block feeds both, into buffers kept for the build
+            out, cost_out = np.empty((blocks[0].stop, n)), np.empty((blocks[0].stop, n))
+            sums = []
+            for sel in blocks:
+                first, stop, _ = sel.indices(n)
+                self.lib.kac_rows(self.spec, cost.spec, first, stop - first, out.ctypes.data,
+                                  cost_out.ctypes.data)
+                sums.append((float(out[: stop - first].sum()), float(cost_out[: stop - first].sum())))
+        cost.total = sum(b for _, b in sums)
+        return sum(a for a, _ in sums)
+
+    def _describe(self, v, scheme, k, beta, f) -> None:
+        self.h, self.cost = None, None
         self.v, self.scheme, self.k, self.beta, self.f = v, scheme, k, beta, f
         c, delta = float(scheme.coeffs[k]), float(scheme.deltas[k])
         self.c, self.delta = c, delta
@@ -526,13 +582,16 @@ class _TiltPairSum(_PairSum):
             # the kernel multiplies K by live_a live_b, each 1.0 or 0.0, as
             # numpy multiplies it by the boolean alive_a & alive_b
             self.live = None if self.alive is None else self.alive.astype(float)
-            self.scratch = np.empty(4 * len(v))  # the old rows of a pair, then dh
-            f0, fc = f(np.array([0.0, c])) if mode == _kloop.F_K_TABLE else (0.0, 0.0)
+            self.scratch = np.empty(6 * len(v))  # the old rows of a pair, dh, distance rows
+            table = (0.0, 0.0, 0.0)
+            if mode == _kloop.F_K_TABLE:
+                with np.errstate(invalid="ignore"):  # K is NaN at an infinite distance
+                    k_values = scheme.pair_k(k, np.array([0.0, 0.0, np.inf]), np.array([False, True, True]))
+                table = f(k_values)
             # the spec points into v, live and scratch, which this object keeps
             self.spec = _kloop.RowSpec(v.ctypes.data, None if self.live is None else self.live.ctypes.data,
                                        self.scratch.ctypes.data, len(v), v.shape[1], mode,
-                                       self.constant, c, delta, beta, f0, fc, 0.0)
-        super().__init__(len(v), None)
+                                       self.constant, c, delta, beta, *table)
 
     def numpy(self, rows) -> np.ndarray:
         # factors that are 1 on every pair (nothing frozen, B = 1) are skipped
@@ -548,17 +607,15 @@ class _TiltPairSum(_PairSum):
         n = len(self.v)
         first, stop, _ = rows.indices(n)
         out = np.empty((max(0, stop - first), n))
-        # a table misses only on a non-finite distance
-        if self.lib.kac_rows(self.spec, first, len(out), out.ctypes.data) == _kloop.DONE:
-            return out
-        return self.numpy(rows)
+        self.lib.kac_rows(self.spec, None, first, len(out), out.ctypes.data, None)
+        return out
 
     def pre_collision(self, i: int, j: int):
         if self.constant:
             return None
         # an index outside [0, N) takes numpy's indexing rules, or its IndexError
-        if (self.lib is not None and 0 <= i < len(self.v) and 0 <= j < len(self.v)
-                and self.lib.kac_pair_rows(self.spec, i, j) == _kloop.DONE):
+        if self.lib is not None and 0 <= i < len(self.v) and 0 <= j < len(self.v):
+            self.lib.kac_pair_rows(self.spec, i, j)
             return None
         return _PairSum.pre_collision(self, i, j)
 
@@ -566,10 +623,8 @@ class _TiltPairSum(_PairSum):
         if self.constant:
             return
         if old is None:
-            if self.lib.kac_pair_update(self.spec, i, j) == _kloop.DONE:
-                self.total += self.spec.inc
-                return
-            old = self.scratch[: 2 * len(self.v)].reshape(2, -1).copy()
+            self.total += self.lib.kac_pair_update(self.spec, i, j)
+            return
         _PairSum.post_collision(self, i, j, old)
 
 
@@ -603,6 +658,8 @@ class _Engine:
         self.any_frozen_dyn = False
         self.k_led = None
         self.tracker = None
+        self.cost = 0.0  # the dynamic cost so far; None once an interval has delta > 0
+        self.cost_t = 0.0  # the time it reaches
 
     # -- time bookkeeping ------------------------------------------------
 
@@ -635,9 +692,28 @@ class _Engine:
         kl = led.interval_index(t0) if led is not None else None
         if kl != self.k_led:
             # one ledger pair sum per scheme interval, carried across
-            # checkpoints; none where K = 1, as log K = K - 1 = 0 there
+            # checkpoints; none where K = 1, as log K = K - 1 = tau(K) = 0
+            # there.  At delta = 0 it carries the tau(K) B sum of the cost.
+            self.integrate_cost(self.t)  # the end of the last interval
             self.k_led = kl
-            self.tracker = None if led.is_unit(kl) else _TiltPairSum(self.V, led, kl, self.beta, _k_minus_1)
+            self.tracker = None
+            if not led.is_unit(kl):
+                if led.deltas[kl] > 0.0:
+                    self.cost = None
+                self.tracker = _TiltPairSum(self.V, led, kl, self.beta, _k_minus_1,
+                                            cost=self.cost is not None)
+                self.cost_t = self.t
+
+    def integrate_cost(self, t: float):
+        """Add the span up to t, an event or the end of an interval, to the
+        dynamic cost, in the spans and the arithmetic of `dynamic_cost`."""
+        cost_sum = self.tracker.cost if self.tracker is not None else None
+        if cost_sum is None:
+            return
+        dt = t - self.cost_t
+        self.cost_t = t
+        if dt > 0.0:
+            self.cost += dt * cost_sum.total / self.n**2
 
     # -- one proposal -------------------------------------------------------
 
@@ -662,6 +738,7 @@ class _Engine:
             return False
         self._settle_compensator(dt)
         self._advance_clock(dt)
+        self.integrate_cost(self.t)
 
         # mixture component, then the ordered pair
         pick = draws.uniform() * (n + 2.0 * gamma * a_sum)
@@ -706,6 +783,7 @@ class _Engine:
         rsigma = sigma if assignment % 2 == 0 else -sigma
 
         tracker = self.tracker
+        cost_sum = tracker.cost if tracker is not None else None
         if accepted:
             self.n_collisions += 1
             if tracker is not None:
@@ -715,6 +793,8 @@ class _Engine:
                     self.ledger.jump_term += math.log(tracker.c * (1.0 + tracker.delta * u_dist))
             if i != j:
                 pre = tracker.pre_collision(i, j) if tracker is not None else None
+                # the cost's sum moves at the recorded pair, as in a replay
+                cost_pre = cost_sum.pre_collision(ri, rj) if cost_sum is not None else None
                 # apply the collision in the recorded parametrisation so a
                 # replay of the log reproduces the arithmetic bit for bit
                 apply_collision(self.V, ri, rj, rsigma)
@@ -725,6 +805,8 @@ class _Engine:
                     self.fen.update(j, self.speeds[j])
                 if tracker is not None:
                     tracker.post_collision(i, j, pre)
+                if cost_sum is not None:
+                    cost_sum.post_collision(ri, rj, cost_pre)
         if self.events is not None:
             self.events.append(self.t, ri, rj, rsigma, assignment, not accepted)
         self.n_events += 1
@@ -750,15 +832,18 @@ class _Engine:
         """`propose` up to t_end in the compiled loop, on this engine's arrays.
 
         The loop keeps the ledger pair sum, compensator, jump term and
-        hit_zero flag, carried in and out through the scalar slots.  It
-        returns to grow the event buffer, and on an error, which is raised
-        here as the Python loop raises it.
+        hit_zero flag, and the cost's pair sum and integral, carried in and
+        out through the scalar slots.  It returns to grow the event buffer,
+        and on an error, which is raised here as the Python loop raises it.
         """
         draws, ev, fen, tracker, ledger = self.draws, self.events, self.fen, self.tracker, self.ledger
         total, spec = (0.0, None) if tracker is None else (tracker.total, tracker.spec)
+        cost_sum = tracker.cost if tracker is not None else None
+        cost_total, cost_spec = (0.0, None) if cost_sum is None else (cost_sum.total, cost_sum.spec)
         # scalars in and out, in the slots of the F_* and K_* enums of _kloop.c
         f = np.array([self.t, self._t_comp, t_end, self.c_dyn, self.inflation, self.gamma, 0.0, 0.0,
-                      total, ledger.compensator_term, ledger.jump_term])
+                      total, ledger.compensator_term, ledger.jump_term,
+                      cost_total, self.cost or 0.0, self.cost_t])
         k = np.array([draws._iu, draws._ie, draws._in, self.n_events, self.n_collisions,
                       ev.size if ev is not None else 0, 0, 0, 0, ledger.hit_zero], dtype=np.int64)
         raised = []
@@ -788,7 +873,8 @@ class _Engine:
                 fen.tree.ctypes.data if fen is not None else None,
                 fen.weights.ctypes.data if fen is not None else None,
                 self.frozen_dyn.ctypes.data if self.any_frozen_dyn else None,
-                draws._u.ctypes.data, draws._e.ctypes.data, draws._n.ctypes.data, callback, *cols, spec)
+                draws._u.ctypes.data, draws._e.ctypes.data, draws._n.ctypes.data, callback, *cols,
+                spec, cost_spec)
         self.t, self._t_comp = float(f[0]), float(f[1])
         draws._iu, draws._ie, draws._in, self.n_events, self.n_collisions = (int(x) for x in k[:5])
         if ev is not None:
@@ -797,6 +883,8 @@ class _Engine:
             tracker.total = float(f[8])
             ledger.compensator_term, ledger.jump_term = float(f[9]), float(f[10])
             ledger.hit_zero = bool(k[9])
+        if cost_sum is not None:
+            cost_sum.total, self.cost, self.cost_t = float(f[11]), float(f[12]), float(f[13])
         if status == _kloop.DONE:
             return
         if status == _kloop.ERR_MAJORANT:
@@ -936,11 +1024,12 @@ def simulate(config: SimConfig, scheme: TiltingScheme | None = None,
                 checkpoints.append(_checkpoint(eng, config, t1))
     except ValueError as exc:
         raise SimulationError(str(exc)) from exc
+    eng.integrate_cost(eng.t)
     final = ParticleState._unchecked(state.velocities.copy(), config.t_max)
     log = events.to_log(config.n, config.t_max) if events is not None else None
     return Trajectory(
         initial_state=initial, final_state=final, checkpoints=checkpoints,
-        log=log, rn_ledger=ledger, seed=config.seed, config=config,
+        log=log, rn_ledger=ledger, seed=config.seed, config=config, dynamic_cost=eng.cost,
     )
 
 

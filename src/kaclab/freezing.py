@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.integrate import quad
 
-from .config_io import map_runs
+from .config_io import _atomic_write, map_runs
 from .engine import ParticleState, SimConfig, make_rng, simulate
 from .girsanov import InitialTilt, TiltingScheme, sample_tilted_initial
 from .kinetics import Kernel
@@ -371,15 +371,13 @@ class ExperimentReport:
         return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+        _atomic_write(path, json.dumps(self.to_dict(), indent=1))
 
     def write_energy_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,window_energy_mean,window_energy_se,theta\n")
-            for k, t in enumerate(self.checkpoint_times):
-                fh.write(f"{t:.17g},{self.window_energy_mean[k]:.17g},"
-                         f"{self.window_energy_se[k]:.17g},{self.theta_at_checkpoints[k]:.17g}\n")
+        rows = (f"{t:.17g},{self.window_energy_mean[k]:.17g},"
+                f"{self.window_energy_se[k]:.17g},{self.theta_at_checkpoints[k]:.17g}\n"
+                for k, t in enumerate(self.checkpoint_times))
+        _atomic_write(path, "t,window_energy_mean,window_energy_se,theta\n" + "".join(rows))
 
 
 def _experiment_one_run(args):
@@ -427,10 +425,12 @@ def _experiment_one_run(args):
 
     led = traj.rn_ledger
     ledger = np.array([led.initial_term, led.jump_term, led.compensator_term, float(led.hit_zero)])
-    mode = "subsample" if plan.delta > 0.0 else "exact"
-    cost, cost_se = dynamic_cost(traj, scheme, mode=mode,
-                                 pairs_per_interval=cost_pairs_per_interval,
-                                 seed=master_seed + run)
+    if plan.delta > 0.0:
+        cost, cost_se = dynamic_cost(traj, scheme, mode="subsample",
+                                     pairs_per_interval=cost_pairs_per_interval,
+                                     seed=master_seed + run)
+    else:  # the exact cost, integrated during the run
+        cost, cost_se = traj.dynamic_cost, 0.0
     return window, subsystem, unfrozen, total_energy, truncated0, ledger, cost, cost_se, drift
 
 

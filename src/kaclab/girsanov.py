@@ -165,6 +165,19 @@ class TiltingScheme:
         return self.initial_tilt is None and all(map(self.is_unit, range(self.n_intervals())))
 
 
+def tau(k) -> np.ndarray | float:
+    """Entropic jump cost k log k - k + 1; tau(0) = 1 by continuity.
+
+    int tau(K) dmbar is the dynamic cost of a tilt K (`rate_function`).
+    """
+    arr = np.asarray(k, dtype=float)
+    if np.any(arr < 0.0):
+        raise ValueError("tau is defined on [0, inf)")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(arr > 0.0, arr * np.log(np.maximum(arr, 1e-300)) - arr + 1.0, 1.0)
+    return float(out) if np.isscalar(k) else out
+
+
 # ---------------------------------------------------------------------------
 # Radon-Nikodym ledger
 

@@ -33,20 +33,10 @@ import numpy as np
 from scipy.integrate import quad
 
 from .engine import _distances, _PairSum, _TiltPairSum, replay_events
-from .girsanov import InitialTilt, TiltingScheme
+from .girsanov import InitialTilt, TiltingScheme, tau
 from .kinetics import post_collision, sphere_quadrature
 from .metrics import WeightedMeasure
 from .reference import ReferenceMeasure
-
-
-def tau(k) -> np.ndarray | float:
-    """Entropic jump cost k log k - k + 1; tau(0) = 1 by continuity."""
-    arr = np.asarray(k, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("tau is defined on [0, inf)")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(arr > 0.0, arr * np.log(np.maximum(arr, 1e-300)) - arr + 1.0, 1.0)
-    return float(out) if np.isscalar(k) else out
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +199,11 @@ def dynamic_cost(trajectory, scheme: TiltingScheme, mode: str = "exact",
     where K = 1 cost nothing (tau(1) = 0) and build none.  "subsample" is
     an unbiased uniform pair-subsampling estimate with reported standard
     error.  stderr is 0 for exact evaluations.
+
+    This replays the log.  A run under a scheme with delta = 0 already
+    carries this exact value for its own scheme, integrated in the same
+    spans and arithmetic as it ran (`Trajectory.dynamic_cost`); the replay
+    serves any other scheme, and is the test oracle of the in-run value.
     """
     if mode not in ("exact", "subsample"):
         raise ValueError(f"unknown dynamic cost mode {mode!r}: use 'exact' or 'subsample'")

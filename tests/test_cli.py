@@ -133,6 +133,16 @@ class TestReplayCommand:
         assert self._replay(sidecar, events, capsys) == 3
         assert "final state" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", ["drop_field", "extra_field"])
+    def test_replay_rejects_row_with_wrong_field_count(self, tmp_path, capsys, edit):
+        sidecar, events = self._run_checkpointed_at_zero(tmp_path)
+        lines = open(events).read().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] if edit == "drop_field" else lines[2] + ",0"
+        open(events, "w").write("\n".join(lines) + "\n")
+        assert self._replay(sidecar, events, capsys) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
     def test_replay_rejects_missing_digest(self, tmp_path, capsys):
         sidecar, events = self._run_checkpointed_at_zero(tmp_path)
         payload = json.load(open(sidecar))

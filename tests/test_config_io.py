@@ -97,6 +97,35 @@ class TestPersistence:
         assert np.array_equal(log2.i, traj.log.i)
         assert np.array_equal(log2.fictitious, traj.log.fictitious)
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_event_csv_columns_keep_their_dtypes_and_bytes(self, tmp_path, d):
+        traj = kl.simulate(kl.SimConfig(n=30, t_max=0.5, kernel=Kernel.HARD_SPHERE, d=d, seed=4))
+        path = tmp_path / "events.csv"
+        write_event_csv(str(path), traj.log, d)
+        log2 = read_event_csv(str(path), 30, 0.5)
+        for name in ("t", "i", "j", "sigma", "assignment", "fictitious"):
+            a, b = getattr(traj.log, name), getattr(log2, name)
+            assert b.dtype == a.dtype and b.shape == a.shape and b.flags.c_contiguous
+            assert b.tobytes() == a.tobytes(), name
+
+    @pytest.mark.filterwarnings("error")
+    def test_event_csv_of_no_rows(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("t,i,j,s0,s1,s2,s3,assignment,fictitious\n")
+        log = read_event_csv(str(path), 5, 1.0)
+        assert log.t.shape == log.i.shape == log.assignment.shape == log.fictitious.shape == (0,)
+        assert log.sigma.shape == (0, 4) and log.fictitious.dtype == bool
+
+    def test_event_csv_row_with_missing_field_is_a_value_error(self, tmp_path):
+        traj = self._traj()
+        path = tmp_path / "events.csv"
+        write_event_csv(str(path), traj.log, 3)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="columns"):
+            read_event_csv(str(path), 24, 0.8)
+
     def test_replay_reproduces_checkpoints(self, tmp_path):
         traj = self._traj(checkpoint_times=(0.0, 0.4, 0.8))
         paths = save_trajectory(str(tmp_path), traj)

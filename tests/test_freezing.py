@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -242,6 +243,19 @@ class TestRunExperiment:
         assert np.all(rep.per_run_log_rn[:, :3] == 0.0)
         assert np.allclose(rep.unfrozen_fraction_mean, 1.0)
         assert abs(rep.total_energy_mean[0] - 1.0) < 0.15
+
+    def test_report_files_are_written_whole(self, tmp_path):
+        th = ThetaSchedule(jump_times=(0.5,), levels=(1.0, 2.0), horizon=1.0)
+        rep = kl.run_experiment(n=40, kernel=Kernel.HARD_SPHERE, theta=th, M=2.0, r=2,
+                                n_runs=2, master_seed=4, checkpoint_times=(0.0, 0.5, 1.0))
+        rep.to_json(tmp_path / "report.json")
+        rep.write_energy_csv(tmp_path / "energy.csv")
+        assert (tmp_path / "report.json").read_text() == json.dumps(rep.to_dict(), indent=1)
+        lines = (tmp_path / "energy.csv").read_text().splitlines()
+        assert lines[0] == "t,window_energy_mean,window_energy_se,theta" and len(lines) == 4
+        assert lines[2] == (f"{0.5:.17g},{rep.window_energy_mean[1]:.17g},"
+                            f"{rep.window_energy_se[1]:.17g},{rep.theta_at_checkpoints[1]:.17g}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["energy.csv", "report.json"]
 
     def test_energy_accounting_exact_per_path(self):
         # frozen energy + unfrozen window = conserved total, path by path

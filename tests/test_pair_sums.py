@@ -2,6 +2,7 @@
 how often they are built."""
 
 import itertools
+import math
 import shutil
 import tracemalloc
 
@@ -179,7 +180,7 @@ def test_freeze_run_builds_one_pair_sum_per_tilted_interval(monkeypatch):
     assert len(scheme.frozen_sets[0]) > 0
     assert scheme.is_unit(scheme.interval_index(0.5))
     assert after_simulate == [1]
-    assert len(builds) == 2
+    assert len(builds) == 1  # the cost's tau rows come with the ledger's, and nothing replays
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +217,19 @@ def test_compiled_updates_match_numpy_bit_for_bit(name, f, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_table_rows_fall_back_on_non_finite_distances():
-    # tau by table needs K in {0, c}; an infinite velocity makes K NaN
+def test_table_rows_match_numpy_on_non_finite_distances():
+    # an infinite velocity makes K NaN; the table holds f there too, so the
+    # kernel's rows are numpy's on every pair and nothing falls back
     v = np.random.default_rng(5).standard_normal((9, 3))
     v[4, 1] = np.inf
     scheme = TiltingScheme(coeffs=np.array([1.5]), frozen_sets=[np.array([2])])
     pair_sum = _TiltPairSum(v, scheme, 0, 1.0, tau)
     for sel in (slice(0, 9), slice(4, 5)):
         assert pair_sum.rows(sel).tobytes() == pair_sum.numpy(sel).tobytes()
-    # and a collision's rows, which the kernel reads into its scratch
-    assert pair_sum.pre_collision(4, 0).tobytes() == pair_sum.numpy(np.array([4, 0])).tobytes()
+    # and a collision's rows, which the kernel writes into its scratch
+    old = pair_sum.pre_collision(4, 0)
+    old = pair_sum.scratch[:18] if old is None else old
+    assert old.tobytes() == pair_sum.numpy(np.array([4, 0])).tobytes()
 
 
 @pytest.mark.parametrize("force_numpy", [False, True])
@@ -271,3 +275,87 @@ def test_freeze_rows_are_all_compiled(monkeypatch):
     cost, se = dynamic_cost(traj, scheme)
     assert traj.log.n_collisions > 0 and traj.rn_ledger.compensator_term != 0.0 and cost > 0.0
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the dynamic cost integrated during the run, against the replay
+
+
+def _freeze_scheme_run(measure, seed):
+    """A hard-sphere freeze scheme: frozen sets, then K = 1, with checkpoints
+    inside the tilted interval."""
+    theta = kl.ThetaSchedule(jump_times=(0.5,), levels=(1.0, 2.0), horizon=1.0)
+    plan = kl.design_freeze_experiment(REF, theta, M=2.0, r=2)
+    rng = kl.make_rng(seed, 0)
+    v0 = kl.sample_tilted_initial(REF, TiltingScheme(initial_tilt=plan.initial_tilt), 120, rng)
+    scheme = kl.build_freeze_scheme(v0, plan)
+    assert len(scheme.frozen_sets[0]) > 0
+    cfg = kl.SimConfig(n=120, t_max=1.0, kernel=Kernel.HARD_SPHERE, seed=seed, measure=measure,
+                       checkpoint_times=(0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 1.0))
+    return kl.simulate(cfg, scheme, rng=rng, initial_state=kl.ParticleState(v0)), scheme
+
+
+COST_RUNS = {
+    "freeze_q": lambda: _freeze_scheme_run("Q", 421),
+    "freeze_p_hit_zero": lambda: _freeze_scheme_run("P", 422),
+    "maxwell_constant": lambda: (kl.simulate(kl.SimConfig(n=150, t_max=1.0, kernel=Kernel.MAXWELL, seed=423,
+                                                          checkpoint_times=(0.0, 0.5, 1.0)),
+                                             TiltingScheme.constant(1.5)), TiltingScheme.constant(1.5)),
+    "hs_frozen_intervals": lambda: _run("hs_frozen_intervals"),
+}
+
+
+def _cost_outputs(traj):
+    log = traj.log
+    return (float(traj.dynamic_cost).hex(), repr(traj.rn_ledger.to_dict()), traj.final_state.velocities.tobytes(),
+            *(getattr(log, name).tobytes() for name in ("t", "i", "j", "sigma", "assignment", "fictitious")))
+
+
+@pytest.mark.parametrize("name", sorted(COST_RUNS))
+def test_in_run_cost_is_the_replayed_exact_cost(name, monkeypatch):
+    traj, scheme = COST_RUNS[name]()
+    if name == "freeze_p_hit_zero":
+        assert traj.rn_ledger.hit_zero
+    assert traj.dynamic_cost > 0.0
+    assert float(traj.dynamic_cost).hex() == float(dynamic_cost(traj, scheme, mode="exact")[0]).hex()
+    # the Python loop, with numpy rows, integrates the same bits
+    with monkeypatch.context() as m:
+        m.setattr(engine._kloop, "_lib", None)
+        python, _ = COST_RUNS[name]()
+        assert float(dynamic_cost(python, scheme, mode="exact")[0]).hex() == float(python.dynamic_cost).hex()
+    assert _cost_outputs(python) == _cost_outputs(traj)
+
+
+def test_in_run_cost_without_a_scheme_and_at_positive_delta():
+    cfg = kl.SimConfig(n=30, t_max=0.5, kernel=Kernel.MAXWELL, seed=424)
+    assert kl.simulate(cfg).dynamic_cost == 0.0
+    assert kl.simulate(cfg, TiltingScheme.identity()).dynamic_cost == 0.0
+    # the kernel has no tau at delta > 0 that is numpy's to the bit
+    assert kl.simulate(cfg, TiltingScheme.pairwise(1.0, 0.2)).dynamic_cost is None
+    # and a run keeps no cost once one tracked interval has delta > 0
+    mixed = TiltingScheme(breakpoints=np.array([0.0, 0.25, 0.5]), coeffs=np.array([1.2, 1.5]),
+                          deltas=np.array([0.3, 0.0]), frozen_sets=[np.array([], int)] * 2)
+    assert kl.simulate(cfg, mixed).dynamic_cost is None
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_non_finite_distances_run_alike(monkeypatch):
+    # two velocities whose distance overflows: K is NaN on that pair, so the
+    # ledger's sum is NaN, while tau(NaN) B = 1 keeps the cost finite, in
+    # both loops and in the replay
+    v0 = REF.sample(kl.make_rng(425), 40)
+    v0[0] = (math.sqrt(0.8e308), 0.0, 0.0)
+    v0[1] = -v0[0]
+    scheme = TiltingScheme(coeffs=np.array([1.5]), frozen_sets=[np.array([2, 7])])
+    cfg = kl.SimConfig(n=40, t_max=1.0, kernel=Kernel.MAXWELL, seed=425, checkpoint_times=(0.0, 0.5, 1.0))
+
+    def run():
+        return kl.simulate(cfg, scheme, initial_state=kl.ParticleState(v0))
+
+    traj = run()
+    assert math.isnan(traj.rn_ledger.compensator_term) and math.isfinite(traj.dynamic_cost)
+    assert float(traj.dynamic_cost).hex() == float(dynamic_cost(traj, scheme, mode="exact")[0]).hex()
+    with monkeypatch.context() as m:
+        m.setattr(engine._kloop, "_lib", None)
+        python = run()
+    assert _cost_outputs(python) == _cost_outputs(traj)
