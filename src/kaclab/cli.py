@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config_io import (CONFIG_SCHEMA, ConfigError, VersionMismatchError, _atomic_write,
+from .config_io import (_NUM, CONFIG_SCHEMA, ConfigError, VersionMismatchError, _atomic_write,
                         load_trajectory_inputs, parse_config, pool_summaries, replay,
                         run_ensemble, save_trajectory, tilting_scheme, validate)
 from .engine import MajorantViolationError, SimConfig, Trajectory, make_rng, simulate
@@ -31,6 +31,24 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_IO = 4
+
+# what the commands below read of their input files
+_DESCRIPTORS_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "descriptors": {"type": "array", "items": {"type": "object"}},
+        "tilting": CONFIG_SCHEMA["properties"]["tilting"],
+    },
+}
+_SUMMARY_KEYS = ("checkpoint_times", "m2_mean", "m4_mean", "m4_se")
+_SUMMARY_SCHEMA = {"type": "object", "required": list(_SUMMARY_KEYS),
+                   "properties": {k: {"type": "array", "items": {"type": "number"}, "minItems": 1}
+                                  for k in _SUMMARY_KEYS}}
+_CHECKPOINTS_SCHEMA = {"type": "object", "required": ["checkpoints"], "properties": {
+    "checkpoints": {"type": "object", "additionalProperties": {
+        "type": "object", "required": ["m2", "m4", "momentum", "truncated_m2"],
+        "properties": {"m2": _NUM, "m4": _NUM, "momentum": {"type": "array", "items": _NUM},
+                       "truncated_m2": {"type": "object", "additionalProperties": _NUM}}}}}}
 
 
 def _load_measure_csv(path: str) -> WeightedMeasure:
@@ -107,6 +125,7 @@ def _descriptor(d: dict | None) -> TestFunctionDescriptor | None:
 def _cmd_rate_eval(args) -> int:
     with open(args.descriptors) as fh:
         spec = json.load(fh)
+    validate(spec, _DESCRIPTORS_SCHEMA)
     sidecar, state0, log = load_trajectory_inputs(args.sidecar, args.events)
     cfg = SimConfig.from_dict(sidecar["config"])
     traj = Trajectory(initial_state=state0, final_state=None, checkpoints=[],
@@ -120,7 +139,6 @@ def _cmd_rate_eval(args) -> int:
         xi0, xi1, xi2 = xi_functionals(traj, phi, f, g, reference)
         report["descriptors"].append({"xi0": xi0, "xi1": xi1, "xi2": xi2})
     if spec.get("tilting") is not None:
-        validate(spec["tilting"], CONFIG_SCHEMA["properties"]["tilting"])
         scheme = tilting_scheme(spec["tilting"])
         value, se = dynamic_cost(traj, scheme)
         report["dynamic_cost"] = {"value": value, "stderr": se}
@@ -148,6 +166,9 @@ def _cmd_metrics(args) -> int:
 def _cmd_moments(args) -> int:
     with open(args.summary) as fh:
         summary = json.load(fh)
+    validate(summary, _SUMMARY_SCHEMA)
+    if len({len(summary[k]) for k in _SUMMARY_KEYS}) > 1:
+        raise ConfigError(f"{args.summary}: {', '.join(_SUMMARY_KEYS)} differ in length")
     times = np.asarray(summary["checkpoint_times"], dtype=float)
     m2 = np.asarray(summary["m2_mean"], dtype=float)
     m4 = np.asarray(summary["m4_mean"], dtype=float)
@@ -169,7 +190,9 @@ def _cmd_replay(args) -> int:
     report = {"checkpoints": summaries}
     if args.reference_checkpoints:
         with open(args.reference_checkpoints) as fh:
-            ref = json.load(fh)["checkpoints"]
+            ref = json.load(fh)
+        validate(ref, _CHECKPOINTS_SCHEMA)
+        ref = ref["checkpoints"]
         # replay is bit-exact, so every replayed field must equal its
         # reference, and a checkpoint on one side only is a mismatch
         keys = [f"{s['time']:.17g}" for s in summaries]

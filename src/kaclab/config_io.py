@@ -265,9 +265,16 @@ def save_trajectory(out_dir: str, trajectory: Trajectory, stem: str = "run") -> 
     return paths
 
 
+# the sidecar keys its readers use; SimConfig.from_dict checks the config
+# and ParticleState the velocities
+_SIDECAR_SCHEMA = {"type": "object", "required": ["config", "seed", "initial_velocities"],
+                   "properties": {"initial_velocities": {"type": "array"}}}
+
+
 def load_trajectory_inputs(sidecar_path: str, events_path: str):
     with open(sidecar_path) as fh:
         sidecar = json.load(fh)
+    validate(sidecar, _SIDECAR_SCHEMA)
     cfg = SimConfig.from_dict(sidecar["config"])
     log = read_event_csv(events_path, cfg.n, cfg.t_max)
     v0 = np.asarray(sidecar["initial_velocities"], dtype=float)
@@ -390,18 +397,17 @@ def _summarise(traj: Trajectory, run_index: int) -> RunSummary:
     )
 
 
-def run_ensemble(parsed: ParsedConfig, n_runs: int | None = None, run_offset: int = 0,
+def run_ensemble(parsed: ParsedConfig, n_runs: int | None = None,
                  threads: int | None = None, out_dir: str | None = None):
     """n_runs trajectories with per-run streams (master seed, run index).
 
     Summaries are reduced in run-index order regardless of scheduling, so
-    pooled statistics are bit-stable under any thread count and any batch
-    split with the same per-run indices.
+    pooled statistics are bit-stable under any thread count.
     """
     n_runs = parsed.runs if n_runs is None else n_runs
     threads = parsed.threads if threads is None else threads
     t0 = time.time()
-    indices = list(range(run_offset, run_offset + n_runs))
+    indices = list(range(n_runs))
     summaries = map_runs(_one_run, [(parsed.sim, parsed.tilting, idx) for idx in indices], threads)
     manifest = RunManifest(
         version=__version__,
@@ -424,26 +430,28 @@ def run_ensemble(parsed: ParsedConfig, n_runs: int | None = None, run_offset: in
     return summaries, manifest
 
 
+def mean_se(x: np.ndarray):
+    """Column means of the per-run rows of x and their standard errors
+    (zero below two runs)."""
+    mean = x.mean(axis=0)
+    n = len(x)
+    se = x.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
+    return mean, se
+
+
 def pool_summaries(summaries) -> dict:
     """Ordered reduction of per-run summaries into pooled means and SEs."""
     summaries = sorted(summaries, key=lambda s: s.run_index)
     times = summaries[0].checkpoint_times
     m2 = np.stack([s.m2 for s in summaries])
     m4 = np.stack([s.m4 for s in summaries])
-    n = len(summaries)
-
-    def stats(x):
-        mean = x.mean(axis=0)
-        se = x.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
-        return mean.tolist(), se.tolist()
-
-    m2_mean, m2_se = stats(m2)
-    m4_mean, m4_se = stats(m4)
+    m2_mean, m2_se = mean_se(m2)
+    m4_mean, m4_se = mean_se(m4)
     return {
-        "n_runs": n,
+        "n_runs": len(summaries),
         "checkpoint_times": times.tolist(),
-        "m2_mean": m2_mean, "m2_se": m2_se,
-        "m4_mean": m4_mean, "m4_se": m4_se,
+        "m2_mean": m2_mean.tolist(), "m2_se": m2_se.tolist(),
+        "m4_mean": m4_mean.tolist(), "m4_se": m4_se.tolist(),
         "total_events": int(sum(s.n_events for s in summaries)),
         "total_collisions": int(sum(s.n_collisions for s in summaries)),
     }

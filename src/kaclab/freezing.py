@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.integrate import quad
 
-from .config_io import _atomic_write, map_runs
+from .config_io import _atomic_write, map_runs, mean_se
 from .engine import ParticleState, SimConfig, make_rng, simulate
 from .girsanov import InitialTilt, TiltingScheme, sample_tilted_initial
 from .kinetics import Kernel
@@ -465,15 +465,9 @@ def run_experiment(n: int, kernel: Kernel, theta: ThetaSchedule, M: float, r: in
     cost_ses = np.array([res[7] for res in results])
     drift = max(res[8] for res in results)
 
-    def se(x):
-        if n_runs < 2:
-            return np.zeros(x.shape[1])
-        return x.std(axis=0, ddof=1) / math.sqrt(n_runs)
-
-    w_mean, w_se = window.mean(axis=0), se(window)
-    s_mean, s_se = subsystem.mean(axis=0), se(subsystem)
-    tr_mean = truncated0.mean(axis=0)
-    tr_se = se(truncated0)
+    w_mean, w_se = mean_se(window)
+    s_mean, s_se = mean_se(subsystem)
+    tr_mean, tr_se = mean_se(truncated0)
     log_rn = ledgers[:, 0] + ledgers[:, 1] - ledgers[:, 2]
     log_rn = np.where(ledgers[:, 3] > 0.0, -np.inf, log_rn)
     theta_grid_right = np.array([theta.theta_right(t) for t in plan.t_grid])

@@ -106,21 +106,24 @@ def _lp_route(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
 
     m1 + m2 + min sum (c_ij - 2) pi_ij, row sums <= w1, column sums <= w2.
     Interior point with crossover, which ends on an exact vertex: dual simplex
-    took 4x as long once a sixth of 4M pairs fell below the cap.
+    took 4x as long once a sixth of 4M pairs fell below the cap.  HiGHS's
+    tolerances are absolute (1e-7), so the weights are solved at the power
+    of two that brings the larger maximum into [0.5, 1), an exact rescale.
     """
     n1, n2 = cost.shape
     base = float(w1.sum() + w2.sum())
     ii, jj = np.nonzero(cost < DISTANCE_CAP)
     if len(ii) == 0:
         return base
+    scale = 2.0 ** -np.frexp(max(w1.max(), w2.max()))[1]
     # column k has a unit entry in row ii[k] (w1) and in row n1 + jj[k] (w2)
     a_ub = csc_matrix((np.ones(2 * len(ii)), np.stack([ii, n1 + jj], axis=1).ravel(),
                        np.arange(0, 2 * len(ii) + 1, 2)), shape=(n1 + n2, len(ii)))
-    res = linprog(cost[ii, jj] - DISTANCE_CAP, A_ub=a_ub, b_ub=np.concatenate([w1, w2]),
+    res = linprog(cost[ii, jj] - DISTANCE_CAP, A_ub=a_ub, b_ub=np.concatenate([w1, w2]) * scale,
                   bounds=(0, None), method="highs-ipm")
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
-    return base + float(res.fun)
+    return base + float(res.fun) / scale
 
 
 def _flat_distance(p1: np.ndarray, w1: np.ndarray, p2: np.ndarray, w2: np.ndarray) -> float:

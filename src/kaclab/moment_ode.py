@@ -15,35 +15,25 @@ envelope check below is the diagnostic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .kinetics import sphere_quadrature
+
 _SUPPORTED_P = (2, 4, 6)
+# povzner_check flags m_p above this multiple of its running minimum
+_SPIKE_FACTOR = 2.0
 _coeff_cache: dict = {}
 
 
-def _orthonormal_frame(u: np.ndarray):
-    """Unit vector along u plus two completions (d = 3)."""
-    e1 = u / np.linalg.norm(u)
-    pick = np.zeros(3)
-    pick[int(np.argmin(np.abs(e1)))] = 1.0
-    e2 = np.cross(e1, pick)
-    e2 /= np.linalg.norm(e2)
-    e3 = np.cross(e1, e2)
-    return e1, e2, e3
-
-
-def sigma_avg_delta(p: int, v: np.ndarray, v_star: np.ndarray,
-                    order: int = 64, n_azimuth: int = 32) -> float:
+def sigma_avg_delta(p: int, v: np.ndarray, v_star: np.ndarray) -> float:
     """Uniform-sphere average of |v'|^p + |v_star'|^p - |v|^p - |v_star|^p.
 
-    Supported p in {2, 4, 6}.  For d = 3 the average is a Gauss-Legendre x
-    periodic product rule in (cos polar, azimuth); the integrand is a
-    polynomial of degree <= p in sigma, so the rule is exact well inside
-    the 1e-10 tolerance.  d = 1 collisions swap velocities (zero), d = 2
-    uses an equispaced angular rule.
+    Supported p in {2, 4, 6}.  The integrand is a polynomial of degree
+    <= p in sigma, so `kinetics.sphere_quadrature` averages it exactly (the
+    26-point rule for d = 3, 26 equispaced angles for d = 2).  d = 1
+    collisions swap velocities (zero).
     """
     if p not in _SUPPORTED_P:
         raise ValueError(f"unsupported moment order p = {p}; supported: {_SUPPORTED_P}")
@@ -51,38 +41,16 @@ def sigma_avg_delta(p: int, v: np.ndarray, v_star: np.ndarray,
     v_star = np.asarray(v_star, dtype=float)
     d = v.shape[-1]
     u = v - v_star
-    w = v + v_star
-    if np.linalg.norm(u) == 0.0:
+    if np.linalg.norm(u) == 0.0 or d == 1:
         return 0.0
-    if d == 1:
-        return 0.0
+    sig, wts = sphere_quadrature(d)  # NotImplementedError above d = 3
+    # |v'|^2 = |v|^2 - P, |v_star'|^2 = |v_star|^2 + P, P = (u.s)(w.s)
+    pvals = (sig @ u) * (sig @ (v + v_star))
     sv = float(v @ v)
     svs = float(v_star @ v_star)
-
-    def accumulate(us, ws, wts):
-        # |v'|^2 = |v|^2 - P, |v_star'|^2 = |v_star|^2 + P, P = (u.s)(w.s)
-        pvals = us * ws
-        half = p // 2
-        return float(np.dot(wts, (sv - pvals) ** half + (svs + pvals) ** half
-                            - sv**half - svs**half))
-
-    if d == 2:
-        ang = 2.0 * np.pi * (np.arange(n_azimuth) + 0.5) / n_azimuth
-        sig = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        return accumulate(sig @ u, sig @ w, np.full(n_azimuth, 1.0 / n_azimuth))
-    if d != 3:
-        raise NotImplementedError(f"sigma averaging not implemented for d = {d}")
-
-    e1, e2, e3 = _orthonormal_frame(u)
-    x, gl_w = np.polynomial.legendre.leggauss(order)  # cos(polar) uniform on [-1, 1]
-    phi = 2.0 * np.pi * (np.arange(n_azimuth) + 0.5) / n_azimuth
-    sin_pol = np.sqrt(np.maximum(0.0, 1.0 - x**2))
-    u1 = float(u @ e1)
-    w1, w2, w3 = float(w @ e1), float(w @ e2), float(w @ e3)
-    us = (u1 * x)[:, None] * np.ones(n_azimuth)[None, :]
-    ws = (w1 * x)[:, None] + sin_pol[:, None] * (w2 * np.cos(phi) + w3 * np.sin(phi))[None, :]
-    wts = (0.5 * gl_w)[:, None] * np.full(n_azimuth, 1.0 / n_azimuth)[None, :]
-    return accumulate(us.ravel(), ws.ravel(), wts.ravel())
+    half = p // 2
+    return float(np.dot(wts, (sv - pvals) ** half + (svs + pvals) ** half
+                        - sv**half - svs**half))
 
 
 def maxwell_m4_coeffs(d: int = 3) -> tuple[float, float]:
@@ -119,41 +87,23 @@ def maxwell_m4_coeffs(d: int = 3) -> tuple[float, float]:
     return _coeff_cache[d]
 
 
-def maxwell_m4_curve(m2: float, m4_0: float, times, d: int = 3, max_step: float = 1e-3) -> np.ndarray:
-    """Integrate the closed m4 law from m4_0 at the given checkpoint times.
+def maxwell_m4_curve(m2: float, m4_0: float, times, d: int = 3) -> np.ndarray:
+    """The closed m4 law solved from m4_0 at the given checkpoint times.
 
-    Fixed-step RK4 with step <= max_step; m2 is conserved so enters as a
-    constant.  Requires the Cauchy-Schwarz-feasible m4_0 >= m2^2.
+    m2 is conserved, so the law is linear with constant coefficients and
+    m4(t) = m4_0 e^{bt} - m4_inf expm1(bt), m4_inf = -a m2^2 / b; at t = 0
+    this is m4_0 bit for bit.  Requires the Cauchy-Schwarz-feasible
+    m4_0 >= m2^2.
     """
     if m4_0 < m2 * m2 * (1.0 - 1e-12):
         raise ValueError(f"infeasible m4_0 = {m4_0} < m2^2 = {m2 * m2}")
-    a_coef, b_coef = maxwell_m4_coeffs(d)
-    source = a_coef * m2 * m2
-
-    def rhs(y):
-        return source + b_coef * y
-
     times = np.asarray(times, dtype=float)
-    order = np.argsort(times)
-    out = np.empty_like(times)
-    t_cur, y = 0.0, float(m4_0)
-    for idx in order:
-        t_target = times[idx]
-        if t_target < t_cur:
-            raise ValueError("checkpoint times must be nonnegative")
-        span = t_target - t_cur
-        if span > 0.0:
-            n_steps = max(1, int(math.ceil(span / max_step)))
-            h = span / n_steps
-            for _ in range(n_steps):
-                k1 = rhs(y)
-                k2 = rhs(y + 0.5 * h * k1)
-                k3 = rhs(y + 0.5 * h * k2)
-                k4 = rhs(y + h * k3)
-                y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t_cur = t_target
-        out[idx] = y
-    return out
+    if np.any(times < 0.0):
+        raise ValueError("checkpoint times must be nonnegative")
+    a_coef, b_coef = maxwell_m4_coeffs(d)
+    m4_inf = -a_coef * m2 * m2 / b_coef
+    bt = b_coef * times
+    return m4_0 * np.exp(bt) - m4_inf * np.expm1(bt)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +119,6 @@ class MomentTrack:
     m2_se: np.ndarray
     m4: np.ndarray
     m4_se: np.ndarray
-    truncated_m2: dict | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -190,30 +139,26 @@ class PovznerReport:
     envelope: np.ndarray
 
 
-def povzner_check(track: MomentTrack, p: float = 4.0, s_grid=None,
-                  spike_factor: float = 2.0) -> PovznerReport:
-    """Fit the smallest C with m_p(s) <= C (1 + T) s^{2-p} m2(0) on the grid.
+def povzner_check(track: MomentTrack, p: float = 4.0) -> PovznerReport:
+    """Fit the smallest C with m_p(s) <= C (1 + T) s^{2-p} m2(0) on the track.
 
     Purely diagnostic (the constant is not prescribed).  The moment-growth
     shape admits creation from heavy initial data followed by a plateau or
-    decay; what it rules out is late-time growth, so grid points where
-    m_p exceeds `spike_factor` times its running minimum are flagged as
-    violations (the negative control for an injected late spike).  Also
-    reports the log-log slope of m_p against s, near 0 for p = 2.
+    decay; what it rules out is late-time growth, so checkpoints where m_p
+    exceeds twice its running minimum are flagged as violations.  A factor
+    2 sits far above the ensemble noise of m_p and well below an injected
+    late spike (the negative control).  Also reports the log-log slope of
+    m_p against s, near 0 for p = 2.
     """
-    if s_grid is None:
-        mask = track.times > 0.0
-        s_grid = track.times[mask]
-        m_p = track.m4[mask] if p == 4.0 else track.m2[mask]
-    else:
-        s_grid = np.asarray(s_grid, dtype=float)
-        m_p = np.interp(s_grid, track.times, track.m4 if p == 4.0 else track.m2)
+    mask = track.times > 0.0
+    s_grid = track.times[mask]
+    m_p = track.m4[mask] if p == 4.0 else track.m2[mask]
     horizon = float(track.times.max())
     m2_0 = float(track.m2[0])
     ratios = m_p * s_grid ** (p - 2.0) / ((1.0 + horizon) * m2_0)
     c_fit = float(ratios.max())
     running_min = np.minimum.accumulate(m_p)
     violations = [float(s) for s, m, lo in zip(s_grid, m_p, running_min)
-                  if m > spike_factor * lo]
+                  if m > _SPIKE_FACTOR * lo]
     slope = float(np.polyfit(np.log(s_grid), np.log(np.maximum(m_p, 1e-300)), 1)[0])
     return PovznerReport(c_fit=c_fit, fitted_exponent=slope, violations=violations, envelope=ratios)

@@ -383,6 +383,8 @@ class TestMalformedInputs:
         {"descriptors": [], "tilting": {"kind": "constant", "kappa": 2.0, "oops": 1}},
         {"descriptors": [], "tilting": FREEZE},
         {"descriptors": [{"phi": {"kind": "energy", "coef": 0.2}}]},
+        [{"descriptors": []}],
+        {"descriptors": ["energy"]},
     ])
     def test_rate_eval_malformed_descriptors(self, tmp_path, capsys, spec):
         sidecar, events = self._simulated(tmp_path)
@@ -391,13 +393,16 @@ class TestMalformedInputs:
                                    "--descriptors", desc, "--out-dir", str(tmp_path)], capsys)
 
     @pytest.mark.parametrize("command", ["replay", "rate-eval"])
-    @pytest.mark.parametrize("edit", ["drop n", "drop checkpoint_times", "add T", "bad kernel"])
+    @pytest.mark.parametrize("edit", ["drop n", "drop checkpoint_times", "add T", "bad kernel",
+                                      "remove initial_velocities"])
     def test_malformed_sidecar_config(self, tmp_path, capsys, command, edit):
         sidecar, events = self._simulated(tmp_path)
         payload = json.load(open(sidecar))
         verb, key = edit.split()
         if verb == "drop":
             del payload["config"][key]
+        elif verb == "remove":  # a top-level sidecar key
+            del payload[key]
         elif verb == "add":
             payload["config"][key] = 1.0
         else:
@@ -408,3 +413,21 @@ class TestMalformedInputs:
             argv += ["--descriptors", _write(tmp_path / "desc.json", {"descriptors": []}),
                      "--out-dir", str(tmp_path)]
         self._assert_config_error(argv, capsys)
+
+    @pytest.mark.parametrize("edit", ["drop m4_mean", "shorten m4_se"])
+    def test_moments_malformed_summary(self, tmp_path, capsys, edit):
+        summary = {"n_runs": 2, "checkpoint_times": [0.0, 0.5], "m2_mean": [1.0, 1.0],
+                   "m2_se": [0.0, 0.0], "m4_mean": [3.0, 2.9], "m4_se": [0.1, 0.1]}
+        verb, key = edit.split()
+        if verb == "drop":
+            del summary[key]
+        else:
+            summary[key] = summary[key][:1]
+        path = _write(tmp_path / "summary.json", summary)
+        self._assert_config_error(["moments", "--summary", path, "--out-dir", str(tmp_path)], capsys)
+
+    def test_replay_reference_without_checkpoints(self, tmp_path, capsys):
+        sidecar, events = self._simulated(tmp_path)
+        ref = _write(tmp_path / "ref.json", {"version": "0.1.0"})
+        self._assert_config_error(["replay", "--sidecar", sidecar, "--events", events,
+                                   "--reference-checkpoints", ref], capsys)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kaclab as kl
-from kaclab.config_io import (ConfigError, VersionMismatchError, parse_config,
+from kaclab.config_io import (ConfigError, VersionMismatchError, _one_run, parse_config,
                               pool_summaries, read_event_csv, replay, run_ensemble,
                               save_trajectory, write_event_csv)
 from kaclab.kinetics import Kernel
@@ -169,7 +169,8 @@ class TestEnsemble:
         parsed = parse_config(self.BASE)
         full, _ = run_ensemble(parsed, n_runs=20)
         first, _ = run_ensemble(parsed, n_runs=10)
-        second, _ = run_ensemble(parsed, n_runs=10, run_offset=10)
+        # runs 10..19 on their own, as a second batch would draw them
+        second = [_one_run((parsed.sim, parsed.tilting, k)) for k in range(10, 20)]
         pooled_full = pool_summaries(full)
         pooled_split = pool_summaries(first + second)
         assert json.dumps(pooled_full, sort_keys=True) == json.dumps(pooled_split, sort_keys=True)

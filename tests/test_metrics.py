@@ -170,16 +170,25 @@ class TestPrunedLP:
         return (WeightedMeasure(p1, np.full(n1, 1.0 / n1)),
                 WeightedMeasure(p2, np.full(n2, 0.8 / n2)))
 
-    @pytest.mark.parametrize("d", [3, 10])
-    def test_near_and_far_pairs_match_dual_oracle(self, d):
+    @pytest.mark.parametrize("d, small", [(3, False), (10, False), (10, True)],
+                             ids=["3", "10", "10-small-weights"])
+    def test_near_and_far_pairs_match_dual_oracle(self, d, small):
         rng = np.random.default_rng(20 + d)
         seen_near = seen_far = False
-        for _ in range(25):
+        for _ in range(40 if small else 25):
             mu, nu = self._unequal_pair(rng, d, spread=1.2)
+            if small:
+                # weights near HiGHS's absolute 1e-7 tolerances; the oracle
+                # solves the same problem with every weight 2^20 times larger
+                mu, nu = (WeightedMeasure(m.points, rng.uniform(2e-8, 1e-6, len(m))) for m in (mu, nu))
+                big = [WeightedMeasure(m.points, m.weights * 2.0**20) for m in (mu, nu)]
+                want = pytest.approx(dual_lp_oracle(*big) / 2.0**20, rel=1e-9)
+            else:
+                want = pytest.approx(dual_lp_oracle(mu, nu), abs=1e-9)
             dist = cdist(mu.points, nu.points)
             seen_near |= bool(np.any(dist < 2.0))
             seen_far |= bool(np.any(dist >= 2.0))
-            assert flux_distance(mu, nu) == pytest.approx(dual_lp_oracle(mu, nu), abs=1e-9)
+            assert flux_distance(mu, nu) == want
         assert seen_near and seen_far
 
     def test_pairs_at_exactly_the_cap(self):

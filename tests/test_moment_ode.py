@@ -10,9 +10,9 @@ from kaclab.moment_ode import (MomentTrack, maxwell_m4_coeffs, maxwell_m4_curve,
 
 
 def mc_sigma_average(p, v, v_star, n, seed):
-    """Independent Monte Carlo oracle for the sigma average."""
+    """Independent Monte Carlo oracle for the sigma average on S^{d-1}, d = len(v)."""
     rng = np.random.default_rng(seed)
-    sig = rng.normal(size=(n, 3))
+    sig = rng.normal(size=(n, len(v)))
     sig /= np.linalg.norm(sig, axis=1, keepdims=True)
     u = np.asarray(v) - np.asarray(v_star)
     w = np.asarray(v) + np.asarray(v_star)
@@ -41,6 +41,7 @@ class TestSigmaAvgDelta:
             (np.array([1.0, 0, 0]), np.array([0.0, 1.0, 0])),
             (np.array([2.0, 0, 0]), np.array([0.0, 1.0, 0])),
             (np.array([0.3, -1.2, 0.5]), np.array([0.8, 0.1, -0.4])),
+            (np.array([1.1, -0.4]), np.array([-0.2, 0.9])),
         ]
         for k, (v, vs) in enumerate(configs):
             for p in (4, 6):
@@ -97,6 +98,14 @@ class TestM4Curve:
         curve = maxwell_m4_curve(1.0, 10.0 / 3.0, np.linspace(0, 5, 11))
         assert np.all(np.diff(curve) < 0)
         assert curve[-1] > 5.0 / 3.0
+
+    def test_exact_at_zero_and_relaxes_to_fixed_point(self):
+        a, b = maxwell_m4_coeffs(3)
+        m2, m4_0 = 1.3, 4.1
+        curve = maxwell_m4_curve(m2, m4_0, [0.0, 10.0, 60.0])
+        assert curve[0] == m4_0
+        assert curve[-1] == pytest.approx(-a * m2**2 / b, rel=1e-12)
+        assert abs(curve[1] + a * m2**2 / b) > abs(curve[-1] + a * m2**2 / b)
 
     def test_infeasible_m4_rejected(self):
         with pytest.raises(ValueError):
