@@ -20,6 +20,11 @@
  * kac_rows evaluates the rows f(K) B of `engine._TiltPairSum` in the order
  * of `engine._distances` and `TiltingScheme.pair_k`; kac_pair_rows and
  * kac_pair_update are `_PairSum.pre_collision` and `post_collision` on them.
+ * kac_replay applies a range of rows of an event log to the velocities with
+ * kac_run's collision arithmetic, so a replayed state is the simulated one
+ * to the bit; it is `engine.replay_rows`, the walk of a log that keeps no
+ * pair sum, and can also write each collision's velocities before and
+ * after it.
  * Errors are returned as status codes; the caller raises the Python loop's
  * exception for each.
  */
@@ -488,4 +493,48 @@ out:
     k[K_COLL] = coll;
     k[K_SIZE] = size;
     return status;
+}
+
+/* rows start..stop-1 of an event log (columns i, j, sigma, fictitious)
+ * applied to V in place, as `engine.replay_events` walks them: fictitious
+ * rows are skipped and a diagonal row leaves V unchanged; any other row is
+ * kac_run's collision, an FMA-chain dot product and unfused steps.  With
+ * pairs, each non-fictitious row also writes (v_i, v_j) before it and
+ * after it, four rows of d doubles, into the next 4d of pairs */
+int kac_replay(double *V, int64_t n, int64_t d, const int64_t *ev_i, const int64_t *ev_j,
+               const double *ev_sigma, const uint8_t *ev_fict, int64_t start, int64_t stop,
+               double *pairs)
+{
+    for (int64_t r = start; r < stop; r++) {
+        if (ev_fict[r])
+            continue;
+        int64_t i = ev_i[r], j = ev_j[r];
+        if (i < 0 || i >= n || j < 0 || j >= n)
+            return ERR_INDEX;
+        double *a = V + i * d, *b = V + j * d;
+        const double *s = ev_sigma + r * d;
+        if (pairs)
+            for (int64_t q = 0; q < d; q++) {
+                pairs[q] = a[q];
+                pairs[d + q] = b[q];
+            }
+        if (i != j) {
+            double dot = 0.0;
+            for (int64_t q = 0; q < d; q++)
+                dot = fma(a[q] - b[q], s[q], dot);
+            for (int64_t q = 0; q < d; q++) {
+                double step = dot * s[q];
+                a[q] = a[q] - step;
+                b[q] = b[q] + step;
+            }
+        }
+        if (pairs) {
+            for (int64_t q = 0; q < d; q++) {
+                pairs[2 * d + q] = a[q];
+                pairs[3 * d + q] = b[q];
+            }
+            pairs += 4 * d;
+        }
+    }
+    return DONE;
 }

@@ -1,4 +1,5 @@
-"""Build and load the compiled proposal loop and pair-sum rows, `_kloop.c`.
+"""Build and load the compiled proposal loop, pair-sum rows and log walk,
+`_kloop.c`.
 
 On first use the C source is compiled with gcc into `_build/` next to this
 file, under a name made from the sha256 of the source and the compile
@@ -6,7 +7,9 @@ command, and loaded through ctypes.  `kernel(d)` returns the library, or
 None where the Python loop must run instead: no gcc, a failed build or
 load, or a kernel dot product that differs from numpy's `x @ y` in
 dimension d (the kernel must reproduce numpy's arithmetic bit for bit).
-`kernel(d, sums=True)`, for the rows of `engine._TiltPairSum` and the
+The same gate serves `kac_replay`, the compiled walk of an event log behind
+`engine.replay_rows`, whose collision is that dot product and unfused
+steps.  `kernel(d, sums=True)`, for the rows of `engine._TiltPairSum` and the
 tracked segments that update them, also asks that the kernel's row sum
 equals numpy's `a.sum()`; where it does not, only they run in Python and
 numpy.
@@ -28,7 +31,7 @@ SOURCE = os.path.join(_HERE, "_kloop.c")
 BUILD_DIR = os.path.join(_HERE, "_build")
 CFLAGS = ("-O3", "-fno-math-errno", "-fPIC", "-shared", "-ffp-contract=off", "-Wall", "-Wextra")
 
-# status codes of kac_run, as in _kloop.c
+# status codes of kac_run and kac_replay, as in _kloop.c
 DONE, GROW = 0, 1
 ERR_MAJORANT, ERR_WEIGHT, ERR_ZERO_TOTAL, ERR_REFILL, ERR_INDEX, ERR_LOG = range(-1, -7, -1)
 # the pair function f(K) of a row, as in _kloop.c
@@ -91,6 +94,8 @@ def _load():
     lib.kac_run.argtypes = (ptr, ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
                             REFILL, ptr, ptr, ptr, ptr, ptr, ptr, spec, spec)
     lib.kac_run.restype = ctypes.c_int
+    lib.kac_replay.argtypes = (ptr, i64, i64, ptr, ptr, ptr, ptr, i64, i64, ptr)
+    lib.kac_replay.restype = ctypes.c_int
     return lib
 
 

@@ -169,6 +169,10 @@ def _cmd_moments(args) -> int:
     validate(summary, _SUMMARY_SCHEMA)
     if len({len(summary[k]) for k in _SUMMARY_KEYS}) > 1:
         raise ConfigError(f"{args.summary}: {', '.join(_SUMMARY_KEYS)} differ in length")
+    # maxwell_m4_curve is the closed m4 law of d = 3 Maxwell molecules only
+    if summary.get("d") != 3 or summary.get("kernel") != "maxwell":
+        raise ConfigError(f"{args.summary}: the m4 law holds for d = 3 and the maxwell kernel; "
+                          f"the summary records d = {summary.get('d')}, kernel {summary.get('kernel')}")
     times = np.asarray(summary["checkpoint_times"], dtype=float)
     m2 = np.asarray(summary["m2_mean"], dtype=float)
     m4 = np.asarray(summary["m4_mean"], dtype=float)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .engine import (EventLog, InitialCondition, ParticleState, SimConfig,
-                     Trajectory, make_rng, replay_events, simulate, state_moments)
+                     Trajectory, make_rng, replay_rows, simulate, state_moments)
 from .girsanov import TiltingScheme
 from .kinetics import Kernel
 
@@ -199,18 +199,20 @@ def _sigma_columns(d: int):
 
 def write_event_csv(path: str, log: EventLog, d: int) -> None:
     cols = _sigma_columns(d)
-    lines = ["t,i,j," + ",".join(cols) + ",assignment,fictitious"]
-    for k in range(len(log)):
-        sig = ",".join(f"{x:.17g}" for x in log.sigma[k])
-        lines.append(
-            f"{log.t[k]:.17g},{log.i[k]},{log.j[k]},{sig},{log.assignment[k]},{int(log.fictitious[k])}"
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    header = "t,i,j," + ",".join(cols) + ",assignment,fictitious\n"
+    # one %-template per row over Python scalars: "%.17g" % x prints what
+    # format(x, ".17g") prints, so replay stays bit-exact
+    row = "%.17g,%d,%d," + "%.17g," * d + "%d,%d"
+    columns = zip(log.t.tolist(), log.i.tolist(), log.j.tolist(), *log.sigma.T.tolist(),
+                  log.assignment.tolist(), log.fictitious.view(np.uint8).tolist())
+    body = "".join(row % r + "\n" for r in columns)
+    _atomic_write(path, header + body)
 
 
 def read_event_csv(path: str, n_particles: int, horizon: float) -> EventLog:
     """The log `write_event_csv` wrote; d comes from the header, and a row
-    without as many fields as the header is a ValueError."""
+    without as many fields as the header is a ValueError.  A particle index
+    outside [0, n_particles) is a ConfigError."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         d = len(header) - 5
@@ -221,6 +223,11 @@ def read_event_csv(path: str, n_particles: int, horizon: float) -> EventLog:
             rows = np.loadtxt(fh, delimiter=",", dtype=columns, ndmin=1)
     t, i, j, sigma, assignment = (np.ascontiguousarray(rows[name])
                                   for name in ("t", "i", "j", "sigma", "assignment"))
+    bad = np.flatnonzero((i < 0) | (i >= n_particles) | (j < 0) | (j >= n_particles))
+    if len(bad):
+        k = int(bad[0])
+        raise ConfigError(f"{path}: row {k + 1} names particles ({i[k]}, {j[k]}), "
+                          f"outside [0, {n_particles})")
     return EventLog(t, i, j, sigma, assignment, rows["fictitious"] != 0, n_particles, horizon)
 
 
@@ -310,8 +317,7 @@ def replay(sidecar_path: str, events_path: str, force: bool = False):
     for t in cfg.checkpoint_times:
         # the checkpoint at t follows every row stamped at or before t
         stop = int(np.searchsorted(log.t, t, side="right"))
-        for _ in replay_events(v, log, start, stop):
-            pass
+        replay_rows(v, log, start, stop)
         start = stop
         momentum, m2, m4, trunc = state_moments(v, cfg.truncation_thresholds)
         out.append({
@@ -322,8 +328,7 @@ def replay(sidecar_path: str, events_path: str, force: bool = False):
             "m4": m4,
             "truncated_m2": {str(thr): val for thr, val in trunc.items()},
         })
-    for _ in replay_events(v, log, start):
-        pass
+    replay_rows(v, log, start)
     if state_digest(v) != sidecar.get("final_sha256"):
         raise ReplayMismatchError(
             f"replaying {events_path} does not reproduce the final state recorded in "
@@ -420,7 +425,8 @@ def run_ensemble(parsed: ParsedConfig, n_runs: int | None = None,
     )
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        pooled = pool_summaries(summaries)
+        # the dimension and kernel say which moment law the summary may be held to
+        pooled = dict(pool_summaries(summaries), d=parsed.sim.d, kernel=parsed.sim.kernel.value)
         path = os.path.join(out_dir, "ensemble_summary.json")
         _atomic_write(path, json.dumps(pooled, indent=1))
         manifest.artifacts["ensemble_summary"] = path

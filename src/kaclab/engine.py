@@ -74,6 +74,7 @@ __all__ = [
     "empirical_measure",
     "flux_measure",
     "replay_events",
+    "replay_rows",
     "apply_collision",
     "state_moments",
     "make_rng",
@@ -1053,6 +1054,10 @@ def replay_events(v: np.ndarray, log: EventLog, start: int = 0, stop: int | None
     leave v unchanged; a tracker's pre/post_collision hooks bracket every
     row that does change it.  The arithmetic is the engine's, so the final
     v is bit-identical to the simulated state.
+
+    This is the tracked walk, for pair sums that move with the path (the
+    exact dynamic cost, Xi_2), and the fallback of `replay_rows` where no
+    kernel is compiled; every walk that keeps no pair sum is `replay_rows`.
     """
     stop = len(log) if stop is None else stop
     rows = zip(range(start, stop), log.i[start:stop].tolist(), log.j[start:stop].tolist(),
@@ -1067,10 +1072,52 @@ def replay_events(v: np.ndarray, log: EventLog, start: int = 0, stop: int | None
             tracker.post_collision(i, j, pre)
 
 
+def replay_rows(v: np.ndarray, log: EventLog, start: int = 0, stop: int | None = None,
+                pairs: bool = False) -> np.ndarray | None:
+    """Apply rows start..stop-1 of a log to v in place, as `replay_events`.
+
+    The walk runs in the compiled `kac_replay` where the kernel is loaded,
+    else through `replay_events`; both give v bit for bit.  With `pairs`,
+    returns the (m, 4, d) array of (v_i, v_j) before and (v_i, v_j) after
+    each of the m non-fictitious rows, in log order.
+    """
+    start, stop, _ = slice(start, stop).indices(len(log))
+    n, d = v.shape
+    real = ~log.fictitious[start:stop]
+    out = np.empty((int(np.count_nonzero(real)), 4, d)) if pairs else None
+    lib = _kloop.kernel(d)
+    # the kernel reads v and the columns through raw pointers: check their shapes
+    if (lib is not None and v.flags.c_contiguous and v.dtype == np.float64
+            and len(log.i) == len(log.j) == len(log.fictitious) == len(log)
+            and log.sigma.shape == (len(log), d)):
+        cols = [np.ascontiguousarray(c) for c in (log.i, log.j, log.sigma, log.fictitious.view(np.uint8))]
+        status = lib.kac_replay(v.ctypes.data, n, d, *(c.ctypes.data for c in cols), start, stop,
+                                None if out is None else out.ctypes.data)
+        if status != _kloop.DONE:
+            raise IndexError(f"particle index out of bounds for {n} particles")
+        return out
+    if out is None:
+        for _ in replay_events(v, log, start, stop):
+            pass
+        return None
+    ij = np.stack((log.i[start:stop], log.j[start:stop]), axis=1)[real]
+    real = real.tolist()
+    atom = 0
+    # v holds a collision's outcome when the walk yields the next row, or ends
+    for k in replay_events(v, log, start, stop):
+        if real[k - start]:
+            if atom:
+                out[atom - 1, 2:] = v[ij[atom - 1]]
+            out[atom, :2] = v[ij[atom]]
+            atom += 1
+    if atom:
+        out[atom - 1, 2:] = v[ij[atom - 1]]
+    return out
+
+
 def final_state_from_log(initial_state: ParticleState, log: EventLog) -> ParticleState:
     v = initial_state.velocities.copy()
-    for _ in replay_events(v, log):
-        pass
+    replay_rows(v, log)
     return ParticleState(v, log.horizon)
 
 
@@ -1083,18 +1130,9 @@ def flux_measure(trajectory: Trajectory) -> WeightedMeasure:
     if trajectory.log is None:
         raise ValueError("trajectory was run without an event log")
     log = trajectory.log
-    n_atoms = log.n_collisions
     v = trajectory.initial_state.velocities.copy()
-    d = v.shape[1]
-    pts = np.empty((n_atoms, 1 + 3 * d))
-    a = 0
-    for k in replay_events(v, log):
-        if log.fictitious[k]:
-            continue
-        pts[a, 0] = log.t[k]
-        pts[a, 1 : 1 + d] = v[log.i[k]]
-        pts[a, 1 + d : 1 + 2 * d] = v[log.j[k]]
-        pts[a, 1 + 2 * d :] = log.sigma[k]
-        a += 1
-    w = np.full(n_atoms, 1.0 / log.n_particles)
+    pre = replay_rows(v, log, pairs=True)[:, :2]
+    real = ~log.fictitious
+    pts = np.concatenate((log.t[real, None], pre.reshape(len(pre), -1), log.sigma[real]), axis=1)
+    w = np.full(len(pts), 1.0 / log.n_particles)
     return WeightedMeasure(pts, w)

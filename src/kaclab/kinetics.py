@@ -9,9 +9,10 @@ to
 
 which conserves momentum and kinetic energy exactly (up to float rounding),
 is an involution, and is invariant under ``sigma -> -sigma``.  ``_collide``
-is the one copy of this arithmetic: the engine, every log replay and the
-rate-function increments all call it, so a replayed path reproduces the
-simulated one bit for bit.
+is the one Python copy of this arithmetic: the Python proposal loop, the
+Python log walk and the rate-function increments all call it, and the
+compiled loop and log walk of ``_kloop.c`` repeat it operation by
+operation, so a replayed path reproduces the simulated one bit for bit.
 
 Two kernels are supported: Maxwell molecules ``B = 1`` and regularised hard
 spheres ``B = 1 + |v - v_star|``; both are bounded below by 1 and independent
@@ -22,6 +23,7 @@ of ``sigma``.  The sphere integral ``d sigma`` is taken against the uniform
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
@@ -87,13 +89,21 @@ def sample_sigma(rng: np.random.Generator, d: int = 3) -> np.ndarray:
 _LEBEDEV26_A = (1.0 / 21.0, 4.0 / 105.0, 27.0 / 840.0)
 
 
+@functools.cache
 def sphere_quadrature(d: int, n_azimuth: int = 26):
     """Nodes and weights for the uniform probability measure on S^{d-1}.
 
     d = 1 is the exact two-point rule, d = 2 an equispaced angular rule
     (exact for trigonometric polynomials of degree < n_azimuth), d = 3 the
-    26-point Lebedev rule.
+    26-point Lebedev rule.  Each rule is built once; the arrays returned
+    are shared and read-only.
     """
+    pts, wts = _build_sphere_rule(d, n_azimuth)
+    pts.flags.writeable = wts.flags.writeable = False
+    return pts, wts
+
+
+def _build_sphere_rule(d: int, n_azimuth: int):
     if d == 1:
         return np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
     if d == 2:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .engine import _distances, _PairSum, _TiltPairSum, replay_events
+from .engine import _distances, _PairSum, _TiltPairSum, replay_events, replay_rows
 from .girsanov import InitialTilt, TiltingScheme, tau
 from .kinetics import post_collision, sphere_quadrature
 from .metrics import WeightedMeasure
@@ -226,8 +226,7 @@ def dynamic_cost(trajectory, scheme: TiltingScheme, mode: str = "exact",
         lo, hi = np.searchsorted(log.t, (b0, b1))
         if b1 <= b0 or (exact and scheme.is_unit(k_idx)):
             # no span, or tau(1) = 0 on every pair: only the path moves on
-            for _ in replay_events(v, log, lo, hi):
-                pass
+            replay_rows(v, log, lo, hi)
             continue
         alive = ~scheme.frozen_mask(k_idx, n)
         pair_sum = _TiltPairSum(v, scheme, k_idx, beta, tau) if exact else None
@@ -279,66 +278,76 @@ def xi_functionals(trajectory, phi: TestFunctionDescriptor | None,
     """(Xi_0, Xi_1, Xi_2) on a simulated trajectory.
 
     f must vanish at time 0 (reject otherwise); time integrals are exact
-    piecewise between events.  The Xi_2 compensator int (e^g - 1) dmbar
-    keeps its pair sum as a `_PairSum`, built once and updated in O(N) per
-    collision.
+    piecewise between events.  Xi_1 reads every collision's velocities
+    before and after it from one `replay_rows` walk.  The Xi_2 compensator
+    int (e^g - 1) dmbar keeps its pair sum as a `_PairSum`, built once and
+    updated in O(N) per collision.
     """
-    n = trajectory.initial_state.n
     v0 = trajectory.initial_state.velocities
-    t_max = trajectory.config.t_max
 
     xi0 = 0.0
     if phi is not None:
         xi0 = float(np.mean(phi.phi(v0))) - phi.log_mgf(reference)
-
-    xi1 = 0.0
-    xi2 = 0.0
-    needs_replay = f is not None or g is not None
     if f is not None and abs(f.a_of_t(0.0)) > 0.0:
         raise ValueError("admissible f must vanish at t = 0")
-    if not needs_replay:
-        return xi0, xi1, xi2
-
-    log = trajectory.log
-    if log is None:
+    if f is None and g is None:
+        return xi0, 0.0, 0.0
+    if trajectory.log is None:
         raise ValueError("trajectory was run without an event log")
-    if f is not None:
-        b_kind = f.b_kind if f.kind == "product" else f.kind
-        b = f._b(v0, b_kind).tolist()  # b(v) per particle, kept current through the walk
-        b_mean = float(np.mean(b))
+    xi1 = _xi1(trajectory, f) if f is not None else 0.0
+    xi2 = _xi2(trajectory, g) if g is not None else 0.0
+    return xi0, xi1, xi2
+
+
+def _xi1(trajectory, f: TestFunctionDescriptor) -> float:
+    """<f_T, mu_T> - int <d_s f, mu_s> ds - int Delta f dw for f = a(t) b(v).
+
+    The mean of b moves by db / N at each collision, db the change of b over
+    its two particles; the time integral runs span by span between rows.
+    """
+    n = trajectory.initial_state.n
+    t_max = trajectory.config.t_max
+    log = trajectory.log
+    v = trajectory.initial_state.velocities.copy()
+    b_kind = f.b_kind if f.kind == "product" else f.kind
+    b_mean = float(np.mean(f._b(v, b_kind)))
+    b = f._b(replay_rows(v, log, pairs=True), b_kind)  # (m, 4): before i, j; after i, j
+    db = iter((((b[:, 2] + b[:, 3]) - b[:, 0]) - b[:, 1]).tolist())
     time_integral = 0.0
     event_sum = 0.0
+    t0, a0 = 0.0, f.a_of_t(0.0)
+    for t1, fict in zip(log.t.tolist(), log.fictitious.tolist()):
+        a1 = f.a_of_t(t1)
+        if t1 - t0 > 0.0:
+            time_integral += (a1 - a0) * b_mean
+        t0, a0 = t1, a1
+        if not fict:
+            d = next(db)
+            event_sum += a1 * d / n
+            b_mean += d / n
+    a1 = f.a_of_t(t_max)
+    if t_max - t0 > 0.0:
+        time_integral += (a1 - a0) * b_mean
+    return a1 * b_mean - time_integral - event_sum
+
+
+def _xi2(trajectory, g: TestFunctionDescriptor) -> float:
+    """<g, w> - int (e^g - 1) dmbar, the compensator a tracked pair sum."""
+    n = trajectory.initial_state.n
+    t_max = trajectory.config.t_max
+    log = trajectory.log
+    v = trajectory.initial_state.velocities.copy()
+    g_pairs = _xi2_pair_sum(v, g, trajectory.config.kernel.slope)
     g_flux = 0.0
     g_compensator = 0.0
-    v = trajectory.initial_state.velocities.copy()
-    g_pairs = _xi2_pair_sum(v, g, trajectory.config.kernel.slope) if g is not None else None
     t0 = 0.0
-    pending = None  # (i, j, a(t)) of the last collision, settled once v holds its outcome
     for k in itertools.chain(replay_events(v, log, tracker=g_pairs), (None,)):
         t1 = t_max if k is None else float(log.t[k])
-        if pending is not None:
-            (i, j, a), pending = pending, None
-            bi, bj = f._b(v[[i, j]], b_kind).tolist()
-            db = bi + bj - b[i] - b[j]
-            b[i], b[j] = bi, bj
-            event_sum += a * db / n
-            b_mean += db / n
         dt = t1 - t0
-        if f is not None and dt > 0.0:
-            time_integral += (f.a_of_t(t1) - f.a_of_t(t0)) * b_mean
-        if g is not None and dt > 0.0:
+        if dt > 0.0:
             g_compensator += dt * g_pairs.total / n**2
         t0 = t1
         if k is None or log.fictitious[k]:
             continue
-        i, j = log.i[k], log.j[k]
-        if f is not None:
-            pending = (i, j, f.a_of_t(t1))
-        if g is not None:
-            g_flux += float(g.g(v[i], v[j], log.sigma[k])) / n
-
-    if f is not None:
-        xi1 = f.a_of_t(t_max) * b_mean - time_integral - event_sum
-    if g is not None:
-        xi2 = g_flux - g_compensator
-    return xi0, xi1, xi2
+        g_flux += float(g.g(v[log.i[k]], v[log.j[k]], log.sigma[k])) / n
+    return g_flux - g_compensator

@@ -414,17 +414,47 @@ class TestMalformedInputs:
                      "--out-dir", str(tmp_path)]
         self._assert_config_error(argv, capsys)
 
-    @pytest.mark.parametrize("edit", ["drop m4_mean", "shorten m4_se"])
+    @pytest.mark.parametrize("edit", ["drop m4_mean", "shorten m4_se", "drop d", "drop kernel",
+                                      "set d 2", "set kernel hard_sphere"])
     def test_moments_malformed_summary(self, tmp_path, capsys, edit):
         summary = {"n_runs": 2, "checkpoint_times": [0.0, 0.5], "m2_mean": [1.0, 1.0],
-                   "m2_se": [0.0, 0.0], "m4_mean": [3.0, 2.9], "m4_se": [0.1, 0.1]}
-        verb, key = edit.split()
+                   "m2_se": [0.0, 0.0], "m4_mean": [3.0, 2.9], "m4_se": [0.1, 0.1],
+                   "d": 3, "kernel": "maxwell"}
+        assert main(["moments", "--summary", _write(tmp_path / "ok.json", summary),
+                     "--out-dir", str(tmp_path)]) == 0
+        verb, key, *value = edit.split()
         if verb == "drop":
             del summary[key]
+        elif verb == "set":  # a summary the d = 3 Maxwell law does not describe
+            summary[key] = int(value[0]) if key == "d" else value[0]
         else:
             summary[key] = summary[key][:1]
         path = _write(tmp_path / "summary.json", summary)
         self._assert_config_error(["moments", "--summary", path, "--out-dir", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize("edit", [{"d": 2}, {"kernel": "hard_sphere"}])
+    def test_moments_refuses_other_ensembles(self, tmp_path, capsys, edit):
+        cfg = _write(tmp_path / "cfg.json", {**BASE, "kernel": "maxwell", **edit})
+        ens = str(tmp_path / "ens")
+        assert main(["simulate", "--config", cfg, "--runs", "2", "--out-dir", ens]) == 0
+        summary = json.load(open(f"{ens}/ensemble_summary.json"))
+        assert (summary["d"], summary["kernel"]) == (edit.get("d", 3), edit.get("kernel", "maxwell"))
+        self._assert_config_error(["moments", "--summary", f"{ens}/ensemble_summary.json",
+                                   "--out-dir", ens], capsys)
+
+    @pytest.mark.parametrize("command", ["replay", "rate-eval"])
+    @pytest.mark.parametrize("index", [-1, BASE["N"]])
+    def test_event_row_with_a_bad_particle_index(self, tmp_path, capsys, command, index):
+        sidecar, events = self._simulated(tmp_path)
+        header, first, *rest = open(events).read().splitlines()
+        t, i, j, *tail = first.split(",")
+        with open(events, "w") as fh:
+            fh.write("\n".join([header, ",".join([t, str(index), j, *tail]), *rest]) + "\n")
+        argv = [command, "--sidecar", sidecar, "--events", events]
+        if command == "rate-eval":
+            argv += ["--descriptors", _write(tmp_path / "desc.json", {"descriptors": []}),
+                     "--out-dir", str(tmp_path)]
+        self._assert_config_error(argv, capsys)
 
     def test_replay_reference_without_checkpoints(self, tmp_path, capsys):
         sidecar, events = self._simulated(tmp_path)

@@ -108,6 +108,45 @@ class TestPersistence:
             assert b.dtype == a.dtype and b.shape == a.shape and b.flags.c_contiguous
             assert b.tobytes() == a.tobytes(), name
 
+    @staticmethod
+    def _reference_csv(log, d) -> bytes:
+        """The event CSV formatted one numpy scalar at a time: the writer's oracle."""
+        cols = ["sx", "sy", "sz"] if d == 3 else [f"s{k}" for k in range(d)]
+        lines = ["t,i,j," + ",".join(cols) + ",assignment,fictitious"]
+        for k in range(len(log)):
+            sig = ",".join(f"{x:.17g}" for x in log.sigma[k])
+            lines.append(f"{log.t[k]:.17g},{log.i[k]},{log.j[k]},{sig},{log.assignment[k]},"
+                         f"{int(log.fictitious[k])}")
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("rows", [None, 0])
+    def test_event_csv_bytes_match_the_reference_writer(self, tmp_path, d, rows):
+        log = kl.simulate(kl.SimConfig(n=30, t_max=0.5, kernel=Kernel.HARD_SPHERE, d=d, seed=4)).log
+        if rows == 0:
+            log = kl.EventLog(log.t[:0], log.i[:0], log.j[:0], log.sigma[:0], log.assignment[:0],
+                              log.fictitious[:0], 30, 0.5)
+        else:  # values %.17g prints in every form: exponents, -0, whole numbers
+            log.t[:4] = (1e-300, 2.5e-7, 0.125, 3.0)
+            log.sigma[:3, 0] = (-0.0, 1.0, -1e-17)
+            assert np.any(log.fictitious) and np.any(~log.fictitious)
+        path = tmp_path / "events.csv"
+        write_event_csv(str(path), log, d)
+        assert path.read_bytes() == self._reference_csv(log, d)
+
+    @pytest.mark.parametrize("i", [-1, 24])
+    def test_event_csv_with_a_bad_particle_index_is_a_config_error(self, tmp_path, i):
+        traj = self._traj()
+        path = tmp_path / "events.csv"
+        write_event_csv(str(path), traj.log, 3)
+        lines = path.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[2] = str(i)  # the j column
+        lines[5] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="row 5 names particles"):
+            read_event_csv(str(path), 24, 0.8)
+
     @pytest.mark.filterwarnings("error")
     def test_event_csv_of_no_rows(self, tmp_path):
         path = tmp_path / "events.csv"

@@ -8,7 +8,7 @@ from scipy import stats
 import kaclab as kl
 from kaclab import config_io
 from kaclab.engine import (MajorantViolationError, ParticleState, _Draws, _EventBuffer,
-                           _Engine, final_state_from_log, replay_events)
+                           _Engine, final_state_from_log, replay_events, replay_rows)
 from kaclab.girsanov import RNLedger, TiltingScheme
 from kaclab.kinetics import Kernel
 
@@ -270,6 +270,33 @@ class TestContinuityEquation:
             if not log.fictitious[k]:
                 rhs += f.delta_b(v[log.i[k]], v[log.j[k]], log.sigma[k]) / 150.0
         assert abs(lhs - rhs) <= 1e-9 * (1 + len(traj.log))
+
+
+class TestReplayRows:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_pairs_hold_each_collision_before_and_after(self, d):
+        cfg = kl.SimConfig(n=6, t_max=3.0, d=d, kernel=Kernel.HARD_SPHERE, seed=61 + d)
+        traj = kl.simulate(cfg)
+        log = traj.log
+        v = traj.initial_state.velocities.copy()
+        want = []
+        for k in itertools.chain(replay_events(v, log), (None,)):
+            if want and len(want[-1]) == 2:  # v now holds the last collision's outcome
+                i, j = log.i[last], log.j[last]
+                want[-1] += [v[i].copy(), v[j].copy()]
+            if k is not None and not log.fictitious[k]:
+                last = k
+                want.append([v[log.i[k]].copy(), v[log.j[k]].copy()])
+        start = len(log) // 4
+        head = traj.initial_state.velocities.copy()
+        replay_rows(head, log, 0, start)
+        pairs = replay_rows(head, log, start, pairs=True)
+        assert np.array_equal(pairs, np.array(want)[np.count_nonzero(~log.fictitious[:start]):])
+        assert np.array_equal(head, traj.final_state.velocities)
+        # a diagonal row's two velocities are one and unchanged
+        diag = (log.i == log.j)[start:][~log.fictitious[start:]]
+        assert np.any(diag)
+        assert np.all(pairs[diag] == pairs[diag][:, :1])
 
 
 class TestOtherDimensions:

@@ -124,6 +124,15 @@ class TestSphereQuadrature:
         assert abs(wts.sum() - 1.0) < 1e-14
         assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rule_is_built_once_and_read_only(self, d):
+        pts, wts = sphere_quadrature(d)
+        again = sphere_quadrature(d)
+        assert again[0] is pts and again[1] is wts
+        for arr in (pts, wts):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
     def test_d3_polynomial_moments(self):
         pts, wts = sphere_quadrature(3)
         # uniform-sphere moments: E[x] = 0, E[x^2] = 1/3, E[x^4] = 1/5,

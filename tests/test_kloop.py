@@ -407,3 +407,119 @@ def test_python_loop_writes_python_floats(name, monkeypatch):
     # the clock between events, which only the Python loop's step() returns
     state, event = kl.step(kl.ParticleState(compiled.final_state.velocities), cfg.kernel, scheme, kl.make_rng(95))
     assert type(state.time) is float and state.time == event.time > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the compiled log walk, kac_replay, against the Python walker
+
+from test_engine import GOLDEN_DIGESTS, _golden_run  # noqa: E402
+
+from kaclab import config_io  # noqa: E402
+from kaclab.engine import final_state_from_log, replay_events, replay_rows  # noqa: E402
+from kaclab.rate_function import TestFunctionDescriptor, dynamic_cost, xi_functionals  # noqa: E402
+
+
+def _small_run(d):
+    # five particles: diagonal proposals are one in five, and hard spheres
+    # reject some, so the log has fictitious and diagonal rows
+    cfg = kl.SimConfig(n=5, t_max=6.0, d=d, kernel=Kernel.HARD_SPHERE, seed=400 + d)
+    return kl.simulate(cfg)
+
+
+REPLAY_CASES = {**{name: lambda name=name: _golden_run(name) for name in GOLDEN_DIGESTS},
+                "small_d2": lambda: _small_run(2), "small_d3": lambda: _small_run(3),
+                "maxwell_d2": lambda: kl.simulate(kl.SimConfig(n=30, t_max=1.0, d=2, seed=406))}
+
+
+@needs_gcc
+@pytest.mark.parametrize("name", sorted(REPLAY_CASES))
+def test_compiled_walk_is_byte_identical(name, monkeypatch):
+    traj = REPLAY_CASES[name]()
+    log, m = traj.log, len(traj.log)
+    if name.startswith("small"):
+        real = ~log.fictitious
+        assert np.any(log.fictitious) and np.any(real & (log.i == log.j)) and np.any(real & (log.i != log.j))
+    assert _kloop.kernel(traj.initial_state.d) is not None
+    # consecutive sub-ranges, an empty one and an overlong stop among them
+    bounds = [(0, m // 3), (m // 3, m // 3), (m // 3, m // 2), (m // 2, m + 7)]
+    v_c, v_p, v_o = (traj.initial_state.velocities.copy() for _ in range(3))
+    for start, stop in bounds:
+        pairs = replay_rows(v_c, log, start, stop, pairs=True)
+        want = _python_loop(monkeypatch, lambda: replay_rows(v_p, log, start, stop, pairs=True))
+        for _ in replay_events(v_o, log, start, stop):
+            pass
+        assert pairs.shape == (np.count_nonzero(~log.fictitious[start:stop]), 4, log.sigma.shape[1])
+        assert pairs.tobytes() == want.tobytes()
+        assert v_c.tobytes() == v_p.tobytes() == v_o.tobytes()
+    assert v_c.tobytes() == traj.final_state.velocities.tobytes()
+    assert replay_rows(traj.initial_state.velocities.copy(), log) is None
+
+
+def _readers(traj, tmp_path):
+    """Every reader of a log that walks it without a pair sum, and Xi_2."""
+    ref = kl.ReferenceMeasure(traj.initial_state.d)
+    flux = kl.flux_measure(traj)
+    out = {"final": final_state_from_log(traj.initial_state, traj.log).velocities.tobytes(),
+           "flux": flux.points.tobytes() + flux.weights.tobytes()}
+    paths = config_io.save_trajectory(str(tmp_path), traj)
+    out["replay"] = json.dumps(config_io.replay(paths["sidecar"], paths["events"])[1])
+    g = TestFunctionDescriptor(kind="flux_test", coeff=0.5, sigma_coupling=0.3)
+    for b_kind in ("constant", "coordinate", "energy", "radial_bump"):
+        for a_kind, a_param in (("sin", 1.7), ("poly", 2.0)):
+            f = TestFunctionDescriptor(kind="product", coeff=0.8, axis=1, radius=1.5,
+                                       a_kind=a_kind, a_param=a_param, b_kind=b_kind)
+            out[b_kind, a_kind] = [x.hex() for x in xi_functionals(traj, None, f, None, ref)]
+            out[b_kind, a_kind, "g"] = [x.hex() for x in xi_functionals(traj, None, f, g, ref)]
+    scheme = TiltingScheme(breakpoints=np.array([0.0, 0.4, 0.7, 1.0]), coeffs=np.array([1.0, 1.3, 1.0]),
+                           deltas=np.zeros(3), frozen_sets=[np.array([], int), np.array([1, 2]),
+                                                            np.array([], int)])
+    out["dynamic_cost"] = [x.hex() for x in dynamic_cost(traj, scheme)]
+    return out
+
+
+@needs_gcc
+@pytest.mark.parametrize("name", ["hard_sphere", "maxwell_d2"])
+def test_log_readers_match_on_both_walks(name, monkeypatch, tmp_path):
+    traj = REPLAY_CASES[name]()
+    compiled = _readers(traj, tmp_path / "compiled")
+    assert _python_loop(monkeypatch, lambda: _readers(traj, tmp_path / "python")) == compiled
+
+
+@needs_gcc
+def test_untracked_readers_run_the_compiled_walk(monkeypatch, tmp_path):
+    """With a C compiler on the path, no untracked walk of a log falls back."""
+    from kaclab import engine, rate_function
+
+    traj = _golden_run("hard_sphere")
+    paths = config_io.save_trajectory(str(tmp_path), traj)
+    f = TestFunctionDescriptor(kind="product", a_kind="poly", a_param=1.0, b_kind="energy")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Python log walk ran")
+
+    for module in (engine, rate_function, config_io):
+        monkeypatch.setattr(module, "replay_events", refuse, raising=False)
+    assert final_state_from_log(traj.initial_state, traj.log).velocities.tobytes() == \
+        traj.final_state.velocities.tobytes()
+    assert len(kl.flux_measure(traj).points) == traj.log.n_collisions
+    assert len(config_io.replay(paths["sidecar"], paths["events"])[1]) == len(traj.checkpoints)
+    assert abs(xi_functionals(traj, None, f, None, kl.ReferenceMeasure(3))[1]) < 1e-12
+
+
+@needs_gcc
+@pytest.mark.parametrize("index", [-1, 5, 1 << 40])
+def test_replay_kernel_refuses_bad_indices(index):
+    lib = _kloop.kernel(3)
+    v = np.random.default_rng(3).standard_normal((5, 3))
+    sigma = np.tile([[0.6, 0.8, 0.0]], (3, 1))
+    i, j = np.array([0, index, 3], dtype=np.int64), np.array([1, 2, index], dtype=np.int64)
+    fict = np.zeros(3, dtype=np.uint8)
+    cols = [a.ctypes.data for a in (i, j, sigma, fict)]
+    assert lib.kac_replay(v.ctypes.data, 5, 3, *cols, 0, 1, None) == _kloop.DONE
+    assert lib.kac_replay(v.ctypes.data, 5, 3, *cols, 0, 3, None) == _kloop.ERR_INDEX
+    assert lib.kac_replay(v.ctypes.data, 5, 3, *cols, 2, 3, None) == _kloop.ERR_INDEX
+    fict[1:] = 1  # a fictitious row names no particle the walk touches
+    assert lib.kac_replay(v.ctypes.data, 5, 3, *cols, 0, 3, None) == _kloop.DONE
+    log = kl.EventLog([0.1, 0.2, 0.3], i, j, sigma, np.zeros(3), [False, False, True], 5, 1.0)
+    with pytest.raises(IndexError, match="out of bounds for 5 particles"):
+        replay_rows(v.copy(), log)
