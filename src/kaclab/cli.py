@@ -69,10 +69,10 @@ def _cmd_simulate(args) -> int:
         parsed.echo["seed"] = args.seed
         parsed = parse_config(parsed.echo)
     runs = args.runs if args.runs is not None else parsed.runs
+    threads = args.threads if args.threads is not None else parsed.threads
     out_dir = args.out_dir or "."
     if runs > 1:
-        summaries, manifest = run_ensemble(parsed, n_runs=runs, threads=args.threads or parsed.threads,
-                                           out_dir=out_dir)
+        summaries, manifest = run_ensemble(parsed, n_runs=runs, threads=threads, out_dir=out_dir)
         print(json.dumps(pool_summaries(summaries), indent=1))
         return EXIT_OK
     rng = make_rng(parsed.sim.seed, 0)
@@ -218,6 +218,17 @@ def _cmd_replay(args) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer of at least 1, as the config schema has it."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="kaclab", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
@@ -226,17 +237,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="run one trajectory or an ensemble from a config")
     sp.add_argument("--config", required=True)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--runs", type=int)
+    sp.add_argument("--runs", type=_count)
     sp.add_argument("--out-dir")
-    sp.add_argument("--threads", type=int)
+    sp.add_argument("--threads", type=_count)
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("tilt-experiment", help="run the freeze-schedule energy experiment")
     sp.add_argument("--config", required=True)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--runs", type=int)
+    sp.add_argument("--runs", type=_count)
     sp.add_argument("--out-dir")
-    sp.add_argument("--threads", type=int)
+    sp.add_argument("--threads", type=_count)
     sp.set_defaults(func=_cmd_tilt_experiment)
 
     sp = sub.add_parser("rate-eval", help="evaluate variational functionals on a persisted trajectory")

@@ -17,7 +17,6 @@ import time
 import warnings
 from dataclasses import asdict, dataclass
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -145,6 +144,8 @@ def _materialise(raw: dict) -> dict:
 
 def validate(instance, schema: dict = CONFIG_SCHEMA) -> None:
     """Raise ConfigError listing every way `instance` breaks `schema`."""
+    import jsonschema
+
     errors = sorted(jsonschema.Draft202012Validator(schema).iter_errors(instance),
                     key=lambda e: e.json_path)
     if errors:
@@ -193,13 +194,13 @@ def _atomic_write(path: str, payload: str) -> None:
     os.replace(tmp, path)
 
 
-def _sigma_columns(d: int):
-    return ["sx", "sy", "sz"] if d == 3 else [f"s{k}" for k in range(d)]
+def _event_header(d: int) -> str:
+    sigma = ["sx", "sy", "sz"] if d == 3 else [f"s{k}" for k in range(d)]
+    return "t,i,j," + ",".join(sigma) + ",assignment,fictitious"
 
 
 def write_event_csv(path: str, log: EventLog, d: int) -> None:
-    cols = _sigma_columns(d)
-    header = "t,i,j," + ",".join(cols) + ",assignment,fictitious\n"
+    header = _event_header(d) + "\n"
     # one %-template per row over Python scalars: "%.17g" % x prints what
     # format(x, ".17g") prints, so replay stays bit-exact
     row = "%.17g,%d,%d," + "%.17g," * d + "%d,%d"
@@ -209,13 +210,18 @@ def write_event_csv(path: str, log: EventLog, d: int) -> None:
     _atomic_write(path, header + body)
 
 
-def read_event_csv(path: str, n_particles: int, horizon: float) -> EventLog:
-    """The log `write_event_csv` wrote; d comes from the header, and a row
-    without as many fields as the header is a ValueError.  A particle index
-    outside [0, n_particles) is a ConfigError."""
+def read_event_csv(path: str, n_particles: int, horizon: float, d: int | None = None) -> EventLog:
+    """The log `write_event_csv` wrote for dimension d (by default the
+    header's).  A header other than the one written for d, or a particle
+    index outside [0, n_particles), is a ConfigError; a row without as many
+    fields as the header is a ValueError."""
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        d = len(header) - 5
+        header = fh.readline().strip()
+        if d is None:
+            d = header.count(",") - 4
+        if header != _event_header(d):
+            raise ConfigError(f"{path}: header {header!r} is not the d = {d} event header "
+                              f"{_event_header(d)!r}")
         columns = [("t", float), ("i", np.int64), ("j", np.int64), ("sigma", float, (d,)),
                    ("assignment", np.int8), ("fictitious", np.int8)]
         with warnings.catch_warnings():
@@ -283,7 +289,7 @@ def load_trajectory_inputs(sidecar_path: str, events_path: str):
         sidecar = json.load(fh)
     validate(sidecar, _SIDECAR_SCHEMA)
     cfg = SimConfig.from_dict(sidecar["config"])
-    log = read_event_csv(events_path, cfg.n, cfg.t_max)
+    log = read_event_csv(events_path, cfg.n, cfg.t_max, cfg.d)
     v0 = np.asarray(sidecar["initial_velocities"], dtype=float)
     return sidecar, ParticleState(v0), log
 

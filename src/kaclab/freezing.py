@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import quad
 
 from .config_io import _atomic_write, map_runs, mean_se
 from .engine import ParticleState, SimConfig, make_rng, simulate
@@ -197,6 +196,8 @@ def legendre_psi_star(reference: ReferenceMeasure, a: float) -> float:
 
 def tv_distance_tilted(reference: ReferenceMeasure, M: float, lam: float) -> float:
     """Total variation (unhalved) between the tilted measure and the base."""
+    from scipy.integrate import quad
+
     psi = cumulant_psi(reference, M, lam)
     a, th = reference.shape, reference.scale
     m2 = M * M

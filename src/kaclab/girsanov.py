@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .kinetics import Kernel
 from .reference import ReferenceMeasure
@@ -108,6 +107,8 @@ class TiltingScheme:
         """Check int exp(phi) dmu = 1 by radial quadrature."""
         if self.initial_tilt is None:
             return
+        from scipy.integrate import quad
+
         tilt = self.initial_tilt
         if tilt.lam >= reference.z2:
             raise TiltingSchemeError(

@@ -27,9 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import csc_matrix
-from scipy.spatial.distance import cdist
 
 _WEIGHT_TOL = 1e-12
 DISTANCE_CAP = 2.0
@@ -94,6 +91,8 @@ def _assignment_route(cost: np.ndarray, unit: float, n1: int, n2: int) -> float:
     Pads each side with the other's count of abstain copies (cost 1 against
     real atoms, 0 against other abstain copies): a square assignment.
     """
+    from scipy.optimize import linear_sum_assignment
+
     big = np.ones((n1 + n2, n1 + n2))
     big[:n1, :n2] = cost
     big[n1:, n2:] = 0.0
@@ -110,6 +109,9 @@ def _lp_route(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     tolerances are absolute (1e-7), so the weights are solved at the power
     of two that brings the larger maximum into [0.5, 1), an exact rescale.
     """
+    from scipy.optimize import linprog
+    from scipy.sparse import csc_matrix
+
     n1, n2 = cost.shape
     base = float(w1.sum() + w2.sum())
     ii, jj = np.nonzero(cost < DISTANCE_CAP)
@@ -134,6 +136,8 @@ def _flat_distance(p1: np.ndarray, w1: np.ndarray, p2: np.ndarray, w2: np.ndarra
         return float(w2.sum())
     if len(p2) == 0:
         return float(w1.sum())
+    from scipy.spatial.distance import cdist
+
     cost = np.minimum(cdist(p1, p2), DISTANCE_CAP)
     units = np.concatenate([w1, w2])
     unit = units[0]
@@ -162,8 +166,10 @@ def flux_distance(w1: WeightedMeasure, w2: WeightedMeasure, support_cap: int = 4
     Exact LP optimum on the combined support.  The |g| <= 1 cap keeps the
     value finite: excess mass costs 1 per unit.  Inputs whose combined
     support exceeds `support_cap` are i.i.d.-subsampled (seeded) to the cap
-    before solving.
+    before solving; the cap is at least 2, one atom a side.
     """
+    if support_cap < 2:
+        raise ValueError(f"support_cap = {support_cap}: at least 2 atoms are needed, one a side")
     w1 = w1.merge_atoms()
     w2 = w2.merge_atoms()
     if len(w1) + len(w2) > support_cap:

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .engine import _distances, _PairSum, _TiltPairSum, replay_events, replay_rows
 from .girsanov import InitialTilt, TiltingScheme, tau
@@ -104,6 +103,8 @@ class TestFunctionDescriptor:
                 return math.inf
             return math.log(reference.gaussian_moment(self.coeff))
         if self.kind == "radial_bump":
+            from scipy.integrate import quad
+
             a, th = reference.shape, reference.scale
 
             def integrand(s):

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaincinv, gammainccinv
 
 
 @dataclass(frozen=True)
@@ -56,23 +55,33 @@ class ReferenceMeasure:
     # ---- radial helpers (all in terms of s = |v|^2) -------------------
 
     def speed2_cdf(self, s, scale: float | None = None):
+        from scipy.special import gammainc
+
         scale = self.scale if scale is None else scale
         return gammainc(self.shape, np.asarray(s, dtype=float) / scale)
 
     def speed2_sf(self, s, scale: float | None = None):
+        from scipy.special import gammaincc
+
         scale = self.scale if scale is None else scale
         return gammaincc(self.shape, np.asarray(s, dtype=float) / scale)
 
     def speed2_ppf(self, q, scale: float | None = None):
+        from scipy.special import gammaincinv
+
         scale = self.scale if scale is None else scale
         return scale * gammaincinv(self.shape, np.asarray(q, dtype=float))
 
     def speed2_isf(self, q, scale: float | None = None):
+        from scipy.special import gammainccinv
+
         scale = self.scale if scale is None else scale
         return scale * gammainccinv(self.shape, np.asarray(q, dtype=float))
 
     def partial_m2(self, s, scale: float | None = None):
         """int_{0}^{s} x dGamma(shape, scale)(x) = shape*scale*P(shape+1, s/scale)."""
+        from scipy.special import gammainc
+
         scale = self.scale if scale is None else scale
         return self.shape * scale * gammainc(self.shape + 1, np.asarray(s, dtype=float) / scale)
 

@@ -267,6 +267,18 @@ class TestMetricsCommand:
         # without --flux the mass mismatch is a config error
         assert main(["metrics", "--measure-a", str(a), "--measure-b", str(b)]) == 2
 
+    @pytest.mark.parametrize("cap", ["-1", "0", "1"])
+    @pytest.mark.parametrize("flux", [False, True])
+    def test_support_cap_below_two_is_a_config_error(self, tmp_path, capsys, cap, flux):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("x0,weight\n0,0.5\n1,0.5\n")
+        b.write_text("x0,weight\n0,0.5\n2,0.5\n")
+        argv = ["metrics", "--measure-a", str(a), "--measure-b", str(b), "--support-cap", cap]
+        assert main(argv + ["--flux"] * flux) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: support_cap = {cap}: at least 2 atoms are needed, one a side\n"
+
 
 class TestMomentsCommand:
     def test_track_vs_ode_csv(self, tmp_path, capsys):
@@ -307,6 +319,18 @@ class TestTiltExperimentCommand:
 class TestExitCodes:
     """Runtime failures inside `simulate` exit 3 from either proposal loop;
     configuration errors exit 2, also when `simulate` raises them."""
+
+    @pytest.mark.parametrize("command", ["simulate", "tilt-experiment"])
+    @pytest.mark.parametrize("flag", ["--runs", "--threads"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_runs_and_threads_below_one_exit_2(self, tmp_path, capsys, command, flag, value):
+        # the config schema's minimum of 1 holds for the flags that override it
+        cfg = _write(tmp_path / "cfg.json", dict(BASE, tilting=TestMalformedInputs.FREEZE))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, flag, value, "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be an integer of at least 1, got '{value}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     # a collision sends one speed^2 past the largest double: the Fenwick
     # tree refuses the infinite weight in the middle of the run
@@ -358,6 +382,7 @@ class TestMalformedInputs:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
+        return err
 
     @pytest.mark.parametrize("tilting", [{"kind": "constant"}, {"kind": "pairwise", "b": 0.1},
                                          {"kind": "freeze", "M": 2.0, "r": 2}])
@@ -455,6 +480,27 @@ class TestMalformedInputs:
             argv += ["--descriptors", _write(tmp_path / "desc.json", {"descriptors": []}),
                      "--out-dir", str(tmp_path)]
         self._assert_config_error(argv, capsys)
+
+    @pytest.mark.parametrize("command", ["replay", "rate-eval"])
+    @pytest.mark.parametrize("edit", ["d = 2 log", "renamed column"])
+    def test_event_header_against_the_sidecar_d(self, tmp_path, capsys, command, edit):
+        sidecar, events = self._simulated(tmp_path)  # d = 3
+        if edit == "d = 2 log":
+            out = str(tmp_path / "d2")
+            cfg = _write(tmp_path / "cfg2.json", dict(BASE, kernel="maxwell", d=2))
+            assert main(["simulate", "--config", cfg, "--out-dir", out]) == 0
+            events = f"{out}/run_events.csv"
+        else:
+            text = open(events).read()
+            with open(events, "w") as fh:
+                fh.write(text.replace("sx,sy,sz", "s0,s1,s2", 1))
+        argv = [command, "--sidecar", sidecar, "--events", events]
+        if command == "rate-eval":
+            argv += ["--descriptors", _write(tmp_path / "desc.json", {"descriptors": []}),
+                     "--out-dir", str(tmp_path)]
+        err = self._assert_config_error(argv, capsys)
+        # the message names the header the sidecar's d = 3 calls for
+        assert "'t,i,j,sx,sy,sz,assignment,fictitious'" in err
 
     def test_replay_reference_without_checkpoints(self, tmp_path, capsys):
         sidecar, events = self._simulated(tmp_path)

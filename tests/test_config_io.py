@@ -147,6 +147,16 @@ class TestPersistence:
         with pytest.raises(ConfigError, match="row 5 names particles"):
             read_event_csv(str(path), 24, 0.8)
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_event_csv_header_of_another_d_is_a_config_error(self, tmp_path, d):
+        traj = self._traj()
+        path = tmp_path / "events.csv"
+        write_event_csv(str(path), traj.log, 3)
+        assert len(read_event_csv(str(path), 24, 0.8, d=3)) == len(traj.log)
+        expected = "t,i,j," + ",".join(f"s{k}" for k in range(d)) + ",assignment,fictitious"
+        with pytest.raises(ConfigError, match=f"is not the d = {d} event header '{expected}'"):
+            read_event_csv(str(path), 24, 0.8, d=d)
+
     @pytest.mark.filterwarnings("error")
     def test_event_csv_of_no_rows(self, tmp_path):
         path = tmp_path / "events.csv"

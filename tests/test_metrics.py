@@ -156,6 +156,22 @@ class TestFluxDistance:
         d = flux_distance(w1, w2)
         assert d == pytest.approx(0.5 * 2.0 + 1.5, abs=1e-9)  # transport 0.5 at cost 2, dump 1.5
 
+    @pytest.mark.parametrize("distance", [flux_distance, bl_distance])
+    @pytest.mark.parametrize("cap", [-1, 0, 1])
+    def test_support_cap_below_two_is_a_value_error(self, distance, cap):
+        # small enough to need no subsampling: the cap is refused whatever the sizes
+        w1 = WeightedMeasure([[0.0, 0]], [1.0])
+        w2 = WeightedMeasure([[1.0, 0]], [1.0])
+        with pytest.raises(ValueError, match=f"support_cap = {cap}"):
+            distance(w1, w2, support_cap=cap)
+
+    def test_support_cap_of_two_keeps_one_atom_a_side(self):
+        w1 = WeightedMeasure([[0.0, 0], [0.0, 1]], [0.5, 0.5])
+        w2 = WeightedMeasure([[1.0, 0], [1.0, 1]], [0.5, 0.5])
+        sub1, sub2 = w1.subsample(1, 0), w2.subsample(1, 1)
+        expected = min(float(np.linalg.norm(sub1.points[0] - sub2.points[0])), 2.0)
+        assert bl_distance(w1, w2, support_cap=2) == pytest.approx(expected, abs=1e-12)
+
 
 class TestPrunedLP:
     """The LP route carries only the pairs closer than the cap."""
@@ -215,7 +231,7 @@ class TestPrunedLP:
         def no_solver(*args, **kwargs):
             raise AssertionError("the LP solver was called")
 
-        monkeypatch.setattr("kaclab.metrics.linprog", no_solver)
+        monkeypatch.setattr("scipy.optimize.linprog", no_solver)
         # dyadic weights: m1 + m2 is exact in any summation order
         mu = WeightedMeasure([[0.0, 0, 0], [0.0, 5, 0], [0.0, 0, 9]], [0.25, 0.5, 0.125])
         nu = WeightedMeasure([[2.0, 0, 0], [3.0, 3, 3]], [0.375, 0.25])
