@@ -27,6 +27,17 @@
  * after it.
  * Errors are returned as status codes; the caller raises the Python loop's
  * exception for each.
+ *
+ * The rows are nearly all of a tracked run.  kac_rows and collision_rows,
+ * the one entry of a collision's rows (kac_run, kac_pair_rows and
+ * kac_pair_update call it), are cloned on x86-64 with glibc: built for
+ * x86-64-v4 (AVX-512) and for baseline x86-64, with the helpers they call
+ * inlined into each.  The loader picks the clone when the library is
+ * loaded, so the build key (source and compile command) is unchanged.  The
+ * clones are bit-identical: the row loops have no branch, and each lane
+ * does the scalar loop's correctly rounded sub, mul, add and sqrt in its
+ * order, unfused.  -DKAC_NO_CLONES builds the baseline version alone, as
+ * on every other host.
  */
 
 #include <math.h>
@@ -51,13 +62,24 @@ enum { F_K_MINUS_1, F_K_TABLE };
  * B = 1 + beta u, u = |v_a - v_b| (`engine._TiltPairSum`) */
 struct rowspec {
     const double *V;    /* (n, d) velocities in C order */
-    const double *live; /* 1.0 outside the frozen set, 0.0 in it; NULL: none */
+    const double *live; /* 1.0 outside the frozen set, 0.0 in it; all 1.0 when none is */
+    const double *zero; /* n doubles of +0.0: the old row of a row that has none */
     double *scratch;    /* 6n doubles: the old rows of a pair, dh, distance rows */
     int64_t n, d, f;
     int64_t constant;   /* the rows are one value and never change */
     double c, delta, beta;
     double f0, fc, fnan; /* a table f */
 };
+
+/* the clones of the row entries: the loader picks one through glibc's
+ * ifunc, so only x86-64 with glibc has them */
+#if defined(__x86_64__) && defined(__GLIBC__) && !defined(KAC_NO_CLONES)
+#define CLONED __attribute__((target_clones("arch=x86-64-v4", "default")))
+#else
+#define CLONED
+#endif
+/* the helpers of the rows: each clone inlines its own copy */
+#define INLINE static inline __attribute__((always_inline))
 
 double kac_dot(const double *x, const double *y, int64_t d)
 {
@@ -102,9 +124,10 @@ double kac_sum(const double *a, int64_t n)
     return 0.0 + pairwise(a, n);
 }
 
-/* o[b] = |v_a - v_b|, coordinate by coordinate as `engine._distances` */
-static inline void distances(const double *restrict V, int64_t n, int64_t d, int64_t a,
-                             double *restrict o)
+/* o[b] = |v_a - v_b|, coordinate by coordinate as `engine._distances`, for
+ * a constant d */
+INLINE void distances(const double *restrict V, int64_t n, int64_t d, int64_t a,
+                      double *restrict o)
 {
     const double *va = V + a * d;
     for (int64_t b = 0; b < n; b++) {
@@ -118,100 +141,120 @@ static inline void distances(const double *restrict V, int64_t n, int64_t d, int
     }
 }
 
-/* the distance row of a into o */
-static void dist_row(const struct rowspec *sp, int64_t a, double *o)
+/* the distance row of a into o: one pass at d = 3; at any other d a pass
+ * per coordinate, in the same order, so no loop has an inner loop */
+INLINE void dist_row(const struct rowspec *sp, int64_t a, double *restrict o)
 {
-    if (sp->d == 3)
-        distances(sp->V, sp->n, 3, a, o);
-    else
-        distances(sp->V, sp->n, sp->d, a, o);
-}
-
-/* o[b] = f(K_ab) B_ab from the distance row u[b] = |v_a - v_b|, less
- * old[b] with an old row; with a cost, whose K and B are this spec's, also
- * cost_o[b] = tau(K_ab) B_ab (less cost_old[b]) from the same K and B, by
- * the cost's table */
-static inline void map(const struct rowspec *sp, const struct rowspec *cost, int64_t a,
-                       const double *restrict u, double *restrict o, double *restrict cost_o,
-                       const double *restrict old, const double *restrict cost_old)
-{
-    const int64_t n = sp->n, f = sp->f;
-    const double c = sp->c, delta = sp->delta, beta = sp->beta;
-    const double f0 = sp->f0, fc = sp->fc, fnan = sp->fnan;
-    const double *restrict live = sp->live;
-    const double la = live ? live[a] : 1.0;
-    if (cost) { /* the ledger's K - 1 and the cost's table */
-        const double g0 = cost->f0, gc = cost->fc, gnan = cost->fnan;
-        for (int64_t b = 0; b < n; b++) {
-            double ub = u[b];
-            double k = c * (1.0 + delta * ub);
-            if (live)
-                k = k * (la * live[b]);
-            double fk = k - 1.0, gk = k == 0.0 ? g0 : k == c ? gc : gnan;
-            if (beta != 0.0) {
-                double bb = 1.0 + beta * ub;
-                fk = fk * bb;
-                gk = gk * bb;
-            }
-            o[b] = old ? fk - old[b] : fk;
-            cost_o[b] = old ? gk - cost_old[b] : gk;
-        }
+    const double *restrict V = sp->V;
+    const int64_t n = sp->n, d = sp->d;
+    if (d == 3) {
+        distances(V, n, 3, a, o);
         return;
     }
+    const double *va = V + a * d;
+    for (int64_t b = 0; b < n; b++) {
+        double t = V[b * d] - va[0];
+        o[b] = t * t;
+    }
+    for (int64_t q = 1; q < d; q++)
+        for (int64_t b = 0; b < n; b++) {
+            double t = V[b * d + q] - va[q];
+            o[b] += t * t;
+        }
+    for (int64_t b = 0; b < n; b++)
+        o[b] = sqrt(o[b]);
+}
+
+/* o[b] = f(K_ab) B_ab - old[b] from the distance row u[b] = |v_a - v_b|,
+ * f a table or K - 1 and B = 1 unless scaled; with a cost, whose K and B
+ * are this spec's, also cost_o[b] = tau(K_ab) B_ab - cost_old[b] from the
+ * same K and B, by the cost's table.  Every load is unconditional, so the
+ * loop has no branch and vectorises: live is a row of 1.0 when nothing is
+ * frozen (k * (1.0 * 1.0) == k) and a missing old row is zero (x - +0.0
+ * == x for every double, -0.0 and NaN too) */
+INLINE void map_loop(const struct rowspec *sp, const struct rowspec *cost, int64_t a,
+                     const double *restrict u, double *restrict o, double *restrict cost_o,
+                     const double *restrict old, const double *restrict cost_old,
+                     const int table, const int scaled)
+{
+    const int64_t n = sp->n;
+    const double c = sp->c, delta = sp->delta, beta = sp->beta;
+    const double f0 = sp->f0, fc = sp->fc, fnan = sp->fnan;
+    const double g0 = cost ? cost->f0 : 0.0, gc = cost ? cost->fc : 0.0;
+    const double gnan = cost ? cost->fnan : 0.0;
+    const double *restrict live = sp->live;
+    const double la = live[a];
     for (int64_t b = 0; b < n; b++) {
         double ub = u[b];
         double k = c * (1.0 + delta * ub);
-        if (live)
-            k = k * (la * live[b]);
-        double fk;
-        if (f == F_K_MINUS_1)
-            fk = k - 1.0;
+        k = k * (la * live[b]);
+        double fk = table ? (k == 0.0 ? f0 : k == c ? fc : fnan) : k - 1.0;
+        o[b] = (scaled ? fk * (1.0 + beta * ub) : fk) - old[b];
+        if (cost) {
+            double gk = k == 0.0 ? g0 : k == c ? gc : gnan;
+            cost_o[b] = (scaled ? gk * (1.0 + beta * ub) : gk) - cost_old[b];
+        }
+    }
+}
+
+/* map_loop for the shape of sp: the ledger's K - 1 with the cost's table,
+ * or sp's f alone, each with B or without */
+INLINE void map(const struct rowspec *sp, const struct rowspec *cost, int64_t a,
+                const double *restrict u, double *restrict o, double *restrict cost_o,
+                const double *restrict old, const double *restrict cost_old)
+{
+    const int scaled = sp->beta != 0.0;
+    if (cost) {
+        if (scaled)
+            map_loop(sp, cost, a, u, o, cost_o, old, cost_old, 0, 1);
         else
-            fk = k == 0.0 ? f0 : k == c ? fc : fnan;
-        fk = beta != 0.0 ? fk * (1.0 + beta * ub) : fk;
-        o[b] = old ? fk - old[b] : fk;
+            map_loop(sp, cost, a, u, o, cost_o, old, cost_old, 0, 0);
+    } else if (sp->f == F_K_MINUS_1) {
+        if (scaled)
+            map_loop(sp, 0, a, u, o, 0, old, 0, 0, 1);
+        else
+            map_loop(sp, 0, a, u, o, 0, old, 0, 0, 0);
+    } else if (scaled) {
+        map_loop(sp, 0, a, u, o, 0, old, 0, 1, 1);
+    } else {
+        map_loop(sp, 0, a, u, o, 0, old, 0, 1, 0);
     }
 }
 
 /* the m rows of particles first, ..., first + m - 1 into out, (m, n) in
  * C order, and with a cost (sp then holds the ledger's K - 1 rows) the
  * cost's rows from the same distances into cost_out */
-void kac_rows(const struct rowspec *sp, const struct rowspec *cost, int64_t first, int64_t m,
-              double *out, double *cost_out)
+CLONED void kac_rows(const struct rowspec *sp, const struct rowspec *cost, int64_t first,
+                     int64_t m, double *out, double *cost_out)
 {
     const int64_t n = sp->n;
     double *dist = sp->scratch + 4 * n;
     for (int64_t r = 0; r < m; r++) {
         dist_row(sp, first + r, dist);
-        map(sp, cost, first + r, dist, out + r * n, cost ? cost_out + r * n : 0, 0, 0);
+        map(sp, cost, first + r, dist, out + r * n, cost ? cost_out + r * n : 0, sp->zero,
+            sp->zero);
     }
 }
 
-/* the distance rows of i and j into dist, (2, n) */
-static void pair_dist(const struct rowspec *sp, int64_t i, int64_t j, double *dist)
-{
-    dist_row(sp, i, dist);
-    dist_row(sp, j, dist + sp->n);
-}
-
-/* the rows of the pair (i, j) from dist, their distance rows: before the
- * collision into the first part of scratch, after it (post) as dh = new
- * rows - old rows into the second part; with a cost, the cost's rows of
- * the pair into its scratch alike, in the order (i, j) or, when swapped,
- * (j, i) */
-static void pair_rows(const struct rowspec *sp, const struct rowspec *cost, int64_t i, int64_t j,
-                      int swapped, const double *dist, int post)
+/* the rows of the pair (i, j), from their distance rows in the last part
+ * of scratch: before the collision into the first part of scratch, after
+ * it (post) as dh = new rows - old rows into the second part; with a cost,
+ * the cost's rows of the pair into its scratch alike, in the order (i, j)
+ * or, when swapped, (j, i).  The one entry of the pair rows, out of line
+ * so that it can be cloned; one pass of the loop per particle, so that
+ * each clone has one copy of the row loops */
+static CLONED void collision_rows(const struct rowspec *sp, const struct rowspec *cost,
+                                  int64_t i, int64_t j, int swapped, int post)
 {
     const int64_t n = sp->n;
-    double *o = sp->scratch + (post ? 2 * n : 0), *old = post ? sp->scratch : 0;
-    double *co = 0, *cold = 0;
-    if (cost) {
-        co = cost->scratch + (post ? 2 * n : 0);
-        cold = post ? cost->scratch : 0;
+    double *dist = sp->scratch + 4 * n, *o = sp->scratch + (post ? 2 * n : 0);
+    for (int p = 0; p < 2; p++) {
+        const int64_t a = p ? j : i, at = p ? n : 0;
+        const int64_t cat = p != swapped ? n : 0; /* the offset of a in the cost's rows */
+        dist_row(sp, a, dist + at);
+        map(sp, cost, a, dist + at, o + at, cost ? cost->scratch + (post ? 2 * n : 0) + cat : 0,
+            post ? sp->scratch + at : sp->zero, cost && post ? cost->scratch + cat : sp->zero);
     }
-    int64_t ci = swapped ? n : 0, cj = swapped ? 0 : n; /* offsets of i and j in the cost's rows */
-    map(sp, cost, i, dist, o, co ? co + ci : 0, old, cold ? cold + ci : 0);
-    map(sp, cost, j, dist + n, o + n, co ? co + cj : 0, old ? old + n : 0, cold ? cold + cj : 0);
 }
 
 /* the change of the pair sum from dh of the pair (a, b), as
@@ -226,18 +269,14 @@ static double settle(const struct rowspec *sp, int64_t a, int64_t b)
 /* _PairSum.pre_collision: the rows of i and j into the first part of scratch */
 void kac_pair_rows(const struct rowspec *sp, int64_t i, int64_t j)
 {
-    double *dist = sp->scratch + 4 * sp->n;
-    pair_dist(sp, i, j, dist);
-    pair_rows(sp, 0, i, j, 0, dist, 0);
+    collision_rows(sp, 0, i, j, 0, 0);
 }
 
 /* _PairSum.post_collision: dh into the second part of scratch; returns
  * the change of the pair sum */
 double kac_pair_update(const struct rowspec *sp, int64_t i, int64_t j)
 {
-    double *dist = sp->scratch + 4 * sp->n;
-    pair_dist(sp, i, j, dist);
-    pair_rows(sp, 0, i, j, 0, dist, 1);
+    collision_rows(sp, 0, i, j, 0, 1);
     return settle(sp, i, j);
 }
 
@@ -313,7 +352,6 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
     /* the cost's pair sum, the cost so far, and the time it reaches */
     double cost_total = f[F_COST_TOTAL], cost_so_far = f[F_COST], cost_t = f[F_COST_T];
     const double nn = (double)(n * n);
-    double *dist = led ? led->scratch + 4 * n : 0;
     int64_t iu = k[K_IU], ie = k[K_IE], in = k[K_IN];
     int64_t events = k[K_EVENTS], coll = k[K_COLL], size = k[K_SIZE];
     const int rows = led && !led->constant; /* rows that change at collisions */
@@ -423,7 +461,7 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
         if (accepted) {
             coll++;
             if (led) {
-                if (led->live && !(led->live[i] != 0.0 && led->live[j] != 0.0)) {
+                if (!(led->live[i] != 0.0 && led->live[j] != 0.0)) {
                     hit = 1;
                 } else {
                     double arg = led->c * (1.0 + led->delta * u_dist);
@@ -435,10 +473,8 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
                 }
             }
             if (i != j) {
-                if (rows) {
-                    pair_dist(led, i, j, dist);
-                    pair_rows(led, cost, i, j, ri != i, dist, 0);
-                }
+                if (rows)
+                    collision_rows(led, cost, i, j, ri != i, 0);
                 /* kinetics._collide in the recorded parametrisation */
                 double *a = V + ri * d, *b = V + rj * d;
                 double dot = 0.0;
@@ -456,8 +492,7 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
                     CHECK(fen_update(tree, weights, n, j, speeds[j]));
                 }
                 if (rows) {
-                    pair_dist(led, i, j, dist);
-                    pair_rows(led, cost, i, j, ri != i, dist, 1);
+                    collision_rows(led, cost, i, j, ri != i, 1);
                     total += settle(led, i, j);
                     if (cost)
                         cost_total += settle(cost, ri, rj);

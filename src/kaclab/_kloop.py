@@ -13,6 +13,13 @@ steps.  `kernel(d, sums=True)`, for the rows of `engine._TiltPairSum` and the
 tracked segments that update them, also asks that the kernel's row sum
 equals numpy's `a.sum()`; where it does not, only they run in Python and
 numpy.
+
+On x86-64 with glibc the row functions `kac_rows` and `collision_rows` (the
+entry of a collision's rows, behind `kac_run`, `kac_pair_rows` and
+`kac_pair_update`) are built twice into the one library, for x86-64-v4
+(AVX-512) and for baseline x86-64, and the dynamic loader picks the clone
+when the library is loaded.  The build key, source plus compile command, is
+therefore unchanged, and the clones' rows are the same bytes.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ REFILL = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int)
 class RowSpec(ctypes.Structure):
     """`struct rowspec` of _kloop.c: the rows f(K) B of one scheme interval."""
 
-    _fields_ = [("V", ctypes.c_void_p), ("live", ctypes.c_void_p), ("scratch", ctypes.c_void_p),
+    _fields_ = [*((name, ctypes.c_void_p) for name in ("V", "live", "zero", "scratch")),
                 *((name, ctypes.c_int64) for name in ("n", "d", "f", "constant")),
                 *((name, ctypes.c_double) for name in ("c", "delta", "beta", "f0", "fc", "fnan"))]
 
@@ -53,8 +60,10 @@ _dot_ok = {}  # dimension -> the kernel's dot matches numpy's
 _sum_ok = False  # the kernel's row sum matches numpy's
 
 
-def compile_kernel(out_path: str) -> subprocess.CompletedProcess:
-    return subprocess.run(["gcc", *CFLAGS, "-o", out_path, SOURCE, "-lm"],
+def compile_kernel(out_path: str, *extra: str) -> subprocess.CompletedProcess:
+    """gcc on _kloop.c with CFLAGS, and extra flags after them (the load
+    passes none; `-DKAC_NO_CLONES` builds the baseline rows alone)."""
+    return subprocess.run(["gcc", *CFLAGS, *extra, "-o", out_path, SOURCE, "-lm"],
                           capture_output=True, text=True)
 
 
@@ -76,9 +85,13 @@ def _load():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        lib = ctypes.CDLL(path)
+        return bind(ctypes.CDLL(path))
     except OSError:
         return None
+
+
+def bind(lib):
+    """Declare the signatures of the kernel's functions on a loaded library."""
     ptr, i64, dbl = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.kac_dot.argtypes = (ptr, ptr, i64)
     lib.kac_dot.restype = dbl

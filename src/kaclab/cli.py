@@ -56,7 +56,18 @@ def _load_measure_csv(path: str) -> WeightedMeasure:
         header = fh.readline().strip().split(",")
         if header[-1] != "weight":
             raise ConfigError(f"{path}: last column must be 'weight', got {header[-1]!r}")
-        rows = [[float(x) for x in line.strip().split(",")] for line in fh if line.strip()]
+        rows = []
+        for lineno, line in enumerate(fh, start=2):  # 1-based rows of the file, header first
+            if not line.strip():
+                continue
+            values = line.strip().split(",")
+            if len(values) != len(header):
+                raise ConfigError(f"{path}: row {lineno} has {len(values)} values, "
+                                  f"the header {len(header)} columns")
+            try:
+                rows.append([float(x) for x in values])
+            except ValueError as exc:
+                raise ConfigError(f"{path}: row {lineno}: {exc}") from exc
     arr = np.asarray(rows, dtype=float)
     if arr.size == 0:
         return WeightedMeasure(np.empty((0, len(header) - 1)), np.empty(0))

@@ -539,7 +539,7 @@ class _TiltPairSum(_PairSum):
     """
 
     __slots__ = ("v", "scheme", "k", "beta", "f", "c", "delta", "alive", "constant",
-                 "lib", "spec", "live", "scratch", "cost")
+                 "lib", "spec", "live", "zero", "scratch", "cost")
 
     def __init__(self, v: np.ndarray, scheme: TiltingScheme, k: int, beta: float, f,
                  cost: bool = False):
@@ -576,21 +576,24 @@ class _TiltPairSum(_PairSum):
         self.alive = ~scheme.frozen_mask(k, len(v)) if len(scheme.frozen_sets[k]) else None
         self.constant = beta == 0.0 and delta == 0.0 and self.alive is None
         mode = _kloop.F_K_MINUS_1 if f is _k_minus_1 else _kloop.F_K_TABLE if delta == 0.0 else None
-        self.lib = self.spec = self.live = self.scratch = None
+        self.lib = self.spec = self.live = self.zero = self.scratch = None
         if mode is not None and v.flags.c_contiguous and v.dtype == np.float64:
             self.lib = _kloop.kernel(v.shape[1], sums=True)
         if self.lib is not None:
             # the kernel multiplies K by live_a live_b, each 1.0 or 0.0, as
-            # numpy multiplies it by the boolean alive_a & alive_b
-            self.live = None if self.alive is None else self.alive.astype(float)
+            # numpy multiplies it by the boolean alive_a & alive_b, and by
+            # 1.0 (exactly) where nothing is frozen; it subtracts the zero
+            # row where a row has no old row, so its loops have no branch
+            self.live = np.ones(len(v)) if self.alive is None else self.alive.astype(float)
+            self.zero = np.zeros(len(v))
             self.scratch = np.empty(6 * len(v))  # the old rows of a pair, dh, distance rows
             table = (0.0, 0.0, 0.0)
             if mode == _kloop.F_K_TABLE:
                 with np.errstate(invalid="ignore"):  # K is NaN at an infinite distance
                     k_values = scheme.pair_k(k, np.array([0.0, 0.0, np.inf]), np.array([False, True, True]))
                 table = f(k_values)
-            # the spec points into v, live and scratch, which this object keeps
-            self.spec = _kloop.RowSpec(v.ctypes.data, None if self.live is None else self.live.ctypes.data,
+            # the spec points into v, live, zero and scratch, which this object keeps
+            self.spec = _kloop.RowSpec(v.ctypes.data, self.live.ctypes.data, self.zero.ctypes.data,
                                        self.scratch.ctypes.data, len(v), v.shape[1], mode,
                                        self.constant, c, delta, beta, *table)
 

@@ -267,6 +267,20 @@ class TestMetricsCommand:
         # without --flux the mass mismatch is a config error
         assert main(["metrics", "--measure-a", str(a), "--measure-b", str(b)]) == 2
 
+    @pytest.mark.parametrize("body, message", [
+        ("0,0,0,1.0\n1,1,1,1.0\n", "row 2 has 4 values, the header 3 columns"),
+        ("0,0,1.0\n\n1,1.0\n", "row 4 has 2 values, the header 3 columns"),
+        ("0,0,1.0\n0,x,1.0\n", "row 3: could not convert string to float: 'x'"),
+    ])
+    def test_rows_must_match_the_header(self, tmp_path, capsys, body, message):
+        # a row wider or narrower than the header names its file and row
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("x,y,weight\n" + body)
+        b.write_text("x,y,weight\n0,0,1.0\n")
+        assert main(["metrics", "--measure-a", str(a), "--measure-b", str(b)]) == 2
+        assert capsys.readouterr().err == f"config error: {a}: {message}\n"
+
     @pytest.mark.parametrize("cap", ["-1", "0", "1"])
     @pytest.mark.parametrize("flux", [False, True])
     def test_support_cap_below_two_is_a_config_error(self, tmp_path, capsys, cap, flux):

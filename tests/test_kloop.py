@@ -5,6 +5,7 @@ compiled loop live wherever there is no ledger pair sum, and once with the
 kernel handle set to None, which runs `_Engine.propose` everywhere.
 """
 
+import ctypes
 import json
 import shutil
 
@@ -128,9 +129,11 @@ def test_compiled_loop_is_live(monkeypatch):
 
 @needs_gcc
 def test_kernel_builds_without_warnings(tmp_path):
-    proc = _kloop.compile_kernel(str(tmp_path / "kloop.so"))
-    assert proc.returncode == 0
-    assert proc.stderr == ""
+    # as loaded, and with the row clones compiled out
+    for extra in ((), ("-DKAC_NO_CLONES",)):
+        proc = _kloop.compile_kernel(str(tmp_path / "kloop.so"), *extra)
+        assert proc.returncode == 0, extra
+        assert proc.stderr == "", extra
 
 
 def test_in_place_refills_draw_fresh_arrays():
@@ -407,6 +410,101 @@ def test_python_loop_writes_python_floats(name, monkeypatch):
     # the clock between events, which only the Python loop's step() returns
     state, event = kl.step(kl.ParticleState(compiled.final_state.velocities), cfg.kernel, scheme, kl.make_rng(95))
     assert type(state.time) is float and state.time == event.time > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the baseline build of the rows, which a host with AVX-512 never runs from
+# the library as loaded (there the loader picks the x86-64-v4 clone)
+
+
+@pytest.fixture(scope="module")
+def baseline_lib(tmp_path_factory):
+    """_kloop.c built with its row clones compiled out."""
+    path = tmp_path_factory.mktemp("baseline") / "kloop.so"
+    proc = _kloop.compile_kernel(str(path), "-DKAC_NO_CLONES")
+    assert proc.returncode == 0, proc.stderr
+    return _kloop.bind(ctypes.CDLL(str(path)))
+
+
+def _rows_of(lib, pair_sum, first, m):
+    """kac_rows of one library: the rows, and the cost's rows if it has a cost."""
+    n, cost = len(pair_sum.v), pair_sum.cost
+    out, cost_out = np.empty((m, n)), np.empty((m, n))
+    lib.kac_rows(pair_sum.spec, None if cost is None else cost.spec, first, m, out.ctypes.data,
+                 None if cost is None else cost_out.ctypes.data)
+    return out.tobytes(), None if cost is None else cost_out.tobytes()
+
+
+@needs_gcc
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("f", ["k_minus_1", "table"])
+def test_baseline_rows_match_dispatched_and_numpy(baseline_lib, f, frozen, beta, d):
+    rng = np.random.default_rng(13 * d)
+    n = 41
+    # K - 1 runs in C at every delta and carries the cost's table at delta = 0
+    for delta in (0.0, 0.3) if f == "k_minus_1" else (0.0,):
+        v = rng.standard_normal((n, d)) * np.exp(rng.uniform(-3.0, 3.0, (n, 1)))
+        v[4, 1] = np.inf  # row and column 4 hold non-finite distances
+        scheme = _frozen_scheme(delta)
+        func = _k_minus_1 if f == "k_minus_1" else tau
+        pair_sum = _TiltPairSum(v, scheme, 0 if frozen else 1, beta, func,
+                                cost=f == "k_minus_1" and delta == 0.0)
+        lib, cost = pair_sum.lib, pair_sum.cost
+        assert lib is not None and lib is not baseline_lib
+        for first, m in ((0, n), (n // 2, n - n // 2), (4, 1)):
+            rows = _rows_of(baseline_lib, pair_sum, first, m)
+            assert rows == _rows_of(lib, pair_sum, first, m), (delta, first)
+            sel = slice(first, first + m)
+            assert rows[0] == pair_sum.numpy(sel).tobytes()
+            assert rows[1] == (None if cost is None else cost.numpy(sel).tobytes())
+        # a collision's rows and update: (4, 0) crosses the non-finite row,
+        # (3, 5) is a frozen pair in interval 0
+        for i, j in ((4, 0), (3, 5), (10, 27)):
+            old = []
+            for each in (baseline_lib, lib):
+                each.kac_pair_rows(pair_sum.spec, i, j)
+                old.append(pair_sum.scratch[: 2 * n].tobytes())
+            want = pair_sum.numpy(np.array([i, j]))
+            assert old[0] == old[1] == want.tobytes(), (delta, i, j)
+            v[i] += 0.25
+            v[j] -= 0.5
+            updates = []
+            for each in (baseline_lib, lib):  # the old rows in scratch stay as they are
+                change = each.kac_pair_update(pair_sum.spec, i, j)
+                updates.append((np.float64(change).tobytes(), pair_sum.scratch[2 * n: 4 * n].tobytes()))
+            dh = pair_sum.numpy(np.array([i, j])) - want
+            change = 2.0 * dh.sum() - dh[0, i] - dh[1, j] - 2.0 * dh[0, j]
+            assert updates[0] == updates[1] == (np.float64(change).tobytes(), dh.tobytes()), (delta, i, j)
+
+
+@needs_gcc
+@pytest.mark.parametrize("name", ["freeze", "frozen_q", "frozen_maxwell_delta", "pairwise_Q_n200"])
+def test_baseline_build_runs_byte_identical(name, baseline_lib, monkeypatch, tracked_calls):
+    # the ledger's rows, and with the freeze scheme the cost's, in kac_run
+    if name == "freeze":
+        run = _freeze_run
+    else:
+        kwargs, scheme = TRACKED[name]
+        cfg = kl.SimConfig(t_max=1.0, seed=97, checkpoint_times=(0.0, 0.3, 1.0), **kwargs)
+
+        def run():
+            return kl.simulate(cfg, scheme)
+
+    def outputs(traj):
+        return {**_outputs(traj), "cost": repr(traj.dynamic_cost),
+                **{term: float(getattr(traj.rn_ledger, term)).hex()
+                   for term in ("initial_term", "jump_term", "compensator_term")}}
+
+    dispatched = outputs(run())
+    assert any(tracked_calls)
+    with monkeypatch.context() as m:
+        m.setattr(_kloop, "_lib", baseline_lib)
+        baseline = run()
+    assert (baseline.dynamic_cost is not None) == (name in ("freeze", "frozen_q"))  # delta = 0
+    assert outputs(baseline) == dispatched
 
 
 # ---------------------------------------------------------------------------
