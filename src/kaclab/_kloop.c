@@ -27,6 +27,8 @@
  * after it.
  * Errors are returned as status codes; the caller raises the Python loop's
  * exception for each.
+ * kac_transport, at the end of the file, is not part of the engine: the
+ * network simplex that solves the transport problem of `metrics`.
  *
  * The rows are nearly all of a tracked run.  kac_rows and collision_rows,
  * the one entry of a collision's rows (kac_run, kac_pair_rows and
@@ -42,6 +44,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 typedef int (*refill_fn)(int which); /* 0 uniforms, 1 exponentials, 2 normals */
 
@@ -51,7 +54,8 @@ enum { F_T, F_COMP, F_TEND, F_C, F_INFL, F_GAMMA, F_KB, F_MAJ, F_TOTAL, F_COMPEN
 enum { K_IU, K_IE, K_IN, K_EVENTS, K_COLL, K_SIZE, K_CAP, K_I, K_J, K_HIT };
 
 enum { DONE = 0, GROW = 1, ERR_MAJORANT = -1, ERR_WEIGHT = -2, ERR_ZERO_TOTAL = -3,
-       ERR_REFILL = -4, ERR_INDEX = -5, ERR_LOG = -6 };
+       ERR_REFILL = -4, ERR_INDEX = -5, ERR_LOG = -6, ERR_MEMORY = -7, ERR_PIVOTS = -8,
+       ERR_ARTIFICIAL = -9 };
 
 /* the pair function f(K) of a row: K - 1, or a table of f at the three
  * values K takes at delta = 0: 0 (a frozen pair), c, and the NaN of a
@@ -572,4 +576,263 @@ int kac_replay(double *V, int64_t n, int64_t d, const int64_t *ev_i, const int64
         }
     }
     return DONE;
+}
+
+/* ---------------------------------------------------------------------------
+ * kac_transport: the capped partial-transport problem of
+ * `metrics._flat_distance`, solved exactly by a primal network simplex.
+ *
+ * Nodes: the n1 atoms of mu (supply w1_i), the n2 atoms of nu (demand w2_j),
+ * a row-abstain node R (demand sum w1) and a column-abstain node C (supply
+ * sum w2).  Arcs, all uncapacitated: the np pairs i -> j closer than the
+ * cap at cost c_ij, i -> R and C -> j at cost 1 (destroying and creating a
+ * unit), C -> R at cost 0.  The minimum cost is the distance.
+ *
+ * The start is LEMON's: an artificial root joined to every node by an arc
+ * that carries the node's supply, cost 0 from a supply node and ART_COST to
+ * a demand node.  Some optimal dual of the network has pi_R = pi_C and every
+ * other potential within 1 of them, so at ART_COST = 3 every artificial arc
+ * has a positive reduced cost at that dual and no optimum keeps artificial
+ * flow; what is left at the end is rounding, and more than ART_TOL of the
+ * mass is an error.  Pricing is block search (blocks of sqrt(arcs)): the
+ * most negative reduced cost of the first block that has one below
+ * -RC_TOL, an absolute tolerance, since costs are distances of order 1
+ * whatever the weights.  The leaving arc is LEMON's strongly feasible rule:
+ * of the arcs that block, the last met on the cycle walked from the join in
+ * the direction of the flow (strict on the source's path, non-strict on the
+ * target's).  The tree is parent pointers and child lists; a pivot re-roots
+ * the subtree cut off by the leaving arc at the entering arc and recomputes
+ * depth and potential on that subtree alone, each potential from its
+ * parent's, so no rounding accumulates over pivots.
+ */
+
+#define ART_COST 3.0
+#define RC_TOL 1e-11
+#define ART_TOL 1e-9
+
+enum { UP = 1, DOWN = -1 }; /* a tree arc points from a node to its parent, or back */
+
+struct tree {
+    int32_t *src, *tgt; /* arcs */
+    double *cost, *flow;
+    int8_t *lower;      /* 1 off the tree (at flow 0), 0 in it */
+    int32_t *parent, *pred, *depth, *first, *next, *prev; /* nodes */
+    int8_t *dir;
+    double *pi;         /* cost = pi[tgt] - pi[src] on tree arcs */
+};
+
+static void link_child(struct tree *t, int32_t x, int32_t p)
+{
+    t->parent[x] = p;
+    t->prev[x] = -1;
+    t->next[x] = t->first[p];
+    if (t->first[p] >= 0)
+        t->prev[t->first[p]] = x;
+    t->first[p] = x;
+}
+
+static void unlink_child(struct tree *t, int32_t x)
+{
+    if (t->prev[x] >= 0)
+        t->next[t->prev[x]] = t->next[x];
+    else
+        t->first[t->parent[x]] = t->next[x];
+    if (t->next[x] >= 0)
+        t->prev[t->next[x]] = t->prev[x];
+}
+
+/* depth and potential of the subtree of top, from its parent's, in preorder */
+static void reprice(struct tree *t, int32_t top)
+{
+    int32_t x = top;
+    for (;;) {
+        int32_t p = t->parent[x];
+        double c = t->cost[t->pred[x]];
+        t->depth[x] = t->depth[p] + 1;
+        t->pi[x] = t->dir[x] == UP ? t->pi[p] - c : t->pi[p] + c;
+        if (t->first[x] >= 0) {
+            x = t->first[x];
+            continue;
+        }
+        while (x != top && t->next[x] < 0)
+            x = t->parent[x];
+        if (x == top)
+            return;
+        x = t->next[x];
+    }
+}
+
+/* one pivot on entering arc `in`: push the flow round its cycle, then hang
+ * the subtree cut off by the leaving arc from `in`; 0, or ERR_PIVOTS when
+ * no arc blocks (impossible: the network has no directed cycle) */
+static int pivot(struct tree *t, int32_t in)
+{
+    int32_t s = t->src[in], g = t->tgt[in], u, v, out = -1;
+    for (u = s, v = g; u != v;)
+        if (t->depth[u] >= t->depth[v])
+            u = t->parent[u];
+        else
+            v = t->parent[v];
+    int32_t join = u;
+    double delta = INFINITY;
+    int side = 0;
+    for (u = s; u != join; u = t->parent[u])
+        if (t->dir[u] == UP && t->flow[t->pred[u]] < delta) {
+            delta = t->flow[t->pred[u]];
+            out = u;
+            side = 1;
+        }
+    for (u = g; u != join; u = t->parent[u])
+        if (t->dir[u] == DOWN && t->flow[t->pred[u]] <= delta) {
+            delta = t->flow[t->pred[u]];
+            out = u;
+            side = 2;
+        }
+    if (!side)
+        return ERR_PIVOTS;
+    if (delta > 0.0) {
+        t->flow[in] += delta;
+        for (u = s; u != join; u = t->parent[u])
+            t->flow[t->pred[u]] -= t->dir[u] * delta;
+        for (u = g; u != join; u = t->parent[u])
+            t->flow[t->pred[u]] += t->dir[u] * delta;
+    }
+    t->lower[in] = 0;
+    t->lower[t->pred[out]] = 1;
+    /* reverse the stem, the path from the entering end x up to out: each
+     * stem node above x becomes the child of the one below it, over the
+     * arc that joined them, now pointing the other way */
+    int32_t x = side == 1 ? s : g, par = x == s ? g : s, arc = in;
+    int8_t dir = x == s ? UP : DOWN;
+    for (;;) {
+        int32_t up = t->parent[x], up_arc = t->pred[x];
+        int8_t up_dir = t->dir[x];
+        unlink_child(t, x);
+        link_child(t, x, par);
+        t->pred[x] = arc;
+        t->dir[x] = dir;
+        if (x == out)
+            break;
+        par = x;
+        arc = up_arc;
+        dir = -up_dir;
+        x = up;
+    }
+    reprice(t, side == 1 ? s : g);
+    return 0;
+}
+
+/* the distance between mu and nu into *value and the pivot count into
+ * *pivots; DONE, ERR_MEMORY, ERR_PIVOTS (more than max_pivots) or
+ * ERR_ARTIFICIAL (artificial flow left) */
+int kac_transport(const double *cost, const int64_t *ii, const int64_t *jj, int64_t np,
+                  const double *w1, int64_t n1, const double *w2, int64_t n2,
+                  int64_t max_pivots, double *value, int64_t *pivots)
+{
+    int64_t nn = n1 + n2 + 2, m = np + n1 + n2 + 1, arcs = m + nn;
+    if (arcs >= INT32_MAX)
+        return ERR_MEMORY;
+    int32_t R = (int32_t)(n1 + n2), C = R + 1, root = C + 1;
+    struct tree t;
+    char *block = malloc(arcs * (2 * sizeof(int32_t) + 2 * sizeof(double) + 1)
+                         + (nn + 1) * (6 * sizeof(int32_t) + sizeof(double) + 1));
+    if (!block)
+        return ERR_MEMORY;
+    char *p = block;
+#define TAKE(field, count) (t.field = (void *)p, p += (count) * sizeof(*t.field))
+    TAKE(cost, arcs); TAKE(flow, arcs); TAKE(pi, nn + 1);
+    TAKE(src, arcs); TAKE(tgt, arcs);
+    TAKE(parent, nn + 1); TAKE(pred, nn + 1); TAKE(depth, nn + 1);
+    TAKE(first, nn + 1); TAKE(next, nn + 1); TAKE(prev, nn + 1);
+    TAKE(lower, arcs); TAKE(dir, nn + 1);
+#undef TAKE
+    double m1 = 0.0, m2 = 0.0;
+    for (int64_t e = 0; e < np; e++) {
+        t.src[e] = (int32_t)ii[e];
+        t.tgt[e] = (int32_t)(n1 + jj[e]);
+        t.cost[e] = cost[e];
+    }
+    for (int64_t i = 0; i < n1; i++) {
+        t.src[np + i] = (int32_t)i;
+        t.tgt[np + i] = R;
+        t.cost[np + i] = 1.0;
+        m1 += w1[i];
+    }
+    for (int64_t j = 0; j < n2; j++) {
+        t.src[np + n1 + j] = C;
+        t.tgt[np + n1 + j] = (int32_t)(n1 + j);
+        t.cost[np + n1 + j] = 1.0;
+        m2 += w2[j];
+    }
+    t.src[m - 1] = C;
+    t.tgt[m - 1] = R;
+    t.cost[m - 1] = 0.0;
+    for (int64_t e = 0; e < m; e++) {
+        t.flow[e] = 0.0;
+        t.lower[e] = 1;
+    }
+    t.parent[root] = -1;
+    t.depth[root] = 0;
+    t.first[root] = -1;
+    t.pi[root] = 0.0;
+    for (int32_t u = 0; u < root; u++) {
+        double supply = u < n1 ? w1[u] : u < R ? -w2[u - n1] : u == R ? -m1 : m2;
+        int64_t e = m + u;
+        int up = supply > 0.0;
+        t.src[e] = up ? u : root;
+        t.tgt[e] = up ? root : u;
+        t.cost[e] = up ? 0.0 : ART_COST;
+        t.flow[e] = up ? supply : -supply;
+        t.lower[e] = 0;
+        t.pred[u] = (int32_t)e;
+        t.dir[u] = up ? UP : DOWN;
+        t.first[u] = -1;
+        t.depth[u] = 1;
+        t.pi[u] = t.cost[e];
+        link_child(&t, u, root);
+    }
+    int64_t block_size = (int64_t)sqrt((double)m), next = 0, count = 0;
+    if (block_size < 10)
+        block_size = 10;
+    int status = DONE;
+    for (;;) {
+        /* block search: the most negative reduced cost of the first block
+         * that has one below -RC_TOL */
+        double best = -RC_TOL;
+        int64_t in = -1, left = block_size, e = next;
+        for (int64_t k = 0; k < m; k++) {
+            double rc = t.lower[e] * (t.cost[e] + t.pi[t.src[e]] - t.pi[t.tgt[e]]);
+            if (rc < best) {
+                best = rc;
+                in = e;
+            }
+            if (++e == m)
+                e = 0;
+            if (--left == 0) {
+                if (in >= 0)
+                    break;
+                left = block_size;
+            }
+        }
+        if (in < 0)
+            break;
+        next = e;
+        if (++count > max_pivots || pivot(&t, (int32_t)in) != 0) {
+            status = ERR_PIVOTS;
+            break;
+        }
+    }
+    if (status == DONE) {
+        double left = 0.0, total = 0.0;
+        for (int64_t e = m; e < arcs; e++)
+            left += t.flow[e];
+        if (left > ART_TOL * (m1 + m2))
+            status = ERR_ARTIFICIAL;
+        for (int64_t e = 0; e < m; e++)
+            total += t.cost[e] * t.flow[e];
+        *value = total;
+    }
+    *pivots = count;
+    free(block);
+    return status;
 }

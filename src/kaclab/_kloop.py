@@ -20,6 +20,11 @@ entry of a collision's rows, behind `kac_run`, `kac_pair_rows` and
 (AVX-512) and for baseline x86-64, and the dynamic loader picks the clone
 when the library is loaded.  The build key, source plus compile command, is
 therefore unchanged, and the clones' rows are the same bytes.
+
+`kac_transport` is the exact network-simplex solve of the capped transport
+problem behind `metrics.flux_distance` and `bl_distance`'s general-weight
+route.  Its arithmetic needs no match with numpy, so `library()` hands it
+out wherever the library loads, without the dimension and sum gates.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ CFLAGS = ("-O3", "-fno-math-errno", "-fPIC", "-shared", "-ffp-contract=off", "-W
 # status codes of kac_run and kac_replay, as in _kloop.c
 DONE, GROW = 0, 1
 ERR_MAJORANT, ERR_WEIGHT, ERR_ZERO_TOTAL, ERR_REFILL, ERR_INDEX, ERR_LOG = range(-1, -7, -1)
+# status codes of kac_transport, as in _kloop.c
+ERR_MEMORY, ERR_PIVOTS, ERR_ARTIFICIAL = range(-7, -10, -1)
 # the pair function f(K) of a row, as in _kloop.c
 F_K_MINUS_1, F_K_TABLE = 0, 1
 
@@ -55,7 +62,7 @@ class RowSpec(ctypes.Structure):
                 *((name, ctypes.c_double) for name in ("c", "delta", "beta", "f0", "fc", "fnan"))]
 
 _UNLOADED = object()
-_lib = _UNLOADED  # the library once loaded; None runs the Python loop everywhere
+_lib = _UNLOADED  # the library once loaded; None runs the Python loop and HiGHS everywhere
 _dot_ok = {}  # dimension -> the kernel's dot matches numpy's
 _sum_ok = False  # the kernel's row sum matches numpy's
 
@@ -109,6 +116,8 @@ def bind(lib):
     lib.kac_run.restype = ctypes.c_int
     lib.kac_replay.argtypes = (ptr, i64, i64, ptr, ptr, ptr, ptr, i64, i64, ptr)
     lib.kac_replay.restype = ctypes.c_int
+    lib.kac_transport.argtypes = (ptr, ptr, ptr, i64, ptr, i64, ptr, i64, i64, ptr, ptr)
+    lib.kac_transport.restype = ctypes.c_int
     return lib
 
 
@@ -128,14 +137,20 @@ def _dot_matches(lib, d: int) -> bool:
     return all(lib.kac_dot(x.ctypes.data, y.ctypes.data, d) == float(x @ y) for x, y in pairs)
 
 
-def kernel(d: int, sums: bool = False):
-    """The compiled loop for velocities in R^d, or None; with `sums`, the
-    compiled pair-sum rows too, or None."""
+def library():
+    """The loaded library, or None where there is no gcc or the build or
+    load failed; no arithmetic gate (the transport solve needs none)."""
     global _lib, _sum_ok
     if _lib is _UNLOADED:
         _lib = _load()
         _sum_ok = _lib is not None and _sum_matches(_lib)
-    if _lib is None:
+    return _lib
+
+
+def kernel(d: int, sums: bool = False):
+    """The compiled loop for velocities in R^d, or None; with `sums`, the
+    compiled pair-sum rows too, or None."""
+    if library() is None:
         return None
     if d not in _dot_ok:
         _dot_ok[d] = _dot_matches(_lib, d)

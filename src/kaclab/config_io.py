@@ -242,16 +242,35 @@ def state_digest(v: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(v, dtype=np.float64).tobytes()).hexdigest()
 
 
+# stands in for the velocities while the rest of the sidecar is dumped
+_VELOCITIES = "\x00initial velocities\x00"
+
+
+def _velocity_block(velocities: np.ndarray) -> str:
+    """`json.dumps` of the velocities' rows as one value of an `indent=1`
+    dict: json writes a finite float with float.__repr__, and so does this."""
+    if len(velocities) == 0:
+        return "[]"
+    rows = ("[\n   " + ",\n   ".join(map(float.__repr__, row)) + "\n  ]"
+            for row in velocities.tolist())
+    return "[\n  " + ",\n  ".join(rows) + "\n ]"
+
+
 def write_sidecar(path: str, trajectory: Trajectory) -> None:
+    """The sidecar is `json.dumps(payload, indent=1)`; the velocities, most of
+    it, are spliced in as text, since an indented dump never runs json's C
+    encoder."""
     payload = {
         "version": __version__,
         "config": trajectory.config.to_dict(),
         "seed": trajectory.seed,
-        "initial_velocities": trajectory.initial_state.velocities.tolist(),
+        "initial_velocities": _VELOCITIES,
         "final_sha256": state_digest(trajectory.final_state.velocities),
         "ledger": trajectory.rn_ledger.to_dict(),
     }
-    _atomic_write(path, json.dumps(payload, indent=1))
+    text = json.dumps(payload, indent=1).replace(
+        json.dumps(_VELOCITIES), _velocity_block(trajectory.initial_state.velocities), 1)
+    _atomic_write(path, text)
 
 
 def write_checkpoints(path: str, trajectory: Trajectory) -> None:

@@ -7,16 +7,24 @@ The distance implemented is the bounded-Lipschitz dual
 over the combined support.  Its primal is a partial optimal-transport
 problem: move mass at cost min(distance, 2) or pay 1 per unit destroyed and
 1 per unit created.  We solve the primal exactly on an augmented bipartite
-problem with an extra "abstain" node at cost 1 from everything:
+problem with an extra "abstain" node at cost 1 from everything, by one of
+three routes:
 
 * when both measures have a common atom-weight unit (empirical measures),
   the transportation polytope has integral vertices and the problem reduces
   to a rectangular assignment, solved exactly by scipy;
-* otherwise a sparse LP (HiGHS) on the pairs closer than the cap only:
-  moving a unit costs c_ij against 2 for destroying and creating it, so
-  some optimum leaves the pairs at the cap empty; dropping them is exact.
+* otherwise, wherever the compiled kernel loads, a network simplex
+  (`kac_transport` in `_kloop.c`) on the transport network of the pairs
+  closer than the cap: it ends on a basic solution whose reduced costs are
+  all nonnegative, an exact optimum of the network up to a 1e-11 pricing
+  tolerance on costs of order 1;
+* without the kernel, a sparse LP (HiGHS) on the same pairs, interior point
+  with crossover, which ends on an exact vertex.
+The last two drop the pairs at the cap: moving a unit costs c_ij against 2
+for destroying and creating it, so some optimum leaves those pairs empty.
 
-Both routes return the same optimum; the dual formulation is kept in the
+All routes return the same optimum, HiGHS up to its tolerances (about
+1e-10 relative where costs nearly tie); the dual formulation is kept in the
 test suite as an independent oracle.  The same machinery with unequal
 masses (abstain soaking up the difference) gives the flux-space metric.
 """
@@ -28,8 +36,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kloop
+
 _WEIGHT_TOL = 1e-12
 DISTANCE_CAP = 2.0
+# the network simplex gives up after this many pivots per arc: a guard
+# against cycling, far above the 0.05-0.25 a solve takes
+_PIVOTS_PER_ARC = 20
+_SIMPLEX_ERRORS = {_kloop.ERR_MEMORY: "out of memory or 2^31 arcs",
+                   _kloop.ERR_PIVOTS: "pivot cap reached",
+                   _kloop.ERR_ARTIFICIAL: "artificial flow left"}
 
 
 @dataclass
@@ -101,7 +117,8 @@ def _assignment_route(cost: np.ndarray, unit: float, n1: int, n2: int) -> float:
 
 
 def _lp_route(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
-    """Sparse HiGHS LP on the pairs closer than the cap (general weights).
+    """Sparse HiGHS LP on the pairs closer than the cap: the general-weight
+    route where the compiled kernel is missing, and the tests' reference.
 
     m1 + m2 + min sum (c_ij - 2) pi_ij, row sums <= w1, column sums <= w2.
     Interior point with crossover, which ends on an exact vertex: dual simplex
@@ -128,6 +145,26 @@ def _lp_route(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     return base + float(res.fun) / scale
 
 
+def _simplex_route(lib, cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
+    """Compiled network simplex on the pairs closer than the cap (general
+    weights); its costs are the distances, whatever the weights' scale."""
+    n1, n2 = cost.shape
+    ii, jj = (np.ascontiguousarray(a, dtype=np.int64) for a in np.nonzero(cost < DISTANCE_CAP))
+    if len(ii) == 0:
+        return float(w1.sum() + w2.sum())
+    pair_cost = np.ascontiguousarray(cost[ii, jj])
+    w1, w2 = (np.ascontiguousarray(w, dtype=float) for w in (w1, w2))
+    value, pivots = np.zeros(1), np.zeros(1, dtype=np.int64)
+    status = lib.kac_transport(pair_cost.ctypes.data, ii.ctypes.data, jj.ctypes.data, len(ii),
+                               w1.ctypes.data, n1, w2.ctypes.data, n2,
+                               _PIVOTS_PER_ARC * (len(ii) + n1 + n2 + 1),
+                               value.ctypes.data, pivots.ctypes.data)
+    if status != _kloop.DONE:
+        raise RuntimeError(f"transport LP failed: {_SIMPLEX_ERRORS[status]} "
+                           f"after {pivots[0]} pivots")
+    return float(value[0])
+
+
 def _flat_distance(p1: np.ndarray, w1: np.ndarray, p2: np.ndarray, w2: np.ndarray) -> float:
     """Bounded-Lipschitz distance between two atomic measures."""
     if len(p1) == 0 and len(p2) == 0:
@@ -141,9 +178,12 @@ def _flat_distance(p1: np.ndarray, w1: np.ndarray, p2: np.ndarray, w2: np.ndarra
     cost = np.minimum(cdist(p1, p2), DISTANCE_CAP)
     units = np.concatenate([w1, w2])
     unit = units[0]
-    if np.all(np.abs(units - unit) <= _WEIGHT_TOL * max(unit, 1.0)) and unit > 0.0:
+    if unit > 0.0 and np.all(np.abs(units - unit) <= _WEIGHT_TOL * unit):
         return _assignment_route(cost, unit, len(p1), len(p2))
-    return _lp_route(cost, w1, w2)
+    lib = _kloop.library()
+    if lib is None:
+        return _lp_route(cost, w1, w2)
+    return _simplex_route(lib, cost, w1, w2)
 
 
 def bl_distance(mu: WeightedMeasure, nu: WeightedMeasure, support_cap: int = 4000,

@@ -6,7 +6,7 @@ import pytest
 import kaclab as kl
 from kaclab.config_io import (ConfigError, VersionMismatchError, _one_run, parse_config,
                               pool_summaries, read_event_csv, replay, run_ensemble,
-                              save_trajectory, write_event_csv)
+                              save_trajectory, state_digest, write_event_csv, write_sidecar)
 from kaclab.kinetics import Kernel
 
 
@@ -183,6 +183,17 @@ class TestPersistence:
             assert got["m2"] == pytest.approx(cp.m2, abs=1e-12)
             assert got["m4"] == pytest.approx(cp.m4, abs=1e-12)
             assert got["truncated_m2"]["1.5"] == pytest.approx(cp.truncated_m2[1.5], abs=1e-12)
+
+    @pytest.mark.parametrize("n, d", [(1, 2), (1, 3), (40, 2), (40, 3)])
+    def test_sidecar_is_the_indented_json_dump(self, tmp_path, n, d):
+        traj = kl.simulate(kl.SimConfig(n=n, t_max=0.5, kernel=Kernel.HARD_SPHERE, d=d, seed=6))
+        path = tmp_path / "sidecar.json"
+        write_sidecar(str(path), traj)
+        payload = {"version": kl.__version__, "config": traj.config.to_dict(), "seed": traj.seed,
+                   "initial_velocities": traj.initial_state.velocities.tolist(),
+                   "final_sha256": state_digest(traj.final_state.velocities),
+                   "ledger": traj.rn_ledger.to_dict()}
+        assert path.read_text() == json.dumps(payload, indent=1)
 
     def test_version_stamp_refusal(self, tmp_path):
         traj = self._traj()

@@ -6,9 +6,12 @@ from scipy.spatial.distance import cdist
 
 import kaclab as kl
 from conftest import dual_lp_oracle, vertex_enumeration_oracle
+from kaclab import _kloop, metrics
 from kaclab.engine import ParticleState
 from kaclab.metrics import (WeightedMeasure, bl_distance, estimate_ldp_rate,
                             fit_ldp_slope, flux_distance, moment)
+
+needs_kernel = pytest.mark.skipif(_kloop.library() is None, reason="no compiled kernel")
 
 
 class TestWeightedMeasure:
@@ -98,7 +101,7 @@ class TestBLDistance:
             # disjoint supports: TV = 2 here; shared atoms only reduce it
             assert d <= 2.0
 
-    def test_assignment_and_lp_routes_agree(self):
+    def test_assignment_and_lp_routes_agree(self, monkeypatch):
         # equal atom counts take the assignment fast path, unequal uniform
         # counts take the LP; both must match the independent dual oracle
         rng = np.random.default_rng(6)
@@ -108,7 +111,12 @@ class TestBLDistance:
         assert bl_distance(fast_mu, fast_nu) == pytest.approx(dual_lp_oracle(fast_mu, fast_nu), abs=1e-9)
         lp_mu = WeightedMeasure(pts1, np.full(14, 1.0 / 14))
         lp_nu = WeightedMeasure(pts2, np.full(10, 0.1))
-        assert bl_distance(lp_mu, lp_nu) == pytest.approx(dual_lp_oracle(lp_mu, lp_nu), abs=1e-9)
+        want = pytest.approx(dual_lp_oracle(lp_mu, lp_nu), abs=1e-9)
+        # the compiled network simplex where the kernel loads, HiGHS without it
+        for lib in (_kloop.library(), None):
+            with monkeypatch.context() as m:
+                m.setattr(_kloop, "_lib", lib)
+                assert bl_distance(lp_mu, lp_nu) == want
 
     @pytest.mark.parametrize("transform", ["shift", "scale"])
     def test_subsampling_stability(self, transform):
@@ -232,6 +240,9 @@ class TestPrunedLP:
             raise AssertionError("the LP solver was called")
 
         monkeypatch.setattr("scipy.optimize.linprog", no_solver)
+        lib = _kloop.library()
+        if lib is not None:
+            monkeypatch.setattr(lib, "kac_transport", no_solver)
         # dyadic weights: m1 + m2 is exact in any summation order
         mu = WeightedMeasure([[0.0, 0, 0], [0.0, 5, 0], [0.0, 0, 9]], [0.25, 0.5, 0.125])
         nu = WeightedMeasure([[2.0, 0, 0], [3.0, 3, 3]], [0.375, 0.25])
@@ -241,6 +252,122 @@ class TestPrunedLP:
     def test_repeat_calls_identical(self):
         mu, nu = self._unequal_pair(np.random.default_rng(40), 10, spread=0.8)
         assert flux_distance(mu, nu) == flux_distance(mu, nu)
+
+
+class TestPrunedLPWithoutKernel(TestPrunedLP):
+    """The same cases on HiGHS, the route of hosts without the kernel."""
+
+    @pytest.fixture(autouse=True)
+    def _no_kernel(self, monkeypatch):
+        monkeypatch.setattr(_kloop, "_lib", None)
+
+
+def test_equal_unit_route_is_relative_below_unit_one():
+    # units 1e-13 and 5e-13 differ by less than 1e-12 but are not equal:
+    # the LP routes must run, not the assignment at unit 1e-13
+    mu = WeightedMeasure([[0.0, 0, 0], [1.0, 0, 0]], [1e-13, 1e-13])
+    nu = WeightedMeasure([[0.0, 0.5, 0], [3.0, 0, 0]], [5e-13, 5e-13])
+    big = [WeightedMeasure(m.points, m.weights * 1e12) for m in (mu, nu)]
+    assert flux_distance(mu, nu) == pytest.approx(dual_lp_oracle(*big) / 1e12, rel=1e-9)
+
+
+def _agree(cost, w1, w2):
+    """The compiled network simplex and HiGHS on one problem, within 1e-12."""
+    got = metrics._simplex_route(_kloop.library(), cost, w1, w2)
+    want = metrics._lp_route(cost, w1, w2)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-15 * (w1.sum() + w2.sum()))
+    return got
+
+
+def _capped(p1, p2):
+    return np.minimum(cdist(np.atleast_2d(p1), np.atleast_2d(p2)), 2.0)
+
+
+@needs_kernel
+class TestNetworkSimplex:
+    """`kac_transport` against `_lp_route` (HiGHS) and the brute-force oracles."""
+
+    def test_identical_measures_with_unequal_counts(self):
+        # nu is mu with its first atom split in two: the same measure
+        rng = np.random.default_rng(50)
+        pts, w = rng.normal(size=(6, 3)), rng.random(6) + 0.1
+        pts2 = np.vstack([pts, pts[:1]])
+        w2 = np.concatenate([[w[0] / 3], w[1:], [2 * w[0] / 3]])
+        assert _agree(_capped(pts, pts2), w, w2) == pytest.approx(0.0, abs=1e-15)
+
+    def test_one_atom_a_side(self):
+        for gap, m1, m2 in ((0.0, 0.3, 0.3), (0.7, 0.3, 0.5), (1.9, 1.0, 0.25), (2.0, 0.5, 0.5)):
+            got = _agree(_capped([0.0, 0.0], [gap, 0.0]), np.array([m1]), np.array([m2]))
+            assert got == pytest.approx(min(m1, m2) * min(gap, 2.0) + abs(m1 - m2), rel=1e-15)
+
+    @pytest.mark.parametrize("n1, n2", [(7, 12), (30, 17)])
+    def test_heavy_ties(self, n1, n2):
+        # lattice points: many pairs share a distance; uniform units 1/n
+        rng = np.random.default_rng(n1 * n2)
+        grid = np.array([(x, y) for x in range(4) for y in range(4)], dtype=float) * 0.5
+        p1, p2 = grid[rng.integers(0, 16, n1)], grid[rng.integers(0, 16, n2)] + [0.5, 0.0]
+        _agree(_capped(p1, p2), np.full(n1, 1.0 / n1), np.full(n2, 1.0 / n2))
+
+    def test_near_ties_match_the_exact_assignment(self):
+        # lattice points moved by 1e-9: many pairs nearly tie.  Units 1/12
+        # and 1/8 are 2 and 3 copies of 1/24, so the assignment on the
+        # copies is the exact optimum; HiGHS is off here by about 1e-10
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            grid = np.array([(x, y) for x in range(3) for y in range(3)], dtype=float) * 0.5
+            p1 = grid[rng.integers(0, 9, 12)] + rng.normal(size=(12, 2)) * 1e-9
+            p2 = grid[rng.integers(0, 9, 8)] + [0.5, 0.0] + rng.normal(size=(8, 2)) * 1e-9
+            cost = _capped(p1, p2)
+            exact = metrics._assignment_route(np.repeat(np.repeat(cost, 2, axis=0), 3, axis=1),
+                                              1.0 / 24, 24, 24)
+            got = metrics._simplex_route(_kloop.library(), cost, np.full(12, 1.0 / 12),
+                                         np.full(8, 0.125))
+            assert got == pytest.approx(exact, rel=1e-12)
+
+    def test_unequal_masses(self):
+        rng = np.random.default_rng(51)
+        for scale in (0.1, 3.0, 40.0):
+            p1, p2 = rng.normal(size=(9, 4)), rng.normal(size=(13, 4)) * 0.7
+            _agree(_capped(p1, p2), rng.random(9) * scale, rng.random(13))
+
+    def test_pairs_at_exactly_the_cap(self):
+        p1 = np.array([[0.0, 0, 0], [4.0, 0, 0], [1.0, 1, 0]])
+        p2 = np.array([[2.0, 0, 0], [0.0, 2, 0], [4.0, 1, 0]])
+        assert np.sum(cdist(p1, p2) == 2.0) == 3
+        _agree(_capped(p1, p2), np.array([0.3, 0.5, 0.15]), np.array([0.2, 0.25, 0.4]))
+
+    def test_random_general_weights(self):
+        rng = np.random.default_rng(52)
+        for _ in range(20):
+            n1, n2 = rng.integers(1, 40, size=2)
+            p1, p2 = rng.normal(size=(n1, 3)), rng.normal(size=(n2, 3)) * rng.uniform(0.5, 2)
+            _agree(_capped(p1, p2), rng.random(n1) + 1e-3, rng.random(n2) + 1e-3)
+
+    def test_weights_spanning_nine_decades(self):
+        rng = np.random.default_rng(53)
+        for _ in range(12):
+            mu = WeightedMeasure(rng.normal(size=(2, 2)), 10.0 ** rng.uniform(-9, 0, 2))
+            nu = WeightedMeasure(rng.normal(size=(2, 2)), 10.0 ** rng.uniform(-9, 0, 2))
+            got = _agree(_capped(mu.points, nu.points), mu.weights, nu.weights)
+            assert got == pytest.approx(vertex_enumeration_oracle(mu, nu), rel=1e-9, abs=1e-18)
+
+    def test_pivot_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_PIVOTS_PER_ARC", 0)
+        mu = WeightedMeasure([[0.0, 0], [1.0, 0]], [0.25, 0.75])
+        nu = WeightedMeasure([[0.5, 0], [1.0, 1.0]], [0.5, 0.125])
+        with pytest.raises(RuntimeError, match="pivot cap"):
+            flux_distance(mu, nu)
+
+    def test_leftover_artificial_flow_is_an_error(self):
+        # a negative weight of mu is a demand no arc can reach
+        cost = np.array([0.5])
+        ii, jj = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        w1, w2 = np.array([-0.5]), np.array([0.25])
+        value, pivots = np.zeros(1), np.zeros(1, dtype=np.int64)
+        status = _kloop.library().kac_transport(
+            cost.ctypes.data, ii.ctypes.data, jj.ctypes.data, 1, w1.ctypes.data, 1,
+            w2.ctypes.data, 1, 1000, value.ctypes.data, pivots.ctypes.data)
+        assert status == _kloop.ERR_ARTIFICIAL
 
 
 class TestEstimateLdpRate:
