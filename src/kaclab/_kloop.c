@@ -27,8 +27,10 @@
  * after it.
  * Errors are returned as status codes; the caller raises the Python loop's
  * exception for each.
- * kac_transport, at the end of the file, is not part of the engine: the
- * network simplex that solves the transport problem of `metrics`.
+ * kac_transport, near the end of the file, is not part of the engine: the
+ * network simplex that solves the transport problem of `metrics`.  Nor are
+ * kac_write_events and kac_read_events after it, which write and read the
+ * event CSV of `config_io`.
  *
  * The rows are nearly all of a tracked run.  kac_rows and collision_rows,
  * the one entry of a collision's rows (kac_run, kac_pair_rows and
@@ -42,8 +44,10 @@
  * on every other host.
  */
 
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <stdlib.h>
 
 typedef int (*refill_fn)(int which); /* 0 uniforms, 1 exponentials, 2 normals */
@@ -835,4 +839,164 @@ int kac_transport(const double *cost, const int64_t *ii, const int64_t *jj, int6
     *pivots = count;
     free(block);
     return status;
+}
+
+/* ---------------------------------------------------------------------------
+ * The event CSV of `config_io`: kac_write_events prints the rows of a log as
+ * the Python writer of `config_io.write_event_csv` prints them, and
+ * kac_read_events parses them back.  Neither is part of the engine.
+ *
+ * A float is "%.17g" and an integer decimal, the fields of a row are joined
+ * by ',' and each row ends in '\n'.  The reader accepts only that:
+ * -?digits[.digits][e(+|-)digits] for a float and -?digits in the column's
+ * range for an integer, with an optional missing final '\n'.  Both return
+ * -1 wherever `config_io` must take its Python path instead: a t or sigma
+ * that is not finite (glibc prints -nan where Python prints nan), a locale
+ * whose decimal point is not '.', or, to the reader, any other text.
+ */
+
+#define ROW_BYTES(d) (25 * ((d) + 1) + 51) /* the longest row: 24-byte floats, 20-byte int64s */
+
+static int point_is_dot(void)
+{
+    const char *dp = localeconv()->decimal_point;
+    return dp[0] == '.' && dp[1] == '\0';
+}
+
+static char *put_int(char *p, int64_t x)
+{
+    char digits[20];
+    uint64_t u = x < 0 ? 0 - (uint64_t)x : (uint64_t)x;
+    int k = 0;
+    do {
+        digits[k++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    if (x < 0)
+        *p++ = '-';
+    while (k)
+        *p++ = digits[--k];
+    return p;
+}
+
+/* the rows of a log into buf, which holds cap bytes; the number of bytes
+ * written, or -1 */
+int64_t kac_write_events(const double *t, const int64_t *i, const int64_t *j,
+                         const double *sigma, const int8_t *assignment,
+                         const uint8_t *fictitious, int64_t rows, int64_t d, char *buf,
+                         int64_t cap)
+{
+    if (!point_is_dot())
+        return -1;
+    char *p = buf, *end = buf + cap;
+    for (int64_t k = 0; k < rows; k++) {
+        if (end - p < ROW_BYTES(d) || !isfinite(t[k]))
+            return -1;
+        p += sprintf(p, "%.17g,", t[k]);
+        p = put_int(p, i[k]);
+        *p++ = ',';
+        p = put_int(p, j[k]);
+        *p++ = ',';
+        for (const double *s = sigma + k * d; s < sigma + (k + 1) * d; s++) {
+            if (!isfinite(*s))
+                return -1;
+            p += sprintf(p, "%.17g,", *s);
+        }
+        p = put_int(p, assignment[k]);
+        *p++ = ',';
+        p = put_int(p, fictitious[k]);
+        *p++ = '\n';
+    }
+    return p - buf;
+}
+
+static int is_digit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/* the field at s ends at the separator sep, or, for the last field of a
+ * row, at end */
+static int field_ends(const char *s, char sep, const char *end)
+{
+    return *s == sep || (sep == '\n' && s == end);
+}
+
+/* the float at s into *x; the byte after its separator, or NULL */
+static const char *read_float(const char *s, char sep, const char *end, double *x)
+{
+    const char *e = s + (*s == '-');
+    if (!is_digit(*e))
+        return NULL;
+    while (is_digit(*e))
+        e++;
+    if (*e == '.') {
+        if (!is_digit(*++e))
+            return NULL;
+        while (is_digit(*e))
+            e++;
+    }
+    if (*e == 'e') {
+        e++;
+        if ((*e != '+' && *e != '-') || !is_digit(*++e))
+            return NULL;
+        while (is_digit(*e))
+            e++;
+    }
+    char *stop;
+    if (!field_ends(e, sep, end))
+        return NULL;
+    *x = strtod(s, &stop);
+    return stop == e && isfinite(*x) ? e + 1 : NULL;
+}
+
+/* the integer in [lo, hi] at s into *x; the byte after its separator, or
+ * NULL */
+static const char *read_int(const char *s, char sep, const char *end, int64_t lo, int64_t hi,
+                            int64_t *x)
+{
+    int neg = *s == '-';
+    uint64_t u = 0, limit = neg ? 0 - (uint64_t)lo : (uint64_t)hi;
+    s += neg;
+    if (!is_digit(*s))
+        return NULL;
+    for (; is_digit(*s); s++) {
+        unsigned digit = (unsigned)(*s - '0');
+        if (u > (limit - digit) / 10)
+            return NULL;
+        u = 10 * u + digit;
+    }
+    if (!field_ends(s, sep, end))
+        return NULL;
+    *x = neg ? (int64_t)(0 - u) : (int64_t)u;
+    return s + 1;
+}
+
+/* the len bytes at s, which must be followed by a NUL, into the columns of
+ * rows rows; the number of rows read, or -1 */
+int64_t kac_read_events(const char *s, int64_t len, int64_t d, int64_t rows, double *t,
+                        int64_t *i, int64_t *j, double *sigma, int8_t *assignment,
+                        int8_t *fictitious)
+{
+    if (!point_is_dot())
+        return -1;
+    const char *end = s + len;
+    int64_t k = 0, a, f;
+    for (; s < end; k++) {
+        if (k == rows)
+            return -1;
+        if (!(s = read_float(s, ',', end, t + k)) ||
+            !(s = read_int(s, ',', end, INT64_MIN, INT64_MAX, i + k)) ||
+            !(s = read_int(s, ',', end, INT64_MIN, INT64_MAX, j + k)))
+            return -1;
+        for (int64_t c = 0; c < d; c++)
+            if (!(s = read_float(s, ',', end, sigma + k * d + c)))
+                return -1;
+        if (!(s = read_int(s, ',', end, INT8_MIN, INT8_MAX, &a)) ||
+            !(s = read_int(s, '\n', end, INT8_MIN, INT8_MAX, &f)))
+            return -1;
+        assignment[k] = (int8_t)a;
+        fictitious[k] = (int8_t)f;
+    }
+    return k;
 }

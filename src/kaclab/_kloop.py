@@ -1,5 +1,5 @@
-"""Build and load the compiled proposal loop, pair-sum rows and log walk,
-`_kloop.c`.
+"""Build and load the compiled proposal loop, pair-sum rows, log walk,
+transport solve and event-CSV I/O, `_kloop.c`.
 
 On first use the C source is compiled with gcc into `_build/` next to this
 file, under a name made from the sha256 of the source and the compile
@@ -25,6 +25,15 @@ therefore unchanged, and the clones' rows are the same bytes.
 problem behind `metrics.flux_distance` and `bl_distance`'s general-weight
 route.  Its arithmetic needs no match with numpy, so `library()` hands it
 out wherever the library loads, without the dimension and sum gates.
+
+So are `kac_write_events` and `kac_read_events`, behind
+`config_io.write_event_csv` and `read_event_csv`.  The writer prints the
+rows with "%.17g" and decimal integers, as the Python writer does; the
+reader accepts only what it prints (`-?digits[.digits][e(+|-)digits]`,
+`-?digits` in range, a newline after every row but perhaps the last).
+Both return -1, and `config_io` takes its Python path (the `%`-template
+writer, `np.loadtxt`), on a log with a non-finite t or sigma, a locale
+whose decimal point is not '.', or, to the reader, any other text.
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ class RowSpec(ctypes.Structure):
                 *((name, ctypes.c_double) for name in ("c", "delta", "beta", "f0", "fc", "fnan"))]
 
 _UNLOADED = object()
-_lib = _UNLOADED  # the library once loaded; None runs the Python loop and HiGHS everywhere
+_lib = _UNLOADED  # the library once loaded; None takes every Python path (and HiGHS)
 _dot_ok = {}  # dimension -> the kernel's dot matches numpy's
 _sum_ok = False  # the kernel's row sum matches numpy's
 
@@ -118,6 +127,10 @@ def bind(lib):
     lib.kac_replay.restype = ctypes.c_int
     lib.kac_transport.argtypes = (ptr, ptr, ptr, i64, ptr, i64, ptr, i64, i64, ptr, ptr)
     lib.kac_transport.restype = ctypes.c_int
+    lib.kac_write_events.argtypes = (ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, i64)
+    lib.kac_write_events.restype = i64
+    lib.kac_read_events.argtypes = (ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr)
+    lib.kac_read_events.restype = i64
     return lib
 
 
@@ -139,7 +152,8 @@ def _dot_matches(lib, d: int) -> bool:
 
 def library():
     """The loaded library, or None where there is no gcc or the build or
-    load failed; no arithmetic gate (the transport solve needs none)."""
+    load failed; no arithmetic gate (the transport solve and the event CSV
+    need none)."""
     global _lib, _sum_ok
     if _lib is _UNLOADED:
         _lib = _load()

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _kloop
 from .engine import (EventLog, InitialCondition, ParticleState, SimConfig,
                      Trajectory, make_rng, replay_rows, simulate, state_moments)
 from .girsanov import TiltingScheme
@@ -187,11 +187,18 @@ def parse_config(path_or_dict) -> ParsedConfig:
 # persistence
 
 
-def _atomic_write(path: str, payload: str) -> None:
+def _atomic_write(path: str, payload: str | bytes) -> None:
+    """Write text (a str) or bytes to `path` through a temporary file that
+    replaces it, and is removed if the write or the replace fails."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w" if isinstance(payload, str) else "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _event_header(d: int) -> str:
@@ -199,8 +206,27 @@ def _event_header(d: int) -> str:
     return "t,i,j," + ",".join(sigma) + ",assignment,fictitious"
 
 
+def _format_rows(log: EventLog, d: int):
+    """The rows of the log as `kac_write_events` prints them, or None where
+    the library does not load or the Python writer must run (a non-finite
+    t or sigma, a decimal point other than '.')."""
+    lib = _kloop.library()
+    if lib is None or log.sigma.shape != (len(log), d):
+        return None
+    cols = [np.ascontiguousarray(c) for c in (log.t, log.i, log.j, log.sigma, log.assignment,
+                                              log.fictitious.view(np.uint8))]
+    buf = np.empty(len(log) * (25 * (d + 1) + 51), np.uint8)  # ROW_BYTES(d) a row
+    size = lib.kac_write_events(*(c.ctypes.data for c in cols), len(log), d, buf.ctypes.data,
+                                len(buf))
+    return None if size < 0 else memoryview(buf)[:size]
+
+
 def write_event_csv(path: str, log: EventLog, d: int) -> None:
     header = _event_header(d) + "\n"
+    rows = _format_rows(log, d)
+    if rows is not None:
+        _atomic_write(path, b"".join((header.encode(), rows)))
+        return
     # one %-template per row over Python scalars: "%.17g" % x prints what
     # format(x, ".17g") prints, so replay stays bit-exact
     row = "%.17g,%d,%d," + "%.17g," * d + "%d,%d"
@@ -210,11 +236,35 @@ def write_event_csv(path: str, log: EventLog, d: int) -> None:
     _atomic_write(path, header + body)
 
 
+def _parse_rows(path: str, d: int):
+    """The columns (t, i, j, sigma, assignment, fictitious) of the rows
+    after the header from `kac_read_events`, or None where the library does
+    not load or the file is not byte for byte what the writer writes."""
+    lib = _kloop.library()
+    if lib is None or d < 1:
+        return None
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if header != (_event_header(d) + "\n").encode():
+            return None
+        size = os.fstat(fh.fileno()).st_size - len(header)
+        body = np.zeros(size + 1, np.uint8)  # ends in the NUL strtod stops at
+        if fh.readinto(memoryview(body)[:size]) != size:
+            return None
+    rows = int(np.count_nonzero(body == ord("\n"))) + int(size > 0 and body[size - 1] != ord("\n"))
+    cols = (np.empty(rows), np.empty(rows, np.int64), np.empty(rows, np.int64),
+            np.empty((rows, d)), np.empty(rows, np.int8), np.empty(rows, np.int8))
+    if lib.kac_read_events(body.ctypes.data, size, d, rows, *(c.ctypes.data for c in cols)) != rows:
+        return None
+    return cols
+
+
 def read_event_csv(path: str, n_particles: int, horizon: float, d: int | None = None) -> EventLog:
     """The log `write_event_csv` wrote for dimension d (by default the
     header's).  A header other than the one written for d, or a particle
     index outside [0, n_particles), is a ConfigError; a row without as many
-    fields as the header is a ValueError."""
+    fields as the header is a ValueError.  The compiled parser reads the
+    rows of a file as the writer writes it; `np.loadtxt` reads any other."""
     with open(path) as fh:
         header = fh.readline().strip()
         if d is None:
@@ -222,19 +272,21 @@ def read_event_csv(path: str, n_particles: int, horizon: float, d: int | None = 
         if header != _event_header(d):
             raise ConfigError(f"{path}: header {header!r} is not the d = {d} event header "
                               f"{_event_header(d)!r}")
-        columns = [("t", float), ("i", np.int64), ("j", np.int64), ("sigma", float, (d,)),
-                   ("assignment", np.int8), ("fictitious", np.int8)]
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # no rows
-            rows = np.loadtxt(fh, delimiter=",", dtype=columns, ndmin=1)
-    t, i, j, sigma, assignment = (np.ascontiguousarray(rows[name])
-                                  for name in ("t", "i", "j", "sigma", "assignment"))
+        cols = _parse_rows(path, d)
+        if cols is None:
+            columns = [("t", float), ("i", np.int64), ("j", np.int64), ("sigma", float, (d,)),
+                       ("assignment", np.int8), ("fictitious", np.int8)]
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # no rows
+                rows = np.loadtxt(fh, delimiter=",", dtype=columns, ndmin=1)
+            cols = [np.ascontiguousarray(rows[name]) for name, *_ in columns]
+    t, i, j, sigma, assignment, fictitious = cols
     bad = np.flatnonzero((i < 0) | (i >= n_particles) | (j < 0) | (j >= n_particles))
     if len(bad):
         k = int(bad[0])
         raise ConfigError(f"{path}: row {k + 1} names particles ({i[k]}, {j[k]}), "
                           f"outside [0, {n_particles})")
-    return EventLog(t, i, j, sigma, assignment, rows["fictitious"] != 0, n_particles, horizon)
+    return EventLog(t, i, j, sigma, assignment, fictitious != 0, n_particles, horizon)
 
 
 def state_digest(v: np.ndarray) -> str:
@@ -303,16 +355,6 @@ _SIDECAR_SCHEMA = {"type": "object", "required": ["config", "seed", "initial_vel
                    "properties": {"initial_velocities": {"type": "array"}}}
 
 
-def load_trajectory_inputs(sidecar_path: str, events_path: str):
-    with open(sidecar_path) as fh:
-        sidecar = json.load(fh)
-    validate(sidecar, _SIDECAR_SCHEMA)
-    cfg = SimConfig.from_dict(sidecar["config"])
-    log = read_event_csv(events_path, cfg.n, cfg.t_max, cfg.d)
-    v0 = np.asarray(sidecar["initial_velocities"], dtype=float)
-    return sidecar, ParticleState(v0), log
-
-
 class VersionMismatchError(RuntimeError):
     pass
 
@@ -321,21 +363,42 @@ class ReplayMismatchError(RuntimeError):
     """A replayed log does not end in the final state its sidecar records."""
 
 
-def replay(sidecar_path: str, events_path: str, force: bool = False):
-    """Re-apply a persisted log to its initial state.
-
-    Refuses manifests stamped by a different tool version unless forced.
-    Replays the whole log and raises ReplayMismatchError unless the final
-    state's sha256 equals the sidecar's `final_sha256`.  Returns (sidecar,
-    checkpoint summaries recomputed at the persisted checkpoint times).
-    """
-    sidecar, state0, log = load_trajectory_inputs(sidecar_path, events_path)
+def _read_sidecar(path: str, force: bool = True):
+    """The sidecar at `path` and its config; unless forced, a sidecar
+    stamped by another version is a VersionMismatchError."""
+    with open(path) as fh:
+        sidecar = json.load(fh)
+    validate(sidecar, _SIDECAR_SCHEMA)
     if sidecar.get("version") != __version__ and not force:
         raise VersionMismatchError(
             f"log was written by version {sidecar.get('version')}, this is {__version__}; "
             "pass force=True to replay anyway"
         )
-    cfg = SimConfig.from_dict(sidecar["config"])
+    return sidecar, SimConfig.from_dict(sidecar["config"])
+
+
+def _state_and_log(sidecar: dict, cfg: SimConfig, events_path: str):
+    log = read_event_csv(events_path, cfg.n, cfg.t_max, cfg.d)
+    v0 = np.asarray(sidecar["initial_velocities"], dtype=float)
+    return ParticleState(v0), log
+
+
+def load_trajectory_inputs(sidecar_path: str, events_path: str):
+    sidecar, cfg = _read_sidecar(sidecar_path)
+    return (sidecar, *_state_and_log(sidecar, cfg, events_path))
+
+
+def replay(sidecar_path: str, events_path: str, force: bool = False):
+    """Re-apply a persisted log to its initial state.
+
+    Refuses manifests stamped by a different tool version unless forced,
+    before it reads the log.  Replays the whole log and raises
+    ReplayMismatchError unless the final state's sha256 equals the
+    sidecar's `final_sha256`.  Returns (sidecar, checkpoint summaries
+    recomputed at the persisted checkpoint times).
+    """
+    sidecar, cfg = _read_sidecar(sidecar_path, force)
+    state0, log = _state_and_log(sidecar, cfg, events_path)
     v = state0.velocities.copy()
     out = []
     start = 0

@@ -162,6 +162,16 @@ class TestReplayCommand:
                    "--events", f"{out}/run_events.csv"])
         assert rc == 3
 
+    def test_version_mismatch_exits_3_before_a_malformed_log_is_parsed(self, tmp_path, capsys):
+        sidecar, events = self._run_checkpointed_at_zero(tmp_path)
+        payload = json.load(open(sidecar))
+        payload["version"] = "9.9.9"
+        json.dump(payload, open(sidecar, "w"))
+        with open(events, "a") as fh:
+            fh.write("0.5,1,x\n")
+        assert self._replay(sidecar, events, capsys) == 3
+        assert "version 9.9.9" in capsys.readouterr().err
+
 
 class TestRateEvalCommand:
     def test_report_written(self, tmp_path, capsys):

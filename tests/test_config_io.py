@@ -1,13 +1,19 @@
 import json
+import locale
+import os
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 import kaclab as kl
-from kaclab.config_io import (ConfigError, VersionMismatchError, _one_run, parse_config,
-                              pool_summaries, read_event_csv, replay, run_ensemble,
+from kaclab import _kloop
+from kaclab.config_io import (ConfigError, VersionMismatchError, _atomic_write, _one_run,
+                              parse_config, pool_summaries, read_event_csv, replay, run_ensemble,
                               save_trajectory, state_digest, write_event_csv, write_sidecar)
 from kaclab.kinetics import Kernel
+
+needs_kernel = pytest.mark.skipif(_kloop.library() is None, reason="no compiled kernel")
 
 
 class TestParseConfig:
@@ -119,9 +125,7 @@ class TestPersistence:
                          f"{int(log.fictitious[k])}")
         return ("\n".join(lines) + "\n").encode()
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 5])
-    @pytest.mark.parametrize("rows", [None, 0])
-    def test_event_csv_bytes_match_the_reference_writer(self, tmp_path, d, rows):
+    def _check_writer(self, tmp_path, d, rows):
         log = kl.simulate(kl.SimConfig(n=30, t_max=0.5, kernel=Kernel.HARD_SPHERE, d=d, seed=4)).log
         if rows == 0:
             log = kl.EventLog(log.t[:0], log.i[:0], log.j[:0], log.sigma[:0], log.assignment[:0],
@@ -133,6 +137,19 @@ class TestPersistence:
         path = tmp_path / "events.csv"
         write_event_csv(str(path), log, d)
         assert path.read_bytes() == self._reference_csv(log, d)
+
+    # the compiled writer where the kernel loads, the Python writer without it
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("rows", [None, 0])
+    def test_event_csv_bytes_match_the_reference_writer(self, tmp_path, d, rows):
+        self._check_writer(tmp_path, d, rows)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("rows", [None, 0])
+    def test_python_event_csv_writer_matches_the_reference_writer(self, tmp_path, monkeypatch,
+                                                                  d, rows):
+        monkeypatch.setattr(_kloop, "_lib", None)
+        self._check_writer(tmp_path, d, rows)
 
     @pytest.mark.parametrize("i", [-1, 24])
     def test_event_csv_with_a_bad_particle_index_is_a_config_error(self, tmp_path, i):
@@ -206,6 +223,233 @@ class TestPersistence:
         with pytest.raises(VersionMismatchError):
             replay(paths["sidecar"], paths["events"])
         replay(paths["sidecar"], paths["events"], force=True)
+
+    def test_version_mismatch_is_refused_before_the_log_is_read(self, tmp_path):
+        traj = self._traj()
+        paths = save_trajectory(str(tmp_path), traj)
+        with open(paths["sidecar"]) as fh:
+            sidecar = json.load(fh)
+        sidecar["version"] = "0.0.0-other"
+        with open(paths["sidecar"], "w") as fh:
+            json.dump(sidecar, fh)
+        with open(paths["events"], "a") as fh:
+            fh.write("not,a,row\n")
+        with pytest.raises(VersionMismatchError):
+            replay(paths["sidecar"], paths["events"])
+        with pytest.raises(ValueError):
+            replay(paths["sidecar"], paths["events"], force=True)
+
+    @pytest.mark.parametrize("payload", ["text", b"bytes"])
+    def test_atomic_write_leaves_no_temporary_file_when_the_replace_fails(
+            self, tmp_path, monkeypatch, payload):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            _atomic_write(str(path), payload)
+        assert os.listdir(tmp_path) == ["out.txt"] and path.read_text() == "old"
+
+    def test_atomic_write_leaves_no_temporary_file_when_the_write_fails(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with pytest.raises(UnicodeEncodeError):
+            _atomic_write(str(path), "\ud800")  # a lone surrogate encodes in no codec
+        assert os.listdir(tmp_path) == []
+
+
+@pytest.fixture(params=["compiled", "python"])
+def csv_route(request, monkeypatch):
+    """Run a test on the compiled event-CSV path and on the Python one."""
+    if request.param == "python":
+        monkeypatch.setattr(_kloop, "_lib", None)
+    elif _kloop.library() is None:
+        pytest.skip("no compiled kernel")
+    return request.param
+
+
+def _ties(rng, count):
+    """Doubles whose exact decimal expansion has 18 significant digits: a
+    tie at the 17th, which %.17g rounds to even."""
+    out = []
+    for m in range(count):
+        j = int(rng.integers(3, 18))  # k / 2**j with k odd ends in 5 at the j-th decimal
+        k = int(rng.integers(10 ** (17 - j) * 2 ** j, 10 ** (18 - j) * 2 ** j)) | 1
+        out.append((-1) ** m * k / 2 ** j)
+        assert len(Decimal(out[-1]).as_tuple().digits) == 18
+    return out
+
+
+def _battery(rng) -> np.ndarray:
+    """Doubles %.17g prints in every form, and rounds at every kind of tie."""
+    bits = rng.integers(0, 2 ** 63, 3000, dtype=np.int64).view(np.float64)
+    bits = np.concatenate([bits, -bits])
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e308, -1e308, 1e-308, 1e-307,
+               1e16, 1e17, 123456789012345678.0, 0.1, 1e-5, 1e-4, 9.9999999999999995e-5]
+    return np.concatenate([bits[np.isfinite(bits)], rng.uniform(-1.0, 1.0, 2000),
+                           rng.uniform(0.0, 2.0, 2000), _ties(rng, 1000), special])
+
+
+def _log_of(values: np.ndarray, d: int, n: int = 30) -> kl.EventLog:
+    """An event log whose times are the sorted values and whose sigma rows
+    are the values in order."""
+    rows = len(values) // d
+    rng = np.random.default_rng(1)
+    sigma = values[:rows * d].reshape(rows, d)
+    return kl.EventLog(np.sort(values[:rows]), rng.integers(0, n, rows), rng.integers(0, n, rows),
+                       sigma, rng.integers(-128, 128, rows), rng.integers(0, 2, rows) == 1,
+                       n, 1.0)
+
+
+def _outcome(path, n, horizon):
+    """The bits of the log read from path, or the type and message of the
+    exception reading it raises."""
+    try:
+        log = read_event_csv(str(path), n, horizon)
+    except Exception as exc:  # noqa: BLE001 - the paths must raise alike
+        return type(exc), str(exc)
+    return tuple((name, getattr(log, name).dtype.str, getattr(log, name).shape,
+                  getattr(log, name).tobytes())
+                 for name in ("t", "i", "j", "sigma", "assignment", "fictitious"))
+
+
+def _both_routes(path, monkeypatch, n=24, horizon=0.8):
+    """Read path on the compiled path and on np.loadtxt; they must agree."""
+    compiled = _outcome(path, n, horizon)
+    with monkeypatch.context() as m:
+        m.setattr(_kloop, "_lib", None)
+        python = _outcome(path, n, horizon)
+    assert compiled == python
+    return compiled
+
+
+def _set_field(col: int, value: bytes):
+    """An edit of an event CSV's text that sets field `col` of its second row."""
+    def edit(data):
+        lines = data.split(b"\n")
+        fields = lines[2].split(b",")
+        fields[col] = value
+        lines[2] = b",".join(fields)
+        return b"\n".join(lines)
+    return edit
+
+
+class TestEventCsvRoutes:
+    """The compiled writer and reader (`kac_write_events`, `kac_read_events`)
+    against the Python writer and `np.loadtxt`."""
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_value_battery_matches_the_reference_and_reads_back_bit_exact(
+            self, tmp_path, monkeypatch, csv_route, d):
+        log = _log_of(_battery(np.random.default_rng(d)), d)
+        path = tmp_path / "events.csv"
+        write_event_csv(str(path), log, d)
+        assert path.read_bytes() == TestPersistence._reference_csv(log, d)
+        read = _both_routes(path, monkeypatch, n=30, horizon=1.0)
+        for name, dtype, shape, data in read:
+            want = np.ascontiguousarray(getattr(log, name))
+            assert (dtype, shape, data) == (want.dtype.str, want.shape, want.tobytes()), name
+
+    @pytest.mark.parametrize("column", ["t", "sigma"])
+    def test_non_finite_values_match_the_reference_writer(self, tmp_path, csv_route, column):
+        # glibc prints a negative NaN as -nan, Python as nan
+        log = _log_of(np.arange(9.0), 3)
+        if column == "t":  # an EventLog checks its times once, when it is made
+            log.t[:] = (-np.inf, -np.nan, np.inf)
+        else:
+            log.sigma[1] = (np.nan, -np.nan, np.inf)
+            log.sigma[2, 0] = -np.inf
+        path = tmp_path / "events.csv"
+        write_event_csv(str(path), log, 3)
+        assert path.read_bytes() == TestPersistence._reference_csv(log, 3)
+
+    @needs_kernel
+    def test_a_canonical_file_is_read_without_loadtxt(self, tmp_path, monkeypatch):
+        traj = kl.simulate(kl.SimConfig(n=24, t_max=0.8, kernel=Kernel.HARD_SPHERE, seed=3))
+        path = tmp_path / "events.csv"
+        write_event_csv(str(path), traj.log, 3)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))  # no final newline is canonical too
+
+        def fail(*args, **kwargs):
+            raise AssertionError("np.loadtxt read a canonical event CSV")
+
+        monkeypatch.setattr(np, "loadtxt", fail)
+        log = read_event_csv(str(path), 24, 0.8)
+        assert log.sigma.tobytes() == traj.log.sigma.tobytes() and len(log) == len(traj.log)
+
+    EDITS = {
+        "blank_line": lambda data: data.replace(b"\n", b"\n\n", 3),
+        "comment": lambda data: data.replace(b"\n", b"\n# a comment\n", 2),
+        "trailing_comment": lambda data: data.replace(b",0\n", b",0 # note\n", 3),
+        "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+        "crlf_header_only": lambda data: data.replace(b"\n", b"\r\n", 1),
+        "header_spaces": lambda data: b"  " + data,
+        "no_final_newline": lambda data: data.rstrip(b"\n"),
+        "two_final_newlines": lambda data: data + b"\n",
+        "only_the_header": lambda data: data.split(b"\n", 1)[0] + b"\n",
+        "header_without_newline": lambda data: data.split(b"\n", 1)[0],
+        "missing_field": lambda data: data.replace(b",0\n", b"\n", 1),
+        "extra_field": lambda data: data.replace(b",0\n", b",0,0\n", 1),
+        "embedded_nul": lambda data: data.replace(b",0\n", b",0\x00\n", 1),
+        "final_nul": lambda data: data.rstrip(b"\n") + b"\x00",
+        "space_before": _set_field(3, b" 0.5"),
+        "space_after": _set_field(4, b"0.5 "),
+        "empty_field": _set_field(4, b""),
+        "plus_float": _set_field(3, b"+0.5"),
+        "plus_int": _set_field(1, b"+3"),
+        "inf": _set_field(3, b"inf"),
+        "nan": _set_field(4, b"nan"),
+        "hex_float": _set_field(5, b"0x1.8p-1"),
+        "upper_exponent": _set_field(3, b"1.5E-05"),
+        "unsigned_exponent": _set_field(3, b"1.5e5"),
+        "bare_point": _set_field(3, b"5."),
+        "leading_point": _set_field(3, b".5"),
+        "huge_exponent": _set_field(3, b"1e+400"),
+        "tiny_exponent": _set_field(4, b"-1e-400"),
+        "long_mantissa": _set_field(5, b"0.12345678901234567890123456789012345678901"),
+        "float_in_int": _set_field(1, b"3.0"),
+        "leading_zeros": _set_field(1, b"007"),
+        "minus_zero_int": _set_field(6, b"-0"),
+        "int8_overflow": _set_field(6, b"200"),
+        "int8_underflow": _set_field(6, b"-129"),
+        "int8_max": _set_field(6, b"127"),
+        "int8_min": _set_field(7, b"-128"),
+        "fictitious_two": _set_field(7, b"2"),
+        "int64_overflow": _set_field(2, b"9223372036854775808"),
+        "int64_min": _set_field(2, b"-9223372036854775808"),
+    }
+
+    @pytest.mark.parametrize("name", list(EDITS))
+    def test_non_canonical_files_read_alike_on_both_paths(self, tmp_path, monkeypatch, name):
+        traj = kl.simulate(kl.SimConfig(n=24, t_max=0.8, kernel=Kernel.HARD_SPHERE, seed=3))
+        path = tmp_path / "events.csv"
+        write_event_csv(str(path), traj.log, 3)
+        path.write_bytes(self.EDITS[name](path.read_bytes()))
+        _both_routes(path, monkeypatch)
+
+    def test_locale_with_a_comma_decimal_point_takes_the_python_paths(self, tmp_path,
+                                                                      monkeypatch):
+        old = locale.setlocale(locale.LC_NUMERIC)
+        for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8"):
+            try:
+                locale.setlocale(locale.LC_NUMERIC, name)
+                break
+            except locale.Error:
+                continue
+        else:
+            pytest.skip("no locale with a comma decimal point")
+        try:
+            assert locale.localeconv()["decimal_point"] == ","
+            log = _log_of(_battery(np.random.default_rng(5)), 3)
+            path = tmp_path / "events.csv"
+            write_event_csv(str(path), log, 3)
+            assert path.read_bytes() == TestPersistence._reference_csv(log, 3)
+            _both_routes(path, monkeypatch, n=30, horizon=1.0)
+        finally:
+            locale.setlocale(locale.LC_NUMERIC, old)
 
 
 class TestEnsemble:
