@@ -152,13 +152,25 @@ def validate(instance, schema: dict = CONFIG_SCHEMA) -> None:
         raise ConfigError("; ".join(f"{e.json_path}: {e.message}" for e in errors))
 
 
+def _reject_non_finite(value, path: str = "$") -> None:
+    """ConfigError at a NaN or infinity, which json and the schema accept."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: {value!r} is not a finite number")
+    if isinstance(value, (dict, list)):
+        keyed = isinstance(value, dict)
+        for key, item in value.items() if keyed else enumerate(value):
+            _reject_non_finite(item, f"{path}.{key}" if keyed else f"{path}[{key}]")
+
+
 def parse_config(path_or_dict) -> ParsedConfig:
-    """Validate strictly (unknown keys are errors) and materialise defaults."""
+    """Validate strictly (unknown keys and non-finite numbers are errors)
+    and materialise defaults."""
     if isinstance(path_or_dict, dict):
         raw = path_or_dict
     else:
         with open(path_or_dict) as fh:
             raw = json.load(fh)
+    _reject_non_finite(raw)
     validate(raw)
     echo = _materialise(raw)
     sim = SimConfig(

@@ -37,11 +37,11 @@ in O(N) memory, and updated exactly in O(N) per collision.  The same pair
 sum serves the exact dynamic cost, Xi_2 and `total_rate`, each with its own
 pair function.  Each tilt pair sum of f(K) B is a `_TiltPairSum`, which
 also gives the ledger's jump term its K; its rows come from the kernel where
-it evaluates f, bit-identical to numpy's, and where they are one constant
-no collision evaluates them.  At delta = 0 the ledger's pair sum carries the
-pair sum of tau(K) B from the same distance rows, and the run integrates the
-exact dynamic cost over the spans between its events, as `dynamic_cost`
-replays it (`Trajectory.dynamic_cost`).
+it evaluates f, bit-identical to numpy's, and where they are free of the
+velocities no collision evaluates them.  At delta = 0 the ledger's pair sum
+carries the pair sum of tau(K) B from the same distance rows, and the run
+integrates the exact dynamic cost over the spans between its events, as
+`dynamic_cost` replays it (`Trajectory.dynamic_cost`).
 """
 
 from __future__ import annotations
@@ -530,7 +530,8 @@ class _TiltPairSum(_PairSum):
     `numpy`, the reference, which the kernel matches bit for bit.  A
     collision's old rows wait in the kernel's scratch and the update is
     made there, in numpy's summation order.  `constant` rows (delta = beta
-    = 0, nothing frozen) change by exactly 0.0 at a collision, so none are
+    = 0, no distance that can overflow) are f(c live_a live_b), free of the
+    velocities: they change by exactly 0.0 at a collision, so none are
     evaluated after the build.
 
     With `cost`, the object also carries `cost`, the pair sum of tau(K) B
@@ -574,7 +575,9 @@ class _TiltPairSum(_PairSum):
         c, delta = float(scheme.coeffs[k]), float(scheme.deltas[k])
         self.c, self.delta = c, delta
         self.alive = ~scheme.frozen_mask(k, len(v)) if len(scheme.frozen_sets[k]) else None
-        self.constant = beta == 0.0 and delta == 0.0 and self.alive is None
+        # a row is f(c live_a live_b) where the distance is finite, and none overflows
+        # while 4 sum |v|^2 is finite: |v_a - v_b|^2 <= 2 sum |v|^2, which collisions conserve
+        self.constant = beta == 0.0 and delta == 0.0 and bool(np.isfinite(4.0 * np.sum(v * v)))
         mode = _kloop.F_K_MINUS_1 if f is _k_minus_1 else _kloop.F_K_TABLE if delta == 0.0 else None
         self.lib = self.spec = self.live = self.zero = self.scratch = None
         if mode is not None and v.flags.c_contiguous and v.dtype == np.float64:

@@ -2,8 +2,8 @@
 
 The construction drives the empirical energy of the visible bulk along a
 prescribed nondecreasing step function Theta with Theta(0) = 1 while every
-sample path conserves total energy exactly.  Ingredients, all computed in
-closed form against the Gaussian reference:
+sample path conserves total energy exactly.  Ingredients, all closed forms
+in the tail tilt's law of |v|^2 (`girsanov._tail_law`), no quadrature:
 
 1.  ``psi_M(lam) = log int exp(lam |v|^2 1[|v| >= M]) dmu`` and the tail
     tilt ``phi = lam |v|^2 1[|v| >= M] - psi_M(lam)``;
@@ -34,7 +34,7 @@ import numpy as np
 
 from .config_io import _atomic_write, map_runs, mean_se
 from .engine import ParticleState, SimConfig, make_rng, simulate
-from .girsanov import InitialTilt, TiltingScheme, sample_tilted_initial
+from .girsanov import InitialTilt, TiltingScheme, _tail_law, _tail_mass, sample_tilted_initial
 from .kinetics import Kernel
 from .rate_function import dynamic_cost
 from .reference import ReferenceMeasure
@@ -114,12 +114,7 @@ def cumulant_psi(reference: ReferenceMeasure, M: float, lam: float) -> float:
         raise ValueError(f"lam must lie in [0, z2 = {reference.z2}), got {lam}")
     if lam == 0.0:
         return 0.0
-    m2 = M * M
-    scale_t = 1.0 / (1.0 / reference.scale - lam)
-    growth = (scale_t / reference.scale) ** reference.shape
-    inside = float(reference.speed2_cdf(m2))
-    tail = growth * float(reference.speed2_sf(m2, scale=scale_t))
-    return math.log(inside + tail)
+    return math.log(_tail_mass(reference, M, lam))
 
 
 def tilted_energy(reference: ReferenceMeasure, M: float, lam: float) -> float:
@@ -130,14 +125,11 @@ def tilted_energy(reference: ReferenceMeasure, M: float, lam: float) -> float:
 def tilted_truncated_energy(reference: ReferenceMeasure, M: float, lam: float, x: float) -> float:
     """<|v|^2 1[|v| <= x]> under the tilted measure, for x >= M."""
     psi = cumulant_psi(reference, M, lam)
-    m2 = M * M
-    a, th_b = reference.shape, reference.scale
     if lam == 0.0:
         return float(reference.partial_m2(x * x))
+    m2, scale_t, growth = _tail_law(reference, M, lam)
     if x < M:
         return float(reference.partial_m2(min(x * x, m2))) * math.exp(-psi)
-    scale_t = 1.0 / (1.0 / th_b - lam)
-    growth = (scale_t / th_b) ** a
     inside = float(reference.partial_m2(m2))
     tail = growth * float(reference.partial_m2(x * x, scale=scale_t) - reference.partial_m2(m2, scale=scale_t))
     return (inside + tail) * math.exp(-psi)
@@ -195,24 +187,18 @@ def legendre_psi_star(reference: ReferenceMeasure, a: float) -> float:
 
 
 def tv_distance_tilted(reference: ReferenceMeasure, M: float, lam: float) -> float:
-    """Total variation (unhalved) between the tilted measure and the base."""
-    from scipy.integrate import quad
-
+    """Total variation (unhalved) between the tilted measure and the base.  In
+    s = |v|^2 the density e^phi is e^{-psi} <= 1 below M^2 and e^{lam s - psi}
+    above, >= 1 from max(M^2, psi/lam) on: three Gamma pieces give it."""
     psi = cumulant_psi(reference, M, lam)
-    a, th = reference.shape, reference.scale
-    m2 = M * M
-
-    def integrand(s):
-        phi = lam * s * (s >= m2) - psi
-        return abs(math.exp(phi - s / th) - math.exp(-s / th)) * s ** (a - 1.0)
-
-    norm = math.gamma(a) * th**a
+    m2, scale_t, growth = _tail_law(reference, M, lam)
     split = max(m2, psi / lam if lam > 0 else m2)
-    val = quad(integrand, 0.0, m2, limit=200)[0] if m2 > 0 else 0.0
-    if split > m2:
-        val += quad(integrand, m2, split, limit=200)[0]
-    val += quad(integrand, split, np.inf, limit=200)[0]
-    return val / norm
+    w = math.exp(-psi) * growth  # the tilted density's factor above M^2
+    sf = [float(reference.speed2_sf(s)) for s in (m2, split)]
+    sf_t = [float(reference.speed2_sf(s, scale=scale_t)) for s in (m2, split)]
+    below = -math.expm1(-psi) * float(reference.speed2_cdf(m2))
+    middle = (sf[0] - sf[1]) - w * (sf_t[0] - sf_t[1])
+    return below + middle + (w * sf_t[1] - sf[1])
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +372,7 @@ def _experiment_one_run(args):
     reference = ReferenceMeasure(d)
     r_eff = len(plan.t_grid) - 1
     rng = make_rng(master_seed, run)
-    if plan.lam > 0.0:
-        tilt_only = TiltingScheme(initial_tilt=plan.initial_tilt)
-        v0 = sample_tilted_initial(reference, tilt_only, n, rng)
-    else:
-        v0 = reference.sample(rng, n)
+    v0 = sample_tilted_initial(reference, TiltingScheme(initial_tilt=plan.initial_tilt), n, rng)
     scheme = build_freeze_scheme(v0, plan)
     config = SimConfig(
         n=n, t_max=t_max, kernel=kernel, d=d, seed=master_seed,

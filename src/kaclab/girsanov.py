@@ -51,6 +51,22 @@ class InitialTilt:
         return self.lam * s * (np.sqrt(s) >= self.M) - self.psi
 
 
+def _tail_law(reference: ReferenceMeasure, M: float, lam: float) -> tuple:
+    """(m2, scale_t, growth) of the law of s = |v|^2 under exp(lam |v|^2
+    1[|v| >= M]) dmu, for lam < z2 of either sign and 0 <= M <= inf: below
+    m2 = M^2 the base Gamma(shape, scale), above it growth = (scale_t/scale)^shape
+    times the widened Gamma(shape, scale_t), scale_t = 1/(1/scale - lam)."""
+    m2 = M * M
+    scale_t = 1.0 / (1.0 / reference.scale - lam)
+    return m2, scale_t, (scale_t / reference.scale) ** reference.shape
+
+
+def _tail_mass(reference: ReferenceMeasure, M: float, lam: float) -> float:
+    """That law's mass F(m2) + growth S_t(m2) = int exp(lam |v|^2 1[|v| >= M]) dmu."""
+    m2, scale_t, growth = _tail_law(reference, M, lam)
+    return float(reference.speed2_cdf(m2)) + growth * float(reference.speed2_sf(m2, scale=scale_t))
+
+
 class TiltingSchemeError(ValueError):
     pass
 
@@ -104,28 +120,17 @@ class TiltingScheme:
     # ---- evaluation ----------------------------------------------------
 
     def validate_normalisation(self, reference: ReferenceMeasure) -> None:
-        """Check int exp(phi) dmu = 1 by radial quadrature."""
+        """Check int exp(phi) dmu = e^{-psi} `_tail_mass` = 1 in closed form;
+        a NaN anywhere fails it."""
         if self.initial_tilt is None:
             return
-        from scipy.integrate import quad
-
         tilt = self.initial_tilt
         if tilt.lam >= reference.z2:
             raise TiltingSchemeError(
                 f"initial tilt lam = {tilt.lam} >= z2 = {reference.z2}: not normalisable"
             )
-        a, th = reference.shape, reference.scale
-        m = tilt.M * tilt.M
-
-        def integrand(s):
-            phi = tilt.lam * s * (s >= m) - tilt.psi
-            return s ** (a - 1.0) * math.exp(phi - s / th)
-
-        norm = math.gamma(a) * th**a
-        val = quad(integrand, 0.0, m, limit=200)[0] if m > 0 else 0.0
-        val += quad(integrand, m, np.inf, limit=200)[0]
-        val /= norm
-        if abs(val - 1.0) > _NORMALISATION_TOL:
+        val = math.exp(-tilt.psi) * _tail_mass(reference, tilt.M, tilt.lam)
+        if not abs(val - 1.0) <= _NORMALISATION_TOL:
             raise TiltingSchemeError(f"initial tilt is not normalised: int e^phi = {val!r}")
 
     def validate_kernel(self, kernel: Kernel) -> None:
@@ -239,16 +244,15 @@ def sample_tilted_initial(
         raise TiltingSchemeError(
             f"lam = {tilt.lam} >= z2 = {reference.z2}: tilted measure not normalisable"
         )
-    d = reference.d
-    m2 = tilt.M * tilt.M
-    scale_t = 1.0 / (1.0 / reference.scale - tilt.lam)
+    m2, scale_t, _ = _tail_law(reference, tilt.M, tilt.lam)
     # exact mixture weights from closed-form Gaussian integrals
-    w_in = math.exp(-tilt.psi) * float(reference.speed2_cdf(m2))
+    f_in = float(reference.speed2_cdf(m2))
+    w_in = math.exp(-tilt.psi) * f_in
     s = np.empty(n)
     inside = rng.random(n) < w_in
     n_in = int(inside.sum())
     if n_in:
-        q = rng.random(n_in) * float(reference.speed2_cdf(m2))
+        q = rng.random(n_in) * f_in
         s[inside] = reference.speed2_ppf(q)
     n_out = n - n_in
     if n_out:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import _distances, _PairSum, _TiltPairSum, replay_events, replay_rows
-from .girsanov import InitialTilt, TiltingScheme, tau
+from .girsanov import InitialTilt, TiltingScheme, _tail_law, tau
 from .kinetics import post_collision, sphere_quadrature
 from .metrics import WeightedMeasure
 from .reference import ReferenceMeasure
@@ -169,9 +169,7 @@ def relative_entropy(mu, reference: ReferenceMeasure, log_density_ratio=None) ->
             return 0.0
         if mu.lam >= reference.z2:
             return math.inf
-        scale_t = 1.0 / (1.0 / reference.scale - mu.lam)
-        m2 = mu.M * mu.M
-        growth = (scale_t / reference.scale) ** reference.shape
+        m2, scale_t, growth = _tail_law(reference, mu.M, mu.lam)
         tail_energy = math.exp(-mu.psi) * growth * float(
             reference.shape * scale_t - reference.partial_m2(m2, scale=scale_t)
         )

@@ -254,6 +254,17 @@ class TestSimulateWithTilting:
         assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
 
 
+class TestTiltExperimentCommand:
+    def test_nan_threshold_is_config_error(self, tmp_path, capsys):
+        with open(tmp_path / "cfg.json", "w") as fh:
+            fh.write('{"N": 20, "T": 1.0, "kernel": "hard_sphere", "tilting": {"kind": "freeze",'
+                     ' "M": NaN, "r": 2, "theta": {"jump_times": [0.5], "levels": [1.0, 2.0]}}}')
+        rc = main(["tilt-experiment", "--config", str(tmp_path / "cfg.json"),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "$.tilting.M: nan is not a finite number" in capsys.readouterr().err
+
+
 class TestMetricsCommand:
     def test_distance_between_csvs(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

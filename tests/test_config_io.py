@@ -1,6 +1,7 @@
 import json
 import locale
 import os
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -40,6 +41,23 @@ class TestParseConfig:
     def test_bad_kernel_enum(self):
         with pytest.raises(ConfigError, match="kernel"):
             parse_config({"N": 10, "T": 1.0, "kernel": "billiards"})
+
+    @pytest.mark.parametrize("text, path", [
+        ('{"N": 2, "T": Infinity, "kernel": "maxwell"}', "$.T"),
+        ('{"N": 2, "T": 1.0, "kernel": "maxwell", "checkpoints": [0.0, -Infinity]}', "$.checkpoints[1]"),
+        ('{"N": 2, "T": 1.0, "kernel": "maxwell", "majorant_inflation": 1e999}', "$.majorant_inflation"),
+        ('{"N": 2, "T": 1.0, "kernel": "hard_sphere", "tilting": {"kind": "freeze", "M": NaN, "r": 2,'
+         ' "theta": {"jump_times": [0.5], "levels": [1.0, 2.0]}}}', "$.tilting.M"),
+        ('{"N": 2, "T": 1.0, "kernel": "maxwell", "tilting": {"kind": "constant", "kappa": NaN}}',
+         "$.tilting.kappa"),
+    ], ids=["T", "checkpoint", "overflow", "M", "kappa"])
+    def test_non_finite_numbers_rejected_from_file_and_dict(self, text, path, tmp_path):
+        # json and the schema both take NaN and infinities
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        for source in (str(cfg), json.loads(text)):
+            with pytest.raises(ConfigError, match=re.escape(path) + ": .* is not a finite number"):
+                parse_config(source)
 
     def test_freeze_config_roundtrips_byte_identically(self):
         raw = {

@@ -12,6 +12,7 @@ from kaclab.freezing import (ThetaSchedule, cumulant_psi, design_freeze_experime
                              tilted_energy, tilted_truncated_energy, time_partition,
                              tv_distance_tilted)
 from kaclab.kinetics import Kernel
+from kaclab.rate_function import relative_entropy
 
 REF = kl.ReferenceMeasure(3)
 
@@ -38,6 +39,28 @@ def quad_energy(M, lam):
 
     val = (quad(f, 0, M * M, limit=300)[0] if M > 0 else 0.0) + quad(f, M * M, np.inf, limit=300)[0]
     return val / norm * math.exp(-quad_psi(M, lam))
+
+
+def quad_tv(reference, M, lam):
+    """Quadrature oracle for `tv_distance_tilted`, split where |e^phi - 1|
+    has kinks; quad's tolerances are tightened from their defaults, at which
+    d = 5, M = 0, Theta(T) = 2 misses the exact value by 1.4e-9."""
+    psi = cumulant_psi(reference, M, lam)
+    a, th = reference.shape, reference.scale
+    m2 = M * M
+    tol = dict(limit=200, epsabs=1e-13, epsrel=1e-13)
+
+    def integrand(s):
+        phi = lam * s * (s >= m2) - psi
+        return abs(math.exp(phi - s / th) - math.exp(-s / th)) * s ** (a - 1.0)
+
+    norm = math.gamma(a) * th**a
+    split = max(m2, psi / lam if lam > 0 else m2)
+    val = quad(integrand, 0.0, m2, **tol)[0] if m2 > 0 else 0.0
+    if split > m2:
+        val += quad(integrand, m2, split, **tol)[0]
+    val += quad(integrand, split, np.inf, **tol)[0]
+    return val / norm
 
 
 class TestCumulant:
@@ -103,6 +126,14 @@ class TestPsiDecay:
             psi = cumulant_psi(REF, M, lam)
             tv = tv_distance_tilted(REF, M, lam)
             assert tv <= abs(1.0 - math.exp(-psi)) + (2.0 + 1.0) / M**2 + 1e-9
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_tv_closed_form_against_quadrature_oracle(self, d):
+        ref = kl.ReferenceMeasure(d)
+        for M in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
+            for theta_final in (1.1, 2.0, 3.0):
+                lam = solve_lambda(ref, M, theta_final)
+                assert tv_distance_tilted(ref, M, lam) == pytest.approx(quad_tv(ref, M, lam), abs=1e-9)
 
 
 class TestThetaSchedule:
@@ -177,6 +208,16 @@ class TestFreezeThresholds:
         plan = design_freeze_experiment(REF, th, M=3.0, r=4)
         finite = plan.thresholds[np.isfinite(plan.thresholds)]
         assert np.all(np.diff(finite) >= 0)
+
+    def test_criterion_7_plan_and_entropy_are_pinned(self):
+        # M = 4, r = 4, Theta: 1 -> 2; the bits these closed forms gave before
+        # they shared `girsanov._tail_law`
+        theta = ThetaSchedule(jump_times=(0.5,), levels=(1.0, 2.0), horizon=1.0)
+        plan = design_freeze_experiment(REF, theta, 4.0, 4)
+        assert plan.lam.hex() == "0x1.2010bbd3effccp+0"
+        assert plan.psi.hex() == "0x1.d850d2759b10ep-5"
+        assert [float(x).hex() for x in plan.thresholds] == ["0x1.0178a851a0000p+2", "inf", "inf", "inf"]
+        assert relative_entropy(plan.initial_tilt, REF).hex() == "0x1.2171c41a6a8d9p+0"
 
 
 class TestBuildFreezeScheme:

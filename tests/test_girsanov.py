@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import quad
 
 import kaclab as kl
 from conftest import ks_threshold, weighted_ks_statistic
@@ -12,6 +13,18 @@ from kaclab.girsanov import (InitialTilt, RNLedger, TiltingScheme, TiltingScheme
                              accumulate_compensator, compensator_rate, record_jump,
                              sample_tilted_initial)
 from kaclab.kinetics import Kernel
+
+
+def _quad_psi(ref, M, lam):
+    """log int exp(lam |v|^2 1[|v| >= M]) dmu by quadrature in s = |v|^2, for
+    lam of either sign."""
+    a, th = ref.shape, ref.scale
+
+    def f(s):
+        return s ** (a - 1.0) * math.exp(lam * s * (s >= M * M) - s / th)
+
+    val = quad(f, 0.0, M * M, limit=300)[0] + quad(f, M * M, np.inf, limit=300)[0]
+    return math.log(val / (math.gamma(a) * th**a))
 
 
 class TestSchemeConstruction:
@@ -38,6 +51,43 @@ class TestSchemeConstruction:
         bad = TiltingScheme(initial_tilt=InitialTilt(lam, 1.0, psi + 0.05))
         with pytest.raises(TiltingSchemeError):
             bad.validate_normalisation(ref)
+
+    @pytest.mark.parametrize("d, M, lam", [(3, 1.0, -0.8), (2, 0.0, -2.5), (5, 1.5, -0.3)])
+    def test_normalised_negative_lam_passes(self, d, M, lam):
+        ref = kl.ReferenceMeasure(d)
+        psi = _quad_psi(ref, M, lam)
+        assert psi < 0.0
+        TiltingScheme(initial_tilt=InitialTilt(lam, M, psi)).validate_normalisation(ref)
+
+    @pytest.mark.parametrize("lam", [-1.0, 0.6, 1.4])
+    def test_infinite_threshold_passes(self, lam):
+        # nothing lies beyond M = inf, so psi = 0 whatever lam < z2 is
+        ref = kl.ReferenceMeasure(3)
+        TiltingScheme(initial_tilt=InitialTilt(lam, math.inf, 0.0)).validate_normalisation(ref)
+        with pytest.raises(TiltingSchemeError):
+            TiltingScheme(initial_tilt=InitialTilt(lam, math.inf, 1e-6)).validate_normalisation(ref)
+
+    @pytest.mark.parametrize("M", [0.0, 1.0, 4.0])
+    def test_psi_off_by_1e_6_fails(self, M):
+        ref = kl.ReferenceMeasure(3)
+        psi = kl.cumulant_psi(ref, M, 0.9)
+        TiltingScheme(initial_tilt=InitialTilt(0.9, M, psi)).validate_normalisation(ref)
+        for off in (1e-6, -1e-6):
+            with pytest.raises(TiltingSchemeError, match="not normalised"):
+                TiltingScheme(initial_tilt=InitialTilt(0.9, M, psi + off)).validate_normalisation(ref)
+
+    @pytest.mark.parametrize("lam", [1.5, 2.0, math.inf])
+    def test_lam_at_or_above_z2_fails(self, lam):
+        with pytest.raises(TiltingSchemeError, match="not normalisable"):
+            TiltingScheme(initial_tilt=InitialTilt(lam, 1.0, 0.0)).validate_normalisation(kl.ReferenceMeasure(3))
+
+    @pytest.mark.parametrize("field", ["lam", "M", "psi"])
+    def test_nan_fails(self, field):
+        ref = kl.ReferenceMeasure(3)
+        good = dict(lam=0.6, M=1.0, psi=kl.cumulant_psi(ref, 1.0, 0.6))
+        TiltingScheme(initial_tilt=InitialTilt(**good)).validate_normalisation(ref)
+        with pytest.raises(TiltingSchemeError, match="not normalised"):
+            TiltingScheme(initial_tilt=InitialTilt(**dict(good, **{field: math.nan}))).validate_normalisation(ref)
 
     def test_unnormalisable_lam(self):
         ref = kl.ReferenceMeasure(3)

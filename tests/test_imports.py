@@ -1,7 +1,8 @@
 """Start-up cost: importing kaclab and running an untilted simulation loads
 neither scipy nor jsonschema; the functions that need them import them.
-Where the compiled kernel loads, a general-weight distance solves its
-transport problem in C, without scipy's LP."""
+Tilted runs and the freeze experiment load no quadrature.  Where the
+compiled kernel loads, a general-weight distance solves its transport
+problem in C, without scipy's LP."""
 import json
 import os
 import shutil
@@ -38,6 +39,36 @@ def test_import_and_untilted_simulate_load_no_scipy_or_jsonschema(tmp_path):
     assert out["events"] > 0
     assert out["after_import"] == []
     assert out["after_simulate"] == []
+
+
+_TILT_SCRIPT = """
+import json, sys
+import kaclab
+from kaclab.kinetics import Kernel
+
+ref = kaclab.ReferenceMeasure(3)
+theta = kaclab.ThetaSchedule(jump_times=(0.5,), levels=(1.0, 2.0), horizon=1.0)
+plan = kaclab.design_freeze_experiment(ref, theta, 4.0, 4)
+scheme = kaclab.TiltingScheme.pairwise(1.0, 0.0, initial_tilt=plan.initial_tilt)
+traj = kaclab.simulate(kaclab.SimConfig(n=300, t_max=0.5, kernel=Kernel.HARD_SPHERE, seed=5), scheme)
+report = kaclab.run_experiment(n=300, kernel=Kernel.HARD_SPHERE, theta=theta, M=4.0, r=4, n_runs=1)
+print(json.dumps({"initial_term": traj.rn_ledger.initial_term, "runs": len(report.dynamic_costs),
+                  "integrate": "scipy.integrate" in sys.modules}))
+"""
+
+
+def test_tilted_runs_import_no_quadrature(tmp_path):
+    # the tilt's normalisation, cumulant and draws are closed forms in
+    # scipy.special; scipy.integrate would add about 26 MB to a run
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kl.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _TILT_SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["initial_term"] != 0.0 and out["runs"] == 1
+    assert not out["integrate"]
 
 
 _FLUX_SCRIPT = """

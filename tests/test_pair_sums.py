@@ -2,15 +2,18 @@
 how often they are built."""
 
 import itertools
+import json
 import math
 import shutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kaclab as kl
 from kaclab import engine, freezing
+from kaclab.config_io import save_trajectory
 from kaclab.engine import _TiltPairSum, replay_events
 from kaclab.girsanov import TiltingScheme, compensator_rate
 from kaclab.kinetics import Kernel, sphere_quadrature
@@ -256,6 +259,54 @@ def test_constant_rows_are_skipped_and_bit_identical(force_numpy, monkeypatch):
     for _ in replay_events(v, traj.log, tracker=_Fan([skipping, evaluating])):
         assert float(skipping.total).hex() == float(evaluating.total).hex()
     assert len(calls) == 2 * int(np.sum(~traj.log.fictitious & (traj.log.i != traj.log.j)))
+
+
+def _velocity_free_outputs(measure, frozen, overflow, tmp_path):
+    """Saved artifacts, ledgers and costs of a Maxwell run at delta = 0 under
+    the criterion-7 freeze scheme (frozen sets, then K = 1) or a constant
+    tilt; with `overflow`, two velocities whose distance overflows, so a
+    ledger row is not finite."""
+    theta = kl.ThetaSchedule(jump_times=(0.5,), levels=(1.0, 2.0), horizon=1.0)
+    plan = kl.design_freeze_experiment(REF, theta, M=4.0, r=4)
+    rng = kl.make_rng(426, 0)
+    v0 = kl.sample_tilted_initial(REF, TiltingScheme(initial_tilt=plan.initial_tilt), 2000, rng)
+    scheme = kl.build_freeze_scheme(v0, plan) if frozen else TiltingScheme.constant(1.5)
+    if overflow:  # on a pair that the scheme leaves free to collide
+        a, b = np.flatnonzero(~scheme.frozen_mask(0, len(v0)))[:2]
+        v0[a] = (math.sqrt(0.8e308), 0.0, 0.0)
+        v0[b] = -v0[a]
+    cfg = kl.SimConfig(n=2000, t_max=1.0, kernel=Kernel.MAXWELL, seed=426, measure=measure,
+                       checkpoint_times=tuple(np.arange(0.0, 1.001, 0.25)))
+    traj = kl.simulate(cfg, scheme, rng=rng, initial_state=kl.ParticleState(v0))
+    paths = save_trajectory(str(tmp_path), traj)
+    files = {key: Path(path).read_bytes() for key, path in sorted(paths.items())}
+    return (files, [repr(cp.ledger.to_dict()) for cp in traj.checkpoints], repr(traj.rn_ledger.log_rn()),
+            float(traj.dynamic_cost).hex(), float(dynamic_cost(traj, scheme)[0]).hex())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("overflow", [False, True], ids=["finite", "overflow"])
+@pytest.mark.parametrize("frozen", [True, False], ids=["freeze", "constant"])
+@pytest.mark.parametrize("measure", ["Q", "P"])
+def test_velocity_free_rows_skip_alike(measure, frozen, overflow, tmp_path, monkeypatch):
+    # at beta = delta = 0 a row is f(c live_a live_b), frozen sets or not:
+    # skipping every row at a collision gives the bytes of evaluating them,
+    # and a distance that can overflow (tau(NaN) B = 1) turns the skip off
+    skipped = _velocity_free_outputs(measure, frozen, overflow, tmp_path / "skip")
+    describe = _TiltPairSum._describe
+
+    def evaluating(self, *args):
+        describe(self, *args)
+        self.constant = False
+        if self.spec is not None:
+            self.spec.constant = 0
+
+    monkeypatch.setattr(_TiltPairSum, "_describe", evaluating)
+    evaluated = _velocity_free_outputs(measure, frozen, overflow, tmp_path / "evaluate")
+    assert skipped == evaluated
+    ledger = json.loads(skipped[0]["sidecar"])["ledger"]
+    assert math.isnan(ledger["compensator_term"]) == overflow
+    assert ledger["hit_zero"] == (measure == "P" and frozen)  # log dQ/dP = -inf
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
