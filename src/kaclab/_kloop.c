@@ -27,10 +27,11 @@
  * after it.
  * Errors are returned as status codes; the caller raises the Python loop's
  * exception for each.
- * kac_transport, near the end of the file, is not part of the engine: the
- * network simplex that solves the transport problem of `metrics`.  Nor are
- * kac_write_events and kac_read_events after it, which write and read the
- * event CSV of `config_io`.
+ * kac_pairs and kac_transport, near the end of the file, are not part of
+ * the engine: the pairs closer than the cap with their distances, and the
+ * network simplex that solves the transport problem of `metrics` on them.
+ * Nor are kac_write_events and kac_read_events after them, which write and
+ * read the event CSV of `config_io`.
  *
  * The rows are nearly all of a tracked run.  kac_rows and collision_rows,
  * the one entry of a collision's rows (kac_run, kac_pair_rows and
@@ -74,7 +75,8 @@ struct rowspec {
     const double *zero; /* n doubles of +0.0: the old row of a row that has none */
     double *scratch;    /* 6n doubles: the old rows of a pair, dh, distance rows */
     int64_t n, d, f;
-    int64_t constant;   /* the rows are one value and never change */
+    int64_t constant;   /* the rows never change: one value, or at beta = delta = 0
+                         * the two values f(0) on frozen pairs and f(c) elsewhere */
     double c, delta, beta;
     double f0, fc, fnan; /* a table f */
 };
@@ -583,8 +585,50 @@ int kac_replay(double *V, int64_t n, int64_t d, const int64_t *ev_i, const int64
 }
 
 /* ---------------------------------------------------------------------------
+ * kac_pairs: the pairs of `metrics._flat_distance` closer than the cap, and
+ * their costs, for kac_transport.
+ *
+ * The points are rows of k coordinates in C order, n1 of mu and n2 of nu.
+ * A pair's cost is its distance, sqrt of sum_k (p1_ik - p2_jk)^2 summed in
+ * coordinate order and unfused (the build has -ffp-contract=off, and this
+ * entry is not cloned), the bytes of scipy's cdist and of the numpy column
+ * loop `metrics._distances`.  The pairs come in row-major order, i then j,
+ * the order of np.nonzero on the dense matrix.  With ii NULL only the count
+ * is returned; otherwise ii, jj and cost get the pairs too, and must hold
+ * the count plus one: every pair is written, and the next overwrites it
+ * unless it is closer than the cap, so the loop has no branch on the cap.
+ * The memory is the caller's, O(pairs), and no n1 x n2 matrix is built.
+ */
+
+int64_t kac_pairs(const double *p1, int64_t n1, const double *p2, int64_t n2, int64_t k,
+                  double cap, int64_t *ii, int64_t *jj, double *cost)
+{
+    int64_t count = 0;
+    for (int64_t i = 0; i < n1; i++) {
+        const double *a = p1 + i * k;
+        for (int64_t j = 0; j < n2; j++) {
+            const double *b = p2 + j * k;
+            double s = 0.0;
+            for (int64_t c = 0; c < k; c++) {
+                double t = a[c] - b[c];
+                s += t * t;
+            }
+            double dist = sqrt(s);
+            if (ii) { /* overwritten by the next pair unless this one counts */
+                ii[count] = i;
+                jj[count] = j;
+                cost[count] = dist;
+            }
+            count += dist < cap;
+        }
+    }
+    return count;
+}
+
+/* ---------------------------------------------------------------------------
  * kac_transport: the capped partial-transport problem of
- * `metrics._flat_distance`, solved exactly by a primal network simplex.
+ * `metrics._flat_distance`, solved exactly by a primal network simplex, on
+ * the pairs and costs kac_pairs lists.
  *
  * Nodes: the n1 atoms of mu (supply w1_i), the n2 atoms of nu (demand w2_j),
  * a row-abstain node R (demand sum w1) and a column-abstain node C (supply

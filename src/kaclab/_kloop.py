@@ -1,5 +1,5 @@
 """Build and load the compiled proposal loop, pair-sum rows, log walk,
-transport solve and event-CSV I/O, `_kloop.c`.
+transport pairs and solve, and event-CSV I/O, `_kloop.c`.
 
 On first use the C source is compiled with gcc into `_build/` next to this
 file, under a name made from the sha256 of the source and the compile
@@ -21,9 +21,11 @@ entry of a collision's rows, behind `kac_run`, `kac_pair_rows` and
 when the library is loaded.  The build key, source plus compile command, is
 therefore unchanged, and the clones' rows are the same bytes.
 
+`kac_pairs` lists the pairs closer than the cap with their distances, and
 `kac_transport` is the exact network-simplex solve of the capped transport
-problem behind `metrics.flux_distance` and `bl_distance`'s general-weight
-route.  Its arithmetic needs no match with numpy, so `library()` hands it
+problem on them, behind every `metrics.flux_distance` and `bl_distance`.
+Their arithmetic needs no match with numpy (the distances are scipy's
+`cdist` bytes, unfused sums in coordinate order), so `library()` hands them
 out wherever the library loads, without the dimension and sum gates.
 
 So are `kac_write_events` and `kac_read_events`, behind
@@ -125,6 +127,8 @@ def bind(lib):
     lib.kac_run.restype = ctypes.c_int
     lib.kac_replay.argtypes = (ptr, i64, i64, ptr, ptr, ptr, ptr, i64, i64, ptr)
     lib.kac_replay.restype = ctypes.c_int
+    lib.kac_pairs.argtypes = (ptr, i64, ptr, i64, i64, dbl, ptr, ptr, ptr)
+    lib.kac_pairs.restype = i64
     lib.kac_transport.argtypes = (ptr, ptr, ptr, i64, ptr, i64, ptr, i64, i64, ptr, ptr)
     lib.kac_transport.restype = ctypes.c_int
     lib.kac_write_events.argtypes = (ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, i64)
@@ -152,7 +156,7 @@ def _dot_matches(lib, d: int) -> bool:
 
 def library():
     """The loaded library, or None where there is no gcc or the build or
-    load failed; no arithmetic gate (the transport solve and the event CSV
+    load failed; no arithmetic gate (the transport and the event CSV
     need none)."""
     global _lib, _sum_ok
     if _lib is _UNLOADED:

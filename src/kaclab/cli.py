@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .config_io import (_NUM, CONFIG_SCHEMA, ConfigError, VersionMismatchError, _atomic_write,
-                        load_trajectory_inputs, parse_config, pool_summaries, replay,
-                        run_ensemble, save_trajectory, tilting_scheme, validate)
+                        _reject_non_finite, load_trajectory_inputs, parse_config, pool_summaries,
+                        replay, run_ensemble, save_trajectory, tilting_scheme, validate)
 from .engine import MajorantViolationError, SimConfig, Trajectory, make_rng, simulate
 from .freezing import ThetaSchedule, run_experiment
 from .metrics import WeightedMeasure, bl_distance, flux_distance
@@ -137,6 +137,7 @@ def _cmd_rate_eval(args) -> int:
     with open(args.descriptors) as fh:
         spec = json.load(fh)
     validate(spec, _DESCRIPTORS_SCHEMA)
+    _reject_non_finite(spec)
     sidecar, state0, log = load_trajectory_inputs(args.sidecar, args.events)
     cfg = SimConfig.from_dict(sidecar["config"])
     traj = Trajectory(initial_state=state0, final_state=None, checkpoints=[],

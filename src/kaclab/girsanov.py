@@ -129,7 +129,13 @@ class TiltingScheme:
             raise TiltingSchemeError(
                 f"initial tilt lam = {tilt.lam} >= z2 = {reference.z2}: not normalisable"
             )
-        val = math.exp(-tilt.psi) * _tail_mass(reference, tilt.M, tilt.lam)
+        try:
+            scale = math.exp(-tilt.psi)
+        except OverflowError:
+            raise TiltingSchemeError(
+                f"initial tilt psi = {tilt.psi}: e^(-psi) overflows, so it is not normalised"
+            ) from None
+        val = scale * _tail_mass(reference, tilt.M, tilt.lam)
         if not abs(val - 1.0) <= _NORMALISATION_TOL:
             raise TiltingSchemeError(f"initial tilt is not normalised: int e^phi = {val!r}")
 

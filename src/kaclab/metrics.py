@@ -6,27 +6,26 @@ The distance implemented is the bounded-Lipschitz dual
 
 over the combined support.  Its primal is a partial optimal-transport
 problem: move mass at cost min(distance, 2) or pay 1 per unit destroyed and
-1 per unit created.  We solve the primal exactly on an augmented bipartite
-problem with an extra "abstain" node at cost 1 from everything, by one of
-three routes:
+1 per unit created.  We solve the primal exactly on the transport network of
+the pairs closer than the cap, with an "abstain" node on each side at cost 1
+from everything.  Pairs at the cap drop out: moving a unit costs c_ij
+against 2 for destroying and creating it, so some optimum leaves them empty.
+There is one route, whatever the weights, and a fallback:
 
-* when both measures have a common atom-weight unit (empirical measures),
-  the transportation polytope has integral vertices and the problem reduces
-  to a rectangular assignment, solved exactly by scipy;
-* otherwise, wherever the compiled kernel loads, a network simplex
-  (`kac_transport` in `_kloop.c`) on the transport network of the pairs
-  closer than the cap: it ends on a basic solution whose reduced costs are
-  all nonnegative, an exact optimum of the network up to a 1e-11 pricing
-  tolerance on costs of order 1;
-* without the kernel, a sparse LP (HiGHS) on the same pairs, interior point
-  with crossover, which ends on an exact vertex.
-The last two drop the pairs at the cap: moving a unit costs c_ij against 2
-for destroying and creating it, so some optimum leaves those pairs empty.
+* wherever the compiled kernel loads, `kac_pairs` in `_kloop.c` lists the
+  pairs closer than the cap with their distances, in O(pairs) memory, and a
+  network simplex (`kac_transport`) solves the network: it ends on a basic
+  solution whose reduced costs are all nonnegative, an exact optimum up to
+  a 1e-11 pricing tolerance on costs of order 1.  No scipy module is loaded;
+* without the kernel, a sparse LP (HiGHS, interior point with crossover) on
+  the same pairs, taken from a dense distance matrix.  It stops within its
+  1e-7 optimality tolerance and misses the optimum by 1.6e-10 to 7.0e-10
+  relative where costs nearly tie.
 
-All routes return the same optimum, HiGHS up to its tolerances (about
-1e-10 relative where costs nearly tie); the dual formulation is kept in the
-test suite as an independent oracle.  The same machinery with unequal
-masses (abstain soaking up the difference) gives the flux-space metric.
+Both routes see the same costs, the bytes of scipy's `cdist`.  The dual
+formulation and an assignment on equal-unit atoms are kept in the test
+suite as independent oracles.  The same machinery with unequal masses
+(abstain soaking up the difference) gives the flux-space metric.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ import numpy as np
 
 from . import _kloop
 
-_WEIGHT_TOL = 1e-12
 DISTANCE_CAP = 2.0
 # the network simplex gives up after this many pivots per arc: a guard
 # against cycling, far above the 0.05-0.25 a solve takes
@@ -73,7 +71,16 @@ class WeightedMeasure:
         return len(self.weights)
 
     def merge_atoms(self) -> "WeightedMeasure":
-        """Sum weights of exactly-equal points (no epsilon snapping)."""
+        """Sum weights of exactly-equal points (no epsilon snapping) and drop
+        atoms of weight 0; the atoms come out in `np.unique`'s row order."""
+        if self.points.shape[1] > 0:
+            # one stable sort on the first coordinate: where no two are equal,
+            # no two rows are, and this is the lexicographic order
+            order = np.argsort(self.points[:, 0], kind="stable")
+            first = self.points[order, 0]
+            if np.all(first[1:] != first[:-1]):
+                order = order[self.weights[order] > 0.0]
+                return WeightedMeasure(self.points[order], self.weights[order])
         uniq, inverse = np.unique(self.points, axis=0, return_inverse=True)
         w = np.zeros(len(uniq))
         np.add.at(w, inverse.ravel(), self.weights)
@@ -101,30 +108,27 @@ def moment(mu: WeightedMeasure, p: float, threshold: float | None = None) -> flo
 # the capped-cost partial transport solve
 
 
-def _assignment_route(cost: np.ndarray, unit: float, n1: int, n2: int) -> float:
-    """Exact solve when every atom carries the same weight `unit`.
-
-    Pads each side with the other's count of abstain copies (cost 1 against
-    real atoms, 0 against other abstain copies): a square assignment.
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    big = np.ones((n1 + n2, n1 + n2))
-    big[:n1, :n2] = cost
-    big[n1:, n2:] = 0.0
-    rows, cols = linear_sum_assignment(big)
-    return float(big[rows, cols].sum() * unit)
+def _distances(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """The dense n1 x n2 distance matrix of the route without the kernel:
+    sums of squares in coordinate order, then sqrt, the bytes of `cdist`."""
+    acc = np.zeros((len(p1), len(p2)))
+    for k in range(p1.shape[1]):
+        acc += (p1[:, k, None] - p2[None, :, k]) ** 2
+    return np.sqrt(acc)
 
 
 def _lp_route(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
-    """Sparse HiGHS LP on the pairs closer than the cap: the general-weight
-    route where the compiled kernel is missing, and the tests' reference.
+    """Sparse HiGHS LP on the pairs closer than the cap: the route where the
+    compiled kernel is missing, and the tests' reference.
 
     m1 + m2 + min sum (c_ij - 2) pi_ij, row sums <= w1, column sums <= w2.
-    Interior point with crossover, which ends on an exact vertex: dual simplex
+    Interior point with crossover, which ends on a vertex: dual simplex
     took 4x as long once a sixth of 4M pairs fell below the cap.  HiGHS's
     tolerances are absolute (1e-7), so the weights are solved at the power
     of two that brings the larger maximum into [0.5, 1), an exact rescale.
+    Its error bar: where costs nearly tie (lattice points moved by 1e-9) it
+    missed the exact optimum by 1.6e-10 to 7.0e-10 relative, with equal
+    units or not.
     """
     from scipy.optimize import linprog
     from scipy.sparse import csc_matrix
@@ -145,19 +149,31 @@ def _lp_route(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     return base + float(res.fun) / scale
 
 
-def _simplex_route(lib, cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
-    """Compiled network simplex on the pairs closer than the cap (general
-    weights); its costs are the distances, whatever the weights' scale."""
-    n1, n2 = cost.shape
-    ii, jj = (np.ascontiguousarray(a, dtype=np.int64) for a in np.nonzero(cost < DISTANCE_CAP))
-    if len(ii) == 0:
+def _pairs(lib, p1: np.ndarray, p2: np.ndarray):
+    """The pairs of the C-contiguous float points p1 and p2 closer than the
+    cap, (ii, jj, cost) in row-major order, from the kernel in two passes:
+    count, then fill arrays of one more slot."""
+    points = (p1.ctypes.data, len(p1), p2.ctypes.data, len(p2), p1.shape[1], DISTANCE_CAP)
+    n_pairs = lib.kac_pairs(*points, None, None, None)
+    ii, jj = np.empty(n_pairs + 1, dtype=np.int64), np.empty(n_pairs + 1, dtype=np.int64)
+    cost = np.empty(n_pairs + 1)
+    lib.kac_pairs(*points, ii.ctypes.data, jj.ctypes.data, cost.ctypes.data)
+    return ii[:n_pairs], jj[:n_pairs], cost[:n_pairs]
+
+
+def _simplex_route(lib, p1: np.ndarray, w1: np.ndarray, p2: np.ndarray, w2: np.ndarray) -> float:
+    """Compiled network simplex on the pairs closer than the cap; the costs
+    are the distances, whatever the weights' scale."""
+    p1, w1, p2, w2 = (np.ascontiguousarray(a, dtype=float) for a in (p1, w1, p2, w2))
+    n1, n2 = len(p1), len(p2)
+    ii, jj, cost = _pairs(lib, p1, p2)
+    n_pairs = len(ii)
+    if n_pairs == 0:
         return float(w1.sum() + w2.sum())
-    pair_cost = np.ascontiguousarray(cost[ii, jj])
-    w1, w2 = (np.ascontiguousarray(w, dtype=float) for w in (w1, w2))
     value, pivots = np.zeros(1), np.zeros(1, dtype=np.int64)
-    status = lib.kac_transport(pair_cost.ctypes.data, ii.ctypes.data, jj.ctypes.data, len(ii),
+    status = lib.kac_transport(cost.ctypes.data, ii.ctypes.data, jj.ctypes.data, n_pairs,
                                w1.ctypes.data, n1, w2.ctypes.data, n2,
-                               _PIVOTS_PER_ARC * (len(ii) + n1 + n2 + 1),
+                               _PIVOTS_PER_ARC * (n_pairs + n1 + n2 + 1),
                                value.ctypes.data, pivots.ctypes.data)
     if status != _kloop.DONE:
         raise RuntimeError(f"transport LP failed: {_SIMPLEX_ERRORS[status]} "
@@ -173,17 +189,12 @@ def _flat_distance(p1: np.ndarray, w1: np.ndarray, p2: np.ndarray, w2: np.ndarra
         return float(w2.sum())
     if len(p2) == 0:
         return float(w1.sum())
-    from scipy.spatial.distance import cdist
-
-    cost = np.minimum(cdist(p1, p2), DISTANCE_CAP)
-    units = np.concatenate([w1, w2])
-    unit = units[0]
-    if unit > 0.0 and np.all(np.abs(units - unit) <= _WEIGHT_TOL * unit):
-        return _assignment_route(cost, unit, len(p1), len(p2))
+    if p1.shape[1] != p2.shape[1]:
+        raise ValueError(f"points in R^{p1.shape[1]} and R^{p2.shape[1]}: the dimensions differ")
     lib = _kloop.library()
     if lib is None:
-        return _lp_route(cost, w1, w2)
-    return _simplex_route(lib, cost, w1, w2)
+        return _lp_route(_distances(p1, p2), w1, w2)
+    return _simplex_route(lib, p1, w1, p2, w2)
 
 
 def bl_distance(mu: WeightedMeasure, nu: WeightedMeasure, support_cap: int = 4000,

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -451,6 +452,24 @@ class TestMalformedInputs:
         desc = _write(tmp_path / "desc.json", spec)
         self._assert_config_error(["rate-eval", "--sidecar", sidecar, "--events", events,
                                    "--descriptors", desc, "--out-dir", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize("spec, path", [
+        ({"descriptors": [], "tilting": {"kind": "constant", "kappa": math.nan}},
+         "$.tilting.kappa"),
+        ({"descriptors": [{"phi": {"kind": "energy", "coeff": math.nan}}]},
+         "$.descriptors[0].phi.coeff"),
+        ({"descriptors": [{"f": {"kind": "energy", "coeff": -math.inf}}]},
+         "$.descriptors[0].f.coeff"),
+    ])
+    def test_rate_eval_non_finite_descriptors(self, tmp_path, capsys, spec, path):
+        # json writes and reads NaN and Infinity, and the schema takes them as numbers
+        sidecar, events = self._simulated(tmp_path)
+        desc = _write(tmp_path / "desc.json", spec)
+        err = self._assert_config_error(["rate-eval", "--sidecar", sidecar, "--events", events,
+                                         "--descriptors", desc, "--out-dir", str(tmp_path)],
+                                        capsys)
+        assert f"{path}: " in err and "is not a finite number" in err
+        assert not os.path.exists(tmp_path / "rate_eval.json")
 
     @pytest.mark.parametrize("command", ["replay", "rate-eval"])
     @pytest.mark.parametrize("edit", ["drop n", "drop checkpoint_times", "add T", "bad kernel",

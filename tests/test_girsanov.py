@@ -89,6 +89,12 @@ class TestSchemeConstruction:
         with pytest.raises(TiltingSchemeError, match="not normalised"):
             TiltingScheme(initial_tilt=InitialTilt(**dict(good, **{field: math.nan}))).validate_normalisation(ref)
 
+    def test_psi_whose_exponential_overflows_fails(self):
+        # e^(-psi) overflows a double below psi = -709.78; no normalised tilt has such a psi
+        with pytest.raises(TiltingSchemeError, match=r"psi = -1000\.0"):
+            TiltingScheme(initial_tilt=InitialTilt(0.5, 1.0, -1000.0)).validate_normalisation(
+                kl.ReferenceMeasure(3))
+
     def test_unnormalisable_lam(self):
         ref = kl.ReferenceMeasure(3)
         scheme = TiltingScheme(initial_tilt=InitialTilt(1.6, 0.0, 0.0))

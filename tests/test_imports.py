@@ -1,8 +1,8 @@
 """Start-up cost: importing kaclab and running an untilted simulation loads
 neither scipy nor jsonschema; the functions that need them import them.
 Tilted runs and the freeze experiment load no quadrature.  Where the
-compiled kernel loads, a general-weight distance solves its transport
-problem in C, without scipy's LP."""
+compiled kernel loads, every distance lists its pairs and solves its
+transport problem in C, and loads no scipy module at all."""
 import json
 import os
 import shutil
@@ -98,3 +98,36 @@ def test_unequal_unit_flux_distance_loads_no_lp(tmp_path):
     assert out["kernel"]
     assert out["value"] > 0.0
     assert not out["optimize"]
+
+
+_DISTANCE_SCRIPT = """
+import json, sys
+import numpy as np
+import kaclab
+from kaclab import _kloop
+
+rng = np.random.default_rng(1)
+# equal units: the route an assignment once took
+mu = kaclab.WeightedMeasure(rng.normal(size=(40, 3)), np.full(40, 0.025))
+nu = kaclab.WeightedMeasure(rng.normal(size=(40, 3)) + 0.5, np.full(40, 0.025))
+bl = kaclab.bl_distance(mu, nu)
+f1 = kaclab.WeightedMeasure(rng.normal(size=(30, 10)), np.full(30, 0.01))
+f2 = kaclab.WeightedMeasure(rng.normal(size=(20, 10)) * 0.3, np.full(20, 0.02))
+flux = kaclab.flux_distance(f1, f2)
+print(json.dumps({"kernel": _kloop.library() is not None, "bl": bl, "flux": flux,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
+def test_distances_load_no_scipy(tmp_path):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kl.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _DISTANCE_SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["kernel"]
+    assert 0.0 < out["bl"] <= 2.0 and out["flux"] > 0.0
+    assert out["scipy"] == []

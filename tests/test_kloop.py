@@ -507,6 +507,26 @@ def test_baseline_build_runs_byte_identical(name, baseline_lib, monkeypatch, tra
     assert outputs(baseline) == dispatched
 
 
+@needs_gcc
+@pytest.mark.parametrize("d", [1, 2, 3, 10])
+def test_baseline_pairs_match_dispatched(baseline_lib, d):
+    # kac_pairs is built once, uncloned and unfused: a clone of it or a flag
+    # that fused its sums of squares would move its costs off cdist's bytes
+    from scipy.spatial.distance import cdist
+    from test_metrics import cap_pairs_points
+
+    from kaclab.metrics import _pairs
+
+    p1, p2 = cap_pairs_points(d, np.random.default_rng(120 + d))
+    lib = _kloop.library()
+    assert lib is not None and lib is not baseline_lib
+    pairs = _pairs(lib, p1, p2)
+    baseline = _pairs(baseline_lib, p1, p2)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(pairs, baseline))
+    dense = cdist(p1, p2)
+    assert pairs[2].tobytes() == dense[dense < 2.0].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the compiled log walk, kac_replay, against the Python walker
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import kaclab as kl
-from conftest import dual_lp_oracle, vertex_enumeration_oracle
+from conftest import assignment_oracle, dual_lp_oracle, vertex_enumeration_oracle
 from kaclab import _kloop, metrics
 from kaclab.engine import ParticleState
 from kaclab.metrics import (WeightedMeasure, bl_distance, estimate_ldp_rate,
@@ -28,6 +28,44 @@ class TestWeightedMeasure:
         merged = m.merge_atoms()
         assert len(merged) == 2
         assert merged.total_mass == pytest.approx(1.0)
+
+    @staticmethod
+    def _unique_merge(m):
+        """The merge as `np.unique` on rows does it, every input down one path."""
+        uniq, inverse = np.unique(m.points, axis=0, return_inverse=True)
+        w = np.zeros(len(uniq))
+        np.add.at(w, inverse.ravel(), m.weights)
+        keep = w > 0.0
+        return uniq[keep], w[keep]
+
+    @pytest.mark.parametrize("case", ["distinct", "first_coordinate_ties", "duplicates",
+                                      "signed_zeros", "zero_weights", "empty"])
+    def test_merge_is_the_unique_merge_to_the_byte(self, case):
+        rng = np.random.default_rng(60)
+        pts, w = rng.normal(size=(200, 4)), rng.random(200) + 0.01
+        if case == "first_coordinate_ties":
+            pts[::3, 0] = pts[0, 0]  # equal first coordinates, distinct rows
+        elif case == "duplicates":
+            pts[100:150] = pts[:50]
+        elif case == "signed_zeros":
+            # one +0.0 and one -0.0 first coordinate: equal as floats, so the
+            # rows are one atom, though their bytes differ
+            pts[7, 0], pts[150, 0] = 0.0, -0.0
+            pts[150, 1:] = pts[7, 1:]
+        elif case == "zero_weights":
+            w[rng.random(200) < 0.3] = 0.0
+        elif case == "empty":
+            pts, w = pts[:0], w[:0]
+        m = WeightedMeasure(pts, w)
+        merged = m.merge_atoms()
+        want_points, want_weights = self._unique_merge(m)
+        assert merged.points.shape == want_points.shape
+        assert merged.points.tobytes() == want_points.tobytes()
+        assert merged.weights.tobytes() == want_weights.tobytes()
+        if case in ("duplicates", "signed_zeros"):
+            assert len(merged) < len(m)
+        if case == "zero_weights":
+            assert len(merged) == np.count_nonzero(w)
 
 
 class TestMoment:
@@ -102,13 +140,15 @@ class TestBLDistance:
             assert d <= 2.0
 
     def test_assignment_and_lp_routes_agree(self, monkeypatch):
-        # equal atom counts take the assignment fast path, unequal uniform
-        # counts take the LP; both must match the independent dual oracle
+        # equal atom counts with one unit, and unequal uniform counts, on the
+        # one route: both must match the independent dual oracle, and the
+        # equal units the assignment oracle too
         rng = np.random.default_rng(6)
         pts1, pts2 = rng.normal(size=(14, 3)), rng.normal(size=(10, 3)) + 0.5
         fast_mu = WeightedMeasure(pts1[:10], np.full(10, 0.1))
         fast_nu = WeightedMeasure(pts2, np.full(10, 0.1))
-        assert bl_distance(fast_mu, fast_nu) == pytest.approx(dual_lp_oracle(fast_mu, fast_nu), abs=1e-9)
+        fast_want = dual_lp_oracle(fast_mu, fast_nu)
+        assert assignment_oracle(cdist(pts1[:10], pts2), 0.1) == pytest.approx(fast_want, abs=1e-9)
         lp_mu = WeightedMeasure(pts1, np.full(14, 1.0 / 14))
         lp_nu = WeightedMeasure(pts2, np.full(10, 0.1))
         want = pytest.approx(dual_lp_oracle(lp_mu, lp_nu), abs=1e-9)
@@ -116,6 +156,7 @@ class TestBLDistance:
         for lib in (_kloop.library(), None):
             with monkeypatch.context() as m:
                 m.setattr(_kloop, "_lib", lib)
+                assert bl_distance(fast_mu, fast_nu) == pytest.approx(fast_want, abs=1e-9)
                 assert bl_distance(lp_mu, lp_nu) == want
 
     @pytest.mark.parametrize("transform", ["shift", "scale"])
@@ -253,9 +294,39 @@ class TestPrunedLP:
         mu, nu = self._unequal_pair(np.random.default_rng(40), 10, spread=0.8)
         assert flux_distance(mu, nu) == flux_distance(mu, nu)
 
+    # the network simplex meets the assignment to the last bits; HiGHS only
+    # within its optimality tolerance
+    EQUAL_UNIT_REL = 1e-12
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_equal_units_match_the_assignment(self, d):
+        rng = np.random.default_rng(70 + d)
+        for _ in range(15):
+            n1, n2 = rng.integers(1, 25, size=2)
+            unit = 1.0 / max(n1, n2)
+            p1 = rng.normal(size=(n1, d)) * rng.uniform(0.3, 1.5)
+            p2 = rng.normal(size=(n2, d)) * rng.uniform(0.3, 1.5) + 0.3
+            mu, nu = WeightedMeasure(p1, np.full(n1, unit)), WeightedMeasure(p2, np.full(n2, unit))
+            want = assignment_oracle(cdist(p1, p2), unit)
+            assert flux_distance(mu, nu) == pytest.approx(want, rel=self.EQUAL_UNIT_REL)
+            if n1 == n2:
+                assert bl_distance(mu, nu) == pytest.approx(want, rel=self.EQUAL_UNIT_REL)
+
+    def test_equal_units_on_lattice_ties(self):
+        # whole lattices: most costs tie exactly, and some pairs sit at the cap
+        rng = np.random.default_rng(75)
+        grid = np.array([(x, y) for x in range(4) for y in range(4)], dtype=float) * 0.5
+        for n1, n2 in ((16, 16), (9, 20), (20, 9)):
+            p1, p2 = grid[rng.integers(0, 16, n1)], grid[rng.integers(0, 16, n2)] + [0.5, 0.0]
+            mu, nu = WeightedMeasure(p1, np.full(n1, 0.05)), WeightedMeasure(p2, np.full(n2, 0.05))
+            want = assignment_oracle(cdist(p1, p2), 0.05)
+            assert flux_distance(mu, nu) == pytest.approx(want, rel=self.EQUAL_UNIT_REL)
+
 
 class TestPrunedLPWithoutKernel(TestPrunedLP):
     """The same cases on HiGHS, the route of hosts without the kernel."""
+
+    EQUAL_UNIT_REL = 1e-9
 
     @pytest.fixture(autouse=True)
     def _no_kernel(self, monkeypatch):
@@ -264,23 +335,63 @@ class TestPrunedLPWithoutKernel(TestPrunedLP):
 
 def test_equal_unit_route_is_relative_below_unit_one():
     # units 1e-13 and 5e-13 differ by less than 1e-12 but are not equal:
-    # the LP routes must run, not the assignment at unit 1e-13
+    # the value must be the one of the weights as given, not of unit 1e-13
     mu = WeightedMeasure([[0.0, 0, 0], [1.0, 0, 0]], [1e-13, 1e-13])
     nu = WeightedMeasure([[0.0, 0.5, 0], [3.0, 0, 0]], [5e-13, 5e-13])
     big = [WeightedMeasure(m.points, m.weights * 1e12) for m in (mu, nu)]
     assert flux_distance(mu, nu) == pytest.approx(dual_lp_oracle(*big) / 1e12, rel=1e-9)
 
 
-def _agree(cost, w1, w2):
+def _agree(p1, w1, p2, w2):
     """The compiled network simplex and HiGHS on one problem, within 1e-12."""
-    got = metrics._simplex_route(_kloop.library(), cost, w1, w2)
-    want = metrics._lp_route(cost, w1, w2)
+    p1, p2 = np.atleast_2d(np.asarray(p1, dtype=float)), np.atleast_2d(np.asarray(p2, dtype=float))
+    got = metrics._simplex_route(_kloop.library(), p1, w1, p2, w2)
+    want = metrics._lp_route(metrics._distances(p1, p2), w1, w2)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-15 * (w1.sum() + w2.sum()))
     return got
 
 
-def _capped(p1, p2):
-    return np.minimum(cdist(np.atleast_2d(p1), np.atleast_2d(p2)), 2.0)
+def cap_pairs_points(d, rng):
+    """Random points in R^d, with pairs at exactly the cap, 2: rows of p2
+    that are rows of p1 moved by 2 along an axis, or by (1.2, 1.6)."""
+    p1, p2 = rng.normal(size=(60, d)) * 0.8, rng.normal(size=(45, d)) * 0.8
+    p2[:10] = p1[:10]
+    p2[:10, 0] += 2.0
+    if d > 1:
+        p2[10:15] = p1[10:15]
+        p2[10:15, :2] += [1.2, 1.6]
+        p2[15:20] = np.round(p2[15:20])  # small integers: more exact distances
+        p1[15:20] = p2[15:20]
+        p1[15:20, 1] -= 2.0
+    return np.ascontiguousarray(p1), np.ascontiguousarray(p2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 10])
+def test_distances_are_the_bytes_of_cdist(d):
+    # the dense matrix of the route without the kernel
+    p1, p2 = cap_pairs_points(d, np.random.default_rng(80 + d))
+    dense = cdist(p1, p2)
+    assert np.any(dense == 2.0) and np.any(dense < 2.0) and np.any(dense > 2.0)
+    assert metrics._distances(p1, p2).tobytes() == dense.tobytes()
+
+
+@needs_kernel
+@pytest.mark.parametrize("d", [1, 2, 3, 10])
+def test_kernel_pairs_are_the_bytes_of_cdist_in_row_major_order(d):
+    p1, p2 = cap_pairs_points(d, np.random.default_rng(80 + d))
+    dense = cdist(p1, p2)
+    ii, jj, cost = metrics._pairs(_kloop.library(), p1, p2)
+    want_i, want_j = np.nonzero(dense < 2.0)  # row-major; the pairs at the cap left out
+    assert np.array_equal(ii, want_i) and np.array_equal(jj, want_j)
+    assert cost.tobytes() == dense[want_i, want_j].tobytes()
+    assert cost.tobytes() == metrics._distances(p1, p2)[want_i, want_j].tobytes()
+
+
+def test_distances_need_points_of_one_dimension():
+    mu = WeightedMeasure(np.zeros((2, 3)), [0.5, 0.5])
+    nu = WeightedMeasure(np.zeros((2, 4)), [0.5, 0.5])
+    with pytest.raises(ValueError, match="dimensions differ"):
+        bl_distance(mu, nu)
 
 
 @needs_kernel
@@ -293,11 +404,11 @@ class TestNetworkSimplex:
         pts, w = rng.normal(size=(6, 3)), rng.random(6) + 0.1
         pts2 = np.vstack([pts, pts[:1]])
         w2 = np.concatenate([[w[0] / 3], w[1:], [2 * w[0] / 3]])
-        assert _agree(_capped(pts, pts2), w, w2) == pytest.approx(0.0, abs=1e-15)
+        assert _agree(pts, w, pts2, w2) == pytest.approx(0.0, abs=1e-15)
 
     def test_one_atom_a_side(self):
         for gap, m1, m2 in ((0.0, 0.3, 0.3), (0.7, 0.3, 0.5), (1.9, 1.0, 0.25), (2.0, 0.5, 0.5)):
-            got = _agree(_capped([0.0, 0.0], [gap, 0.0]), np.array([m1]), np.array([m2]))
+            got = _agree([0.0, 0.0], np.array([m1]), [gap, 0.0], np.array([m2]))
             assert got == pytest.approx(min(m1, m2) * min(gap, 2.0) + abs(m1 - m2), rel=1e-15)
 
     @pytest.mark.parametrize("n1, n2", [(7, 12), (30, 17)])
@@ -306,7 +417,7 @@ class TestNetworkSimplex:
         rng = np.random.default_rng(n1 * n2)
         grid = np.array([(x, y) for x in range(4) for y in range(4)], dtype=float) * 0.5
         p1, p2 = grid[rng.integers(0, 16, n1)], grid[rng.integers(0, 16, n2)] + [0.5, 0.0]
-        _agree(_capped(p1, p2), np.full(n1, 1.0 / n1), np.full(n2, 1.0 / n2))
+        _agree(p1, np.full(n1, 1.0 / n1), p2, np.full(n2, 1.0 / n2))
 
     def test_near_ties_match_the_exact_assignment(self):
         # lattice points moved by 1e-9: many pairs nearly tie.  Units 1/12
@@ -317,38 +428,51 @@ class TestNetworkSimplex:
             grid = np.array([(x, y) for x in range(3) for y in range(3)], dtype=float) * 0.5
             p1 = grid[rng.integers(0, 9, 12)] + rng.normal(size=(12, 2)) * 1e-9
             p2 = grid[rng.integers(0, 9, 8)] + [0.5, 0.0] + rng.normal(size=(8, 2)) * 1e-9
-            cost = _capped(p1, p2)
-            exact = metrics._assignment_route(np.repeat(np.repeat(cost, 2, axis=0), 3, axis=1),
-                                              1.0 / 24, 24, 24)
-            got = metrics._simplex_route(_kloop.library(), cost, np.full(12, 1.0 / 12),
-                                         np.full(8, 0.125))
+            cost = cdist(p1, p2)
+            exact = assignment_oracle(np.repeat(np.repeat(cost, 2, axis=0), 3, axis=1), 1.0 / 24)
+            got = metrics._simplex_route(_kloop.library(), p1, np.full(12, 1.0 / 12),
+                                         p2, np.full(8, 0.125))
             assert got == pytest.approx(exact, rel=1e-12)
+
+    def test_equal_units_500_a_side(self):
+        # a bl_distance of two 1000-atom velocity samples at support cap 1000:
+        # 500 atoms a side with one unit, about 1/500, most pairs below the cap
+        ref = kl.ReferenceMeasure(3)
+        mu = kl.empirical_measure(ParticleState(ref.sample(kl.make_rng(90), 1000)))
+        nu = kl.empirical_measure(ParticleState(ref.sample(kl.make_rng(91), 1000) * 1.2))
+        sub_mu, sub_nu = mu.merge_atoms().subsample(500, 3), nu.merge_atoms().subsample(500, 4)
+        unit = sub_mu.weights[0]
+        assert np.all(sub_mu.weights == unit) and np.all(sub_nu.weights == unit)
+        cost = cdist(sub_mu.points, sub_nu.points)
+        assert np.mean(cost < 2.0) > 0.5
+        want = assignment_oracle(cost, unit)
+        assert bl_distance(mu, nu, support_cap=1000, subsample_seed=3) == pytest.approx(want, rel=1e-12)
 
     def test_unequal_masses(self):
         rng = np.random.default_rng(51)
         for scale in (0.1, 3.0, 40.0):
             p1, p2 = rng.normal(size=(9, 4)), rng.normal(size=(13, 4)) * 0.7
-            _agree(_capped(p1, p2), rng.random(9) * scale, rng.random(13))
+            _agree(p1, rng.random(9) * scale, p2, rng.random(13))
 
     def test_pairs_at_exactly_the_cap(self):
         p1 = np.array([[0.0, 0, 0], [4.0, 0, 0], [1.0, 1, 0]])
         p2 = np.array([[2.0, 0, 0], [0.0, 2, 0], [4.0, 1, 0]])
         assert np.sum(cdist(p1, p2) == 2.0) == 3
-        _agree(_capped(p1, p2), np.array([0.3, 0.5, 0.15]), np.array([0.2, 0.25, 0.4]))
+        _agree(p1, np.array([0.3, 0.5, 0.15]), p2, np.array([0.2, 0.25, 0.4]))
 
     def test_random_general_weights(self):
         rng = np.random.default_rng(52)
         for _ in range(20):
             n1, n2 = rng.integers(1, 40, size=2)
             p1, p2 = rng.normal(size=(n1, 3)), rng.normal(size=(n2, 3)) * rng.uniform(0.5, 2)
-            _agree(_capped(p1, p2), rng.random(n1) + 1e-3, rng.random(n2) + 1e-3)
+            _agree(p1, rng.random(n1) + 1e-3, p2, rng.random(n2) + 1e-3)
 
     def test_weights_spanning_nine_decades(self):
         rng = np.random.default_rng(53)
         for _ in range(12):
             mu = WeightedMeasure(rng.normal(size=(2, 2)), 10.0 ** rng.uniform(-9, 0, 2))
             nu = WeightedMeasure(rng.normal(size=(2, 2)), 10.0 ** rng.uniform(-9, 0, 2))
-            got = _agree(_capped(mu.points, nu.points), mu.weights, nu.weights)
+            got = _agree(mu.points, mu.weights, nu.points, nu.weights)
             assert got == pytest.approx(vertex_enumeration_oracle(mu, nu), rel=1e-9, abs=1e-18)
 
     def test_pivot_cap_raises(self, monkeypatch):
