@@ -14,6 +14,18 @@ import numpy as np
 
 import kaclab as kl
 
+
+def direct(x):
+    """The sample mean and its plain SE."""
+    return x.mean(), x.std(ddof=1) / math.sqrt(len(x))
+
+
+def self_normalised(w, x):
+    """sum w x / sum w and its delta-method SE, sqrt(sum w^2 (x - est)^2) / sum w."""
+    est = np.sum(w * x) / np.sum(w)
+    return est, math.sqrt(np.sum(w**2 * (x - est) ** 2)) / np.sum(w)
+
+
 N, T, RUNS = 5, 0.6, 20_000
 scheme = kl.TiltingScheme.pairwise(1.0, 0.3)
 
@@ -35,15 +47,12 @@ for k in range(RUNS):
     log_p[k] = traj.rn_ledger.log_rn()
 
 for label, vals in (("E_Q[exp(-logRN)]", np.exp(-log_q)), ("E_P[exp(+logRN)]", np.exp(log_p))):
-    se = vals.std(ddof=1) / math.sqrt(RUNS)
-    print(f"{label} = {vals.mean():.4f} +- {se:.4f}   (must be 1)")
+    mean, se = direct(vals)
+    print(f"{label} = {mean:.4f} +- {se:.4f}   (must be 1)")
 
-w = np.exp(-log_q)
-est_p_from_q = np.sum(w * m4_q) / np.sum(w)
-se_direct = m4_p.std(ddof=1) / math.sqrt(RUNS)
-print(f"\nm4(T) under P, direct:          {m4_p.mean():.4f} +- {se_direct:.4f}")
-print(f"m4(T) under P, reweighted Q:    {est_p_from_q:.4f}")
-w = np.exp(log_p)
-est_q_from_p = np.sum(w * m4_p) / np.sum(w)
-print(f"m4(T) under Q, direct:          {m4_q.mean():.4f}")
-print(f"m4(T) under Q, reweighted P:    {est_q_from_p:.4f}")
+print()
+for label, (est, se) in (("under P, direct", direct(m4_p)),
+                         ("under P, reweighted Q", self_normalised(np.exp(-log_q), m4_q)),
+                         ("under Q, direct", direct(m4_q)),
+                         ("under Q, reweighted P", self_normalised(np.exp(log_p), m4_p))):
+    print(f"m4(T) {label + ':':<26}{est:.4f} +- {se:.4f}")

@@ -17,9 +17,7 @@ from .freezing import (ExperimentReport, FreezeScheme, ThetaSchedule,
                        build_freeze_scheme, cumulant_psi, design_freeze_experiment,
                        freeze_thresholds, legendre_psi_star, run_experiment,
                        solve_lambda, tilted_energy, time_partition)
-from .girsanov import (InitialTilt, RNLedger, TiltingScheme,
-                       accumulate_compensator, log_rn_derivative, record_jump,
-                       sample_tilted_initial)
+from .girsanov import InitialTilt, RNLedger, TiltingScheme, sample_tilted_initial
 from .kinetics import Kernel, eval_kernel, post_collision, sample_sigma
 from .metrics import (WeightedMeasure, bl_distance, estimate_ldp_rate, fit_ldp_slope,
                       flux_distance, moment)

@@ -27,10 +27,10 @@
  * after it.
  * Errors are returned as status codes; the caller raises the Python loop's
  * exception for each.
- * kac_pairs and kac_transport, near the end of the file, are not part of
- * the engine: the pairs closer than the cap with their distances, and the
- * network simplex that solves the transport problem of `metrics` on them.
- * Nor are kac_write_events and kac_read_events after them, which write and
+ * kac_transport, near the end of the file, is not part of the engine: it
+ * lists the pairs closer than the cap from the points and solves the
+ * transport problem of `metrics` on them by a network simplex.
+ * Nor are kac_write_events and kac_read_events after it, which write and
  * read the event CSV of `config_io`.
  *
  * The rows are nearly all of a tracked run.  kac_rows and collision_rows,
@@ -585,56 +585,24 @@ int kac_replay(double *V, int64_t n, int64_t d, const int64_t *ev_i, const int64
 }
 
 /* ---------------------------------------------------------------------------
- * kac_pairs: the pairs of `metrics._flat_distance` closer than the cap, and
- * their costs, for kac_transport.
- *
- * The points are rows of k coordinates in C order, n1 of mu and n2 of nu.
- * A pair's cost is its distance, sqrt of sum_k (p1_ik - p2_jk)^2 summed in
- * coordinate order and unfused (the build has -ffp-contract=off, and this
- * entry is not cloned), the bytes of scipy's cdist and of the numpy column
- * loop `metrics._distances`.  The pairs come in row-major order, i then j,
- * the order of np.nonzero on the dense matrix.  With ii NULL only the count
- * is returned; otherwise ii, jj and cost get the pairs too, and must hold
- * the count plus one: every pair is written, and the next overwrites it
- * unless it is closer than the cap, so the loop has no branch on the cap.
- * The memory is the caller's, O(pairs), and no n1 x n2 matrix is built.
- */
-
-int64_t kac_pairs(const double *p1, int64_t n1, const double *p2, int64_t n2, int64_t k,
-                  double cap, int64_t *ii, int64_t *jj, double *cost)
-{
-    int64_t count = 0;
-    for (int64_t i = 0; i < n1; i++) {
-        const double *a = p1 + i * k;
-        for (int64_t j = 0; j < n2; j++) {
-            const double *b = p2 + j * k;
-            double s = 0.0;
-            for (int64_t c = 0; c < k; c++) {
-                double t = a[c] - b[c];
-                s += t * t;
-            }
-            double dist = sqrt(s);
-            if (ii) { /* overwritten by the next pair unless this one counts */
-                ii[count] = i;
-                jj[count] = j;
-                cost[count] = dist;
-            }
-            count += dist < cap;
-        }
-    }
-    return count;
-}
-
-/* ---------------------------------------------------------------------------
  * kac_transport: the capped partial-transport problem of
- * `metrics._flat_distance`, solved exactly by a primal network simplex, on
- * the pairs and costs kac_pairs lists.
+ * `metrics._flat_distance`, solved exactly by a primal network simplex.
  *
  * Nodes: the n1 atoms of mu (supply w1_i), the n2 atoms of nu (demand w2_j),
  * a row-abstain node R (demand sum w1) and a column-abstain node C (supply
  * sum w2).  Arcs, all uncapacitated: the np pairs i -> j closer than the
  * cap at cost c_ij, i -> R and C -> j at cost 1 (destroying and creating a
  * unit), C -> R at cost 0.  The minimum cost is the distance.
+ *
+ * The points are rows of k coordinates in C order, n1 of mu and n2 of nu.
+ * A pair's cost is its distance, sqrt of sum_k (p1_ik - p2_jk)^2 summed in
+ * coordinate order and unfused (the build has -ffp-contract=off, and this
+ * entry is not cloned), the bytes of scipy's cdist and of the numpy column
+ * loop `metrics._distances`.  A count pass sizes the one allocation; a fill
+ * pass writes the pairs straight into the arc arrays in row-major order, i
+ * then j, the order of np.nonzero on the dense matrix.  No n1 x n2 matrix
+ * is built.  With no pair closer than the cap there is nothing to solve:
+ * *pairs is 0 and the caller has the value, m1 + m2.
  *
  * The start is LEMON's: an artificial root joined to every node by an arc
  * that carries the node's supply, cost 0 from a supply node and ART_COST to
@@ -770,13 +738,32 @@ static int pivot(struct tree *t, int32_t in)
     return 0;
 }
 
-/* the distance between mu and nu into *value and the pivot count into
- * *pivots; DONE, ERR_MEMORY, ERR_PIVOTS (more than max_pivots) or
- * ERR_ARTIFICIAL (artificial flow left) */
-int kac_transport(const double *cost, const int64_t *ii, const int64_t *jj, int64_t np,
-                  const double *w1, int64_t n1, const double *w2, int64_t n2,
-                  int64_t max_pivots, double *value, int64_t *pivots)
+/* sqrt of sum_c (a_c - b_c)^2, summed in coordinate order, unfused */
+static double pair_cost(const double *a, const double *b, int64_t k)
 {
+    double s = 0.0;
+    for (int64_t c = 0; c < k; c++) {
+        double d = a[c] - b[c];
+        s += d * d;
+    }
+    return sqrt(s);
+}
+
+/* the distance between mu and nu into *value, the count of pairs closer
+ * than the cap into *pairs and the pivot count into *pivots; DONE,
+ * ERR_MEMORY, ERR_PIVOTS (more than pivots_per_arc pivots an arc) or
+ * ERR_ARTIFICIAL (artificial flow left) */
+int kac_transport(const double *p1, const double *w1, int64_t n1,
+                  const double *p2, const double *w2, int64_t n2, int64_t k, double cap,
+                  int64_t pivots_per_arc, double *value, int64_t *pairs, int64_t *pivots)
+{
+    int64_t np = 0;
+    for (int64_t i = 0; i < n1; i++)
+        for (int64_t j = 0; j < n2; j++)
+            np += pair_cost(p1 + i * k, p2 + j * k, k) < cap;
+    *pairs = np;
+    if (np == 0)
+        return DONE;
     int64_t nn = n1 + n2 + 2, m = np + n1 + n2 + 1, arcs = m + nn;
     if (arcs >= INT32_MAX)
         return ERR_MEMORY;
@@ -794,12 +781,18 @@ int kac_transport(const double *cost, const int64_t *ii, const int64_t *jj, int6
     TAKE(first, nn + 1); TAKE(next, nn + 1); TAKE(prev, nn + 1);
     TAKE(lower, arcs); TAKE(dir, nn + 1);
 #undef TAKE
+    /* every pair is written, and the next overwrites it unless this one
+     * counts, so the loop has no branch on the cap; the last pair's spare
+     * slot is the first abstain arc's, written below */
+    for (int64_t i = 0, e = 0; i < n1; i++)
+        for (int64_t j = 0; j < n2; j++) {
+            double dist = pair_cost(p1 + i * k, p2 + j * k, k);
+            t.src[e] = (int32_t)i;
+            t.tgt[e] = (int32_t)(n1 + j);
+            t.cost[e] = dist;
+            e += dist < cap;
+        }
     double m1 = 0.0, m2 = 0.0;
-    for (int64_t e = 0; e < np; e++) {
-        t.src[e] = (int32_t)ii[e];
-        t.tgt[e] = (int32_t)(n1 + jj[e]);
-        t.cost[e] = cost[e];
-    }
     for (int64_t i = 0; i < n1; i++) {
         t.src[np + i] = (int32_t)i;
         t.tgt[np + i] = R;
@@ -840,6 +833,7 @@ int kac_transport(const double *cost, const int64_t *ii, const int64_t *jj, int6
         link_child(&t, u, root);
     }
     int64_t block_size = (int64_t)sqrt((double)m), next = 0, count = 0;
+    int64_t max_pivots = pivots_per_arc * m;
     if (block_size < 10)
         block_size = 10;
     int status = DONE;

@@ -1,5 +1,5 @@
 """Build and load the compiled proposal loop, pair-sum rows, log walk,
-transport pairs and solve, and event-CSV I/O, `_kloop.c`.
+transport solve and event-CSV I/O, `_kloop.c`.
 
 On first use the C source is compiled with gcc into `_build/` next to this
 file, under a name made from the sha256 of the source and the compile
@@ -21,12 +21,13 @@ entry of a collision's rows, behind `kac_run`, `kac_pair_rows` and
 when the library is loaded.  The build key, source plus compile command, is
 therefore unchanged, and the clones' rows are the same bytes.
 
-`kac_pairs` lists the pairs closer than the cap with their distances, and
-`kac_transport` is the exact network-simplex solve of the capped transport
-problem on them, behind every `metrics.flux_distance` and `bl_distance`.
-Their arithmetic needs no match with numpy (the distances are scipy's
-`cdist` bytes, unfused sums in coordinate order), so `library()` hands them
-out wherever the library loads, without the dimension and sum gates.
+`kac_transport` lists the pairs closer than the cap from the points, with
+their distances, straight into its arc arrays, and solves the capped
+transport problem on them exactly by a network simplex, behind every
+`metrics.flux_distance` and `bl_distance`.  Its arithmetic needs no match
+with numpy (the distances are scipy's `cdist` bytes, unfused sums in
+coordinate order), so `library()` hands it out wherever the library loads,
+without the dimension and sum gates.
 
 So are `kac_write_events` and `kac_read_events`, behind
 `config_io.write_event_csv` and `read_event_csv`.  The writer prints the
@@ -127,9 +128,7 @@ def bind(lib):
     lib.kac_run.restype = ctypes.c_int
     lib.kac_replay.argtypes = (ptr, i64, i64, ptr, ptr, ptr, ptr, i64, i64, ptr)
     lib.kac_replay.restype = ctypes.c_int
-    lib.kac_pairs.argtypes = (ptr, i64, ptr, i64, i64, dbl, ptr, ptr, ptr)
-    lib.kac_pairs.restype = i64
-    lib.kac_transport.argtypes = (ptr, ptr, ptr, i64, ptr, i64, ptr, i64, i64, ptr, ptr)
+    lib.kac_transport.argtypes = (ptr, ptr, i64, ptr, ptr, i64, i64, dbl, i64, ptr, ptr, ptr)
     lib.kac_transport.restype = ctypes.c_int
     lib.kac_write_events.argtypes = (ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, i64)
     lib.kac_write_events.restype = i64

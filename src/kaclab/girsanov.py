@@ -220,11 +220,6 @@ class RNLedger:
         return RNLedger(self.initial_term, self.jump_term, self.compensator_term, self.hit_zero)
 
 
-def log_rn_derivative(trajectory) -> float:
-    """log dQ/dP along a simulated trajectory; -inf if an event hit K = 0."""
-    return trajectory.rn_ledger.log_rn()
-
-
 # ---------------------------------------------------------------------------
 # Tilted initial data
 
@@ -266,54 +261,3 @@ def sample_tilted_initial(
         s[~inside] = reference.speed2_isf(q, scale=scale_t)
     dirs = reference.sample_direction(rng, n)
     return dirs * np.sqrt(s)[:, None]
-
-
-# ---------------------------------------------------------------------------
-# Ledger operations (reference implementations; the engine maintains the
-# same quantities incrementally and is cross-checked against these in tests)
-
-
-def _pair_distances(velocities: np.ndarray) -> np.ndarray:
-    diff = velocities[:, None, :] - velocities[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
-
-
-def compensator_rate(state_velocities: np.ndarray, scheme: TiltingScheme, kernel: Kernel, t: float) -> float:
-    """(1/N) sum_{i,j} (K - 1) B at a frozen state; exact, O(N^2)."""
-    v = np.asarray(state_velocities, dtype=float)
-    n = len(v)
-    k_idx = scheme.interval_index(t)
-    c = scheme.coeffs[k_idx]
-    delta = scheme.deltas[k_idx]
-    frozen = scheme.frozen_mask(k_idx, n)
-    u = _pair_distances(v)
-    b = 1.0 + kernel.slope * u
-    kmat = c * (1.0 + delta * u)
-    alive = ~frozen
-    kmat *= np.outer(alive, alive)
-    return float(np.sum((kmat - 1.0) * b)) / n
-
-
-def accumulate_compensator(ledger: RNLedger, state, scheme: TiltingScheme, kernel: Kernel, dt: float) -> RNLedger:
-    """Advance the compensator term by dt at a frozen state."""
-    if dt < 0.0:
-        raise ValueError("dt must be nonnegative")
-    ledger.compensator_term += dt * compensator_rate(state.velocities, scheme, kernel, state.time)
-    return ledger
-
-
-def record_jump(ledger: RNLedger, event, scheme: TiltingScheme) -> RNLedger:
-    """Add log K at a recorded (non-fictitious) event point."""
-    if event.fictitious:
-        raise ValueError("fictitious events carry no flux mass")
-    k_idx = scheme.interval_index(event.time)
-    frozen = scheme.frozen_sets[k_idx]
-    i_frozen = bool(np.isin(event.i, frozen, assume_unique=False))
-    j_frozen = bool(np.isin(event.j, frozen, assume_unique=False))
-    u = float(np.linalg.norm(np.asarray(event.pre_v) - np.asarray(event.pre_v_star)))
-    k_val = scheme.k_value(event.time, u, i_frozen, j_frozen)
-    if k_val == 0.0:
-        ledger.hit_zero = True
-    else:
-        ledger.jump_term += math.log(k_val)
-    return ledger

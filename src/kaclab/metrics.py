@@ -12,11 +12,12 @@ from everything.  Pairs at the cap drop out: moving a unit costs c_ij
 against 2 for destroying and creating it, so some optimum leaves them empty.
 There is one route, whatever the weights, and a fallback:
 
-* wherever the compiled kernel loads, `kac_pairs` in `_kloop.c` lists the
-  pairs closer than the cap with their distances, in O(pairs) memory, and a
-  network simplex (`kac_transport`) solves the network: it ends on a basic
-  solution whose reduced costs are all nonnegative, an exact optimum up to
-  a 1e-11 pricing tolerance on costs of order 1.  No scipy module is loaded;
+* wherever the compiled kernel loads, one call of `kac_transport` in
+  `_kloop.c` lists the pairs closer than the cap from the points, with their
+  distances, straight into its arc arrays (O(pairs) memory, no copy), and
+  solves the network by a network simplex: it ends on a basic solution whose
+  reduced costs are all nonnegative, an exact optimum up to a 1e-11 pricing
+  tolerance on costs of order 1.  No scipy module is loaded;
 * without the kernel, a sparse LP (HiGHS, interior point with crossover) on
   the same pairs, taken from a dense distance matrix.  It stops within its
   1e-7 optimality tolerance and misses the optimum by 1.6e-10 to 7.0e-10
@@ -149,35 +150,21 @@ def _lp_route(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     return base + float(res.fun) / scale
 
 
-def _pairs(lib, p1: np.ndarray, p2: np.ndarray):
-    """The pairs of the C-contiguous float points p1 and p2 closer than the
-    cap, (ii, jj, cost) in row-major order, from the kernel in two passes:
-    count, then fill arrays of one more slot."""
-    points = (p1.ctypes.data, len(p1), p2.ctypes.data, len(p2), p1.shape[1], DISTANCE_CAP)
-    n_pairs = lib.kac_pairs(*points, None, None, None)
-    ii, jj = np.empty(n_pairs + 1, dtype=np.int64), np.empty(n_pairs + 1, dtype=np.int64)
-    cost = np.empty(n_pairs + 1)
-    lib.kac_pairs(*points, ii.ctypes.data, jj.ctypes.data, cost.ctypes.data)
-    return ii[:n_pairs], jj[:n_pairs], cost[:n_pairs]
-
-
 def _simplex_route(lib, p1: np.ndarray, w1: np.ndarray, p2: np.ndarray, w2: np.ndarray) -> float:
-    """Compiled network simplex on the pairs closer than the cap; the costs
-    are the distances, whatever the weights' scale."""
+    """Compiled network simplex on the pairs closer than the cap, which the
+    kernel lists from the points; the costs are the distances, whatever the
+    weights' scale."""
     p1, w1, p2, w2 = (np.ascontiguousarray(a, dtype=float) for a in (p1, w1, p2, w2))
-    n1, n2 = len(p1), len(p2)
-    ii, jj, cost = _pairs(lib, p1, p2)
-    n_pairs = len(ii)
-    if n_pairs == 0:
-        return float(w1.sum() + w2.sum())
-    value, pivots = np.zeros(1), np.zeros(1, dtype=np.int64)
-    status = lib.kac_transport(cost.ctypes.data, ii.ctypes.data, jj.ctypes.data, n_pairs,
-                               w1.ctypes.data, n1, w2.ctypes.data, n2,
-                               _PIVOTS_PER_ARC * (n_pairs + n1 + n2 + 1),
-                               value.ctypes.data, pivots.ctypes.data)
+    value, pairs, pivots = np.zeros(1), np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    status = lib.kac_transport(p1.ctypes.data, w1.ctypes.data, len(p1),
+                               p2.ctypes.data, w2.ctypes.data, len(p2), p1.shape[1], DISTANCE_CAP,
+                               _PIVOTS_PER_ARC, value.ctypes.data, pairs.ctypes.data,
+                               pivots.ctypes.data)
     if status != _kloop.DONE:
         raise RuntimeError(f"transport LP failed: {_SIMPLEX_ERRORS[status]} "
                            f"after {pivots[0]} pivots")
+    if pairs[0] == 0:
+        return float(w1.sum() + w2.sum())
     return float(value[0])
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
@@ -95,3 +97,50 @@ def weighted_ks_statistic(x, y, wy):
 def ks_threshold(n1, n2, alpha=0.01):
     c = np.sqrt(-np.log(alpha / 2.0) / 2.0)
     return c * np.sqrt((n1 + n2) / (n1 * n2))
+
+
+# ---------------------------------------------------------------------------
+# O(N^2) reference implementations of the Girsanov ledger: the engine keeps
+# the same quantities incrementally, and the tests cross-check it here
+
+
+def compensator_rate(state_velocities, scheme, kernel, t) -> float:
+    """(1/N) sum_{i,j} (K - 1) B at a frozen state; exact, O(N^2)."""
+    v = np.asarray(state_velocities, dtype=float)
+    n = len(v)
+    k_idx = scheme.interval_index(t)
+    c = scheme.coeffs[k_idx]
+    delta = scheme.deltas[k_idx]
+    frozen = scheme.frozen_mask(k_idx, n)
+    diff = v[:, None, :] - v[None, :, :]
+    u = np.sqrt(np.sum(diff * diff, axis=-1))
+    b = 1.0 + kernel.slope * u
+    kmat = c * (1.0 + delta * u)
+    alive = ~frozen
+    kmat *= np.outer(alive, alive)
+    return float(np.sum((kmat - 1.0) * b)) / n
+
+
+def accumulate_compensator(ledger, state, scheme, kernel, dt):
+    """Advance the compensator term by dt at a frozen state."""
+    if dt < 0.0:
+        raise ValueError("dt must be nonnegative")
+    ledger.compensator_term += dt * compensator_rate(state.velocities, scheme, kernel, state.time)
+    return ledger
+
+
+def record_jump(ledger, event, scheme):
+    """Add log K at a recorded (non-fictitious) event point."""
+    if event.fictitious:
+        raise ValueError("fictitious events carry no flux mass")
+    k_idx = scheme.interval_index(event.time)
+    frozen = scheme.frozen_sets[k_idx]
+    i_frozen = bool(np.isin(event.i, frozen, assume_unique=False))
+    j_frozen = bool(np.isin(event.j, frozen, assume_unique=False))
+    u = float(np.linalg.norm(np.asarray(event.pre_v) - np.asarray(event.pre_v_star)))
+    k_val = scheme.k_value(event.time, u, i_frozen, j_frozen)
+    if k_val == 0.0:
+        ledger.hit_zero = True
+    else:
+        ledger.jump_term += math.log(k_val)
+    return ledger

@@ -7,10 +7,10 @@ from scipy import stats
 from scipy.integrate import quad
 
 import kaclab as kl
-from conftest import ks_threshold, weighted_ks_statistic
+from conftest import (accumulate_compensator, compensator_rate, ks_threshold, record_jump,
+                      weighted_ks_statistic)
 from kaclab.engine import ParticleState
 from kaclab.girsanov import (InitialTilt, RNLedger, TiltingScheme, TiltingSchemeError,
-                             accumulate_compensator, compensator_rate, record_jump,
                              sample_tilted_initial)
 from kaclab.kinetics import Kernel
 
@@ -287,4 +287,4 @@ class TestNormalisation:
     def test_log_rn_derivative_identity_zero(self):
         cfg = kl.SimConfig(n=10, t_max=0.5, kernel=Kernel.MAXWELL, seed=51)
         traj = kl.simulate(cfg)
-        assert kl.log_rn_derivative(traj) == 0.0
+        assert traj.rn_ledger.log_rn() == 0.0

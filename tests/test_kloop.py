@@ -510,21 +510,24 @@ def test_baseline_build_runs_byte_identical(name, baseline_lib, monkeypatch, tra
 @needs_gcc
 @pytest.mark.parametrize("d", [1, 2, 3, 10])
 def test_baseline_pairs_match_dispatched(baseline_lib, d):
-    # kac_pairs is built once, uncloned and unfused: a clone of it or a flag
-    # that fused its sums of squares would move its costs off cdist's bytes
+    # kac_transport prices its pairs uncloned and unfused: a clone of it or a
+    # flag that fused its sums of squares would move the costs off cdist's
+    # bytes.  One atom a side at weight 1 costs the pair's distance below the
+    # cap, 2, and exactly 2 at or above it, on either library
     from scipy.spatial.distance import cdist
     from test_metrics import cap_pairs_points
 
-    from kaclab.metrics import _pairs
+    from kaclab.metrics import _simplex_route
 
     p1, p2 = cap_pairs_points(d, np.random.default_rng(120 + d))
     lib = _kloop.library()
     assert lib is not None and lib is not baseline_lib
-    pairs = _pairs(lib, p1, p2)
-    baseline = _pairs(baseline_lib, p1, p2)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(pairs, baseline))
     dense = cdist(p1, p2)
-    assert pairs[2].tobytes() == dense[dense < 2.0].tobytes()
+    want = np.where(dense < 2.0, dense, 2.0)
+    one = np.ones(1)
+    for each in (lib, baseline_lib):
+        got = [[_simplex_route(each, a[None], one, b[None], one) for b in p2] for a in p1]
+        assert np.array(got).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ctypes
 import math
 
 import numpy as np
@@ -281,14 +282,26 @@ class TestPrunedLP:
             raise AssertionError("the LP solver was called")
 
         monkeypatch.setattr("scipy.optimize.linprog", no_solver)
-        lib = _kloop.library()
+        lib, counted = _kloop.library(), []
         if lib is not None:
-            monkeypatch.setattr(lib, "kac_transport", no_solver)
+            transport = lib.kac_transport
+
+            def count_only(*args):
+                # a solve writes its pivot count: a sentinel left in that
+                # slot shows that the kernel returned after counting pairs
+                pairs, pivots = (ctypes.c_int64.from_address(a) for a in args[-2:])
+                pivots.value = -1
+                status = transport(*args)
+                counted.append((status, pairs.value, pivots.value))
+                return status
+
+            monkeypatch.setattr(lib, "kac_transport", count_only)
         # dyadic weights: m1 + m2 is exact in any summation order
         mu = WeightedMeasure([[0.0, 0, 0], [0.0, 5, 0], [0.0, 0, 9]], [0.25, 0.5, 0.125])
         nu = WeightedMeasure([[2.0, 0, 0], [3.0, 3, 3]], [0.375, 0.25])
         assert np.all(cdist(mu.points, nu.points) >= 2.0)
         assert flux_distance(mu, nu) == 1.5
+        assert counted == ([] if lib is None else [(_kloop.DONE, 0, -1)])
 
     def test_repeat_calls_identical(self):
         mu, nu = self._unequal_pair(np.random.default_rng(40), 10, spread=0.8)
@@ -375,14 +388,33 @@ def test_distances_are_the_bytes_of_cdist(d):
     assert metrics._distances(p1, p2).tobytes() == dense.tobytes()
 
 
+def _kernel_pairs(p1, w1, p2, w2):
+    """kac_transport's value and its count of pairs closer than the cap."""
+    lib = _kloop.library()
+    value, pairs, pivots = np.zeros(1), np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    status = lib.kac_transport(
+        p1.ctypes.data, w1.ctypes.data, len(p1), p2.ctypes.data, w2.ctypes.data, len(p2),
+        p1.shape[1], metrics.DISTANCE_CAP, metrics._PIVOTS_PER_ARC, value.ctypes.data,
+        pairs.ctypes.data, pivots.ctypes.data)
+    assert status == _kloop.DONE
+    return value[0], int(pairs[0])
+
+
 @needs_kernel
 @pytest.mark.parametrize("d", [1, 2, 3, 10])
 def test_kernel_pairs_are_the_bytes_of_cdist_in_row_major_order(d):
+    # the kernel lists its pairs from the points: row by row, it counts the
+    # columns closer than the cap, the pairs at the cap left out, and one atom
+    # a side at weight 1 costs the pair's distance, cdist's bytes
     p1, p2 = cap_pairs_points(d, np.random.default_rng(80 + d))
     dense = cdist(p1, p2)
-    ii, jj, cost = metrics._pairs(_kloop.library(), p1, p2)
-    want_i, want_j = np.nonzero(dense < 2.0)  # row-major; the pairs at the cap left out
-    assert np.array_equal(ii, want_i) and np.array_equal(jj, want_j)
+    one = np.ones(1)
+    rows = [_kernel_pairs(p1[i:i + 1], one, p2, np.ones(len(p2)))[1] for i in range(len(p1))]
+    assert rows == np.count_nonzero(dense < 2.0, axis=1).tolist()
+    assert _kernel_pairs(p1, np.ones(len(p1)), p2, np.ones(len(p2)))[1] == sum(rows)
+    want_i, want_j = np.nonzero(dense < 2.0)  # row-major
+    cost = np.array([_kernel_pairs(p1[i:i + 1], one, p2[j:j + 1], one)[0]
+                     for i, j in zip(want_i, want_j)])
     assert cost.tobytes() == dense[want_i, want_j].tobytes()
     assert cost.tobytes() == metrics._distances(p1, p2)[want_i, want_j].tobytes()
 
@@ -484,14 +516,13 @@ class TestNetworkSimplex:
 
     def test_leftover_artificial_flow_is_an_error(self):
         # a negative weight of mu is a demand no arc can reach
-        cost = np.array([0.5])
-        ii, jj = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        p1, p2 = np.array([[0.0]]), np.array([[0.5]])
         w1, w2 = np.array([-0.5]), np.array([0.25])
-        value, pivots = np.zeros(1), np.zeros(1, dtype=np.int64)
+        value, pairs, pivots = np.zeros(1), np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
         status = _kloop.library().kac_transport(
-            cost.ctypes.data, ii.ctypes.data, jj.ctypes.data, 1, w1.ctypes.data, 1,
-            w2.ctypes.data, 1, 1000, value.ctypes.data, pivots.ctypes.data)
-        assert status == _kloop.ERR_ARTIFICIAL
+            p1.ctypes.data, w1.ctypes.data, 1, p2.ctypes.data, w2.ctypes.data, 1, 1, 2.0,
+            metrics._PIVOTS_PER_ARC, value.ctypes.data, pairs.ctypes.data, pivots.ctypes.data)
+        assert status == _kloop.ERR_ARTIFICIAL and pairs[0] == 1
 
 
 class TestEstimateLdpRate:

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import kaclab as kl
+from conftest import compensator_rate
 from kaclab import engine, freezing
 from kaclab.config_io import save_trajectory
 from kaclab.engine import _TiltPairSum, replay_events
-from kaclab.girsanov import TiltingScheme, compensator_rate
+from kaclab.girsanov import TiltingScheme
 from kaclab.kinetics import Kernel, sphere_quadrature
 from kaclab.rate_function import TestFunctionDescriptor, _xi2_pair_sum, dynamic_cost, tau, xi_functionals
 
