@@ -27,11 +27,10 @@
  * after it.
  * Errors are returned as status codes; the caller raises the Python loop's
  * exception for each.
- * kac_transport, near the end of the file, is not part of the engine: it
- * lists the pairs closer than the cap from the points and solves the
- * transport problem of `metrics` on them by a network simplex.
- * Nor are kac_write_events and kac_read_events after it, which write and
- * read the event CSV of `config_io`.
+ * The transport solve of `metrics` and the event CSV of `config_io` are not
+ * part of the engine: they are in _ktools.c, built as a library of its
+ * own, so that an edit there leaves this library's bytes, and its code's
+ * addresses, as they are.
  *
  * The rows are nearly all of a tracked run.  kac_rows and collision_rows,
  * the one entry of a collision's rows (kac_run, kac_pair_rows and
@@ -45,10 +44,8 @@
  * on every other host.
  */
 
-#include <locale.h>
 #include <math.h>
 #include <stdint.h>
-#include <stdio.h>
 #include <stdlib.h>
 
 typedef int (*refill_fn)(int which); /* 0 uniforms, 1 exponentials, 2 normals */
@@ -59,8 +56,7 @@ enum { F_T, F_COMP, F_TEND, F_C, F_INFL, F_GAMMA, F_KB, F_MAJ, F_TOTAL, F_COMPEN
 enum { K_IU, K_IE, K_IN, K_EVENTS, K_COLL, K_SIZE, K_CAP, K_I, K_J, K_HIT };
 
 enum { DONE = 0, GROW = 1, ERR_MAJORANT = -1, ERR_WEIGHT = -2, ERR_ZERO_TOTAL = -3,
-       ERR_REFILL = -4, ERR_INDEX = -5, ERR_LOG = -6, ERR_MEMORY = -7, ERR_PIVOTS = -8,
-       ERR_ARTIFICIAL = -9 };
+       ERR_REFILL = -4, ERR_INDEX = -5, ERR_LOG = -6 }; /* _ktools.c goes on from -7 */
 
 /* the pair function f(K) of a row: K - 1, or a table of f at the three
  * values K takes at delta = 0: 0 (a frozen pair), c, and the NaN of a
@@ -582,459 +578,4 @@ int kac_replay(double *V, int64_t n, int64_t d, const int64_t *ev_i, const int64
         }
     }
     return DONE;
-}
-
-/* ---------------------------------------------------------------------------
- * kac_transport: the capped partial-transport problem of
- * `metrics._flat_distance`, solved exactly by a primal network simplex.
- *
- * Nodes: the n1 atoms of mu (supply w1_i), the n2 atoms of nu (demand w2_j),
- * a row-abstain node R (demand sum w1) and a column-abstain node C (supply
- * sum w2).  Arcs, all uncapacitated: the np pairs i -> j closer than the
- * cap at cost c_ij, i -> R and C -> j at cost 1 (destroying and creating a
- * unit), C -> R at cost 0.  The minimum cost is the distance.
- *
- * The points are rows of k coordinates in C order, n1 of mu and n2 of nu.
- * A pair's cost is its distance, sqrt of sum_k (p1_ik - p2_jk)^2 summed in
- * coordinate order and unfused (the build has -ffp-contract=off, and this
- * entry is not cloned), the bytes of scipy's cdist and of the numpy column
- * loop `metrics._distances`.  A count pass sizes the one allocation; a fill
- * pass writes the pairs straight into the arc arrays in row-major order, i
- * then j, the order of np.nonzero on the dense matrix.  No n1 x n2 matrix
- * is built.  With no pair closer than the cap there is nothing to solve:
- * *pairs is 0 and the caller has the value, m1 + m2.
- *
- * The start is LEMON's: an artificial root joined to every node by an arc
- * that carries the node's supply, cost 0 from a supply node and ART_COST to
- * a demand node.  Some optimal dual of the network has pi_R = pi_C and every
- * other potential within 1 of them, so at ART_COST = 3 every artificial arc
- * has a positive reduced cost at that dual and no optimum keeps artificial
- * flow; what is left at the end is rounding, and more than ART_TOL of the
- * mass is an error.  Pricing is block search (blocks of sqrt(arcs)): the
- * most negative reduced cost of the first block that has one below
- * -RC_TOL, an absolute tolerance, since costs are distances of order 1
- * whatever the weights.  The leaving arc is LEMON's strongly feasible rule:
- * of the arcs that block, the last met on the cycle walked from the join in
- * the direction of the flow (strict on the source's path, non-strict on the
- * target's).  The tree is parent pointers and child lists; a pivot re-roots
- * the subtree cut off by the leaving arc at the entering arc and recomputes
- * depth and potential on that subtree alone, each potential from its
- * parent's, so no rounding accumulates over pivots.
- */
-
-#define ART_COST 3.0
-#define RC_TOL 1e-11
-#define ART_TOL 1e-9
-
-enum { UP = 1, DOWN = -1 }; /* a tree arc points from a node to its parent, or back */
-
-struct tree {
-    int32_t *src, *tgt; /* arcs */
-    double *cost, *flow;
-    int8_t *lower;      /* 1 off the tree (at flow 0), 0 in it */
-    int32_t *parent, *pred, *depth, *first, *next, *prev; /* nodes */
-    int8_t *dir;
-    double *pi;         /* cost = pi[tgt] - pi[src] on tree arcs */
-};
-
-static void link_child(struct tree *t, int32_t x, int32_t p)
-{
-    t->parent[x] = p;
-    t->prev[x] = -1;
-    t->next[x] = t->first[p];
-    if (t->first[p] >= 0)
-        t->prev[t->first[p]] = x;
-    t->first[p] = x;
-}
-
-static void unlink_child(struct tree *t, int32_t x)
-{
-    if (t->prev[x] >= 0)
-        t->next[t->prev[x]] = t->next[x];
-    else
-        t->first[t->parent[x]] = t->next[x];
-    if (t->next[x] >= 0)
-        t->prev[t->next[x]] = t->prev[x];
-}
-
-/* depth and potential of the subtree of top, from its parent's, in preorder */
-static void reprice(struct tree *t, int32_t top)
-{
-    int32_t x = top;
-    for (;;) {
-        int32_t p = t->parent[x];
-        double c = t->cost[t->pred[x]];
-        t->depth[x] = t->depth[p] + 1;
-        t->pi[x] = t->dir[x] == UP ? t->pi[p] - c : t->pi[p] + c;
-        if (t->first[x] >= 0) {
-            x = t->first[x];
-            continue;
-        }
-        while (x != top && t->next[x] < 0)
-            x = t->parent[x];
-        if (x == top)
-            return;
-        x = t->next[x];
-    }
-}
-
-/* one pivot on entering arc `in`: push the flow round its cycle, then hang
- * the subtree cut off by the leaving arc from `in`; 0, or ERR_PIVOTS when
- * no arc blocks (impossible: the network has no directed cycle) */
-static int pivot(struct tree *t, int32_t in)
-{
-    int32_t s = t->src[in], g = t->tgt[in], u, v, out = -1;
-    for (u = s, v = g; u != v;)
-        if (t->depth[u] >= t->depth[v])
-            u = t->parent[u];
-        else
-            v = t->parent[v];
-    int32_t join = u;
-    double delta = INFINITY;
-    int side = 0;
-    for (u = s; u != join; u = t->parent[u])
-        if (t->dir[u] == UP && t->flow[t->pred[u]] < delta) {
-            delta = t->flow[t->pred[u]];
-            out = u;
-            side = 1;
-        }
-    for (u = g; u != join; u = t->parent[u])
-        if (t->dir[u] == DOWN && t->flow[t->pred[u]] <= delta) {
-            delta = t->flow[t->pred[u]];
-            out = u;
-            side = 2;
-        }
-    if (!side)
-        return ERR_PIVOTS;
-    if (delta > 0.0) {
-        t->flow[in] += delta;
-        for (u = s; u != join; u = t->parent[u])
-            t->flow[t->pred[u]] -= t->dir[u] * delta;
-        for (u = g; u != join; u = t->parent[u])
-            t->flow[t->pred[u]] += t->dir[u] * delta;
-    }
-    t->lower[in] = 0;
-    t->lower[t->pred[out]] = 1;
-    /* reverse the stem, the path from the entering end x up to out: each
-     * stem node above x becomes the child of the one below it, over the
-     * arc that joined them, now pointing the other way */
-    int32_t x = side == 1 ? s : g, par = x == s ? g : s, arc = in;
-    int8_t dir = x == s ? UP : DOWN;
-    for (;;) {
-        int32_t up = t->parent[x], up_arc = t->pred[x];
-        int8_t up_dir = t->dir[x];
-        unlink_child(t, x);
-        link_child(t, x, par);
-        t->pred[x] = arc;
-        t->dir[x] = dir;
-        if (x == out)
-            break;
-        par = x;
-        arc = up_arc;
-        dir = -up_dir;
-        x = up;
-    }
-    reprice(t, side == 1 ? s : g);
-    return 0;
-}
-
-/* sqrt of sum_c (a_c - b_c)^2, summed in coordinate order, unfused */
-static double pair_cost(const double *a, const double *b, int64_t k)
-{
-    double s = 0.0;
-    for (int64_t c = 0; c < k; c++) {
-        double d = a[c] - b[c];
-        s += d * d;
-    }
-    return sqrt(s);
-}
-
-/* the distance between mu and nu into *value, the count of pairs closer
- * than the cap into *pairs and the pivot count into *pivots; DONE,
- * ERR_MEMORY, ERR_PIVOTS (more than pivots_per_arc pivots an arc) or
- * ERR_ARTIFICIAL (artificial flow left) */
-int kac_transport(const double *p1, const double *w1, int64_t n1,
-                  const double *p2, const double *w2, int64_t n2, int64_t k, double cap,
-                  int64_t pivots_per_arc, double *value, int64_t *pairs, int64_t *pivots)
-{
-    int64_t np = 0;
-    for (int64_t i = 0; i < n1; i++)
-        for (int64_t j = 0; j < n2; j++)
-            np += pair_cost(p1 + i * k, p2 + j * k, k) < cap;
-    *pairs = np;
-    if (np == 0)
-        return DONE;
-    int64_t nn = n1 + n2 + 2, m = np + n1 + n2 + 1, arcs = m + nn;
-    if (arcs >= INT32_MAX)
-        return ERR_MEMORY;
-    int32_t R = (int32_t)(n1 + n2), C = R + 1, root = C + 1;
-    struct tree t;
-    char *block = malloc(arcs * (2 * sizeof(int32_t) + 2 * sizeof(double) + 1)
-                         + (nn + 1) * (6 * sizeof(int32_t) + sizeof(double) + 1));
-    if (!block)
-        return ERR_MEMORY;
-    char *p = block;
-#define TAKE(field, count) (t.field = (void *)p, p += (count) * sizeof(*t.field))
-    TAKE(cost, arcs); TAKE(flow, arcs); TAKE(pi, nn + 1);
-    TAKE(src, arcs); TAKE(tgt, arcs);
-    TAKE(parent, nn + 1); TAKE(pred, nn + 1); TAKE(depth, nn + 1);
-    TAKE(first, nn + 1); TAKE(next, nn + 1); TAKE(prev, nn + 1);
-    TAKE(lower, arcs); TAKE(dir, nn + 1);
-#undef TAKE
-    /* every pair is written, and the next overwrites it unless this one
-     * counts, so the loop has no branch on the cap; the last pair's spare
-     * slot is the first abstain arc's, written below */
-    for (int64_t i = 0, e = 0; i < n1; i++)
-        for (int64_t j = 0; j < n2; j++) {
-            double dist = pair_cost(p1 + i * k, p2 + j * k, k);
-            t.src[e] = (int32_t)i;
-            t.tgt[e] = (int32_t)(n1 + j);
-            t.cost[e] = dist;
-            e += dist < cap;
-        }
-    double m1 = 0.0, m2 = 0.0;
-    for (int64_t i = 0; i < n1; i++) {
-        t.src[np + i] = (int32_t)i;
-        t.tgt[np + i] = R;
-        t.cost[np + i] = 1.0;
-        m1 += w1[i];
-    }
-    for (int64_t j = 0; j < n2; j++) {
-        t.src[np + n1 + j] = C;
-        t.tgt[np + n1 + j] = (int32_t)(n1 + j);
-        t.cost[np + n1 + j] = 1.0;
-        m2 += w2[j];
-    }
-    t.src[m - 1] = C;
-    t.tgt[m - 1] = R;
-    t.cost[m - 1] = 0.0;
-    for (int64_t e = 0; e < m; e++) {
-        t.flow[e] = 0.0;
-        t.lower[e] = 1;
-    }
-    t.parent[root] = -1;
-    t.depth[root] = 0;
-    t.first[root] = -1;
-    t.pi[root] = 0.0;
-    for (int32_t u = 0; u < root; u++) {
-        double supply = u < n1 ? w1[u] : u < R ? -w2[u - n1] : u == R ? -m1 : m2;
-        int64_t e = m + u;
-        int up = supply > 0.0;
-        t.src[e] = up ? u : root;
-        t.tgt[e] = up ? root : u;
-        t.cost[e] = up ? 0.0 : ART_COST;
-        t.flow[e] = up ? supply : -supply;
-        t.lower[e] = 0;
-        t.pred[u] = (int32_t)e;
-        t.dir[u] = up ? UP : DOWN;
-        t.first[u] = -1;
-        t.depth[u] = 1;
-        t.pi[u] = t.cost[e];
-        link_child(&t, u, root);
-    }
-    int64_t block_size = (int64_t)sqrt((double)m), next = 0, count = 0;
-    int64_t max_pivots = pivots_per_arc * m;
-    if (block_size < 10)
-        block_size = 10;
-    int status = DONE;
-    for (;;) {
-        /* block search: the most negative reduced cost of the first block
-         * that has one below -RC_TOL */
-        double best = -RC_TOL;
-        int64_t in = -1, left = block_size, e = next;
-        for (int64_t k = 0; k < m; k++) {
-            double rc = t.lower[e] * (t.cost[e] + t.pi[t.src[e]] - t.pi[t.tgt[e]]);
-            if (rc < best) {
-                best = rc;
-                in = e;
-            }
-            if (++e == m)
-                e = 0;
-            if (--left == 0) {
-                if (in >= 0)
-                    break;
-                left = block_size;
-            }
-        }
-        if (in < 0)
-            break;
-        next = e;
-        if (++count > max_pivots || pivot(&t, (int32_t)in) != 0) {
-            status = ERR_PIVOTS;
-            break;
-        }
-    }
-    if (status == DONE) {
-        double left = 0.0, total = 0.0;
-        for (int64_t e = m; e < arcs; e++)
-            left += t.flow[e];
-        if (left > ART_TOL * (m1 + m2))
-            status = ERR_ARTIFICIAL;
-        for (int64_t e = 0; e < m; e++)
-            total += t.cost[e] * t.flow[e];
-        *value = total;
-    }
-    *pivots = count;
-    free(block);
-    return status;
-}
-
-/* ---------------------------------------------------------------------------
- * The event CSV of `config_io`: kac_write_events prints the rows of a log as
- * the Python writer of `config_io.write_event_csv` prints them, and
- * kac_read_events parses them back.  Neither is part of the engine.
- *
- * A float is "%.17g" and an integer decimal, the fields of a row are joined
- * by ',' and each row ends in '\n'.  The reader accepts only that:
- * -?digits[.digits][e(+|-)digits] for a float and -?digits in the column's
- * range for an integer, with an optional missing final '\n'.  Both return
- * -1 wherever `config_io` must take its Python path instead: a t or sigma
- * that is not finite (glibc prints -nan where Python prints nan), a locale
- * whose decimal point is not '.', or, to the reader, any other text.
- */
-
-#define ROW_BYTES(d) (25 * ((d) + 1) + 51) /* the longest row: 24-byte floats, 20-byte int64s */
-
-static int point_is_dot(void)
-{
-    const char *dp = localeconv()->decimal_point;
-    return dp[0] == '.' && dp[1] == '\0';
-}
-
-static char *put_int(char *p, int64_t x)
-{
-    char digits[20];
-    uint64_t u = x < 0 ? 0 - (uint64_t)x : (uint64_t)x;
-    int k = 0;
-    do {
-        digits[k++] = (char)('0' + u % 10);
-        u /= 10;
-    } while (u);
-    if (x < 0)
-        *p++ = '-';
-    while (k)
-        *p++ = digits[--k];
-    return p;
-}
-
-/* the rows of a log into buf, which holds cap bytes; the number of bytes
- * written, or -1 */
-int64_t kac_write_events(const double *t, const int64_t *i, const int64_t *j,
-                         const double *sigma, const int8_t *assignment,
-                         const uint8_t *fictitious, int64_t rows, int64_t d, char *buf,
-                         int64_t cap)
-{
-    if (!point_is_dot())
-        return -1;
-    char *p = buf, *end = buf + cap;
-    for (int64_t k = 0; k < rows; k++) {
-        if (end - p < ROW_BYTES(d) || !isfinite(t[k]))
-            return -1;
-        p += sprintf(p, "%.17g,", t[k]);
-        p = put_int(p, i[k]);
-        *p++ = ',';
-        p = put_int(p, j[k]);
-        *p++ = ',';
-        for (const double *s = sigma + k * d; s < sigma + (k + 1) * d; s++) {
-            if (!isfinite(*s))
-                return -1;
-            p += sprintf(p, "%.17g,", *s);
-        }
-        p = put_int(p, assignment[k]);
-        *p++ = ',';
-        p = put_int(p, fictitious[k]);
-        *p++ = '\n';
-    }
-    return p - buf;
-}
-
-static int is_digit(char c)
-{
-    return c >= '0' && c <= '9';
-}
-
-/* the field at s ends at the separator sep, or, for the last field of a
- * row, at end */
-static int field_ends(const char *s, char sep, const char *end)
-{
-    return *s == sep || (sep == '\n' && s == end);
-}
-
-/* the float at s into *x; the byte after its separator, or NULL */
-static const char *read_float(const char *s, char sep, const char *end, double *x)
-{
-    const char *e = s + (*s == '-');
-    if (!is_digit(*e))
-        return NULL;
-    while (is_digit(*e))
-        e++;
-    if (*e == '.') {
-        if (!is_digit(*++e))
-            return NULL;
-        while (is_digit(*e))
-            e++;
-    }
-    if (*e == 'e') {
-        e++;
-        if ((*e != '+' && *e != '-') || !is_digit(*++e))
-            return NULL;
-        while (is_digit(*e))
-            e++;
-    }
-    char *stop;
-    if (!field_ends(e, sep, end))
-        return NULL;
-    *x = strtod(s, &stop);
-    return stop == e && isfinite(*x) ? e + 1 : NULL;
-}
-
-/* the integer in [lo, hi] at s into *x; the byte after its separator, or
- * NULL */
-static const char *read_int(const char *s, char sep, const char *end, int64_t lo, int64_t hi,
-                            int64_t *x)
-{
-    int neg = *s == '-';
-    uint64_t u = 0, limit = neg ? 0 - (uint64_t)lo : (uint64_t)hi;
-    s += neg;
-    if (!is_digit(*s))
-        return NULL;
-    for (; is_digit(*s); s++) {
-        unsigned digit = (unsigned)(*s - '0');
-        if (u > (limit - digit) / 10)
-            return NULL;
-        u = 10 * u + digit;
-    }
-    if (!field_ends(s, sep, end))
-        return NULL;
-    *x = neg ? (int64_t)(0 - u) : (int64_t)u;
-    return s + 1;
-}
-
-/* the len bytes at s, which must be followed by a NUL, into the columns of
- * rows rows; the number of rows read, or -1 */
-int64_t kac_read_events(const char *s, int64_t len, int64_t d, int64_t rows, double *t,
-                        int64_t *i, int64_t *j, double *sigma, int8_t *assignment,
-                        int8_t *fictitious)
-{
-    if (!point_is_dot())
-        return -1;
-    const char *end = s + len;
-    int64_t k = 0, a, f;
-    for (; s < end; k++) {
-        if (k == rows)
-            return -1;
-        if (!(s = read_float(s, ',', end, t + k)) ||
-            !(s = read_int(s, ',', end, INT64_MIN, INT64_MAX, i + k)) ||
-            !(s = read_int(s, ',', end, INT64_MIN, INT64_MAX, j + k)))
-            return -1;
-        for (int64_t c = 0; c < d; c++)
-            if (!(s = read_float(s, ',', end, sigma + k * d + c)))
-                return -1;
-        if (!(s = read_int(s, ',', end, INT8_MIN, INT8_MAX, &a)) ||
-            !(s = read_int(s, '\n', end, INT8_MIN, INT8_MAX, &f)))
-            return -1;
-        assignment[k] = (int8_t)a;
-        fictitious[k] = (int8_t)f;
-    }
-    return k;
 }

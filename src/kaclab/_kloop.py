@@ -1,22 +1,27 @@
-"""Build and load the compiled proposal loop, pair-sum rows, log walk,
-transport solve and event-CSV I/O, `_kloop.c`.
+"""Build and load the compiled proposal loop, pair-sum rows and log walk,
+`_kloop.c`, and the compiled tools, `_ktools.c`: the transport solve and
+the event-CSV I/O.
 
-On first use the C source is compiled with gcc into `_build/` next to this
+On first use each C source is compiled with gcc into `_build/` next to this
 file, under a name made from the sha256 of the source and the compile
-command, and loaded through ctypes.  `kernel(d)` returns the library, or
+command, and loaded through ctypes; a build removes the libraries of
+that source's other versions from `_build/`.  The two are separate
+libraries so that an edit to the tools leaves the engine library, and its
+code's addresses, as they are.  `library()` returns the engine library
+with the tools' functions bound on it, and `kernel(d)` returns it too, or
 None where the Python loop must run instead: no gcc, a failed build or
-load, or a kernel dot product that differs from numpy's `x @ y` in
-dimension d (the kernel must reproduce numpy's arithmetic bit for bit).
-The same gate serves `kac_replay`, the compiled walk of an event log behind
-`engine.replay_rows`, whose collision is that dot product and unfused
-steps.  `kernel(d, sums=True)`, for the rows of `engine._TiltPairSum` and the
-tracked segments that update them, also asks that the kernel's row sum
-equals numpy's `a.sum()`; where it does not, only they run in Python and
-numpy.
+load of either library, or a kernel dot product that differs from numpy's
+`x @ y` in dimension d (the kernel must reproduce numpy's arithmetic bit
+for bit).  The same gate serves `kac_replay`, the compiled walk of an event
+log behind `engine.replay_rows`, whose collision is that dot product and
+unfused steps.  `kernel(d, sums=True)`, for the rows of
+`engine._TiltPairSum` and the tracked segments that update them, also asks
+that the kernel's row sum equals numpy's `a.sum()`; where it does not, only
+they run in Python and numpy.
 
 On x86-64 with glibc the row functions `kac_rows` and `collision_rows` (the
 entry of a collision's rows, behind `kac_run`, `kac_pair_rows` and
-`kac_pair_update`) are built twice into the one library, for x86-64-v4
+`kac_pair_update`) are built twice into the engine library, for x86-64-v4
 (AVX-512) and for baseline x86-64, and the dynamic loader picks the clone
 when the library is loaded.  The build key, source plus compile command, is
 therefore unchanged, and the clones' rows are the same bytes.
@@ -26,21 +31,24 @@ their distances, straight into its arc arrays, and solves the capped
 transport problem on them exactly by a network simplex, behind every
 `metrics.flux_distance` and `bl_distance`.  Its arithmetic needs no match
 with numpy (the distances are scipy's `cdist` bytes, unfused sums in
-coordinate order), so `library()` hands it out wherever the library loads,
-without the dimension and sum gates.
+coordinate order), so `library()` hands it out wherever the libraries
+load, without the dimension and sum gates.
 
 So are `kac_write_events` and `kac_read_events`, behind
 `config_io.write_event_csv` and `read_event_csv`.  The writer prints the
 rows with "%.17g" and decimal integers, as the Python writer does; the
 reader accepts only what it prints (`-?digits[.digits][e(+|-)digits]`,
 `-?digits` in range, a newline after every row but perhaps the last).
-Both return -1, and `config_io` takes its Python path (the `%`-template
-writer, `np.loadtxt`), on a log with a non-finite t or sigma, a locale
-whose decimal point is not '.', or, to the reader, any other text.
+Both convert most floats in exact integer arithmetic and the rest with
+glibc's sprintf and strtod, to the same bytes and doubles.  Both return
+-1, and `config_io` takes its Python path (the `%`-template writer,
+`np.loadtxt`), on a log with a non-finite t or sigma, a locale whose
+decimal point is not '.', or, to the reader, any other text.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -52,13 +60,14 @@ import numpy as np
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 SOURCE = os.path.join(_HERE, "_kloop.c")
+TOOLS_SOURCE = os.path.join(_HERE, "_ktools.c")
 BUILD_DIR = os.path.join(_HERE, "_build")
 CFLAGS = ("-O3", "-fno-math-errno", "-fPIC", "-shared", "-ffp-contract=off", "-Wall", "-Wextra")
 
 # status codes of kac_run and kac_replay, as in _kloop.c
 DONE, GROW = 0, 1
 ERR_MAJORANT, ERR_WEIGHT, ERR_ZERO_TOTAL, ERR_REFILL, ERR_INDEX, ERR_LOG = range(-1, -7, -1)
-# status codes of kac_transport, as in _kloop.c
+# status codes of kac_transport, as in _ktools.c
 ERR_MEMORY, ERR_PIVOTS, ERR_ARTIFICIAL = range(-7, -10, -1)
 # the pair function f(K) of a row, as in _kloop.c
 F_K_MINUS_1, F_K_TABLE = 0, 1
@@ -79,38 +88,59 @@ _dot_ok = {}  # dimension -> the kernel's dot matches numpy's
 _sum_ok = False  # the kernel's row sum matches numpy's
 
 
-def compile_kernel(out_path: str, *extra: str) -> subprocess.CompletedProcess:
-    """gcc on _kloop.c with CFLAGS, and extra flags after them (the load
-    passes none; `-DKAC_NO_CLONES` builds the baseline rows alone)."""
-    return subprocess.run(["gcc", *CFLAGS, *extra, "-o", out_path, SOURCE, "-lm"],
+def compile_kernel(out_path: str, *extra: str,
+                   source: str = SOURCE) -> subprocess.CompletedProcess:
+    """gcc on a source (by default _kloop.c) with CFLAGS, and extra flags
+    after them (the load passes none; `-DKAC_NO_CLONES` builds the baseline
+    rows alone)."""
+    return subprocess.run(["gcc", *CFLAGS, *extra, "-o", out_path, source, "-lm"],
                           capture_output=True, text=True)
+
+
+def _build(source: str) -> str | None:
+    """The library of a source, built unless it is there, or None where the
+    build fails.  A build removes the other `<stem>_*.so` in BUILD_DIR, the
+    libraries of older versions of the source (a process that loaded one
+    keeps its mapping)."""
+    stem = os.path.splitext(os.path.basename(source))[0]
+    with open(source, "rb") as fh:
+        key = hashlib.sha256(fh.read() + " ".join(("gcc",) + CFLAGS).encode()).hexdigest()
+    path = os.path.join(BUILD_DIR, f"{stem}_{key[:16]}.so")
+    if os.path.exists(path):
+        return path
+    os.makedirs(BUILD_DIR, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=BUILD_DIR)
+    os.close(fd)
+    try:
+        if compile_kernel(tmp, source=source).returncode != 0:
+            return None
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    for name in os.listdir(BUILD_DIR):
+        if name.startswith(stem + "_") and name.endswith(".so") and name != os.path.basename(path):
+            with contextlib.suppress(FileNotFoundError):  # another process's prune
+                os.unlink(os.path.join(BUILD_DIR, name))
+    return path
 
 
 def _load():
     if shutil.which("gcc") is None:
         return None
     try:
-        with open(SOURCE, "rb") as fh:
-            key = hashlib.sha256(fh.read() + " ".join(("gcc",) + CFLAGS).encode()).hexdigest()
-        path = os.path.join(BUILD_DIR, f"_kloop_{key[:16]}.so")
-        if not os.path.exists(path):
-            os.makedirs(BUILD_DIR, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=BUILD_DIR)
-            os.close(fd)
-            try:
-                if compile_kernel(tmp).returncode != 0:
-                    return None
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        return bind(ctypes.CDLL(path))
+        paths = [_build(source) for source in (SOURCE, TOOLS_SOURCE)]
+        if None in paths:
+            return None
+        return bind(*(ctypes.CDLL(path) for path in paths))
     except OSError:
         return None
 
 
-def bind(lib):
-    """Declare the signatures of the kernel's functions on a loaded library."""
+def bind(lib, tools):
+    """Declare the signatures of the functions of an engine library and a
+    tools library, and bind the tools' functions on the engine's; the
+    engine library."""
     ptr, i64, dbl = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.kac_dot.argtypes = (ptr, ptr, i64)
     lib.kac_dot.restype = dbl
@@ -128,10 +158,13 @@ def bind(lib):
     lib.kac_run.restype = ctypes.c_int
     lib.kac_replay.argtypes = (ptr, i64, i64, ptr, ptr, ptr, ptr, i64, i64, ptr)
     lib.kac_replay.restype = ctypes.c_int
+    lib.kac_transport = tools.kac_transport
     lib.kac_transport.argtypes = (ptr, ptr, i64, ptr, ptr, i64, i64, dbl, i64, ptr, ptr, ptr)
     lib.kac_transport.restype = ctypes.c_int
+    lib.kac_write_events = tools.kac_write_events
     lib.kac_write_events.argtypes = (ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, i64)
     lib.kac_write_events.restype = i64
+    lib.kac_read_events = tools.kac_read_events
     lib.kac_read_events.argtypes = (ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr)
     lib.kac_read_events.restype = i64
     return lib
@@ -154,9 +187,9 @@ def _dot_matches(lib, d: int) -> bool:
 
 
 def library():
-    """The loaded library, or None where there is no gcc or the build or
-    load failed; no arithmetic gate (the transport and the event CSV
-    need none)."""
+    """The loaded engine library with the tools' functions, or None where
+    there is no gcc or a build or load failed; no arithmetic gate (the
+    transport and the event CSV need none)."""
     global _lib, _sum_ok
     if _lib is _UNLOADED:
         _lib = _load()

@@ -13,7 +13,7 @@ against 2 for destroying and creating it, so some optimum leaves them empty.
 There is one route, whatever the weights, and a fallback:
 
 * wherever the compiled kernel loads, one call of `kac_transport` in
-  `_kloop.c` lists the pairs closer than the cap from the points, with their
+  `_ktools.c` lists the pairs closer than the cap from the points, with their
   distances, straight into its arc arrays (O(pairs) memory, no copy), and
   solves the network by a network simplex: it ends on a basic solution whose
   reduced costs are all nonnegative, an exact optimum up to a 1e-11 pricing

@@ -1,8 +1,13 @@
+import decimal
 import json
 import locale
+import math
 import os
 import re
+import shutil
+import subprocess
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -344,6 +349,18 @@ def _both_routes(path, monkeypatch, n=24, horizon=0.8):
     return compiled
 
 
+def _set_comma_locale() -> bool:
+    """Set LC_NUMERIC to a locale whose decimal point is a comma, if one is
+    installed."""
+    for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8"):
+        try:
+            locale.setlocale(locale.LC_NUMERIC, name)
+            return True
+        except locale.Error:
+            continue
+    return False
+
+
 def _set_field(col: int, value: bytes):
     """An edit of an event CSV's text that sets field `col` of its second row."""
     def edit(data):
@@ -451,14 +468,18 @@ class TestEventCsvRoutes:
     def test_locale_with_a_comma_decimal_point_takes_the_python_paths(self, tmp_path,
                                                                       monkeypatch):
         old = locale.setlocale(locale.LC_NUMERIC)
-        for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8"):
-            try:
-                locale.setlocale(locale.LC_NUMERIC, name)
-                break
-            except locale.Error:
-                continue
-        else:
-            pytest.skip("no locale with a comma decimal point")
+        if not _set_comma_locale():
+            # none installed: compile de_DE.UTF-8 and point glibc at it
+            if shutil.which("localedef") is None:
+                pytest.skip("no locale with a comma decimal point, and no localedef")
+            out = tmp_path / "locales"
+            out.mkdir()
+            proc = subprocess.run(["localedef", "-i", "de_DE", "-f", "UTF-8",
+                                   str(out / "de_DE.UTF-8")], capture_output=True, text=True)
+            if proc.returncode != 0:
+                pytest.skip(f"no locale with a comma decimal point: {proc.stderr.strip()}")
+            monkeypatch.setenv("LOCPATH", str(out))
+            assert _set_comma_locale()
         try:
             assert locale.localeconv()["decimal_point"] == ","
             log = _log_of(_battery(np.random.default_rng(5)), 3)
@@ -468,6 +489,123 @@ class TestEventCsvRoutes:
             _both_routes(path, monkeypatch, n=30, horizon=1.0)
         finally:
             locale.setlocale(locale.LC_NUMERIC, old)
+
+
+def _up(x: float, steps: int) -> list:
+    """x and the doubles after it (steps > 0) or before it (steps < 0)."""
+    out = [x]
+    for _ in range(abs(steps)):
+        out.append(float(np.nextafter(out[-1], np.inf if steps > 0 else -np.inf)))
+    return out
+
+
+def _ties_at(rng, k: int, count: int) -> list:
+    """Doubles in [10^k, 10^(k + 1)) whose exact decimal expansion has 18
+    significant digits, the last a 5: odd / 2^(17 - k), a tie at the 17th."""
+    j = 17 - k
+    lo = math.ceil(Fraction(2 ** j) * Fraction(10) ** k)
+    hi = min(math.ceil(Fraction(2 ** j) * Fraction(10) ** (k + 1)), 2 ** 53)
+    out = [(-1) ** m * (2 * int(rng.integers(lo // 2, hi // 2)) + 1) / 2 ** j
+           for m in range(count)]
+    assert all(len(Decimal(x).as_tuple().digits) == 18 for x in out)
+    return out
+
+
+def _writer_cases(rng) -> np.ndarray:
+    """Doubles at every edge of the writer's fast path, 2^-19 <= |x| < 2^52,
+    and of its decimal exponent k: the powers of ten with a run of
+    neighbours each side (the first 17 digits of 10^k up from 10^k come
+    out 18 digits long while the binary exponent says k - 1; none rounds
+    up to 10^(k + 1), which the run below each checks), the band's edges,
+    the powers of two with their unevenly spaced neighbours, ties at every
+    k, and -0.0."""
+    out = [-0.0, 0.0]
+    for k in range(-8, 18):
+        out += _up(float(f"1e{k}"), 40) + _up(float(f"1e{k}"), -40)
+        out += _ties_at(rng, k, 40) if -6 <= k <= 15 else []
+    for e in range(-24, 56):
+        out += _up(2.0 ** e, 2) + _up(2.0 ** e, -2)
+    out += [float(x) for x in rng.uniform(-1.0, 1.0, 500) * 10.0 ** rng.integers(-8, 18, 500)]
+    values = np.array(out)
+    return np.concatenate([values, -values])
+
+
+def _digits_text(rng, count: int, exponent: int | None) -> str:
+    """A random mantissa of `count` digits, first one not 0, with its point
+    at a random place, and an exponent if one is given."""
+    digits = str(int(rng.integers(1, 10))) + "".join(map(str, rng.integers(0, 10, count - 1)))
+    point = int(rng.integers(1, count + 1))
+    text = digits[:point] + ("." + digits[point:] if point < count else "")
+    return text if exponent is None else f"{text}e{exponent:+03d}"
+
+
+def _reader_cases(rng) -> list:
+    """Texts in the writer's grammar at every edge of the reader's fast path,
+    w 10^-n with w < 10^19 and 0 <= n <= 22: mantissas of 17 to 20 digits
+    (20 take strtod), the 19-digit texts next to midpoints of adjacent
+    doubles, exact midpoints of at most 19 digits, leading zeros, e-forms
+    and zeros."""
+    out = ["0", "-0", "0.0", "-0.0", "0e+00", "-0e-05", "0.000", "1", "-1", "1e+00", "1e-22",
+           "1e-23", "1e+22", "10000000000000000000", "9999999999999999999",
+           "18446744073709551615", "18446744073709551616", "0.0000147", "-0.000014700000000000001",
+           "147e-07", "0.00147e-2", "123e+01", "1.5e-05", "5e-324", "2.2250738585072014e-308"]
+    for count in (1, 5, 17, 18, 19, 20):
+        for exponent in (None, *range(-25, 5)):
+            out += [("-" if m % 2 else "") + _digits_text(rng, count, exponent) for m in range(4)]
+    near_misses = 0
+    for x in [*rng.uniform(0.0, 2.0, 300),
+              *(rng.uniform(1.0, 10.0, 300) * 10.0 ** rng.integers(-7, 17, 300))]:
+        mid = (Decimal(x) + Decimal(float(np.nextafter(x, np.inf)))) / 2
+        for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING):
+            near = mid.quantize(Decimal(1).scaleb(mid.adjusted() - 18), rounding)
+            near_misses += abs(near - mid) <= mid * Decimal("1e-19")
+            out += [f"{near:f}", f"{near:e}"]
+    assert near_misses > 100
+    for e in range(50, 63):  # the midpoints here have at most 19 digits
+        for x in rng.uniform(2.0 ** e, 2.0 ** (e + 1), 20):
+            mid = (Decimal(x) + Decimal(float(np.nextafter(x, np.inf)))) / 2
+            assert len(mid.as_tuple().digits) <= 19
+            out += [f"{mid:f}", f"{mid.normalize():e}"]
+    for x in rng.uniform(1e-8, 1e-3, 200):  # leading zeros after the point
+        out.append(f"{x:.{int(rng.integers(8, 30))}f}")
+    return out
+
+
+class TestEventCsvFastPaths:
+    """The writer's and the reader's integer fast paths against the Python
+    writer and float(), on the cases at their edges."""
+
+    @needs_kernel
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_writer_cases_match_the_python_writer_and_read_back(self, tmp_path, monkeypatch, d):
+        values = _writer_cases(np.random.default_rng(11 + d))
+        log = _log_of(np.resize(values, -(-len(values) // d) * d), d)
+        path = tmp_path / "events.csv"
+        write_event_csv(str(path), log, d)
+        with monkeypatch.context() as m:
+            m.setattr(_kloop, "_lib", None)
+            write_event_csv(str(tmp_path / "python.csv"), log, d)
+        assert path.read_bytes() == (tmp_path / "python.csv").read_bytes()
+        assert path.read_bytes() == TestPersistence._reference_csv(log, d)
+        for name, dtype, shape, data in _both_routes(path, monkeypatch, n=30, horizon=1.0):
+            assert data == np.ascontiguousarray(getattr(log, name)).tobytes(), name
+
+    @needs_kernel
+    def test_reader_cases_match_float(self, tmp_path, monkeypatch):
+        texts = _reader_cases(np.random.default_rng(12))
+        path = tmp_path / "events.csv"
+        path.write_text("t,i,j,s0,assignment,fictitious\n"
+                        + "".join(f"0.5,0,1,{text},0,0\n" for text in texts))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("np.loadtxt read an event CSV in the writer's grammar")
+
+        monkeypatch.setattr(np, "loadtxt", fail)
+        sigma = read_event_csv(str(path), 2, 1.0).sigma[:, 0]
+        want = np.array([float(text) for text in texts])
+        bad = [t for t, got, x in zip(texts, sigma.tolist(), want.tolist())
+               if np.float64(got).tobytes() != np.float64(x).tobytes()]
+        assert bad == []
 
 
 class TestEnsemble:

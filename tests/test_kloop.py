@@ -7,6 +7,7 @@ kernel handle set to None, which runs `_Engine.propose` everywhere.
 
 import ctypes
 import json
+import os
 import shutil
 
 import numpy as np
@@ -129,11 +130,26 @@ def test_compiled_loop_is_live(monkeypatch):
 
 @needs_gcc
 def test_kernel_builds_without_warnings(tmp_path):
-    # as loaded, and with the row clones compiled out
-    for extra in ((), ("-DKAC_NO_CLONES",)):
-        proc = _kloop.compile_kernel(str(tmp_path / "kloop.so"), *extra)
-        assert proc.returncode == 0, extra
-        assert proc.stderr == "", extra
+    # both libraries as loaded, and with the row clones compiled out
+    for source in (_kloop.SOURCE, _kloop.TOOLS_SOURCE):
+        for extra in ((), ("-DKAC_NO_CLONES",)):
+            proc = _kloop.compile_kernel(str(tmp_path / "kloop.so"), *extra, source=source)
+            assert proc.returncode == 0, (source, extra)
+            assert proc.stderr == "", (source, extra)
+
+
+@needs_gcc
+def test_a_build_removes_the_older_libraries_of_its_source(tmp_path, monkeypatch):
+    # the libraries of other versions of either source go; nothing else does
+    monkeypatch.setattr(_kloop, "BUILD_DIR", str(tmp_path))
+    stale = ["_kloop_0123456789abcdef.so", "_ktools_0123456789abcdef.so"]
+    kept = ["_kloop.so", "_kloop_notes.txt", "_kloopx_0123456789abcdef.so", "other.so"]
+    for name in stale + kept:
+        (tmp_path / name).write_bytes(b"")
+    lib = _kloop._load()
+    assert lib is not None and lib.kac_sum(None, 0) == 0.0
+    built = [_kloop._build(source) for source in (_kloop.SOURCE, _kloop.TOOLS_SOURCE)]
+    assert sorted(os.listdir(tmp_path)) == sorted(kept + [os.path.basename(p) for p in built])
 
 
 def test_in_place_refills_draw_fresh_arrays():
@@ -419,11 +435,15 @@ def test_python_loop_writes_python_floats(name, monkeypatch):
 
 @pytest.fixture(scope="module")
 def baseline_lib(tmp_path_factory):
-    """_kloop.c built with its row clones compiled out."""
-    path = tmp_path_factory.mktemp("baseline") / "kloop.so"
-    proc = _kloop.compile_kernel(str(path), "-DKAC_NO_CLONES")
-    assert proc.returncode == 0, proc.stderr
-    return _kloop.bind(ctypes.CDLL(str(path)))
+    """_kloop.c built with its row clones compiled out, and _ktools.c with
+    the same flag."""
+    libs = []
+    for source in (_kloop.SOURCE, _kloop.TOOLS_SOURCE):
+        path = tmp_path_factory.mktemp("baseline") / "lib.so"
+        proc = _kloop.compile_kernel(str(path), "-DKAC_NO_CLONES", source=source)
+        assert proc.returncode == 0, proc.stderr
+        libs.append(ctypes.CDLL(str(path)))
+    return _kloop.bind(*libs)
 
 
 def _rows_of(lib, pair_sum, first, m):
