@@ -1,23 +1,23 @@
 """Build and load the compiled proposal loop, pair-sum rows and log walk,
-`_kloop.c`, and the compiled tools, `_ktools.c`: the transport solve and
-the event-CSV I/O.
+`_kloop.c`, and the compiled tools, `_ktools.c`: the transport solve, the
+event-CSV I/O and the sidecar's initial velocities.
 
 On first use each C source is compiled with gcc into `_build/` next to this
 file, under a name made from the sha256 of the source and the compile
-command, and loaded through ctypes; a build removes the libraries of
-that source's other versions from `_build/`.  The two are separate
-libraries so that an edit to the tools leaves the engine library, and its
-code's addresses, as they are.  `library()` returns the engine library
-with the tools' functions bound on it, and `kernel(d)` returns it too, or
-None where the Python loop must run instead: no gcc, a failed build or
-load of either library, or a kernel dot product that differs from numpy's
-`x @ y` in dimension d (the kernel must reproduce numpy's arithmetic bit
-for bit).  The same gate serves `kac_replay`, the compiled walk of an event
-log behind `engine.replay_rows`, whose collision is that dot product and
-unfused steps.  `kernel(d, sums=True)`, for the rows of
-`engine._TiltPairSum` and the tracked segments that update them, also asks
-that the kernel's row sum equals numpy's `a.sum()`; where it does not, only
-they run in Python and numpy.
+command, and loaded through ctypes; the two compile at the same time, and a
+build removes the libraries of that source's other versions from `_build/`.
+The two are separate libraries so that an edit to the tools leaves the
+engine library, and its code's addresses, as they are.  `library()` returns
+the engine library with the tools' functions bound on it, and `kernel(d)`
+returns it too, or None where the Python loop must run instead: no gcc, a
+failed build or load of either library, or a kernel dot product that
+differs from numpy's `x @ y` in dimension d (the kernel must reproduce
+numpy's arithmetic bit for bit).  The same gate serves `kac_replay`, the
+compiled walk of an event log behind `engine.replay_rows`, whose collision
+is that dot product and unfused steps.  `kernel(d, sums=True)`, for the
+rows of `engine._TiltPairSum` and the tracked segments that update them,
+also asks that the kernel's row sum equals numpy's `a.sum()`; where it does
+not, only they run in Python and numpy.
 
 On x86-64 with glibc the row functions `kac_rows` and `collision_rows` (the
 entry of a collision's rows, behind `kac_run`, `kac_pair_rows` and
@@ -44,6 +44,24 @@ glibc's sprintf and strtod, to the same bytes and doubles.  Both return
 -1, and `config_io` takes its Python path (the `%`-template writer,
 `np.loadtxt`), on a log with a non-finite t or sigma, a locale whose
 decimal point is not '.', or, to the reader, any other text.
+
+So are `kac_write_velocities` and `kac_read_velocities`, behind the
+"initial_velocities" block of `config_io.write_sidecar` and of its
+readers.  The writer prints the rows as `json.dumps(..., indent=1)` prints
+them, each float as float.__repr__ prints it: the shortest decimal that
+reads back as x, nearest x, found in exact 128-bit integer arithmetic for
+2^-19 <= |x| < 2^52 (about 100 ns a value against 1.1-1.5 us for
+float.__repr__); it leaves a NUL for every other value, which `config_io`
+prints with float.__repr__, and returns -1 on a host without 128-bit
+integers.  The reader accepts only the writer's layout, rows of equal
+length and floats in JSON's grammar with a point or an exponent, and
+converts them as `kac_read_events` does (about 90 ns a value against about
+500 ns for json's float parsing); it returns -1, and `config_io` reads the
+whole file with json.load, on any other text or a locale whose decimal
+point is not '.'.  A battery in the tests holds the writer to
+float.__repr__ byte for byte on about 126,000 values a dimension: random
+bit patterns in and about the band, the powers of two and ten with their
+neighbours, ties, the 1e-4 switch of layout and values outside the band.
 """
 
 from __future__ import annotations
@@ -88,48 +106,73 @@ _dot_ok = {}  # dimension -> the kernel's dot matches numpy's
 _sum_ok = False  # the kernel's row sum matches numpy's
 
 
+def _command(out_path: str, extra: tuple, source: str) -> list:
+    return ["gcc", *CFLAGS, *extra, "-o", out_path, source, "-lm"]
+
+
 def compile_kernel(out_path: str, *extra: str,
                    source: str = SOURCE) -> subprocess.CompletedProcess:
     """gcc on a source (by default _kloop.c) with CFLAGS, and extra flags
     after them (the load passes none; `-DKAC_NO_CLONES` builds the baseline
     rows alone)."""
-    return subprocess.run(["gcc", *CFLAGS, *extra, "-o", out_path, source, "-lm"],
-                          capture_output=True, text=True)
+    return subprocess.run(_command(out_path, extra, source), capture_output=True, text=True)
 
 
-def _build(source: str) -> str | None:
-    """The library of a source, built unless it is there, or None where the
-    build fails.  A build removes the other `<stem>_*.so` in BUILD_DIR, the
-    libraries of older versions of the source (a process that loaded one
-    keeps its mapping)."""
-    stem = os.path.splitext(os.path.basename(source))[0]
+def _stem(source: str) -> str:
+    return os.path.splitext(os.path.basename(source))[0]
+
+
+def _path(source: str) -> str:
+    """The library of a source: `<stem>_<key>.so` in BUILD_DIR, the key made
+    from the sha256 of the source and the compile command."""
     with open(source, "rb") as fh:
         key = hashlib.sha256(fh.read() + " ".join(("gcc",) + CFLAGS).encode()).hexdigest()
-    path = os.path.join(BUILD_DIR, f"{stem}_{key[:16]}.so")
-    if os.path.exists(path):
-        return path
-    os.makedirs(BUILD_DIR, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=BUILD_DIR)
-    os.close(fd)
+    return os.path.join(BUILD_DIR, f"{_stem(source)}_{key[:16]}.so")
+
+
+def _build(sources: list) -> list:
+    """The libraries of the sources, each built unless it is there, or None
+    where its build fails.  The missing ones compile at the same time, one
+    gcc each.  A build removes the other `<stem>_*.so` in BUILD_DIR, the
+    libraries of older versions of its source (a process that loaded one
+    keeps its mapping)."""
+    paths = [_path(source) for source in sources]
+    tmps, procs = {}, {}  # by the index of the source
     try:
-        if compile_kernel(tmp, source=source).returncode != 0:
-            return None
-        os.replace(tmp, path)
+        for k, source in enumerate(sources):
+            if os.path.exists(paths[k]):
+                continue
+            os.makedirs(BUILD_DIR, exist_ok=True)
+            fd, tmps[k] = tempfile.mkstemp(suffix=".so", dir=BUILD_DIR)
+            os.close(fd)
+            procs[k] = subprocess.Popen(_command(tmps[k], (), source),
+                                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        for k, proc in procs.items():
+            if proc.wait() != 0:
+                paths[k] = None
+                continue
+            os.replace(tmps[k], paths[k])
+            stem, built = _stem(sources[k]), os.path.basename(paths[k])
+            for name in os.listdir(BUILD_DIR):
+                if name.startswith(stem + "_") and name.endswith(".so") and name != built:
+                    with contextlib.suppress(FileNotFoundError):  # another process's prune
+                        os.unlink(os.path.join(BUILD_DIR, name))
     finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    for name in os.listdir(BUILD_DIR):
-        if name.startswith(stem + "_") and name.endswith(".so") and name != os.path.basename(path):
-            with contextlib.suppress(FileNotFoundError):  # another process's prune
-                os.unlink(os.path.join(BUILD_DIR, name))
-    return path
+        for proc in procs.values():  # only where something raised
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        for tmp in tmps.values():
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return paths
 
 
 def _load():
     if shutil.which("gcc") is None:
         return None
     try:
-        paths = [_build(source) for source in (SOURCE, TOOLS_SOURCE)]
+        paths = _build([SOURCE, TOOLS_SOURCE])
         if None in paths:
             return None
         return bind(*(ctypes.CDLL(path) for path in paths))
@@ -167,6 +210,12 @@ def bind(lib, tools):
     lib.kac_read_events = tools.kac_read_events
     lib.kac_read_events.argtypes = (ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr)
     lib.kac_read_events.restype = i64
+    lib.kac_write_velocities = tools.kac_write_velocities
+    lib.kac_write_velocities.argtypes = (ptr, i64, i64, ptr, i64, ptr)
+    lib.kac_write_velocities.restype = i64
+    lib.kac_read_velocities = tools.kac_read_velocities
+    lib.kac_read_velocities.argtypes = (ptr, i64, ptr, i64, ptr)
+    lib.kac_read_velocities.restype = i64
     return lib
 
 

@@ -1,6 +1,6 @@
 /* The tools of kaclab that are not part of its engine, compiled: the
- * transport solve behind `metrics`' distances and the event CSV of
- * `config_io`.
+ * transport solve behind `metrics`' distances, and the event CSV and the
+ * sidecar's initial velocities of `config_io`.
  *
  * They are built as a library of their own, beside the engine's _kloop.c,
  * with the same compile flags, so that an edit here leaves the engine
@@ -394,6 +394,46 @@ static uint64_t shift_round(u128 v, int s, int sticky)
     return q + (rest > half || (rest == half && (sticky || (q & 1))));
 }
 
+/* the sign and the n digits of d.ddd 10^K, -6 <= K <= 15, into p, laid out
+ * as %g lays them out, or as repr does where repr is set (".0" after a
+ * whole number); dig holds zeros after the n digits up to 17.  The end of
+ * the text. */
+static char *put_decimal(char *p, int neg, const char *dig, int n, int K, int repr)
+{
+    if (neg)
+        *p++ = '-';
+    if (K < -4) { /* d.ddde-0K */
+        *p++ = dig[0];
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, dig + 1, n - 1);
+            p += n - 1;
+        }
+        memcpy(p, "e-0", 3);
+        p[3] = (char)('0' - K);
+        return p + 4;
+    }
+    if (K < 0) { /* 0.000ddd */
+        *p++ = '0';
+        *p++ = '.';
+        memset(p, '0', -K - 1);
+        p += -K - 1;
+        memcpy(p, dig, n);
+        return p + n;
+    }
+    memcpy(p, dig, K + 1); /* ddd[.ddd] */
+    p += K + 1;
+    if (n > K + 1) {
+        *p++ = '.';
+        memcpy(p, dig + K + 1, n - K - 1);
+        p += n - K - 1;
+    } else if (repr) {
+        memcpy(p, ".0", 2);
+        p += 2;
+    }
+    return p;
+}
+
 /* x as "%.17g" prints it, into p; the end of the text, or NULL where x is
  * outside the fast path's band */
 static char *put_float_fast(char *p, double x)
@@ -417,35 +457,7 @@ static char *put_float_fast(char *p, double x)
     int n = 17; /* the digits left once the trailing zeros go */
     while (dig[n - 1] == '0')
         n--;
-    if (bits >> 63)
-        *p++ = '-';
-    if (k < -4) { /* d.ddde-XX: k >= -6 here */
-        *p++ = dig[0];
-        if (n > 1) {
-            *p++ = '.';
-            memcpy(p, dig + 1, n - 1);
-            p += n - 1;
-        }
-        memcpy(p, "e-0", 3);
-        p[3] = (char)('0' - k);
-        return p + 4;
-    }
-    if (k < 0) { /* 0.000ddd */
-        *p++ = '0';
-        *p++ = '.';
-        memset(p, '0', -k - 1);
-        p += -k - 1;
-        memcpy(p, dig, n);
-        return p + n;
-    }
-    memcpy(p, dig, k + 1); /* ddd[.ddd], k <= 15 */
-    p += k + 1;
-    if (n > k + 1) {
-        *p++ = '.';
-        memcpy(p, dig + k + 1, n - k - 1);
-        p += n - k - 1;
-    }
-    return p;
+    return put_decimal(p, bits >> 63, dig, n, k, 0);
 }
 
 /* w 10^-n, w != 0, n <= 22, into *x; 0 where it is not a normal double */
@@ -622,4 +634,180 @@ int64_t kac_read_events(const char *s, int64_t len, int64_t d, int64_t rows, dou
         fictitious[k] = (int8_t)f;
     }
     return k;
+}
+
+/* ---------------------------------------------------------------------------
+ * The "initial_velocities" block of a sidecar (`config_io.write_sidecar`):
+ * the rows of an n x d array as `json.dumps(payload, indent=1)` prints them
+ * as a value of its top-level dict, each float as float.__repr__ prints it.
+ * kac_write_velocities prints the block, and kac_read_velocities parses it
+ * back.
+ *
+ * float.__repr__ prints the shortest decimal that reads back as x, and of
+ * those the nearest to x.  put_repr_fast finds it in exact integer
+ * arithmetic for x = m 2^-s in put_float_fast's band, binary exponent e2
+ * in [-19, 51], and in its 17-digit units 10^(k - 16):
+ *   - x is 4m 5^p / 2^t units, p = 16 - k <= 22 and t = s + 2 - p >= 2
+ *     (the 2^p of 10^p cancels against 2^(s + 2), so the numerators stay
+ *     below 2^107; with 10^p they would pass 2^128 at k = -6).
+ *   - A double reads back as x from any text within half a gap above x
+ *     and half a gap below it, a quarter gap below at m = 2^52, where the
+ *     gap below is half the one above.  In units the ends are
+ *     (4m + 2) 5^p / 2^t and (4m - 2 or 1) 5^p / 2^t, and [L, H] the
+ *     integers between them.  No end is an integer (its numerator has at
+ *     most one factor 2, and t >= 2), so whether the ends count, which
+ *     hangs on the parity of m, never matters here.
+ *   - The shortest text is a multiple c 10^j of the units in [L, H] with j
+ *     as large as it can be; of those c, the nearest to x / 10^j, a tie to
+ *     the even c.  Such a c has no trailing zero, or j would be larger.
+ *   - Its digits are laid out as repr lays them out (put_decimal): fixed
+ *     notation for a decimal exponent K in [-4, 16), with ".0" on an
+ *     integer, and "d.ddde-0K" below 1e-4.  |x| < 2^52 < 10^16 keeps K
+ *     below 16, and |x| >= 2^-19 keeps it at -6 or above.
+ * Every other double (zero, subnormals, |x| below 2^-19 or at 2^52 and
+ * above, non-finite) is left to the caller, one value at a time.
+ *
+ * The reader takes exactly the writer's layout, rows of equal length, and
+ * a float in JSON's grammar with a point or an exponent, as repr prints
+ * (an integer would be a Python int to json); read_float converts it.
+ */
+
+#define REPR_ROW_BYTES(d) (28 * (d) + 9) /* 23-byte floats, ",\n   " each, a row's brackets */
+
+#ifdef __SIZEOF_INT128__
+static const uint64_t POW5[23] = {
+    1, 5, 25, 125, 625, 3125, 15625, 78125, 390625, 1953125, 9765625, 48828125, 244140625,
+    1220703125, 6103515625, 30517578125, 152587890625, 762939453125, 3814697265625,
+    19073486328125, 95367431640625, 476837158203125, 2384185791015625};
+
+/* x as float.__repr__ prints it, into p; the end of the text, or NULL where
+ * x is outside the band */
+static char *put_repr_fast(char *p, double x)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    int e2 = (int)(bits >> 52 & 0x7ff) - 1023;
+    if (e2 < -19 || e2 > 51)
+        return NULL;
+    uint64_t m = (bits & ((1ull << 52) - 1)) | 1ull << 52;
+    int k = (e2 * 78913) >> 18; /* 10^k <= |x| < 10^(k + 2), as in put_float_fast */
+    int t = 52 - e2 + 2 - (16 - k);
+    u128 five = POW5[16 - k], mask = ((u128)1 << t) - 1;
+    u128 X = (u128)(4 * m) * five, hi = X + 2 * five;
+    u128 lo = X - (m == 1ull << 52 ? five : 2 * five);
+    uint64_t L = (uint64_t)((lo + mask) >> t), H = (uint64_t)(hi >> t);
+    int j = 0;
+    for (; (L + 9) / 10 <= H / 10; j++) {
+        L = (L + 9) / 10;
+        H /= 10;
+    }
+    uint64_t c = (uint64_t)(X >> t) / POW10[j];
+    u128 rest = X - ((u128)(c * POW10[j]) << t), half = (u128)POW10[j] << (t - 1);
+    c += rest > half || (rest == half && (c & 1));
+    c = c < L ? L : c > H ? H : c;
+    char dig[17];
+    int n = 0;
+    for (uint64_t u = c; u; u /= 10)
+        n++;
+    memset(dig + n, '0', 17 - n);
+    for (int i = n - 1; i >= 0; i--, c /= 10)
+        dig[i] = (char)('0' + c % 10);
+    return put_decimal(p, bits >> 63, dig, n, n - 1 + j + k - 16, 1);
+}
+#endif
+
+/* the "initial_velocities" block of the n x d velocities v, from its '['
+ * to its ']', into buf, which holds cap bytes; a value outside the band is
+ * written as one NUL byte and flagged in slow (n d bytes) for the caller to
+ * print.  The number of bytes written, or -1 (no 128-bit integers, or too
+ * small a buffer). */
+int64_t kac_write_velocities(const double *v, int64_t n, int64_t d, char *buf, int64_t cap,
+                             uint8_t *slow)
+{
+#ifdef __SIZEOF_INT128__
+    if (n < 1 || d < 1 || cap < n * REPR_ROW_BYTES(d) + 4)
+        return -1;
+    char *p = buf;
+    *p++ = '[';
+    for (int64_t r = 0; r < n; r++) {
+        memcpy(p, ",\n  [" + !r, 5 - !r);
+        p += 5 - !r;
+        for (int64_t c = 0; c < d; c++) {
+            memcpy(p, ",\n   " + !c, 5 - !c);
+            p += 5 - !c;
+            char *q = put_repr_fast(p, v[r * d + c]);
+            slow[r * d + c] = !q;
+            if (!q) {
+                *p = '\0';
+                q = p + 1;
+            }
+            p = q;
+        }
+        memcpy(p, "\n  ]", 4);
+        p += 4;
+    }
+    memcpy(p, "\n ]", 3);
+    return p + 3 - buf;
+#else
+    (void)v, (void)n, (void)d, (void)buf, (void)cap, (void)slow;
+    return -1;
+#endif
+}
+
+/* the float at s, as repr prints it in JSON's grammar, into *x; its end,
+ * which is ',' or '\n', or NULL */
+static const char *read_repr(const char *s, const char *end, double *x)
+{
+    const char *q = s + (*s == '-');
+    if (*q == '0' && is_digit(q[1]))
+        return NULL; /* JSON has no leading zeros */
+    while (is_digit(*q))
+        q++;
+    if (*q != '.' && *q != 'e')
+        return NULL; /* an integer, which json reads as an int */
+    while (is_digit(*q) || *q == '.' || *q == 'e' || *q == '+' || *q == '-')
+        q++;
+    return (*q == ',' || *q == '\n') && read_float(s, *q, end, x) ? q : NULL;
+}
+
+/* s holds the literal text lit of n bytes, and end is not before its end */
+static int holds(const char *s, const char *end, const char *lit, int64_t n)
+{
+    return end - s >= n && memcmp(s, lit, n) == 0;
+}
+
+/* the "initial_velocities" block that kac_write_velocities writes, from the
+ * byte after its '[' (the len bytes at s are followed by a NUL), into v,
+ * which holds cap doubles; the number of bytes to the end of its closing
+ * ']', with the rows and columns in shape, or -1 where the text is another */
+int64_t kac_read_velocities(const char *s, int64_t len, double *v, int64_t cap, int64_t *shape)
+{
+    if (!point_is_dot())
+        return -1;
+    const char *start = s, *end = s + len;
+    int64_t rows = 0, d = 0, k = 0;
+    do {
+        if (!holds(s, end, ",\n  [" + !rows, 5 - !rows))
+            return -1;
+        s += 5 - !rows;
+        int64_t c = 0;
+        do {
+            if (k == cap || !holds(s, end, ",\n   " + !c, 5 - !c))
+                return -1;
+            s += 5 - !c;
+            if (!(s = read_repr(s, end, v + k++)))
+                return -1;
+            c++;
+        } while (*s == ',');
+        if ((rows && c != d) || !holds(s, end, "\n  ]", 4))
+            return -1;
+        d = c;
+        s += 4;
+        rows++;
+    } while (*s == ',');
+    if (!holds(s, end, "\n ]", 3))
+        return -1;
+    shape[0] = rows;
+    shape[1] = d;
+    return s + 3 - start;
 }

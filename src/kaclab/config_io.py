@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
+import io
 import json
 import math
 import os
@@ -248,21 +249,17 @@ def write_event_csv(path: str, log: EventLog, d: int) -> None:
     _atomic_write(path, header + body)
 
 
-def _parse_rows(path: str, d: int):
+def _parse_rows(data: bytes, d: int):
     """The columns (t, i, j, sigma, assignment, fictitious) of the rows
     after the header from `kac_read_events`, or None where the library does
-    not load or the file is not byte for byte what the writer writes."""
+    not load or the text is not byte for byte what the writer writes."""
     lib = _kloop.library()
-    if lib is None or d < 1:
+    header = (_event_header(d) + "\n").encode()
+    if lib is None or d < 1 or not data.startswith(header):
         return None
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        if header != (_event_header(d) + "\n").encode():
-            return None
-        size = os.fstat(fh.fileno()).st_size - len(header)
-        body = np.zeros(size + 1, np.uint8)  # ends in the NUL strtod stops at
-        if fh.readinto(memoryview(body)[:size]) != size:
-            return None
+    # a bytes object ends in a NUL, which the parser stops at
+    body = np.frombuffer(data, np.uint8, offset=len(header))
+    size = len(body)
     rows = int(np.count_nonzero(body == ord("\n"))) + int(size > 0 and body[size - 1] != ord("\n"))
     cols = (np.empty(rows), np.empty(rows, np.int64), np.empty(rows, np.int64),
             np.empty((rows, d)), np.empty(rows, np.int8), np.empty(rows, np.int8))
@@ -277,21 +274,23 @@ def read_event_csv(path: str, n_particles: int, horizon: float, d: int | None = 
     index outside [0, n_particles), is a ConfigError; a row without as many
     fields as the header is a ValueError.  The compiled parser reads the
     rows of a file as the writer writes it; `np.loadtxt` reads any other."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if d is None:
-            d = header.count(",") - 4
-        if header != _event_header(d):
-            raise ConfigError(f"{path}: header {header!r} is not the d = {d} event header "
-                              f"{_event_header(d)!r}")
-        cols = _parse_rows(path, d)
-        if cols is None:
-            columns = [("t", float), ("i", np.int64), ("j", np.int64), ("sigma", float, (d,)),
-                       ("assignment", np.int8), ("fictitious", np.int8)]
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # no rows
-                rows = np.loadtxt(fh, delimiter=",", dtype=columns, ndmin=1)
-            cols = [np.ascontiguousarray(rows[name]) for name, *_ in columns]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    text = io.TextIOWrapper(io.BytesIO(data))  # the file as open(path) reads it
+    header = text.readline().strip()
+    if d is None:
+        d = header.count(",") - 4
+    if header != _event_header(d):
+        raise ConfigError(f"{path}: header {header!r} is not the d = {d} event header "
+                          f"{_event_header(d)!r}")
+    cols = _parse_rows(data, d)
+    if cols is None:
+        columns = [("t", float), ("i", np.int64), ("j", np.int64), ("sigma", float, (d,)),
+                   ("assignment", np.int8), ("fictitious", np.int8)]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # no rows
+            rows = np.loadtxt(text, delimiter=",", dtype=columns, ndmin=1)
+        cols = [np.ascontiguousarray(rows[name]) for name, *_ in columns]
     t, i, j, sigma, assignment, fictitious = cols
     bad = np.flatnonzero((i < 0) | (i >= n_particles) | (j < 0) | (j >= n_particles))
     if len(bad):
@@ -312,9 +311,23 @@ _VELOCITIES = "\x00initial velocities\x00"
 
 def _velocity_block(velocities: np.ndarray) -> str:
     """`json.dumps` of the velocities' rows as one value of an `indent=1`
-    dict: json writes a finite float with float.__repr__, and so does this."""
+    dict: json writes a finite float with float.__repr__, and so does this.
+    `kac_write_velocities` prints the values in its band and leaves a NUL
+    in place of each other one, which float.__repr__ prints here."""
     if len(velocities) == 0:
         return "[]"
+    lib = _kloop.library()
+    if lib is not None:
+        n, d = velocities.shape
+        v = np.ascontiguousarray(velocities, dtype=np.float64)
+        buf = np.empty(n * (28 * d + 9) + 4, np.uint8)  # REPR_ROW_BYTES(d) a row
+        slow = np.empty(n * d, np.uint8)
+        size = lib.kac_write_velocities(v.ctypes.data, n, d, buf.ctypes.data, len(buf),
+                                        slow.ctypes.data)
+        if size >= 0:
+            first, *rest = buf[:size].tobytes().decode("ascii").split("\0")
+            others = map(float.__repr__, v.ravel()[slow.view(bool)].tolist())
+            return first + "".join(x + text for x, text in zip(others, rest))
     rows = ("[\n   " + ",\n   ".join(map(float.__repr__, row)) + "\n  ]"
             for row in velocities.tolist())
     return "[\n  " + ",\n  ".join(rows) + "\n ]"
@@ -375,29 +388,74 @@ class ReplayMismatchError(RuntimeError):
     """A replayed log does not end in the final state its sidecar records."""
 
 
+# the text before the writer's "initial_velocities" block, up to its '['
+_BLOCK = b'\n "initial_velocities": ['
+
+
+def _parse_sidecar(data: bytes):
+    """The sidecar in `data` and its initial velocities, the block read by
+    `kac_read_velocities` and the rest by json, or None where the library
+    does not load or the text is not laid out as `write_sidecar` writes it
+    (json.load reads any other)."""
+    lib = _kloop.library()
+    start = data.find(_BLOCK) + len(_BLOCK)
+    # json.loads reads bytes as UTF-8 and open(path) with the locale's
+    # encoding: the same text where every byte is ASCII
+    if lib is None or start < len(_BLOCK) or not data.isascii():
+        return None
+    # a bytes object ends in a NUL, which the parser stops at; a value and
+    # its separator take 8 bytes or more
+    raw = np.frombuffer(data, np.uint8)
+    values, shape = np.empty((len(data) - start) // 8 + 1), np.empty(2, np.int64)
+    size = lib.kac_read_velocities(raw.ctypes.data + start, len(data) - start,
+                                   values.ctypes.data, len(values), shape.ctypes.data)
+    if size < 0:
+        return None
+    try:
+        sidecar = json.loads(b"".join((data[:start - 1], json.dumps(_VELOCITIES).encode(),
+                                       data[start + size:])))
+    except ValueError:
+        return None
+    # the placeholder must be the key's value: not one of a nested dict,
+    # nor one a later duplicate of the key replaced
+    if not isinstance(sidecar, dict) or sidecar.get("initial_velocities") != _VELOCITIES:
+        return None
+    rows, d = shape.tolist()
+    velocities = values[:rows * d].reshape(rows, d)
+    sidecar["initial_velocities"] = velocities.tolist()
+    return sidecar, velocities
+
+
 def _read_sidecar(path: str, force: bool = True):
-    """The sidecar at `path` and its config; unless forced, a sidecar
+    """The sidecar at `path`, its config, and its initial velocities where
+    the compiled reader read them (else None); unless forced, a sidecar
     stamped by another version is a VersionMismatchError."""
-    with open(path) as fh:
-        sidecar = json.load(fh)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    parsed = _parse_sidecar(data)
+    if parsed is None:
+        # the file as open(path) reads it
+        parsed = json.load(io.TextIOWrapper(io.BytesIO(data))), None
+    sidecar, velocities = parsed
     validate(sidecar, _SIDECAR_SCHEMA)
     if sidecar.get("version") != __version__ and not force:
         raise VersionMismatchError(
             f"log was written by version {sidecar.get('version')}, this is {__version__}; "
             "pass force=True to replay anyway"
         )
-    return sidecar, SimConfig.from_dict(sidecar["config"])
+    return sidecar, SimConfig.from_dict(sidecar["config"]), velocities
 
 
-def _state_and_log(sidecar: dict, cfg: SimConfig, events_path: str):
+def _state_and_log(sidecar: dict, cfg: SimConfig, velocities, events_path: str):
     log = read_event_csv(events_path, cfg.n, cfg.t_max, cfg.d)
-    v0 = np.asarray(sidecar["initial_velocities"], dtype=float)
-    return ParticleState(v0), log
+    if velocities is None:
+        velocities = np.asarray(sidecar["initial_velocities"], dtype=float)
+    return ParticleState(velocities), log
 
 
 def load_trajectory_inputs(sidecar_path: str, events_path: str):
-    sidecar, cfg = _read_sidecar(sidecar_path)
-    return (sidecar, *_state_and_log(sidecar, cfg, events_path))
+    sidecar, cfg, velocities = _read_sidecar(sidecar_path)
+    return (sidecar, *_state_and_log(sidecar, cfg, velocities, events_path))
 
 
 def replay(sidecar_path: str, events_path: str, force: bool = False):
@@ -409,8 +467,8 @@ def replay(sidecar_path: str, events_path: str, force: bool = False):
     sidecar's `final_sha256`.  Returns (sidecar, checkpoint summaries
     recomputed at the persisted checkpoint times).
     """
-    sidecar, cfg = _read_sidecar(sidecar_path, force)
-    state0, log = _state_and_log(sidecar, cfg, events_path)
+    sidecar, cfg, velocities = _read_sidecar(sidecar_path, force)
+    state0, log = _state_and_log(sidecar, cfg, velocities, events_path)
     v = state0.velocities.copy()
     out = []
     start = 0

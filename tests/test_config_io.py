@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import json
 import locale
@@ -14,9 +15,12 @@ import pytest
 
 import kaclab as kl
 from kaclab import _kloop
+from kaclab.cli import main
 from kaclab.config_io import (ConfigError, VersionMismatchError, _atomic_write, _one_run,
-                              parse_config, pool_summaries, read_event_csv, replay, run_ensemble,
-                              save_trajectory, state_digest, write_event_csv, write_sidecar)
+                              _parse_sidecar, _read_sidecar, _velocity_block,
+                              load_trajectory_inputs, parse_config, pool_summaries,
+                              read_event_csv, replay, run_ensemble, save_trajectory,
+                              state_digest, write_event_csv, write_sidecar)
 from kaclab.kinetics import Kernel
 
 needs_kernel = pytest.mark.skipif(_kloop.library() is None, reason="no compiled kernel")
@@ -108,6 +112,14 @@ class TestSimConfigFromDict:
         data["initial"]["shape"] = 2.0
         with pytest.raises(ValueError, match="config.initial"):
             kl.SimConfig.from_dict(data)
+
+
+def _sidecar_payload(traj) -> dict:
+    """What the sidecar of a trajectory holds, the velocities as lists."""
+    return {"version": kl.__version__, "config": traj.config.to_dict(), "seed": traj.seed,
+            "initial_velocities": traj.initial_state.velocities.tolist(),
+            "final_sha256": state_digest(traj.final_state.velocities),
+            "ledger": traj.rn_ledger.to_dict()}
 
 
 class TestPersistence:
@@ -225,15 +237,20 @@ class TestPersistence:
             assert got["truncated_m2"]["1.5"] == pytest.approx(cp.truncated_m2[1.5], abs=1e-12)
 
     @pytest.mark.parametrize("n, d", [(1, 2), (1, 3), (40, 2), (40, 3)])
-    def test_sidecar_is_the_indented_json_dump(self, tmp_path, n, d):
+    def test_sidecar_is_the_indented_json_dump(self, tmp_path, monkeypatch, n, d):
+        # the run's own velocities, and a block of every form repr prints with
+        # values outside the compiled writer's band among them, on the
+        # compiled writer and the Python one
         traj = kl.simulate(kl.SimConfig(n=n, t_max=0.5, kernel=Kernel.HARD_SPHERE, d=d, seed=6))
+        cases = _repr_cases(np.random.default_rng(n + d), 200, 20)
+        cases = np.resize(cases, (len(cases) // d, d))
         path = tmp_path / "sidecar.json"
-        write_sidecar(str(path), traj)
-        payload = {"version": kl.__version__, "config": traj.config.to_dict(), "seed": traj.seed,
-                   "initial_velocities": traj.initial_state.velocities.tolist(),
-                   "final_sha256": state_digest(traj.final_state.velocities),
-                   "ledger": traj.rn_ledger.to_dict()}
-        assert path.read_text() == json.dumps(payload, indent=1)
+        for traj in (traj, dataclasses.replace(traj, initial_state=kl.ParticleState(cases))):
+            for lib in (_kloop.library(), None):
+                with monkeypatch.context() as m:
+                    m.setattr(_kloop, "_lib", lib)
+                    write_sidecar(str(path), traj)
+                assert path.read_text() == json.dumps(_sidecar_payload(traj), indent=1)
 
     def test_version_stamp_refusal(self, tmp_path):
         traj = self._traj()
@@ -487,6 +504,21 @@ class TestEventCsvRoutes:
             write_event_csv(str(path), log, 3)
             assert path.read_bytes() == TestPersistence._reference_csv(log, 3)
             _both_routes(path, monkeypatch, n=30, horizon=1.0)
+            # the sidecar: the compiled writer prints no locale's point, and
+            # the compiled reader declines, so json.load reads it
+            traj = kl.simulate(kl.SimConfig(n=24, t_max=0.8, kernel=Kernel.HARD_SPHERE, seed=3))
+            traj = _with_velocities(traj, np.resize(_repr_cases(np.random.default_rng(5), 200, 20),
+                                                    (24, 3)))
+            paths = save_trajectory(str(tmp_path), traj)
+            with open(paths["sidecar"]) as fh:
+                assert fh.read() == json.dumps(_sidecar_payload(traj), indent=1)
+            with open(paths["sidecar"], "rb") as fh:
+                assert _parse_sidecar(fh.read()) is None
+            compiled = _load_outcome(paths)
+            with monkeypatch.context() as m:
+                m.setattr(_kloop, "_lib", None)
+                assert _load_outcome(paths) == compiled
+            assert compiled[0][3] == traj.initial_state.velocities.tobytes()
         finally:
             locale.setlocale(locale.LC_NUMERIC, old)
 
@@ -606,6 +638,171 @@ class TestEventCsvFastPaths:
         bad = [t for t, got, x in zip(texts, sigma.tolist(), want.tolist())
                if np.float64(got).tobytes() != np.float64(x).tobytes()]
         assert bad == []
+
+
+def _is_tie(x: float) -> bool:
+    """x lies halfway between repr(x) and the next decimal of as many digits."""
+    text = Decimal(repr(x))
+    return abs(Fraction(x) - Fraction(text)) * 2 == Fraction(10) ** text.as_tuple().exponent
+
+
+def _repr_ties(rng, per_exponent: int) -> list:
+    """Doubles at every binary exponent of the sidecar writer's band that lie
+    halfway between the two nearest shortest texts, where repr takes the
+    even one: short mantissas m (low bits cleared) make such x."""
+    out = []
+    for e2 in range(-19, 52):
+        for _ in range(per_exponent):
+            z = int(rng.integers(0, 53))
+            x = math.ldexp(int(rng.integers(2 ** 52, 2 ** 53)) >> z << z, e2 - 52)
+            out += [x] if _is_tie(x) else []
+    return out
+
+
+def _repr_cases(rng, count: int, tries: int) -> np.ndarray:
+    """Doubles float.__repr__ prints in every form, at every edge of the
+    sidecar writer's band, 2^-19 <= |x| < 2^52, with both signs: `count`
+    random bit patterns in the band and two binary exponents either side;
+    every power of two from 2^-21 to 2^53 with its neighbours (at m = 2^52
+    the gap below is half the one above); the ties among `tries` short
+    mantissas at each exponent; every power of ten in the band with its
+    neighbours (1e-4 and 1e-5 among them, where the layout switches);
+    k / 1000, k 1e-5, k / 7 and whole numbers; and values outside the band
+    (zeros, subnormals, 1e-300, 2^53 and above)."""
+    exponents = rng.integers(1023 - 21, 1023 + 54, count)
+    bits = rng.integers(0, 2 ** 52, count) | exponents << 52
+    out = bits.view(np.float64).tolist()
+    for e2 in range(-21, 54):
+        out += _up(2.0 ** e2, 3) + _up(2.0 ** e2, -3)
+    ties = _repr_ties(rng, tries)
+    assert len(ties) >= tries // 4
+    out += ties
+    for k in range(-6, 16):
+        out += _up(float(f"1e{k}"), 20) + _up(float(f"1e{k}"), -20)
+    out += [k / 1000 for k in range(1, 3000, 7)] + [k * 1e-5 for k in range(1, 3000, 7)]
+    out += [k / 7 for k in range(1, 3000, 7)] + [float(k) for k in range(1, 100)]
+    out += [1e15 + 1.0, 2.0 ** 52 - 1.0, 2.0 ** 51 + 0.5]
+    out += [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-300, 2.0 ** -20,
+            2.0 ** 52, 2.0 ** 53, 1e16, 1e300, 1.7976931348623157e308]
+    values = np.array(out)
+    return np.concatenate([values, -values])
+
+
+def _with_velocities(traj, velocities):
+    return dataclasses.replace(traj, initial_state=kl.ParticleState(velocities))
+
+
+def _first_velocity(token: str, indent: str = "\n   "):
+    """An edit of a sidecar's text that sets its first initial velocity, and
+    the text before it."""
+    def edit(text):
+        return re.sub(r'("initial_velocities": \[\n  \[)\n   [^,\n]+', r"\g<1>" + indent + token,
+                      text, count=1)
+    return edit
+
+
+def _load_outcome(paths):
+    """The sidecar, initial velocities and log read from paths, or the type
+    and message of the exception reading them raises; and the exit code of
+    `kaclab replay` on them, or the exception it raises."""
+    try:
+        sidecar, state, log = load_trajectory_inputs(paths["sidecar"], paths["events"])
+        read = (sidecar, state.velocities.dtype.str, state.velocities.shape,
+                state.velocities.tobytes(), log.sigma.tobytes())
+    except Exception as exc:  # noqa: BLE001 - the paths must raise alike
+        read = type(exc), str(exc)
+    try:
+        code = main(["replay", "--sidecar", paths["sidecar"], "--events", paths["events"]])
+    except Exception as exc:  # noqa: BLE001 - one the CLI does not map to an exit code
+        code = type(exc), str(exc)
+    return read, code
+
+
+class TestSidecarVelocities:
+    """The sidecar's "initial_velocities" block, written by
+    `kac_write_velocities` and read by `kac_read_velocities`, against
+    float.__repr__ and json."""
+
+    @needs_kernel
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_writer_cases_match_repr_and_read_back(self, tmp_path, monkeypatch, d):
+        values = _repr_cases(np.random.default_rng(20 + d), 60000, 300)
+        v = np.resize(values, (len(values) // d, d))
+        lib = _kloop.library()
+        buf, slow = np.empty(len(v) * (28 * d + 9) + 4, np.uint8), np.empty(v.size, np.uint8)
+        assert lib.kac_write_velocities(v.ctypes.data, len(v), d, buf.ctypes.data, len(buf),
+                                        slow.ctypes.data) > 0
+        band = (np.abs(v) >= 2.0 ** -19) & (np.abs(v) < 2.0 ** 52)
+        assert np.array_equal(slow == 0, band.ravel())  # the values the C prints
+        assert (slow == 0).sum() > 0.9 * v.size and (slow == 1).sum() > 30
+        assert _velocity_block(v) == json.dumps(v.tolist(), indent=1).replace("\n", "\n ")
+        traj = _with_velocities(kl.simulate(kl.SimConfig(n=4, t_max=0.1, kernel=Kernel.MAXWELL,
+                                                         d=d, seed=1)), v)
+        path = tmp_path / "sidecar.json"
+        write_sidecar(str(path), traj)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("json.load read a sidecar as the writer writes it")
+
+        monkeypatch.setattr(json, "load", fail)
+        sidecar, _, got = _read_sidecar(str(path))
+        assert got.dtype == np.float64 and got.shape == v.shape and got.tobytes() == v.tobytes()
+        assert sidecar == _sidecar_payload(traj)
+
+    EDITS = {
+        "as_written": lambda text: text,
+        "compact": lambda text: json.dumps(json.loads(text)),
+        "indented_2": lambda text: json.dumps(json.loads(text), indent=2),
+        "duplicate_key_after": lambda text: text.replace(
+            '\n "final_sha256"', '\n "initial_velocities": [[1.5, 2.5]],\n "final_sha256"'),
+        "duplicate_key_before": lambda text: text.replace(
+            '\n "seed"', '\n "initial_velocities": [[1.5]],\n "seed"'),
+        "duplicate_block_before": lambda text: text.replace(
+            '\n "seed"', '\n "initial_velocities": [\n  [\n   1.5\n  ]\n ],\n "seed"'),
+        "nested_key": lambda text: text.replace(
+            '\n "initial_velocities"', '\n "ledger_copy": {\n "initial_velocities"', 1).replace(
+            '\n ],\n "final_sha256"', '\n ]},\n "final_sha256"', 1),
+        "ragged_row": _first_velocity("0.5,\n   0.5"),
+        "empty_row": lambda text: text.replace("[\n  [\n", "[\n  [],\n  [\n", 1),
+        "nan": _first_velocity("NaN"),
+        "upper_exponent": _first_velocity("1E5"),
+        "unsigned_exponent": _first_velocity("1.5e5"),
+        "integer": _first_velocity("1"),
+        "minus_zero_integer": _first_velocity("-0"),
+        "leading_zero": _first_velocity("01.5"),
+        "huge": _first_velocity("1e+400"),
+        "long_mantissa": _first_velocity("0.12345678901234567890123456789"),
+        "space": _first_velocity("0.5 "),
+        "crlf": lambda text: text.replace("\n", "\r\n"),
+        "tab_indent": _first_velocity("0.5", "\n\t"),
+        "truncated": lambda text: text[:len(text) // 2],
+        "trailing_text": lambda text: text + "x",
+        "not_a_dict": lambda text: "[" + text + "]",
+        "non_ascii": lambda text: text.replace('"seed"', '"seed", "\u00e9": 1', 1),
+    }
+
+    @pytest.mark.parametrize("name", list(EDITS))
+    def test_edited_sidecars_read_alike_on_both_paths(self, tmp_path, monkeypatch, name):
+        traj = kl.simulate(kl.SimConfig(n=24, t_max=0.8, kernel=Kernel.HARD_SPHERE, seed=3))
+        paths = save_trajectory(str(tmp_path), traj)
+        path = paths["sidecar"]
+        with open(path, newline="") as fh:
+            text = self.EDITS[name](fh.read())
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        compiled = _load_outcome(paths)
+        with monkeypatch.context() as m:
+            m.setattr(_kloop, "_lib", None)
+            assert _load_outcome(paths) == compiled
+        read, code = compiled
+        if isinstance(read[0], dict):
+            with open(path) as fh:
+                sidecar = json.load(fh)
+            assert read[0] == sidecar
+            v = np.asarray(sidecar["initial_velocities"], dtype=float)
+            assert read[2:4] == (v.shape, v.tobytes())
+        if name in ("as_written", "compact", "indented_2", "crlf"):
+            assert code == 0 and read[3] == traj.initial_state.velocities.tobytes()
 
 
 class TestEnsemble:

@@ -148,7 +148,7 @@ def test_a_build_removes_the_older_libraries_of_its_source(tmp_path, monkeypatch
         (tmp_path / name).write_bytes(b"")
     lib = _kloop._load()
     assert lib is not None and lib.kac_sum(None, 0) == 0.0
-    built = [_kloop._build(source) for source in (_kloop.SOURCE, _kloop.TOOLS_SOURCE)]
+    built = _kloop._build([_kloop.SOURCE, _kloop.TOOLS_SOURCE])
     assert sorted(os.listdir(tmp_path)) == sorted(kept + [os.path.basename(p) for p in built])
 
 
@@ -664,3 +664,52 @@ def test_replay_kernel_refuses_bad_indices(index):
     log = kl.EventLog([0.1, 0.2, 0.3], i, j, sigma, np.zeros(3), [False, False, True], 5, 1.0)
     with pytest.raises(IndexError, match="out of bounds for 5 particles"):
         replay_rows(v.copy(), log)
+
+
+# ---------------------------------------------------------------------------
+# a build of the tools without 128-bit integers, where the fast float paths
+# of the event CSV and the sidecar compile out
+
+from test_config_io import _battery, _log_of, _repr_cases, _with_velocities  # noqa: E402
+
+
+@needs_gcc
+def test_a_build_without_128_bit_integers_gives_the_python_bytes(tmp_path, monkeypatch):
+    path = tmp_path / "tools.so"
+    proc = _kloop.compile_kernel(str(path), "-U__SIZEOF_INT128__", source=_kloop.TOOLS_SOURCE)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    lib = _kloop.bind(ctypes.CDLL(_kloop._build([_kloop.SOURCE])[0]), ctypes.CDLL(str(path)))
+    log = _log_of(_battery(np.random.default_rng(9)), 3)
+    traj = kl.simulate(kl.SimConfig(n=24, t_max=0.8, kernel=Kernel.HARD_SPHERE, seed=3))
+    traj = _with_velocities(traj, np.resize(_repr_cases(np.random.default_rng(9), 300, 20),
+                                            (100, 3)))
+    v = traj.initial_state.velocities
+    out = {}
+    for name, route in (("no_int128", lib), ("python", None)):
+        with monkeypatch.context() as m:
+            m.setattr(_kloop, "_lib", route)
+            config_io.write_event_csv(str(tmp_path / f"{name}.csv"), log, 3)
+            read = config_io.read_event_csv(str(tmp_path / f"{name}.csv"), 30, 1.0)
+            config_io.write_sidecar(str(tmp_path / f"{name}.json"), traj)
+            sidecar, _, velocities = config_io._read_sidecar(str(tmp_path / f"{name}.json"))
+            if velocities is None:
+                velocities = np.asarray(sidecar["initial_velocities"], dtype=float)
+            out[name] = ((tmp_path / f"{name}.csv").read_bytes(), read.t.tobytes(),
+                         read.sigma.tobytes(), (tmp_path / f"{name}.json").read_bytes(),
+                         sidecar, velocities.tobytes())
+    assert out["no_int128"] == out["python"]
+    assert out["python"][5] == v.tobytes()
+    # the CSV and the sidecar's reader run on glibc's conversions; the
+    # sidecar's writer declines
+    rows = np.empty(len(log) * (25 * 4 + 51), np.uint8)
+    cols = [np.ascontiguousarray(c) for c in (log.t, log.i, log.j, log.sigma, log.assignment,
+                                              log.fictitious.view(np.uint8))]
+    assert lib.kac_write_events(*(c.ctypes.data for c in cols), len(log), 3, rows.ctypes.data,
+                                len(rows)) > 0
+    buf, slow = np.empty(100 * (28 * 3 + 9) + 4, np.uint8), np.empty(300, np.uint8)
+    assert lib.kac_write_velocities(v.ctypes.data, 100, 3, buf.ctypes.data, len(buf),
+                                    slow.ctypes.data) == -1
+    with monkeypatch.context() as m:
+        m.setattr(_kloop, "_lib", lib)
+        assert config_io._parse_rows((tmp_path / "python.csv").read_bytes(), 3) is not None
+        assert config_io._parse_sidecar((tmp_path / "python.json").read_bytes()) is not None
