@@ -18,9 +18,10 @@ import numpy as np
 
 from . import __version__
 from .config_io import (_NUM, CONFIG_SCHEMA, ConfigError, VersionMismatchError, _atomic_write,
-                        _reject_non_finite, load_trajectory_inputs, parse_config, pool_summaries,
-                        replay, run_ensemble, save_trajectory, tilting_scheme, validate)
-from .engine import MajorantViolationError, SimConfig, Trajectory, make_rng, simulate
+                        _read_sidecar, _reject_non_finite, parse_config, pool_summaries,
+                        read_event_csv, replay, run_ensemble, save_trajectory, tilting_scheme,
+                        validate)
+from .engine import MajorantViolationError, Trajectory, make_rng, simulate
 from .freezing import ThetaSchedule, run_experiment
 from .metrics import WeightedMeasure, bl_distance, flux_distance
 from .moment_ode import maxwell_m4_curve
@@ -138,10 +139,10 @@ def _cmd_rate_eval(args) -> int:
         spec = json.load(fh)
     validate(spec, _DESCRIPTORS_SCHEMA)
     _reject_non_finite(spec)
-    sidecar, state0, log = load_trajectory_inputs(args.sidecar, args.events)
-    cfg = SimConfig.from_dict(sidecar["config"])
+    sidecar, cfg, state0 = _read_sidecar(args.sidecar)
     traj = Trajectory(initial_state=state0, final_state=None, checkpoints=[],
-                      log=log, rn_ledger=None, seed=sidecar["seed"], config=cfg)
+                      log=read_event_csv(args.events, cfg.n, cfg.t_max, cfg.d), rn_ledger=None,
+                      seed=sidecar["seed"], config=cfg)
     reference = ReferenceMeasure(cfg.d)
     report = {"version": __version__, "ledger": sidecar.get("ledger"), "descriptors": []}
     for item in spec.get("descriptors", []):

@@ -2,13 +2,17 @@
 
 Everything a run produces is reproducible from its manifest: configs and
 reports are JSON, event logs CSV (one row per proposal, floats printed with
-17 significant digits so replay is bit-exact).  No ambient state: every
-stream derives from (master seed, run index).
+17 significant digits so replay is bit-exact).  A saved run is read back
+in one place, `_read_sidecar`, which `load_trajectory_inputs`, `replay` and
+the CLI's `rate-eval` share: it checks the config and that the initial
+velocities are N rows of d numbers.  No ambient state: every stream derives
+from (master seed, run index).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import hashlib
 import io
 import json
@@ -375,9 +379,9 @@ def save_trajectory(out_dir: str, trajectory: Trajectory, stem: str = "run") -> 
 
 
 # the sidecar keys its readers use; SimConfig.from_dict checks the config
-# and ParticleState the velocities
-_SIDECAR_SCHEMA = {"type": "object", "required": ["config", "seed", "initial_velocities"],
-                   "properties": {"initial_velocities": {"type": "array"}}}
+# and `_read_sidecar` the velocities, an array on the compiled route, which
+# the schema's "array" type would refuse
+_SIDECAR_SCHEMA = {"type": "object", "required": ["config", "seed", "initial_velocities"]}
 
 
 class VersionMismatchError(RuntimeError):
@@ -393,10 +397,10 @@ _BLOCK = b'\n "initial_velocities": ['
 
 
 def _parse_sidecar(data: bytes):
-    """The sidecar in `data` and its initial velocities, the block read by
-    `kac_read_velocities` and the rest by json, or None where the library
-    does not load or the text is not laid out as `write_sidecar` writes it
-    (json.load reads any other)."""
+    """The sidecar in `data`, its initial velocities a float64 array read
+    by `kac_read_velocities` and the rest read by json, or None where the
+    library does not load or the text is not laid out as `write_sidecar`
+    writes it (json.load reads any other)."""
     lib = _kloop.library()
     start = data.find(_BLOCK) + len(_BLOCK)
     # json.loads reads bytes as UTF-8 and open(path) with the locale's
@@ -421,41 +425,45 @@ def _parse_sidecar(data: bytes):
     if not isinstance(sidecar, dict) or sidecar.get("initial_velocities") != _VELOCITIES:
         return None
     rows, d = shape.tolist()
-    velocities = values[:rows * d].reshape(rows, d)
-    sidecar["initial_velocities"] = velocities.tolist()
-    return sidecar, velocities
+    sidecar["initial_velocities"] = values[:rows * d].reshape(rows, d)
+    return sidecar
 
 
 def _read_sidecar(path: str, force: bool = True):
-    """The sidecar at `path`, its config, and its initial velocities where
-    the compiled reader read them (else None); unless forced, a sidecar
-    stamped by another version is a VersionMismatchError."""
+    """The sidecar at `path`, its config and its initial state; in the
+    sidecar returned, "initial_velocities" is a float64 (N, d) array on
+    either route.  Unless forced, a sidecar stamped by another version is a
+    VersionMismatchError; a velocity block that is not N rows of d numbers
+    is a ConfigError."""
     with open(path, "rb") as fh:
         data = fh.read()
-    parsed = _parse_sidecar(data)
-    if parsed is None:
+    sidecar = _parse_sidecar(data)
+    if sidecar is None:
         # the file as open(path) reads it
-        parsed = json.load(io.TextIOWrapper(io.BytesIO(data))), None
-    sidecar, velocities = parsed
+        sidecar = json.load(io.TextIOWrapper(io.BytesIO(data)))
     validate(sidecar, _SIDECAR_SCHEMA)
     if sidecar.get("version") != __version__ and not force:
         raise VersionMismatchError(
             f"log was written by version {sidecar.get('version')}, this is {__version__}; "
             "pass force=True to replay anyway"
         )
-    return sidecar, SimConfig.from_dict(sidecar["config"]), velocities
-
-
-def _state_and_log(sidecar: dict, cfg: SimConfig, velocities, events_path: str):
-    log = read_event_csv(events_path, cfg.n, cfg.t_max, cfg.d)
-    if velocities is None:
-        velocities = np.asarray(sidecar["initial_velocities"], dtype=float)
-    return ParticleState(velocities), log
+    cfg = SimConfig.from_dict(sidecar["config"])
+    v = sidecar["initial_velocities"]
+    # json's lists: rows of d numbers (a bool is not one, nor an integer
+    # beyond the doubles) convert, and the shape check refuses the rest
+    if isinstance(v, list) and all(isinstance(row, list) and len(row) == cfg.d and all(
+            type(x) in (int, float) for x in row) for row in v):
+        with contextlib.suppress(OverflowError):
+            v = np.array(v, dtype=float)
+    if not isinstance(v, np.ndarray) or v.shape != (cfg.n, cfg.d):
+        raise ConfigError(f"{path}: initial_velocities is not {cfg.n} rows of {cfg.d} numbers")
+    sidecar["initial_velocities"] = v
+    return sidecar, cfg, ParticleState(v)
 
 
 def load_trajectory_inputs(sidecar_path: str, events_path: str):
-    sidecar, cfg, velocities = _read_sidecar(sidecar_path)
-    return (sidecar, *_state_and_log(sidecar, cfg, velocities, events_path))
+    sidecar, cfg, state0 = _read_sidecar(sidecar_path)
+    return sidecar, state0, read_event_csv(events_path, cfg.n, cfg.t_max, cfg.d)
 
 
 def replay(sidecar_path: str, events_path: str, force: bool = False):
@@ -467,8 +475,8 @@ def replay(sidecar_path: str, events_path: str, force: bool = False):
     sidecar's `final_sha256`.  Returns (sidecar, checkpoint summaries
     recomputed at the persisted checkpoint times).
     """
-    sidecar, cfg, velocities = _read_sidecar(sidecar_path, force)
-    state0, log = _state_and_log(sidecar, cfg, velocities, events_path)
+    sidecar, cfg, state0 = _read_sidecar(sidecar_path, force)
+    log = read_event_csv(events_path, cfg.n, cfg.t_max, cfg.d)
     v = state0.velocities.copy()
     out = []
     start = 0

@@ -55,7 +55,7 @@ from . import _kloop
 from .fenwick import BAD_WEIGHT, ZERO_TOTAL, FenwickSampler
 from .girsanov import RNLedger, TiltingScheme, sample_tilted_initial, tau
 from .kinetics import Kernel, _collide
-from .metrics import WeightedMeasure
+from .metrics import WeightedMeasure, _distances
 from .reference import ReferenceMeasure
 
 __all__ = [
@@ -461,19 +461,6 @@ class _Draws:
 _BLOCK_PAIRS = 1 << 16  # pairs evaluated at once while a pair sum is built
 
 
-def _distances(v: np.ndarray, rows) -> np.ndarray:
-    """|v_a - v_b| for a in rows and every b, shape (len(rows), N).
-
-    One coordinate at a time, so each operation runs along N; an (m, N, d)
-    difference array would run its inner loops over d.
-    """
-    vr = v[rows]
-    sq = (v[:, 0] - vr[:, 0, None]) ** 2
-    for k in range(1, v.shape[1]):
-        sq += (v[:, k] - vr[:, k, None]) ** 2
-    return np.sqrt(sq, out=sq)
-
-
 def _blocks(n: int) -> list:
     """The row ranges a pair sum is built in, each of at most _BLOCK_PAIRS pairs."""
     step = max(1, _BLOCK_PAIRS // n)
@@ -522,21 +509,22 @@ def _k_itself(kk):
 class _TiltPairSum(_PairSum):
     """The pair sum of h = f(K) B on interval k of a scheme, B = 1 + beta u.
 
-    In `rows` (a method, so the object holds no reference to itself) a
-    range of rows, as the build asks for them, comes from the compiled
-    kernel where it evaluates f (K - 1 at every delta, any f at delta = 0
-    by a table of f at the three values K takes there: 0 on a frozen pair,
-    c, and the NaN of a non-finite distance), any other selection from
-    `numpy`, the reference, which the kernel matches bit for bit.  A
-    collision's old rows wait in the kernel's scratch and the update is
-    made there, in numpy's summation order.  `constant` rows (delta = beta
-    = 0, no distance that can overflow) are f(c live_a live_b), free of the
-    velocities: they change by exactly 0.0 at a collision, so none are
-    evaluated after the build.
+    `rows` (a method, so the object holds no reference to itself) is the
+    numpy reference.  Where the compiled kernel evaluates f (K - 1 at every
+    delta, any f at delta = 0 by a table of f at the three values K takes
+    there: 0 on a frozen pair, c, and the NaN of a non-finite distance) it
+    matches `rows` bit for bit: `_build` runs one block loop of `kac_rows`
+    into buffers kept for the build, and a collision's old rows wait in
+    the kernel's scratch and the update is made there, in numpy's
+    summation order.  `constant` rows (delta = beta = 0, no distance that
+    can overflow) are f(c live_a live_b), free of the velocities: they
+    change by exactly 0.0 at a collision, so none are evaluated after the
+    build.
 
     With `cost`, the object also carries `cost`, the pair sum of tau(K) B
-    on the same interval, built from the same distance rows; the compiled
-    loop updates both from one distance pass per collision.
+    on the same interval, built from the same distance rows in the same
+    block loop (numpy builds both where either lacks the kernel); the
+    compiled loop updates both from one distance pass per collision.
     """
 
     __slots__ = ("v", "scheme", "k", "beta", "f", "c", "delta", "alive", "constant",
@@ -552,22 +540,23 @@ class _TiltPairSum(_PairSum):
 
     def _build(self, n: int) -> float:
         cost = self.cost
-        if cost is None:
-            return _PairSum._build(self, n)
+        parts = (self,) if cost is None else (self, cost)
         blocks = _blocks(n)
-        if self.lib is None or cost.lib is None:
-            sums = [(float(self.rows(sel).sum()), float(cost.rows(sel).sum())) for sel in blocks]
+        if any(part.lib is None for part in parts):
+            sums = [[float(part.rows(sel).sum()) for part in parts] for sel in blocks]
         else:
             # one distance pass per block feeds both, into buffers kept for the build
-            out, cost_out = np.empty((blocks[0].stop, n)), np.empty((blocks[0].stop, n))
+            outs = [np.empty((min(n, blocks[0].stop), n)) for _ in parts]
+            cost_spec, cost_out = (None, None) if cost is None else (cost.spec, outs[1].ctypes.data)
             sums = []
             for sel in blocks:
                 first, stop, _ = sel.indices(n)
-                self.lib.kac_rows(self.spec, cost.spec, first, stop - first, out.ctypes.data,
-                                  cost_out.ctypes.data)
-                sums.append((float(out[: stop - first].sum()), float(cost_out[: stop - first].sum())))
-        cost.total = sum(b for _, b in sums)
-        return sum(a for a, _ in sums)
+                self.lib.kac_rows(self.spec, cost_spec, first, stop - first, outs[0].ctypes.data,
+                                  cost_out)
+                sums.append([float(out[: stop - first].sum()) for out in outs])
+        if cost is not None:
+            cost.total = sum(s[1] for s in sums)
+        return sum(s[0] for s in sums)
 
     def _describe(self, v, scheme, k, beta, f) -> None:
         self.h, self.cost = None, None
@@ -600,22 +589,12 @@ class _TiltPairSum(_PairSum):
                                        self.scratch.ctypes.data, len(v), v.shape[1], mode,
                                        self.constant, c, delta, beta, *table)
 
-    def numpy(self, rows) -> np.ndarray:
+    def rows(self, rows) -> np.ndarray:
         # factors that are 1 on every pair (nothing frozen, B = 1) are skipped
         alive = self.alive
-        u = _distances(self.v, rows)
+        u = _distances(self.v[rows], self.v)
         fk = self.f(self.scheme.pair_k(self.k, u, True if alive is None else alive[rows, None] & alive))
         return fk * (1.0 + self.beta * u) if self.beta else fk
-
-    def rows(self, rows) -> np.ndarray:
-        # the kernel takes a range of rows, as the build asks for them
-        if self.lib is None or not isinstance(rows, slice) or rows.step not in (None, 1):
-            return self.numpy(rows)
-        n = len(self.v)
-        first, stop, _ = rows.indices(n)
-        out = np.empty((max(0, stop - first), n))
-        self.lib.kac_rows(self.spec, None, first, len(out), out.ctypes.data, None)
-        return out
 
     def pre_collision(self, i: int, j: int):
         if self.constant:

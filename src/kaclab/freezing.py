@@ -368,6 +368,7 @@ class ExperimentReport:
 
 
 def _experiment_one_run(args):
+    """One run of the experiment: its values, keyed by name."""
     run, n, kernel, d, plan, t_max, checkpoint_times, master_seed, cost_pairs_per_interval = args
     reference = ReferenceMeasure(d)
     r_eff = len(plan.t_grid) - 1
@@ -414,7 +415,9 @@ def _experiment_one_run(args):
                                      seed=master_seed + run)
     else:  # the exact cost, integrated during the run
         cost, cost_se = traj.dynamic_cost, 0.0
-    return window, subsystem, unfrozen, total_energy, truncated0, ledger, cost, cost_se, drift
+    return {"window": window, "subsystem": subsystem, "unfrozen": unfrozen,
+            "total_energy": total_energy, "truncated0": truncated0, "ledger": ledger,
+            "cost": cost, "cost_se": cost_se, "drift": drift}
 
 
 def run_experiment(n: int, kernel: Kernel, theta: ThetaSchedule, M: float, r: int,
@@ -438,19 +441,13 @@ def run_experiment(n: int, kernel: Kernel, theta: ThetaSchedule, M: float, r: in
             for run in range(n_runs)]
     results = map_runs(_experiment_one_run, args, threads)
 
-    window = np.stack([res[0] for res in results])
-    subsystem = np.stack([res[1] for res in results])
-    unfrozen = np.stack([res[2] for res in results])
-    total_energy = np.stack([res[3] for res in results])
-    truncated0 = np.stack([res[4] for res in results])
-    ledgers = np.stack([res[5] for res in results])
-    costs = np.array([res[6] for res in results])
-    cost_ses = np.array([res[7] for res in results])
-    drift = max(res[8] for res in results)
+    # each run's values stacked by name, in run order
+    runs = {key: np.array([res[key] for res in results]) for key in results[0]}
+    ledgers = runs["ledger"]
 
-    w_mean, w_se = mean_se(window)
-    s_mean, s_se = mean_se(subsystem)
-    tr_mean, tr_se = mean_se(truncated0)
+    w_mean, w_se = mean_se(runs["window"])
+    s_mean, s_se = mean_se(runs["subsystem"])
+    tr_mean, tr_se = mean_se(runs["truncated0"])
     log_rn = ledgers[:, 0] + ledgers[:, 1] - ledgers[:, 2]
     log_rn = np.where(ledgers[:, 3] > 0.0, -np.inf, log_rn)
     theta_grid_right = np.array([theta.theta_right(t) for t in plan.t_grid])
@@ -467,17 +464,17 @@ def run_experiment(n: int, kernel: Kernel, theta: ThetaSchedule, M: float, r: in
                                        for t in checkpoint_times]),
         window_energy_mean=w_mean, window_energy_se=w_se,
         subsystem_energy_mean=s_mean, subsystem_energy_se=s_se,
-        unfrozen_fraction_mean=unfrozen.mean(axis=0),
-        total_energy_mean=total_energy.mean(axis=0),
-        max_relative_energy_drift=drift,
+        unfrozen_fraction_mean=runs["unfrozen"].mean(axis=0),
+        total_energy_mean=runs["total_energy"].mean(axis=0),
+        max_relative_energy_drift=max(res["drift"] for res in results),
         truncated_initial_energy_mean=tr_mean,
         truncated_initial_energy_se=tr_se,
         theta_right_at_grid=theta_grid_right,
         per_run_log_rn=ledgers,
         per_particle_log_rn=log_rn / n,
         rn_reference_level=reference.z2 * theta.theta_final,
-        dynamic_costs=costs,
-        dynamic_cost_se=cost_ses,
+        dynamic_costs=runs["cost"],
+        dynamic_cost_se=runs["cost_se"],
         dynamic_cost_bound=(4.0 * delta**2 * theta.theta_final * t_max) if delta > 0.0 else math.nan,
         a_bound_curve=np.array([theta.a_bound(t, alpha) for t in checkpoint_times]),
         freeze_plan={

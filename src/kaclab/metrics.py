@@ -110,12 +110,18 @@ def moment(mu: WeightedMeasure, p: float, threshold: float | None = None) -> flo
 
 
 def _distances(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """The dense n1 x n2 distance matrix of the route without the kernel:
-    sums of squares in coordinate order, then sqrt, the bytes of `cdist`."""
+    """The dense n1 x n2 matrix of |p1_a - p2_b|: sums of squares in
+    coordinate order, then sqrt, the bytes of `cdist`.  The transport route
+    without the kernel, and the pair sums' rows as `_distances(v[rows], v)`.
+
+    One coordinate at a time, so each operation runs along n2; an
+    (n1, n2, d) difference array would run its inner loops over d.  Points
+    with no coordinates are all at distance 0.
+    """
     acc = np.zeros((len(p1), len(p2)))
     for k in range(p1.shape[1]):
         acc += (p1[:, k, None] - p2[None, :, k]) ** 2
-    return np.sqrt(acc)
+    return np.sqrt(acc, out=acc)
 
 
 def _lp_route(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:

@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _distances, _PairSum, _TiltPairSum, replay_events, replay_rows
+from .engine import _PairSum, _TiltPairSum, replay_events, replay_rows
 from .girsanov import InitialTilt, TiltingScheme, _tail_law, tau
 from .kinetics import post_collision, sphere_quadrature
-from .metrics import WeightedMeasure
+from .metrics import WeightedMeasure, _distances
 from .reference import ReferenceMeasure
 
 
@@ -265,7 +265,7 @@ def _xi2_pair_sum(v: np.ndarray, g: TestFunctionDescriptor, beta: float) -> _Pai
     def h(rows):
         va = v[rows, None, :]
         acc = sum(wq * (np.exp(g.g(va, v[None, :, :], p)) - 1.0) for p, wq in zip(pts, wts))
-        return acc * (1.0 + beta * _distances(v, rows))
+        return acc * (1.0 + beta * _distances(v[rows], v))
 
     return _PairSum(len(v), h)
 

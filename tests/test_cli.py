@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import kaclab as kl
+from kaclab import _kloop
 from kaclab.cli import main
-from kaclab.config_io import load_trajectory_inputs
+from kaclab.config_io import _parse_sidecar, load_trajectory_inputs
 from kaclab.girsanov import TiltingScheme
 from kaclab.kinetics import Kernel
 from kaclab.rate_function import dynamic_cost
@@ -473,8 +474,10 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("command", ["replay", "rate-eval"])
     @pytest.mark.parametrize("edit", ["drop n", "drop checkpoint_times", "add T", "bad kernel",
-                                      "remove initial_velocities"])
-    def test_malformed_sidecar_config(self, tmp_path, capsys, command, edit):
+                                      "remove initial_velocities", "cut velocity_row",
+                                      "cut velocity_column", "stringify initial_velocities",
+                                      "bool velocity_entry", "huge velocity_entry"])
+    def test_malformed_sidecar_config(self, tmp_path, capsys, monkeypatch, command, edit):
         sidecar, events = self._simulated(tmp_path)
         payload = json.load(open(sidecar))
         verb, key = edit.split()
@@ -484,13 +487,27 @@ class TestMalformedInputs:
             del payload[key]
         elif verb == "add":
             payload["config"][key] = 1.0
-        else:
+        elif verb == "bad":
             payload["config"]["kernel"] = "billiards"
-        _write(sidecar, payload)
+        elif key == "velocity_row":  # N - 1 rows
+            payload["initial_velocities"].pop()
+        elif key == "velocity_column":  # rows of d - 1 numbers
+            for row in payload["initial_velocities"]:
+                row.pop()
+        elif verb == "stringify":  # a string in place of the array
+            payload[key] = json.dumps(payload[key])
+        else:  # a JSON true, or an integer no double holds
+            payload["initial_velocities"][0][0] = True if verb == "bool" else 10 ** 400
+        with open(sidecar, "w") as fh:  # the writer's layout, which the compiled reader reads
+            json.dump(payload, fh, indent=1)
+        if verb == "cut" and _kloop.library() is not None:
+            assert _parse_sidecar(open(sidecar, "rb").read()) is not None
         argv = [command, "--sidecar", sidecar, "--events", events]
         if command == "rate-eval":
             argv += ["--descriptors", _write(tmp_path / "desc.json", {"descriptors": []}),
                      "--out-dir", str(tmp_path)]
+        self._assert_config_error(argv, capsys)
+        monkeypatch.setattr(_kloop, "_lib", None)  # json reads every sidecar
         self._assert_config_error(argv, capsys)
 
     @pytest.mark.parametrize("edit", ["drop m4_mean", "shorten m4_se", "drop d", "drop kernel",

@@ -230,7 +230,9 @@ class TestPersistence:
     def test_replay_reproduces_checkpoints(self, tmp_path):
         traj = self._traj(checkpoint_times=(0.0, 0.4, 0.8))
         paths = save_trajectory(str(tmp_path), traj)
-        _, summaries = replay(paths["sidecar"], paths["events"])
+        sidecar, summaries = replay(paths["sidecar"], paths["events"])
+        # the replay walks a copy: the sidecar keeps the initial velocities
+        assert sidecar["initial_velocities"].tobytes() == traj.initial_state.velocities.tobytes()
         for cp, got in zip(traj.checkpoints, summaries):
             assert got["m2"] == pytest.approx(cp.m2, abs=1e-12)
             assert got["m4"] == pytest.approx(cp.m4, abs=1e-12)
@@ -689,7 +691,10 @@ def _repr_cases(rng, count: int, tries: int) -> np.ndarray:
 
 
 def _with_velocities(traj, velocities):
-    return dataclasses.replace(traj, initial_state=kl.ParticleState(velocities))
+    """traj from other initial velocities, its config's N and d theirs."""
+    state = kl.ParticleState(velocities)
+    config = dataclasses.replace(traj.config, n=state.n, d=state.d)
+    return dataclasses.replace(traj, initial_state=state, config=config)
 
 
 def _first_velocity(token: str, indent: str = "\n   "):
@@ -707,8 +712,10 @@ def _load_outcome(paths):
     `kaclab replay` on them, or the exception it raises."""
     try:
         sidecar, state, log = load_trajectory_inputs(paths["sidecar"], paths["events"])
-        read = (sidecar, state.velocities.dtype.str, state.velocities.shape,
-                state.velocities.tobytes(), log.sigma.tobytes())
+        # the sidecar's velocities by dtype, shape and bytes, the rest of it by ==
+        v = sidecar.pop("initial_velocities")
+        read = (sidecar, v.dtype.str, v.shape, v.tobytes(), state.velocities.tobytes(),
+                log.sigma.tobytes())
     except Exception as exc:  # noqa: BLE001 - the paths must raise alike
         read = type(exc), str(exc)
     try:
@@ -745,9 +752,13 @@ class TestSidecarVelocities:
             raise AssertionError("json.load read a sidecar as the writer writes it")
 
         monkeypatch.setattr(json, "load", fail)
-        sidecar, _, got = _read_sidecar(str(path))
+        sidecar, _, state = _read_sidecar(str(path))
+        got = sidecar.pop("initial_velocities")
+        assert got is state.velocities
         assert got.dtype == np.float64 and got.shape == v.shape and got.tobytes() == v.tobytes()
-        assert sidecar == _sidecar_payload(traj)
+        want = _sidecar_payload(traj)
+        del want["initial_velocities"]
+        assert sidecar == want
 
     EDITS = {
         "as_written": lambda text: text,
@@ -798,9 +809,9 @@ class TestSidecarVelocities:
         if isinstance(read[0], dict):
             with open(path) as fh:
                 sidecar = json.load(fh)
+            v = np.asarray(sidecar.pop("initial_velocities"), dtype=float)
             assert read[0] == sidecar
-            v = np.asarray(sidecar["initial_velocities"], dtype=float)
-            assert read[2:4] == (v.shape, v.tobytes())
+            assert read[1:5] == (v.dtype.str, v.shape, v.tobytes(), v.tobytes())
         if name in ("as_written", "compact", "indented_2", "crlf"):
             assert code == 0 and read[3] == traj.initial_state.velocities.tobytes()
 

@@ -8,8 +8,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # the fast demos: 01 drives the closed m4 law (maxwell_m4_coeffs and
-# maxwell_m4_curve), 04 dynamic_cost(mode="exact") and Xi_2 end to end
-@pytest.mark.parametrize("demo", ["01_equilibrium_and_relaxation.py", "04_rate_function_evaluation.py"])
+# maxwell_m4_curve), 03 the energy-concentration construction of the
+# counterexample (run_experiment with freezing), 04 dynamic_cost(mode="exact")
+# and Xi_2 end to end
+@pytest.mark.parametrize("demo", ["01_equilibrium_and_relaxation.py",
+                                  "03_energy_concentration_experiment.py",
+                                  "04_rate_function_evaluation.py"])
 def test_demo_runs(tmp_path, demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))

@@ -256,7 +256,9 @@ def test_row_kernel_matches_numpy_rows(f, frozen, beta, d):
             pair_sum = _TiltPairSum(v, scheme, 0 if frozen else 1, beta, func)
             assert pair_sum.lib is not None
             for sel in (slice(0, n), slice(n // 2, n + 5), slice(n - 1, None), slice(-1, 0)):
-                assert pair_sum.rows(sel).tobytes() == pair_sum.numpy(sel).tobytes(), (delta, n, sel)
+                first, stop, _ = sel.indices(n)
+                got, _ = _rows_of(pair_sum.lib, pair_sum, first, max(0, stop - first))
+                assert got == pair_sum.rows(sel).tobytes(), (delta, n, sel)
 
 
 @needs_gcc
@@ -478,8 +480,8 @@ def test_baseline_rows_match_dispatched_and_numpy(baseline_lib, f, frozen, beta,
             rows = _rows_of(baseline_lib, pair_sum, first, m)
             assert rows == _rows_of(lib, pair_sum, first, m), (delta, first)
             sel = slice(first, first + m)
-            assert rows[0] == pair_sum.numpy(sel).tobytes()
-            assert rows[1] == (None if cost is None else cost.numpy(sel).tobytes())
+            assert rows[0] == pair_sum.rows(sel).tobytes()
+            assert rows[1] == (None if cost is None else cost.rows(sel).tobytes())
         # a collision's rows and update: (4, 0) crosses the non-finite row,
         # (3, 5) is a frozen pair in interval 0
         for i, j in ((4, 0), (3, 5), (10, 27)):
@@ -487,7 +489,7 @@ def test_baseline_rows_match_dispatched_and_numpy(baseline_lib, f, frozen, beta,
             for each in (baseline_lib, lib):
                 each.kac_pair_rows(pair_sum.spec, i, j)
                 old.append(pair_sum.scratch[: 2 * n].tobytes())
-            want = pair_sum.numpy(np.array([i, j]))
+            want = pair_sum.rows(np.array([i, j]))
             assert old[0] == old[1] == want.tobytes(), (delta, i, j)
             v[i] += 0.25
             v[j] -= 0.5
@@ -495,7 +497,7 @@ def test_baseline_rows_match_dispatched_and_numpy(baseline_lib, f, frozen, beta,
             for each in (baseline_lib, lib):  # the old rows in scratch stay as they are
                 change = each.kac_pair_update(pair_sum.spec, i, j)
                 updates.append((np.float64(change).tobytes(), pair_sum.scratch[2 * n: 4 * n].tobytes()))
-            dh = pair_sum.numpy(np.array([i, j])) - want
+            dh = pair_sum.rows(np.array([i, j])) - want
             change = 2.0 * dh.sum() - dh[0, i] - dh[1, j] - 2.0 * dh[0, j]
             assert updates[0] == updates[1] == (np.float64(change).tobytes(), dh.tobytes()), (delta, i, j)
 
@@ -691,14 +693,14 @@ def test_a_build_without_128_bit_integers_gives_the_python_bytes(tmp_path, monke
             config_io.write_event_csv(str(tmp_path / f"{name}.csv"), log, 3)
             read = config_io.read_event_csv(str(tmp_path / f"{name}.csv"), 30, 1.0)
             config_io.write_sidecar(str(tmp_path / f"{name}.json"), traj)
-            sidecar, _, velocities = config_io._read_sidecar(str(tmp_path / f"{name}.json"))
-            if velocities is None:
-                velocities = np.asarray(sidecar["initial_velocities"], dtype=float)
+            sidecar, _, state = config_io._read_sidecar(str(tmp_path / f"{name}.json"))
+            velocities = sidecar.pop("initial_velocities")
+            assert velocities is state.velocities
             out[name] = ((tmp_path / f"{name}.csv").read_bytes(), read.t.tobytes(),
                          read.sigma.tobytes(), (tmp_path / f"{name}.json").read_bytes(),
-                         sidecar, velocities.tobytes())
+                         sidecar, velocities.dtype.str, velocities.shape, velocities.tobytes())
     assert out["no_int128"] == out["python"]
-    assert out["python"][5] == v.tobytes()
+    assert out["python"][7] == v.tobytes()
     # the CSV and the sidecar's reader run on glibc's conversions; the
     # sidecar's writer declines
     rows = np.empty(len(log) * (25 * 4 + 51), np.uint8)
