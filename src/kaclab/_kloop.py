@@ -29,7 +29,10 @@ therefore unchanged, and the clones' rows are the same bytes.
 `kac_transport` lists the pairs closer than the cap from the points, with
 their distances, straight into its arc arrays, and solves the capped
 transport problem on them exactly by a network simplex, behind every
-`metrics.flux_distance` and `bl_distance`.  Its arithmetic needs no match
+`metrics.flux_distance` and `bl_distance`.  The simplex prices each atom's
+8 nearest listed partners and the abstain arcs first, then certifies the
+result against every listed pair, bringing in any that prices below the
+tolerance and going on until none does.  Its arithmetic needs no match
 with numpy (the distances are scipy's `cdist` bytes, unfused sums in
 coordinate order), so `library()` hands it out wherever the libraries
 load, without the dimension and sum gates.

@@ -35,9 +35,10 @@ enum { DONE = 0, ERR_MEMORY = -7, ERR_PIVOTS = -8, ERR_ARTIFICIAL = -9 };
  * entry is not cloned), the bytes of scipy's cdist and of the numpy column
  * loop `metrics._distances`.  A count pass sizes the one allocation; a fill
  * pass writes the pairs straight into the arc arrays in row-major order, i
- * then j, the order of np.nonzero on the dense matrix.  No n1 x n2 matrix
- * is built.  With no pair closer than the cap there is nothing to solve:
- * *pairs is 0 and the caller has the value, m1 + m2.
+ * then j, the order of np.nonzero on the dense matrix, after the n1 + n2 + 1
+ * abstain arcs.  No n1 x n2 matrix is built.  With no pair closer than the
+ * cap there is nothing to solve: *pairs is 0 and the caller has the value,
+ * m1 + m2.
  *
  * The start is LEMON's: an artificial root joined to every node by an arc
  * that carries the node's supply, cost 0 from a supply node and ART_COST to
@@ -45,21 +46,33 @@ enum { DONE = 0, ERR_MEMORY = -7, ERR_PIVOTS = -8, ERR_ARTIFICIAL = -9 };
  * other potential within 1 of them, so at ART_COST = 3 every artificial arc
  * has a positive reduced cost at that dual and no optimum keeps artificial
  * flow; what is left at the end is rounding, and more than ART_TOL of the
- * mass is an error.  Pricing is block search (blocks of sqrt(arcs)): the
- * most negative reduced cost of the first block that has one below
- * -RC_TOL, an absolute tolerance, since costs are distances of order 1
- * whatever the weights.  The leaving arc is LEMON's strongly feasible rule:
- * of the arcs that block, the last met on the cycle walked from the join in
- * the direction of the flow (strict on the source's path, non-strict on the
- * target's).  The tree is parent pointers and child lists; a pivot re-roots
- * the subtree cut off by the leaving arc at the entering arc and recomputes
- * depth and potential on that subtree alone, each potential from its
- * parent's, so no rounding accumulates over pivots.
+ * mass is an error.
+ *
+ * Pricing sees a prefix of the arcs, the priced arcs (Schmitzer's sparse
+ * scheme, JMIV 2016, on the listed pairs): the abstain arcs and the
+ * candidate pairs, each atom's NEAR nearest listed partners on either side
+ * (ties by arc order), swapped to the front of the pairs.  It is block
+ * search (blocks of sqrt(priced arcs)): the most negative reduced cost of
+ * the first block that has one below -RC_TOL, an absolute tolerance, since
+ * costs are distances of order 1 whatever the weights.  When no priced arc
+ * is below -RC_TOL, one pass prices every other pair at the same
+ * potentials and swaps each below -RC_TOL into the priced arcs, and the
+ * simplex goes on from the tree it has; those pairs have never been in the
+ * tree, so no tree arc moves.  A pass that adds nothing is the certificate:
+ * every listed arc then has reduced cost at least -RC_TOL, the optimality
+ * condition of the whole network.  The leaving arc is LEMON's strongly
+ * feasible rule: of the arcs that block, the last met on the cycle walked
+ * from the join in the direction of the flow (strict on the source's path,
+ * non-strict on the target's).  The tree is parent pointers and child
+ * lists; a pivot re-roots the subtree cut off by the leaving arc at the
+ * entering arc and recomputes depth and potential on that subtree alone,
+ * each potential from its parent's, so no rounding accumulates over pivots.
  */
 
 #define ART_COST 3.0
 #define RC_TOL 1e-11
 #define ART_TOL 1e-9
+#define NEAR 8 /* the candidate partners of an atom */
 
 enum { UP = 1, DOWN = -1 }; /* a tree arc points from a node to its parent, or back */
 
@@ -184,6 +197,82 @@ static double pair_cost(const double *a, const double *b, int64_t k)
     return sqrt(s);
 }
 
+/* offer pair arc e of cost c to an atom's list of its NEAR nearest arcs so
+ * far, nearest first (arc numbers in near, costs in cost, *worst the cost
+ * of the last once the list is full, INFINITY before); an arc that ties
+ * the last stays out, so ties go by arc order */
+static void offer(int32_t *near, double *cost, double *worst, int32_t e, double c)
+{
+    if (!(c < *worst))
+        return;
+    int32_t at = NEAR - 1;
+    for (; at > 0 && !(cost[at - 1] <= c); at--) {
+        near[at] = near[at - 1];
+        cost[at] = cost[at - 1];
+    }
+    near[at] = e;
+    cost[at] = c;
+    *worst = cost[NEAR - 1];
+}
+
+/* arcs a and b of the tree trade places; neither may be a tree arc */
+static void swap_arcs(struct tree *t, int64_t a, int64_t b)
+{
+    int32_t s = t->src[a], g = t->tgt[a];
+    double c = t->cost[a];
+    int8_t l = t->lower[a];
+    t->src[a] = t->src[b];
+    t->tgt[a] = t->tgt[b];
+    t->cost[a] = t->cost[b];
+    t->lower[a] = t->lower[b];
+    t->src[b] = s;
+    t->tgt[b] = g;
+    t->cost[b] = c;
+    t->lower[b] = l;
+}
+
+/* the block size of pricing over n arcs: sqrt(n), at least 10 */
+static int64_t block_of(int64_t n)
+{
+    int64_t b = (int64_t)sqrt((double)n);
+    return b < 10 ? 10 : b;
+}
+
+/* the candidate pairs to the front of the pair arcs [first, m): each
+ * atom's NEAR nearest on either side, marked in lower on the way; the end
+ * of the candidates, or -1 where memory runs out */
+static int64_t gather_candidates(struct tree *t, int64_t n1, int64_t n2, int64_t first, int64_t m)
+{
+    int64_t atoms = n1 + n2;
+    char *scratch = malloc(atoms * (NEAR * (sizeof(int32_t) + sizeof(double)) + sizeof(double)));
+    if (!scratch)
+        return -1;
+    double *cost = (double *)scratch, *worst = cost + atoms * NEAR;
+    int32_t *near = (int32_t *)(worst + atoms);
+    for (int64_t r = 0; r < atoms * NEAR; r++) {
+        near[r] = -1;
+        cost[r] = INFINITY;
+    }
+    for (int64_t a = 0; a < atoms; a++)
+        worst[a] = INFINITY;
+    for (int64_t e = first; e < m; e++) {
+        int64_t i = t->src[e], j = t->tgt[e];
+        double c = t->cost[e];
+        offer(near + i * NEAR, cost + i * NEAR, worst + i, (int32_t)e, c);
+        offer(near + j * NEAR, cost + j * NEAR, worst + j, (int32_t)e, c);
+    }
+    memset(t->lower + first, 0, m - first);
+    for (int64_t r = 0; r < atoms * NEAR; r++)
+        if (near[r] >= 0)
+            t->lower[near[r]] = 1;
+    free(scratch);
+    int64_t end = first;
+    for (int64_t e = first; e < m; e++)
+        if (t->lower[e])
+            swap_arcs(t, e, end++);
+    return end;
+}
+
 /* the distance between mu and nu into *value, the count of pairs closer
  * than the cap into *pairs and the pivot count into *pivots; DONE,
  * ERR_MEMORY, ERR_PIVOTS (more than pivots_per_arc pivots an arc) or
@@ -199,7 +288,7 @@ int kac_transport(const double *p1, const double *w1, int64_t n1,
     *pairs = np;
     if (np == 0)
         return DONE;
-    int64_t nn = n1 + n2 + 2, m = np + n1 + n2 + 1, arcs = m + nn;
+    int64_t nn = n1 + n2 + 2, na = n1 + n2 + 1, m = na + np, arcs = m + nn;
     if (arcs >= INT32_MAX)
         return ERR_MEMORY;
     int32_t R = (int32_t)(n1 + n2), C = R + 1, root = C + 1;
@@ -216,10 +305,27 @@ int kac_transport(const double *p1, const double *w1, int64_t n1,
     TAKE(first, nn + 1); TAKE(next, nn + 1); TAKE(prev, nn + 1);
     TAKE(lower, arcs); TAKE(dir, nn + 1);
 #undef TAKE
-    /* every pair is written, and the next overwrites it unless this one
-     * counts, so the loop has no branch on the cap; the last pair's spare
-     * slot is the first abstain arc's, written below */
-    for (int64_t i = 0, e = 0; i < n1; i++)
+    /* the abstain arcs first, then the pairs: every pair is written, and
+     * the next overwrites it unless this one counts, so the loop has no
+     * branch on the cap; the last pair's spare slot is the first
+     * artificial arc's, written below */
+    double m1 = 0.0, m2 = 0.0;
+    for (int64_t i = 0; i < n1; i++) {
+        t.src[i] = (int32_t)i;
+        t.tgt[i] = R;
+        t.cost[i] = 1.0;
+        m1 += w1[i];
+    }
+    for (int64_t j = 0; j < n2; j++) {
+        t.src[n1 + j] = C;
+        t.tgt[n1 + j] = (int32_t)(n1 + j);
+        t.cost[n1 + j] = 1.0;
+        m2 += w2[j];
+    }
+    t.src[na - 1] = C;
+    t.tgt[na - 1] = R;
+    t.cost[na - 1] = 0.0;
+    for (int64_t i = 0, e = na; i < n1; i++)
         for (int64_t j = 0; j < n2; j++) {
             double dist = pair_cost(p1 + i * k, p2 + j * k, k);
             t.src[e] = (int32_t)i;
@@ -227,22 +333,11 @@ int kac_transport(const double *p1, const double *w1, int64_t n1,
             t.cost[e] = dist;
             e += dist < cap;
         }
-    double m1 = 0.0, m2 = 0.0;
-    for (int64_t i = 0; i < n1; i++) {
-        t.src[np + i] = (int32_t)i;
-        t.tgt[np + i] = R;
-        t.cost[np + i] = 1.0;
-        m1 += w1[i];
+    int64_t priced = gather_candidates(&t, n1, n2, na, m);
+    if (priced < 0) {
+        free(block);
+        return ERR_MEMORY;
     }
-    for (int64_t j = 0; j < n2; j++) {
-        t.src[np + n1 + j] = C;
-        t.tgt[np + n1 + j] = (int32_t)(n1 + j);
-        t.cost[np + n1 + j] = 1.0;
-        m2 += w2[j];
-    }
-    t.src[m - 1] = C;
-    t.tgt[m - 1] = R;
-    t.cost[m - 1] = 0.0;
     for (int64_t e = 0; e < m; e++) {
         t.flow[e] = 0.0;
         t.lower[e] = 1;
@@ -267,23 +362,21 @@ int kac_transport(const double *p1, const double *w1, int64_t n1,
         t.pi[u] = t.cost[e];
         link_child(&t, u, root);
     }
-    int64_t block_size = (int64_t)sqrt((double)m), next = 0, count = 0;
+    int64_t block_size = block_of(priced), next = 0, count = 0;
     int64_t max_pivots = pivots_per_arc * m;
-    if (block_size < 10)
-        block_size = 10;
     int status = DONE;
     for (;;) {
-        /* block search: the most negative reduced cost of the first block
-         * that has one below -RC_TOL */
+        /* block search over the priced arcs [0, priced): the most negative
+         * reduced cost of the first block that has one below -RC_TOL */
         double best = -RC_TOL;
         int64_t in = -1, left = block_size, e = next;
-        for (int64_t k = 0; k < m; k++) {
+        for (int64_t k = 0; k < priced; k++) {
             double rc = t.lower[e] * (t.cost[e] + t.pi[t.src[e]] - t.pi[t.tgt[e]]);
             if (rc < best) {
                 best = rc;
                 in = e;
             }
-            if (++e == m)
+            if (++e == priced)
                 e = 0;
             if (--left == 0) {
                 if (in >= 0)
@@ -291,8 +384,19 @@ int kac_transport(const double *p1, const double *w1, int64_t n1,
                 left = block_size;
             }
         }
-        if (in < 0)
-            break;
+        if (in < 0) {
+            /* the certificate: price the pairs never priced, and bring every
+             * one below -RC_TOL into the priced arcs (none has been in the
+             * tree, so they trade places freely); none, and all is priced */
+            int64_t was = priced;
+            for (e = priced; e < m; e++)
+                if (t.cost[e] + t.pi[t.src[e]] - t.pi[t.tgt[e]] < -RC_TOL)
+                    swap_arcs(&t, e, priced++);
+            if (priced == was)
+                break;
+            block_size = block_of(priced);
+            continue;
+        }
         next = e;
         if (++count > max_pivots || pivot(&t, (int32_t)in) != 0) {
             status = ERR_PIVOTS;

@@ -130,7 +130,7 @@ def _descriptor(d: dict | None) -> TestFunctionDescriptor | None:
         return None
     try:
         return TestFunctionDescriptor(**d)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"test function descriptor {d!r}: {exc}") from exc
 
 

@@ -15,9 +15,12 @@ There is one route, whatever the weights, and a fallback:
 * wherever the compiled kernel loads, one call of `kac_transport` in
   `_ktools.c` lists the pairs closer than the cap from the points, with their
   distances, straight into its arc arrays (O(pairs) memory, no copy), and
-  solves the network by a network simplex: it ends on a basic solution whose
-  reduced costs are all nonnegative, an exact optimum up to a 1e-11 pricing
-  tolerance on costs of order 1.  No scipy module is loaded;
+  solves the network by a network simplex.  It prices each atom's 8 nearest
+  listed partners and the abstain arcs until none is left to enter, then
+  prices every other listed pair once at those potentials, brings in the
+  violators and goes on; a pass that brings in none certifies the basic
+  solution: every reduced cost is nonnegative, an exact optimum up to a
+  1e-11 pricing tolerance on costs of order 1.  No scipy module is loaded;
 * without the kernel, a sparse LP (HiGHS, interior point with crossover) on
   the same pairs, taken from a dense distance matrix.  It stops within its
   1e-7 optimality tolerance and misses the optimum by 1.6e-10 to 7.0e-10

@@ -69,6 +69,13 @@ class TestFunctionDescriptor:
     b_kind: str = "energy"
     sigma_coupling: float = 0.0
 
+    def __post_init__(self):
+        spatial = self.b_kind if self.kind == "product" else self.kind
+        if (spatial == "radial_bump" or self.kind == "flux_test") and not self.radius > 0.0:
+            raise ValueError(f"radius = {self.radius}: a bump needs a radius above 0")
+        if self.kind == "product" and self.a_kind == "poly" and self.a_param < 0.0:
+            raise ValueError(f"a_param = {self.a_param}: t^k is undefined at t = 0 for k < 0")
+
     # ---- spatial part -------------------------------------------------
 
     def _b(self, v: np.ndarray, kind: str | None = None) -> np.ndarray:
@@ -78,6 +85,8 @@ class TestFunctionDescriptor:
         if kind == "constant":
             return self.coeff * np.ones_like(s)
         if kind == "coordinate":
+            if not 0 <= self.axis < v.shape[-1]:
+                raise ValueError(f"axis = {self.axis}: R^{v.shape[-1]} has axes 0 to {v.shape[-1] - 1}")
             return self.coeff * v[..., self.axis]
         if kind == "energy":
             return self.coeff * s
@@ -119,13 +128,21 @@ class TestFunctionDescriptor:
     # ---- time modulation ----------------------------------------------
 
     def a_of_t(self, t: float) -> float:
+        return float(self.a_of_times(np.array([t], dtype=float))[0])
+
+    def a_of_times(self, times: np.ndarray) -> np.ndarray:
+        """a at each of an array of times, by the scalar libm call per time
+        (math.sin, float **): numpy's sin and power are not promised to give
+        libm's bits."""
         if self.kind != "product":
-            return 1.0
+            return np.ones(len(times))
         if self.a_kind == "sin":
-            return math.sin(self.a_param * t)
-        if self.a_kind == "poly":
-            return t**self.a_param
-        raise ValueError(f"unknown time kind {self.a_kind!r}")
+            values = map(math.sin, (self.a_param * times).tolist())
+        elif self.a_kind == "poly":
+            values = (t**self.a_param for t in times.tolist())
+        else:
+            raise ValueError(f"unknown time kind {self.a_kind!r}")
+        return np.fromiter(values, float, len(times))
 
     def delta_b(self, v: np.ndarray, v_star: np.ndarray, sigma: np.ndarray) -> float:
         """Collisional increment of the spatial part, via the collision map."""
@@ -302,32 +319,28 @@ def _xi1(trajectory, f: TestFunctionDescriptor) -> float:
     """<f_T, mu_T> - int <d_s f, mu_s> ds - int Delta f dw for f = a(t) b(v).
 
     The mean of b moves by db / N at each collision, db the change of b over
-    its two particles; the time integral runs span by span between rows.
+    its two particles; the time integral runs span by span between rows,
+    with a span term only where the span is longer than 0.  Array
+    arithmetic in the order of a walk over the rows: each sum is an
+    `np.add.accumulate`, which adds left to right (np.sum adds pairwise).
     """
     n = trajectory.initial_state.n
-    t_max = trajectory.config.t_max
     log = trajectory.log
     v = trajectory.initial_state.velocities.copy()
     b_kind = f.b_kind if f.kind == "product" else f.kind
-    b_mean = float(np.mean(f._b(v, b_kind)))
+    b_mean0 = float(np.mean(f._b(v, b_kind)))
     b = f._b(replay_rows(v, log, pairs=True), b_kind)  # (m, 4): before i, j; after i, j
-    db = iter((((b[:, 2] + b[:, 3]) - b[:, 0]) - b[:, 1]).tolist())
-    time_integral = 0.0
-    event_sum = 0.0
-    t0, a0 = 0.0, f.a_of_t(0.0)
-    for t1, fict in zip(log.t.tolist(), log.fictitious.tolist()):
-        a1 = f.a_of_t(t1)
-        if t1 - t0 > 0.0:
-            time_integral += (a1 - a0) * b_mean
-        t0, a0 = t1, a1
-        if not fict:
-            d = next(db)
-            event_sum += a1 * d / n
-            b_mean += d / n
-    a1 = f.a_of_t(t_max)
-    if t_max - t0 > 0.0:
-        time_integral += (a1 - a0) * b_mean
-    return a1 * b_mean - time_integral - event_sum
+    db = ((b[:, 2] + b[:, 3]) - b[:, 0]) - b[:, 1]
+    live = ~log.fictitious
+    times = np.append(log.t, trajectory.config.t_max)  # the end of each span
+    a = f.a_of_times(times)
+    b_mean = np.add.accumulate(np.concatenate(([b_mean0], db / n)))  # after each collision
+    collisions = np.concatenate(([0], np.cumsum(live)))  # before each row, and at t_max
+    span = np.diff(times, prepend=0.0) > 0.0
+    spans = np.diff(a, prepend=f.a_of_t(0.0))[span] * b_mean[collisions[span]]
+    time_integral = np.add.accumulate(np.concatenate(([0.0], spans)))[-1]
+    event_sum = np.add.accumulate(np.concatenate(([0.0], a[:-1][live] * db / n)))[-1]
+    return float(a[-1] * b_mean[-1] - time_integral - event_sum)
 
 
 def _xi2(trajectory, g: TestFunctionDescriptor) -> float:

@@ -447,6 +447,13 @@ class TestMalformedInputs:
         {"descriptors": [{"phi": {"kind": "energy", "coef": 0.2}}]},
         [{"descriptors": []}],
         {"descriptors": ["energy"]},
+        {"descriptors": [{"f": {"kind": "product", "a_kind": "poly", "a_param": -1}}]},
+        {"descriptors": [{"phi": {"kind": "coordinate", "axis": 3}}]},
+        {"descriptors": [{"f": {"kind": "product", "b_kind": "coordinate", "axis": 3}}]},
+        {"descriptors": [{"f": {"kind": "product", "b_kind": "coordinate", "axis": -1}}]},
+        {"descriptors": [{"phi": {"kind": "radial_bump", "radius": 0}}]},
+        {"descriptors": [{"f": {"kind": "product", "b_kind": "radial_bump", "radius": 0}}]},
+        {"descriptors": [{"g": {"kind": "flux_test", "radius": 0}}]},
     ])
     def test_rate_eval_malformed_descriptors(self, tmp_path, capsys, spec):
         sidecar, events = self._simulated(tmp_path)

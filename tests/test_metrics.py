@@ -480,6 +480,36 @@ class TestNetworkSimplex:
         want = assignment_oracle(cost, unit)
         assert bl_distance(mu, nu, support_cap=1000, subsample_seed=3) == pytest.approx(want, rel=1e-12)
 
+    def test_optimum_on_a_pair_no_atom_lists_near(self):
+        # the kernel first prices each atom's 8 nearest partners; the pair
+        # (A, 0) is on neither list, as 30 decoys of tiny weight sit nearer to
+        # each end, yet the optimum moves A's unit to 0 at cost 0.5 rather
+        # than destroy and create it at cost 2
+        rng = np.random.default_rng(54)
+        p1 = np.concatenate([[0.5], rng.uniform(-0.05, 0.05, 30)])[:, None]  # A, then decoys
+        p2 = np.concatenate([[0.0], 0.5 + rng.uniform(-0.05, 0.05, 30)])[:, None]
+        w1 = np.concatenate([[1.0], np.full(30, 1e-3)])
+        w2 = np.concatenate([[1.0], np.full(30, 1e-3)])
+        cost = metrics._distances(p1, p2)
+        assert np.sum(cost[0] < cost[0, 0]) >= 30 and np.sum(cost[:, 0] < cost[0, 0]) >= 30
+        got = _agree(p1, w1, p2, w2)
+        assert got < 0.5 + 0.1  # moved, not destroyed: that would cost about 2
+
+    @pytest.mark.parametrize("d", [3, 10])
+    def test_log_pipeline_sized_problems(self, d):
+        # 500 atoms a side, as log_pipeline's subsamples: the velocities' bl
+        # in R^3 with equal units against the exact assignment, and the
+        # flux's in R^10 with unequal masses against HiGHS
+        rng = np.random.default_rng(60 + d)
+        p1, p2 = rng.normal(size=(500, d)) * 0.6, rng.normal(size=(500, d)) * 0.7 + 0.1
+        if d == 3:
+            unit = 1.0 / 500
+            got = metrics._simplex_route(_kloop.library(), p1, np.full(500, unit),
+                                         p2, np.full(500, unit))
+            assert got == pytest.approx(assignment_oracle(cdist(p1, p2), unit), rel=1e-12)
+        else:
+            _agree(p1, rng.random(500) / 500, p2, rng.random(500) / 400)
+
     def test_unequal_masses(self):
         rng = np.random.default_rng(51)
         for scale in (0.1, 3.0, 40.0):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import kaclab as kl
-from kaclab.engine import ParticleState, replay_events
+from kaclab.engine import EventLog, ParticleState, replay_events
 from kaclab.girsanov import InitialTilt, TiltingScheme
 from kaclab.kinetics import Kernel, post_collision
 from kaclab.metrics import WeightedMeasure
@@ -216,6 +217,40 @@ class TestXiFunctionals:
                                            b_kind=b_kind, radius=1.5, axis=1)
                 _, xi1, _ = xi_functionals(traj, None, f, None, REF)
                 assert xi1 == self._xi1_by_collision_map(traj, f), (a_kind, b_kind)
+
+    @staticmethod
+    def _edited_log(log, t_max, edit):
+        t, fict = log.t.copy(), log.fictitious.copy()
+        keep = slice(None)
+        if edit == "no rows":
+            keep = slice(0, 0)
+        elif edit == "fictitious only":
+            fict[:] = True
+        elif edit == "rows sharing times":
+            t = np.floor(t * 8.0) / 8.0  # nondecreasing, several rows at each time
+            t[:3] = 0.0
+        elif edit == "last row at t_max":
+            t[-1] = t_max
+        return EventLog(t[keep], log.i[keep], log.j[keep], log.sigma[keep],
+                        log.assignment[keep], fict[keep], log.n_particles, log.horizon)
+
+    @pytest.mark.parametrize("edit", ["no rows", "fictitious only", "rows sharing times",
+                                      "last row at t_max"])
+    def test_xi1_edge_logs_bit_identical_to_collision_map_walk(self, edit):
+        traj = self._trajectory(n=20, t_max=0.9, seed=5, kernel=Kernel.MAXWELL)
+        traj = dataclasses.replace(traj, log=self._edited_log(traj.log, 0.9, edit))
+        log = traj.log
+        assert (len(log) == 0) == (edit == "no rows")
+        assert bool(log.fictitious.all()) == (edit in ("no rows", "fictitious only"))
+        assert (len(np.unique(log.t)) < len(log)) == (edit == "rows sharing times")
+        assert (len(log) > 0 and log.t[-1] == 0.9) == (edit == "last row at t_max")
+        for a_kind in ("sin", "poly"):
+            for b_kind in ("constant", "coordinate", "energy", "radial_bump"):
+                f = TestFunctionDescriptor(kind="product", coeff=0.7, a_kind=a_kind, a_param=2.3,
+                                           b_kind=b_kind, radius=1.5, axis=2)
+                _, xi1, _ = xi_functionals(traj, None, f, None, REF)
+                want = self._xi1_by_collision_map(traj, f)
+                assert np.float64(xi1).tobytes() == np.float64(want).tobytes(), (a_kind, b_kind)
 
     def test_variational_lower_bound(self):
         # Xi_0 + Xi_1 + Xi_2 <= H + J + statistical slack for a tilted run
