@@ -4,8 +4,8 @@
  * kac_run is `_Engine.propose` repeated up to the end of a segment, tracked
  * or not: given a ledger it also keeps its pair sum, unless the rows are
  * constant, and settles the compensator and jump terms; given a cost it
- * keeps the pair sum of tau(K) B from the same distance rows and
- * integrates the dynamic cost over the spans between events.
+ * keeps the pair sum of tau(K) B from the same distances and integrates
+ * the dynamic cost over the spans between events.
  * It works in place on the engine's own arrays (velocities, speeds,
  * Fenwick tree and weights, draw buffers, event columns) and does every
  * operation of the Python loop in its order, so event logs, states and
@@ -18,8 +18,9 @@
  *   - an empty draw buffer is refilled through the callback at exactly the
  *     draw where the Python loop refills it.
  * kac_rows evaluates the rows f(K) B of `engine._TiltPairSum` in the order
- * of `engine._distances` and `TiltingScheme.pair_k`; kac_pair_rows and
- * kac_pair_update are `_PairSum.pre_collision` and `post_collision` on them.
+ * of `metrics._distances` and `TiltingScheme.pair_k`, and sums them block
+ * by block; kac_pair_rows and kac_pair_update are `_PairSum.pre_collision`
+ * and `post_collision` on them.
  * kac_replay applies a range of rows of an event log to the velocities with
  * kac_run's collision arithmetic, so a replayed state is the simulated one
  * to the bit; it is `engine.replay_rows`, the walk of a log that keeps no
@@ -32,16 +33,28 @@
  * own, so that an edit there leaves this library's bytes, and its code's
  * addresses, as they are.
  *
- * The rows are nearly all of a tracked run.  kac_rows and collision_rows,
- * the one entry of a collision's rows (kac_run, kac_pair_rows and
- * kac_pair_update call it), are cloned on x86-64 with glibc: built for
+ * The rows are nearly all of a tracked run, and each element of a row is
+ * made once, in registers, straight from the velocities: no distance row
+ * and no old row is stored or read back.  A build writes f(K) B in one
+ * pass per row and sums each block of rows in C.  A collision saves the
+ * pair's velocities before it (kac_pair_rows, or kac_run itself), and
+ * after it one pass per particle a of the pair writes dh = h(new) - h(old)
+ * for every b, from |v_a^new - v_b| and |v_a^old - v_b|; at b in {i, j}
+ * that pass reads the new v_b, so those four entries are made again from
+ * the saved and the new velocities.  h(new) - h(old) is the old two-phase
+ * update's new - (old - +0.0) to the bit.  A pair's scratch holds dh of
+ * its two rows (2n doubles), then its two velocities (2d).
+ *
+ * kac_rows and collision_rows, the one entry of a collision's rows (kac_run
+ * and kac_pair_update call it), are cloned on x86-64 with glibc: built for
  * x86-64-v4 (AVX-512) and for baseline x86-64, with the helpers they call
  * inlined into each.  The loader picks the clone when the library is
  * loaded, so the build key (source and compile command) is unchanged.  The
- * clones are bit-identical: the row loops have no branch, and each lane
- * does the scalar loop's correctly rounded sub, mul, add and sqrt in its
- * order, unfused.  -DKAC_NO_CLONES builds the baseline version alone, as
- * on every other host.
+ * clones are bit-identical: at d = 3 the row loops have no branch, and
+ * each lane does the scalar loop's correctly rounded sub, mul, add and
+ * sqrt in its order, unfused.  Any other d runs the same loop body with d
+ * and the row's shape read at run time.  -DKAC_NO_CLONES builds the
+ * baseline version alone, as on every other host.
  */
 
 #include <math.h>
@@ -68,8 +81,8 @@ enum { F_K_MINUS_1, F_K_TABLE };
 struct rowspec {
     const double *V;    /* (n, d) velocities in C order */
     const double *live; /* 1.0 outside the frozen set, 0.0 in it; all 1.0 when none is */
-    const double *zero; /* n doubles of +0.0: the old row of a row that has none */
-    double *scratch;    /* 6n doubles: the old rows of a pair, dh, distance rows */
+    double *scratch;    /* 2n + 2d doubles: dh of a pair's two rows, then the pair's
+                         * velocities before the collision */
     int64_t n, d, f;
     int64_t constant;   /* the rows never change: one value, or at beta = delta = 0
                          * the two values f(0) on frozen pairs and f(c) elsewhere */
@@ -130,136 +143,156 @@ double kac_sum(const double *a, int64_t n)
     return 0.0 + pairwise(a, n);
 }
 
-/* o[b] = |v_a - v_b|, coordinate by coordinate as `engine._distances`, for
- * a constant d */
-INLINE void distances(const double *restrict V, int64_t n, int64_t d, int64_t a,
-                      double *restrict o)
+/* |v_b - v_a|: the sum of squares in coordinate order, unfused, then sqrt,
+ * as `metrics._distances` */
+INLINE double dist(const double *va, const double *vb, int64_t d)
 {
-    const double *va = V + a * d;
+    double t = vb[0] - va[0], s = t * t;
+    for (int64_t q = 1; q < d; q++) {
+        t = vb[q] - va[q];
+        s += t * t;
+    }
+    return sqrt(s);
+}
+
+/* the pair functions of a pass: the spec's K, B and f, the cost's table,
+ * and the shape, which selects the copy of the row loop (a spec with a
+ * cost holds the ledger's K - 1 rows) */
+struct pairfn {
+    double c, delta, beta, f0, fc, fnan, g0, gc, gnan;
+    int table, scaled, with_cost;
+};
+
+INLINE struct pairfn pairfn_of(const struct rowspec *sp, const struct rowspec *cost)
+{
+    struct pairfn k = {sp->c, sp->delta, sp->beta, sp->f0, sp->fc, sp->fnan, 0.0, 0.0, 0.0,
+                       sp->f == F_K_TABLE, sp->beta != 0.0, cost != 0};
+    if (cost) {
+        k.g0 = cost->f0;
+        k.gc = cost->fc;
+        k.gnan = cost->fnan;
+    }
+    return k;
+}
+
+/* h = f(K) B of one pair at distance u with live product l (live_a live_b):
+ * K = c (1 + delta u) l, f a table or K - 1, B = 1 unless scaled; with a
+ * cost also *g = tau(K) B from the same K and B, by the cost's table.  The
+ * one copy of the element arithmetic, in `_TiltPairSum.rows`' order */
+INLINE double pair_h(const struct pairfn *k, double u, double l, double *g, const int table,
+                     const int scaled, const int with_cost)
+{
+    double kk = k->c * (1.0 + k->delta * u);
+    kk = kk * l;
+    double fk = table ? (kk == 0.0 ? k->f0 : kk == k->c ? k->fc : k->fnan) : kk - 1.0;
+    double b = scaled ? 1.0 + k->beta * u : 1.0;
+    if (with_cost) {
+        double gk = kk == 0.0 ? k->g0 : kk == k->c ? k->gc : k->gnan;
+        *g = scaled ? gk * b : gk;
+    }
+    return scaled ? fk * b : fk;
+}
+
+/* one pass over the row of a: o[b] = h(a, b), and with a cost cost_o[b] =
+ * g(a, b); after a collision (post), with old a's velocity before it, the
+ * change h(new) - h(old) instead, each from v_b as it is in V.  No branch
+ * in the loop where the flags are constants: live is a row of 1.0 when
+ * nothing is frozen (k * (1.0 * 1.0) == k) */
+INLINE void row_pass(const struct rowspec *sp, const struct pairfn *kp, int64_t a,
+                     const double *restrict old, double *restrict o, double *restrict cost_o,
+                     const int64_t d, const int table, const int scaled, const int with_cost,
+                     const int post)
+{
+    const struct pairfn k = *kp;
+    const double *restrict V = sp->V, *restrict live = sp->live;
+    const int64_t n = sp->n;
+    const double *va = V + a * d, la = live[a];
     for (int64_t b = 0; b < n; b++) {
         const double *vb = V + b * d;
-        double t = vb[0] - va[0], s = t * t;
-        for (int64_t q = 1; q < d; q++) {
-            t = vb[q] - va[q];
-            s += t * t;
+        const double l = la * live[b];
+        double g = 0.0, g0 = 0.0;
+        double h = pair_h(&k, dist(va, vb, d), l, &g, table, scaled, with_cost);
+        if (post) {
+            h -= pair_h(&k, dist(old, vb, d), l, &g0, table, scaled, with_cost);
+            g -= g0;
         }
-        o[b] = sqrt(s);
+        o[b] = h;
+        if (with_cost)
+            cost_o[b] = g;
     }
 }
 
-/* the distance row of a into o: one pass at d = 3; at any other d a pass
- * per coordinate, in the same order, so no loop has an inner loop */
-INLINE void dist_row(const struct rowspec *sp, int64_t a, double *restrict o)
+/* row_pass for the shape of k: the ledger's K - 1 with the cost's table,
+ * or sp's f alone, each with B or without, at d = 3 as constants; at any
+ * other d the same pass with the shape read at each pair */
+INLINE void row(const struct rowspec *sp, const struct pairfn *k, int64_t a, const double *old,
+                double *o, double *cost_o, const int post)
 {
-    const double *restrict V = sp->V;
-    const int64_t n = sp->n, d = sp->d;
-    if (d == 3) {
-        distances(V, n, 3, a, o);
-        return;
-    }
-    const double *va = V + a * d;
-    for (int64_t b = 0; b < n; b++) {
-        double t = V[b * d] - va[0];
-        o[b] = t * t;
-    }
-    for (int64_t q = 1; q < d; q++)
-        for (int64_t b = 0; b < n; b++) {
-            double t = V[b * d + q] - va[q];
-            o[b] += t * t;
-        }
-    for (int64_t b = 0; b < n; b++)
-        o[b] = sqrt(o[b]);
+    const int table = k->table, scaled = k->scaled, with_cost = k->with_cost;
+    if (sp->d != 3)
+        row_pass(sp, k, a, old, o, cost_o, sp->d, table, scaled, with_cost, post);
+    else if (with_cost && scaled)
+        row_pass(sp, k, a, old, o, cost_o, 3, 0, 1, 1, post);
+    else if (with_cost)
+        row_pass(sp, k, a, old, o, cost_o, 3, 0, 0, 1, post);
+    else if (!table && scaled)
+        row_pass(sp, k, a, old, o, 0, 3, 0, 1, 0, post);
+    else if (!table)
+        row_pass(sp, k, a, old, o, 0, 3, 0, 0, 0, post);
+    else if (scaled)
+        row_pass(sp, k, a, old, o, 0, 3, 1, 1, 0, post);
+    else
+        row_pass(sp, k, a, old, o, 0, 3, 1, 0, 0, post);
 }
 
-/* o[b] = f(K_ab) B_ab - old[b] from the distance row u[b] = |v_a - v_b|,
- * f a table or K - 1 and B = 1 unless scaled; with a cost, whose K and B
- * are this spec's, also cost_o[b] = tau(K_ab) B_ab - cost_old[b] from the
- * same K and B, by the cost's table.  Every load is unconditional, so the
- * loop has no branch and vectorises: live is a row of 1.0 when nothing is
- * frozen (k * (1.0 * 1.0) == k) and a missing old row is zero (x - +0.0
- * == x for every double, -0.0 and NaN too) */
-INLINE void map_loop(const struct rowspec *sp, const struct rowspec *cost, int64_t a,
-                     const double *restrict u, double *restrict o, double *restrict cost_o,
-                     const double *restrict old, const double *restrict cost_old,
-                     const int table, const int scaled)
+/* every row, in blocks of m rows written into out, (m, n) in C order, and
+ * each block summed as numpy sums it (kac_sum over the block) into
+ * sums[2 k]; with a cost (sp then holds the ledger's K - 1 rows) the
+ * cost's rows from the same distances into cost_out, and their sum into
+ * sums[2 k + 1] (0.0 without) */
+CLONED void kac_rows(const struct rowspec *sp, const struct rowspec *cost, int64_t m,
+                     double *out, double *cost_out, double *sums)
 {
     const int64_t n = sp->n;
-    const double c = sp->c, delta = sp->delta, beta = sp->beta;
-    const double f0 = sp->f0, fc = sp->fc, fnan = sp->fnan;
-    const double g0 = cost ? cost->f0 : 0.0, gc = cost ? cost->fc : 0.0;
-    const double gnan = cost ? cost->fnan : 0.0;
-    const double *restrict live = sp->live;
-    const double la = live[a];
-    for (int64_t b = 0; b < n; b++) {
-        double ub = u[b];
-        double k = c * (1.0 + delta * ub);
-        k = k * (la * live[b]);
-        double fk = table ? (k == 0.0 ? f0 : k == c ? fc : fnan) : k - 1.0;
-        o[b] = (scaled ? fk * (1.0 + beta * ub) : fk) - old[b];
-        if (cost) {
-            double gk = k == 0.0 ? g0 : k == c ? gc : gnan;
-            cost_o[b] = (scaled ? gk * (1.0 + beta * ub) : gk) - cost_old[b];
-        }
+    const struct pairfn k = pairfn_of(sp, cost);
+    for (int64_t first = 0; first < n; first += m, sums += 2) {
+        const int64_t rows = m < n - first ? m : n - first;
+        for (int64_t r = 0; r < rows; r++)
+            row(sp, &k, first + r, 0, out + r * n, cost ? cost_out + r * n : 0, 0);
+        sums[0] = kac_sum(out, rows * n);
+        sums[1] = cost ? kac_sum(cost_out, rows * n) : 0.0;
     }
 }
 
-/* map_loop for the shape of sp: the ledger's K - 1 with the cost's table,
- * or sp's f alone, each with B or without */
-INLINE void map(const struct rowspec *sp, const struct rowspec *cost, int64_t a,
-                const double *restrict u, double *restrict o, double *restrict cost_o,
-                const double *restrict old, const double *restrict cost_old)
-{
-    const int scaled = sp->beta != 0.0;
-    if (cost) {
-        if (scaled)
-            map_loop(sp, cost, a, u, o, cost_o, old, cost_old, 0, 1);
-        else
-            map_loop(sp, cost, a, u, o, cost_o, old, cost_old, 0, 0);
-    } else if (sp->f == F_K_MINUS_1) {
-        if (scaled)
-            map_loop(sp, 0, a, u, o, 0, old, 0, 0, 1);
-        else
-            map_loop(sp, 0, a, u, o, 0, old, 0, 0, 0);
-    } else if (scaled) {
-        map_loop(sp, 0, a, u, o, 0, old, 0, 1, 1);
-    } else {
-        map_loop(sp, 0, a, u, o, 0, old, 0, 1, 0);
-    }
-}
-
-/* the m rows of particles first, ..., first + m - 1 into out, (m, n) in
- * C order, and with a cost (sp then holds the ledger's K - 1 rows) the
- * cost's rows from the same distances into cost_out */
-CLONED void kac_rows(const struct rowspec *sp, const struct rowspec *cost, int64_t first,
-                     int64_t m, double *out, double *cost_out)
-{
-    const int64_t n = sp->n;
-    double *dist = sp->scratch + 4 * n;
-    for (int64_t r = 0; r < m; r++) {
-        dist_row(sp, first + r, dist);
-        map(sp, cost, first + r, dist, out + r * n, cost ? cost_out + r * n : 0, sp->zero,
-            sp->zero);
-    }
-}
-
-/* the rows of the pair (i, j), from their distance rows in the last part
- * of scratch: before the collision into the first part of scratch, after
- * it (post) as dh = new rows - old rows into the second part; with a cost,
- * the cost's rows of the pair into its scratch alike, in the order (i, j)
- * or, when swapped, (j, i).  The one entry of the pair rows, out of line
- * so that it can be cloned; one pass of the loop per particle, so that
- * each clone has one copy of the row loops */
+/* a collision's change of the rows of the pair (i, j), dh = h(new) -
+ * h(old) of each row, into the first 2n doubles of scratch, from the
+ * pair's velocities before the collision, saved after them by
+ * kac_pair_rows; with a cost, its dh into its own scratch alike, in the
+ * order (i, j) or, when swapped, (j, i).  One pass per particle reads the
+ * new v_i and v_j at b in {i, j}, so those four entries are made again
+ * from the saved and the new velocities.  The one entry of the pair rows,
+ * out of line so that it can be cloned */
 static CLONED void collision_rows(const struct rowspec *sp, const struct rowspec *cost,
-                                  int64_t i, int64_t j, int swapped, int post)
+                                  int64_t i, int64_t j, int swapped)
 {
-    const int64_t n = sp->n;
-    double *dist = sp->scratch + 4 * n, *o = sp->scratch + (post ? 2 * n : 0);
-    for (int p = 0; p < 2; p++) {
-        const int64_t a = p ? j : i, at = p ? n : 0;
-        const int64_t cat = p != swapped ? n : 0; /* the offset of a in the cost's rows */
-        dist_row(sp, a, dist + at);
-        map(sp, cost, a, dist + at, o + at, cost ? cost->scratch + (post ? 2 * n : 0) + cat : 0,
-            post ? sp->scratch + at : sp->zero, cost && post ? cost->scratch + cat : sp->zero);
+    const int64_t n = sp->n, d = sp->d;
+    const struct pairfn k = pairfn_of(sp, cost);
+    const double *saved = sp->scratch + 2 * n;
+    for (int p = 0; p < 2; p++) /* p: i or j, a row of the pair */
+        row(sp, &k, p ? j : i, saved + p * d, sp->scratch + p * n,
+            cost ? cost->scratch + (p != swapped ? n : 0) : 0, 1);
+    for (int p = 0; p < 4; p++) { /* the entries (a, b), a and b in {i, j} */
+        const int pa = p >> 1, pb = p & 1;
+        const int64_t a = pa ? j : i, b = pb ? j : i;
+        const double l = sp->live[a] * sp->live[b];
+        double g = 0.0, g0 = 0.0;
+        double h = pair_h(&k, dist(sp->V + a * d, sp->V + b * d, d), l, &g, k.table, k.scaled,
+                          k.with_cost);
+        h -= pair_h(&k, dist(saved + pa * d, saved + pb * d, d), l, &g0, k.table, k.scaled,
+                    k.with_cost);
+        sp->scratch[pa * n + b] = h;
+        if (cost)
+            cost->scratch[(pa != swapped ? n : 0) + b] = g - g0;
     }
 }
 
@@ -268,21 +301,26 @@ static CLONED void collision_rows(const struct rowspec *sp, const struct rowspec
 static double settle(const struct rowspec *sp, int64_t a, int64_t b)
 {
     const int64_t n = sp->n;
-    const double *dh = sp->scratch + 2 * n;
+    const double *dh = sp->scratch;
     return ((2.0 * kac_sum(dh, 2 * n) - dh[a]) - dh[n + b]) - 2.0 * dh[b];
 }
 
-/* _PairSum.pre_collision: the rows of i and j into the first part of scratch */
+/* _PairSum.pre_collision: the velocities of i and j, after dh in scratch */
 void kac_pair_rows(const struct rowspec *sp, int64_t i, int64_t j)
 {
-    collision_rows(sp, 0, i, j, 0, 0);
+    const int64_t d = sp->d;
+    double *saved = sp->scratch + 2 * sp->n;
+    for (int64_t q = 0; q < d; q++) {
+        saved[q] = sp->V[i * d + q];
+        saved[d + q] = sp->V[j * d + q];
+    }
 }
 
-/* _PairSum.post_collision: dh into the second part of scratch; returns
- * the change of the pair sum */
+/* _PairSum.post_collision: dh into scratch; returns the change of the
+ * pair sum */
 double kac_pair_update(const struct rowspec *sp, int64_t i, int64_t j)
 {
-    collision_rows(sp, 0, i, j, 0, 1);
+    collision_rows(sp, 0, i, j, 0);
     return settle(sp, i, j);
 }
 
@@ -480,7 +518,7 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
             }
             if (i != j) {
                 if (rows)
-                    collision_rows(led, cost, i, j, ri != i, 0);
+                    kac_pair_rows(led, i, j);
                 /* kinetics._collide in the recorded parametrisation */
                 double *a = V + ri * d, *b = V + rj * d;
                 double dot = 0.0;
@@ -498,7 +536,7 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
                     CHECK(fen_update(tree, weights, n, j, speeds[j]));
                 }
                 if (rows) {
-                    collision_rows(led, cost, i, j, ri != i, 1);
+                    collision_rows(led, cost, i, j, ri != i);
                     total += settle(led, i, j);
                     if (cost)
                         cost_total += settle(cost, ri, rj);

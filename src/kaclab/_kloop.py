@@ -19,12 +19,18 @@ rows of `engine._TiltPairSum` and the tracked segments that update them,
 also asks that the kernel's row sum equals numpy's `a.sum()`; where it does
 not, only they run in Python and numpy.
 
-On x86-64 with glibc the row functions `kac_rows` and `collision_rows` (the
-entry of a collision's rows, behind `kac_run`, `kac_pair_rows` and
-`kac_pair_update`) are built twice into the engine library, for x86-64-v4
-(AVX-512) and for baseline x86-64, and the dynamic loader picks the clone
-when the library is loaded.  The build key, source plus compile command, is
-therefore unchanged, and the clones' rows are the same bytes.
+The rows are made one element at a time straight from the velocities:
+`kac_rows` writes each row of a build in one pass and sums each block of
+rows in C, and a collision's change of its pair's rows is one pass per
+particle, h(new) - h(old), from the pair's velocities saved before it
+(`kac_pair_rows`); a pair sum's scratch holds that change (2n doubles) and
+the saved velocities (2d).  On x86-64 with glibc the row functions
+`kac_rows` and `collision_rows` (the entry of a collision's rows, behind
+`kac_run` and `kac_pair_update`) are built twice into the engine library,
+for x86-64-v4 (AVX-512) and for baseline x86-64, and the dynamic loader
+picks the clone when the library is loaded.  The build key, source plus
+compile command, is therefore unchanged, and the clones' rows are the same
+bytes.
 
 `kac_transport` lists the pairs closer than the cap from the points, with
 their distances, straight into its arc arrays, and solves the capped
@@ -99,7 +105,7 @@ REFILL = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int)
 class RowSpec(ctypes.Structure):
     """`struct rowspec` of _kloop.c: the rows f(K) B of one scheme interval."""
 
-    _fields_ = [*((name, ctypes.c_void_p) for name in ("V", "live", "zero", "scratch")),
+    _fields_ = [*((name, ctypes.c_void_p) for name in ("V", "live", "scratch")),
                 *((name, ctypes.c_int64) for name in ("n", "d", "f", "constant")),
                 *((name, ctypes.c_double) for name in ("c", "delta", "beta", "f0", "fc", "fnan"))]
 
@@ -193,7 +199,7 @@ def bind(lib, tools):
     lib.kac_sum.argtypes = (ptr, i64)
     lib.kac_sum.restype = dbl
     spec = ctypes.POINTER(RowSpec)
-    lib.kac_rows.argtypes = (spec, spec, i64, i64, ptr, ptr)
+    lib.kac_rows.argtypes = (spec, spec, i64, ptr, ptr, ptr)
     lib.kac_rows.restype = None
     lib.kac_pair_rows.argtypes = (spec, i64, i64)
     lib.kac_pair_rows.restype = None

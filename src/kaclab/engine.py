@@ -513,22 +513,23 @@ class _TiltPairSum(_PairSum):
     numpy reference.  Where the compiled kernel evaluates f (K - 1 at every
     delta, any f at delta = 0 by a table of f at the three values K takes
     there: 0 on a frozen pair, c, and the NaN of a non-finite distance) it
-    matches `rows` bit for bit: `_build` runs one block loop of `kac_rows`
-    into buffers kept for the build, and a collision's old rows wait in
-    the kernel's scratch and the update is made there, in numpy's
-    summation order.  `constant` rows (delta = beta = 0, no distance that
-    can overflow) are f(c live_a live_b), free of the velocities: they
-    change by exactly 0.0 at a collision, so none are evaluated after the
-    build.
+    matches `rows` bit for bit: `_build` is one call of `kac_rows`, which
+    writes each block of rows into buffers kept for the build and sums it
+    in numpy's summation order, and a collision saves its pair's
+    velocities in the kernel's scratch and makes the change of its two
+    rows there in one pass per particle.  `constant` rows (delta = beta =
+    0, no distance that can overflow) are f(c live_a live_b), free of the
+    velocities: they change by exactly 0.0 at a collision, so none are
+    evaluated after the build.
 
     With `cost`, the object also carries `cost`, the pair sum of tau(K) B
-    on the same interval, built from the same distance rows in the same
-    block loop (numpy builds both where either lacks the kernel); the
-    compiled loop updates both from one distance pass per collision.
+    on the same interval, built from the same distances in the same call
+    (numpy builds both where either lacks the kernel); the compiled loop
+    updates both in the same passes at a collision.
     """
 
     __slots__ = ("v", "scheme", "k", "beta", "f", "c", "delta", "alive", "constant",
-                 "lib", "spec", "live", "zero", "scratch", "cost")
+                 "lib", "spec", "live", "scratch", "cost")
 
     def __init__(self, v: np.ndarray, scheme: TiltingScheme, k: int, beta: float, f,
                  cost: bool = False):
@@ -545,15 +546,15 @@ class _TiltPairSum(_PairSum):
         if any(part.lib is None for part in parts):
             sums = [[float(part.rows(sel).sum()) for part in parts] for sel in blocks]
         else:
-            # one distance pass per block feeds both, into buffers kept for the build
-            outs = [np.empty((min(n, blocks[0].stop), n)) for _ in parts]
+            # one pass per row feeds both, block by block into buffers kept
+            # for the build; the blocks' sums come back as (ledger, cost) pairs
+            step = min(n, blocks[0].stop)
+            outs = [np.empty((step, n)) for _ in parts]
             cost_spec, cost_out = (None, None) if cost is None else (cost.spec, outs[1].ctypes.data)
-            sums = []
-            for sel in blocks:
-                first, stop, _ = sel.indices(n)
-                self.lib.kac_rows(self.spec, cost_spec, first, stop - first, outs[0].ctypes.data,
-                                  cost_out)
-                sums.append([float(out[: stop - first].sum()) for out in outs])
+            sums = np.empty((len(blocks), 2))
+            self.lib.kac_rows(self.spec, cost_spec, step, outs[0].ctypes.data, cost_out,
+                              sums.ctypes.data)
+            sums = sums.tolist()
         if cost is not None:
             cost.total = sum(s[1] for s in sums)
         return sum(s[0] for s in sums)
@@ -568,24 +569,22 @@ class _TiltPairSum(_PairSum):
         # while 4 sum |v|^2 is finite: |v_a - v_b|^2 <= 2 sum |v|^2, which collisions conserve
         self.constant = beta == 0.0 and delta == 0.0 and bool(np.isfinite(4.0 * np.sum(v * v)))
         mode = _kloop.F_K_MINUS_1 if f is _k_minus_1 else _kloop.F_K_TABLE if delta == 0.0 else None
-        self.lib = self.spec = self.live = self.zero = self.scratch = None
+        self.lib = self.spec = self.live = self.scratch = None
         if mode is not None and v.flags.c_contiguous and v.dtype == np.float64:
             self.lib = _kloop.kernel(v.shape[1], sums=True)
         if self.lib is not None:
             # the kernel multiplies K by live_a live_b, each 1.0 or 0.0, as
             # numpy multiplies it by the boolean alive_a & alive_b, and by
-            # 1.0 (exactly) where nothing is frozen; it subtracts the zero
-            # row where a row has no old row, so its loops have no branch
+            # 1.0 (exactly) where nothing is frozen, so its loops have no branch
             self.live = np.ones(len(v)) if self.alive is None else self.alive.astype(float)
-            self.zero = np.zeros(len(v))
-            self.scratch = np.empty(6 * len(v))  # the old rows of a pair, dh, distance rows
+            self.scratch = np.empty(2 * len(v) + 2 * v.shape[1])  # dh of a pair's rows, its velocities
             table = (0.0, 0.0, 0.0)
             if mode == _kloop.F_K_TABLE:
                 with np.errstate(invalid="ignore"):  # K is NaN at an infinite distance
                     k_values = scheme.pair_k(k, np.array([0.0, 0.0, np.inf]), np.array([False, True, True]))
                 table = f(k_values)
-            # the spec points into v, live, zero and scratch, which this object keeps
-            self.spec = _kloop.RowSpec(v.ctypes.data, self.live.ctypes.data, self.zero.ctypes.data,
+            # the spec points into v, live and scratch, which this object keeps
+            self.spec = _kloop.RowSpec(v.ctypes.data, self.live.ctypes.data,
                                        self.scratch.ctypes.data, len(v), v.shape[1], mode,
                                        self.constant, c, delta, beta, *table)
 

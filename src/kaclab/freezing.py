@@ -430,6 +430,12 @@ def run_experiment(n: int, kernel: Kernel, theta: ThetaSchedule, M: float, r: in
     they execute in worker processes and are reduced in run-index order, so
     the report is identical under any thread count.
     """
+    # a report needs a run and a checkpoint (its first is each run's
+    # starting energy)
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be at least 1, got {n_runs}")
+    if checkpoint_times is not None and len(checkpoint_times) == 0:
+        raise ValueError("checkpoint_times is empty: the experiment needs at least one checkpoint")
     reference = ReferenceMeasure(d)
     plan = design_freeze_experiment(reference, theta, M, r, delta)
     t_max = theta.horizon

@@ -434,6 +434,16 @@ class TestMalformedInputs:
         self._assert_config_error(["tilt-experiment", "--config", cfg, "--out-dir", str(tmp_path)],
                                   capsys)
 
+    def test_tilt_experiment_without_checkpoints(self, tmp_path, capsys):
+        # the schema takes an empty list, and simulate runs with it; the
+        # experiment needs a checkpoint for each run's starting energy
+        tilting = dict(self.FREEZE, M=4.0, r=4)
+        cfg = _write(tmp_path / "cfg.json", dict(BASE, N=40, checkpoints=[], tilting=tilting))
+        err = self._assert_config_error(["tilt-experiment", "--config", cfg,
+                                         "--out-dir", str(tmp_path / "out")], capsys)
+        assert "checkpoint_times is empty" in err
+        assert not (tmp_path / "out").exists()
+
     def _simulated(self, tmp_path):
         out = str(tmp_path / "out")
         assert main(["simulate", "--config", _write(tmp_path / "cfg.json", dict(BASE, kernel="maxwell")),

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import kaclab as kl
+from kaclab import freezing
 from kaclab.engine import ParticleState
 from kaclab.freezing import (ThetaSchedule, cumulant_psi, design_freeze_experiment,
                              freeze_thresholds, legendre_psi_star, solve_lambda,
@@ -284,6 +285,21 @@ class TestRunExperiment:
         assert np.all(rep.per_run_log_rn[:, :3] == 0.0)
         assert np.allclose(rep.unfrozen_fraction_mean, 1.0)
         assert abs(rep.total_energy_mean[0] - 1.0) < 0.15
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n_runs=0), "n_runs must be at least 1, got 0"),
+        (dict(checkpoint_times=()), "checkpoint_times is empty"),
+        (dict(checkpoint_times=np.array([])), "checkpoint_times is empty"),
+    ])
+    def test_no_run_or_no_checkpoint_is_refused_before_any_run(self, kwargs, message, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(freezing, "_experiment_one_run", refuse)
+        th = ThetaSchedule(jump_times=(0.5,), levels=(1.0, 2.0), horizon=1.0)
+        with pytest.raises(ValueError, match=message):
+            kl.run_experiment(**{**dict(n=40, kernel=Kernel.HARD_SPHERE, theta=th, M=4.0, r=4,
+                                        n_runs=2, checkpoint_times=(0.0, 1.0)), **kwargs})
 
     def test_report_files_are_written_whole(self, tmp_path):
         th = ThetaSchedule(jump_times=(0.5,), levels=(1.0, 2.0), horizon=1.0)

@@ -255,10 +255,9 @@ def test_row_kernel_matches_numpy_rows(f, frozen, beta, d):
             v = rng.standard_normal((n, d)) * np.exp(rng.uniform(-3.0, 3.0, (n, 1)))
             pair_sum = _TiltPairSum(v, scheme, 0 if frozen else 1, beta, func)
             assert pair_sum.lib is not None
+            got = _rows_of(pair_sum.lib, pair_sum, n)[0]  # one block of every row
             for sel in (slice(0, n), slice(n // 2, n + 5), slice(n - 1, None), slice(-1, 0)):
-                first, stop, _ = sel.indices(n)
-                got, _ = _rows_of(pair_sum.lib, pair_sum, first, max(0, stop - first))
-                assert got == pair_sum.rows(sel).tobytes(), (delta, n, sel)
+                assert got[sel].tobytes() == pair_sum.rows(sel).tobytes(), (delta, n, sel)
 
 
 @needs_gcc
@@ -302,9 +301,9 @@ def tracked_calls(monkeypatch):
     return calls
 
 
-def _hit_zero_run():
+def _hit_zero_run(d=3):
     # measure P collides the particles the ledger scheme freezes: hit_zero
-    cfg = kl.SimConfig(n=40, t_max=1.0, kernel=Kernel.HARD_SPHERE, seed=77, measure="P",
+    cfg = kl.SimConfig(n=40, t_max=1.0, kernel=Kernel.HARD_SPHERE, seed=77, measure="P", d=d,
                        checkpoint_times=(0.0, 0.25, 0.5, 1.0))
     traj = kl.simulate(cfg, _frozen_scheme(0.0))
     assert traj.rn_ledger.hit_zero
@@ -319,14 +318,23 @@ TRACKED = {
     "constant_hs": (dict(n=60, kernel=Kernel.HARD_SPHERE), TiltingScheme.constant(1.5)),
     "frozen_q": (dict(n=60, kernel=Kernel.HARD_SPHERE), _frozen_scheme(0.0)),
     "frozen_maxwell_delta": (dict(n=60, kernel=Kernel.MAXWELL), _frozen_scheme(0.3)),
+    # the rows at d != 3: the same element arithmetic with d read at run time;
+    # the hard-sphere runs at delta = 0 carry the cost
+    **{f"frozen_q_d{d}": (dict(n=60, d=d, kernel=Kernel.HARD_SPHERE), _frozen_scheme(0.0))
+       for d in (1, 2, 5)},
+    **{f"frozen_maxwell_delta_d{d}": (dict(n=60, d=d, kernel=Kernel.MAXWELL), _frozen_scheme(0.3))
+       for d in (1, 2, 5)},
 }
 
 
 @needs_gcc
-@pytest.mark.parametrize("name", sorted(TRACKED) + ["hit_zero", "freeze"])
+@pytest.mark.parametrize("name", sorted(TRACKED) + ["hit_zero", "hit_zero_d2", "freeze"])
 def test_tracked_runs_are_byte_identical(name, monkeypatch, tracked_calls):
     if name == "hit_zero":
         run = _hit_zero_run
+    elif name == "hit_zero_d2":
+        def run():
+            return _hit_zero_run(d=2)
     elif name == "freeze":
         run = _freeze_run
     else:
@@ -346,6 +354,9 @@ def test_tracked_runs_are_byte_identical(name, monkeypatch, tracked_calls):
     for term in ("initial_term", "jump_term", "compensator_term"):
         assert float(getattr(python.rn_ledger, term)).hex() == float(getattr(compiled.rn_ledger, term)).hex()
     assert python.rn_ledger.hit_zero is compiled.rn_ledger.hit_zero
+    assert repr(python.dynamic_cost) == repr(compiled.dynamic_cost)
+    if name.startswith("frozen_q"):  # delta = 0: the run integrates the cost
+        assert compiled.dynamic_cost > 0.0
 
 
 def _tracked_engine(chunk=37, capacity=1, scheme=None):
@@ -448,18 +459,22 @@ def baseline_lib(tmp_path_factory):
     return _kloop.bind(*libs)
 
 
-def _rows_of(lib, pair_sum, first, m):
-    """kac_rows of one library: the rows, and the cost's rows if it has a cost."""
+def _rows_of(lib, pair_sum, step):
+    """kac_rows of one library in blocks of step rows: the last block's
+    rows, the cost's rows too if it has a cost, and the (ledger, cost) sum
+    of each block."""
     n, cost = len(pair_sum.v), pair_sum.cost
-    out, cost_out = np.empty((m, n)), np.empty((m, n))
-    lib.kac_rows(pair_sum.spec, None if cost is None else cost.spec, first, m, out.ctypes.data,
-                 None if cost is None else cost_out.ctypes.data)
-    return out.tobytes(), None if cost is None else cost_out.tobytes()
+    out, cost_out = np.empty((step, n)), np.empty((step, n))
+    sums = np.empty((-(-n // step), 2))
+    lib.kac_rows(pair_sum.spec, None if cost is None else cost.spec, step, out.ctypes.data,
+                 None if cost is None else cost_out.ctypes.data, sums.ctypes.data)
+    last = (n - 1) // step * step
+    return out[: n - last], None if cost is None else cost_out[: n - last], sums
 
 
 @needs_gcc
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 @pytest.mark.parametrize("frozen", [False, True])
 @pytest.mark.parametrize("f", ["k_minus_1", "table"])
@@ -469,37 +484,116 @@ def test_baseline_rows_match_dispatched_and_numpy(baseline_lib, f, frozen, beta,
     # K - 1 runs in C at every delta and carries the cost's table at delta = 0
     for delta in (0.0, 0.3) if f == "k_minus_1" else (0.0,):
         v = rng.standard_normal((n, d)) * np.exp(rng.uniform(-3.0, 3.0, (n, 1)))
-        v[4, 1] = np.inf  # row and column 4 hold non-finite distances
+        v[4, min(1, d - 1)] = np.inf  # row and column 4 hold non-finite distances
         scheme = _frozen_scheme(delta)
         func = _k_minus_1 if f == "k_minus_1" else tau
         pair_sum = _TiltPairSum(v, scheme, 0 if frozen else 1, beta, func,
                                 cost=f == "k_minus_1" and delta == 0.0)
         lib, cost = pair_sum.lib, pair_sum.cost
         assert lib is not None and lib is not baseline_lib
-        for first, m in ((0, n), (n // 2, n - n // 2), (4, 1)):
-            rows = _rows_of(baseline_lib, pair_sum, first, m)
-            assert rows == _rows_of(lib, pair_sum, first, m), (delta, first)
-            sel = slice(first, first + m)
-            assert rows[0] == pair_sum.rows(sel).tobytes()
-            assert rows[1] == (None if cost is None else cost.rows(sel).tobytes())
+        parts = [pair_sum] if cost is None else [pair_sum, cost]
+        for step in (n, n // 2, 1):
+            got = [[None if x is None else x.tobytes() for x in _rows_of(each, pair_sum, step)]
+                   for each in (baseline_lib, lib)]
+            assert got[0] == got[1], (delta, step)
+            # the last block's rows, and each block summed as numpy sums it
+            last = slice((n - 1) // step * step, n)
+            assert got[0][: len(parts)] == [part.rows(last).tobytes() for part in parts]
+            want = [[float(part.rows(slice(a, a + step)).sum()) for part in parts] + [0.0] * (2 - len(parts))
+                    for a in range(0, n, step)]
+            assert got[0][2] == np.array(want).tobytes(), (delta, step)
         # a collision's rows and update: (4, 0) crosses the non-finite row,
         # (3, 5) is a frozen pair in interval 0
         for i, j in ((4, 0), (3, 5), (10, 27)):
-            old = []
+            saved = []
             for each in (baseline_lib, lib):
                 each.kac_pair_rows(pair_sum.spec, i, j)
-                old.append(pair_sum.scratch[: 2 * n].tobytes())
+                saved.append(pair_sum.scratch[2 * n:].tobytes())
+            assert saved[0] == saved[1] == v[[i, j]].tobytes(), (delta, i, j)
             want = pair_sum.rows(np.array([i, j]))
-            assert old[0] == old[1] == want.tobytes(), (delta, i, j)
             v[i] += 0.25
             v[j] -= 0.5
             updates = []
-            for each in (baseline_lib, lib):  # the old rows in scratch stay as they are
+            for each in (baseline_lib, lib):  # the saved velocities stay as they are
                 change = each.kac_pair_update(pair_sum.spec, i, j)
-                updates.append((np.float64(change).tobytes(), pair_sum.scratch[2 * n: 4 * n].tobytes()))
+                updates.append((np.float64(change).tobytes(), pair_sum.scratch[: 2 * n].tobytes()))
             dh = pair_sum.rows(np.array([i, j])) - want
             change = 2.0 * dh.sum() - dh[0, i] - dh[1, j] - 2.0 * dh[0, j]
             assert updates[0] == updates[1] == (np.float64(change).tobytes(), dh.tobytes()), (delta, i, j)
+
+
+def _pair_updates(f, delta, beta, d, lib):
+    """Collide pairs at the ends and side by side, frozen or not, and across
+    a distance that overflows, with the pair sum's update in `lib` and with
+    numpy's `_PairSum` update; the totals (hex) and dh of each (bytes)."""
+    rng = np.random.default_rng(17 + d)
+    n = 12
+    v = rng.standard_normal((n, d))
+    v[8, 0], v[9, 0] = 0.9e154, -0.9e154  # |v_8 - v_9|^2 overflows: K is NaN there
+    scheme = _frozen_scheme(delta)  # 0, 3 and 5 frozen on interval 0
+    pair_sum = _TiltPairSum(v, scheme, 0, beta, f)
+    assert (pair_sum.lib is not None) == (lib is not None)
+    out = [float(pair_sum.total).hex()]
+    for i, j in ((0, n - 1), (n - 1, 0), (5, 6), (6, 5), (0, 3), (4, 3), (8, 9), (9, 2), (7, 8)):
+        old = pair_sum.rows(np.array([i, j]))
+        pre = pair_sum.pre_collision(i, j)
+        sigma = rng.standard_normal(d)
+        kl.engine.apply_collision(v, i, j, sigma / np.sqrt(sigma @ sigma))
+        pair_sum.post_collision(i, j, pre)
+        dh = pair_sum.rows(np.array([i, j])) - old
+        if lib is not None:  # the kernel's dh, left in its scratch
+            assert pair_sum.scratch[: 2 * n].tobytes() == dh.tobytes(), (i, j)
+        out.append((float(pair_sum.total).hex(), dh.tobytes()))
+    return out
+
+
+@needs_gcc
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("d", [1, 3, 5])
+@pytest.mark.parametrize("f, delta, beta", [("k_minus_1", 0.0, 1.0), ("k_minus_1", 0.3, 0.0),
+                                            ("tau", 0.0, 1.0), ("tau", 0.0, 0.0)])
+def test_pair_update_matches_numpy_on_the_patched_entries(f, delta, beta, d, monkeypatch):
+    # a collision's pass over the row of i or j reads the new v_i and v_j at
+    # b in {i, j}; those four entries are made again from the saved
+    # velocities, and the update must still be numpy's to the bit
+    func = {"k_minus_1": _k_minus_1, "tau": tau}[f]
+    compiled = _pair_updates(func, delta, beta, d, _kloop.kernel(d, sums=True))
+    with monkeypatch.context() as m:
+        m.setattr(_kloop, "_lib", None)
+        assert _pair_updates(func, delta, beta, d, None) == compiled
+
+
+def _swapped_cost_run():
+    """Hard spheres at delta = 0 on 8 particles, measure P, with 0, 3 and 5
+    frozen by the ledger's scheme until t = 2: the run integrates the cost."""
+    scheme = TiltingScheme(breakpoints=np.array([0.0, 2.0, 4.0]), coeffs=np.array([1.25, 0.8]),
+                           deltas=np.zeros(2), frozen_sets=[np.array([0, 3, 5]), np.array([], int)])
+    cfg = kl.SimConfig(n=8, t_max=4.0, kernel=Kernel.HARD_SPHERE, seed=431, measure="P",
+                       checkpoint_times=(0.0, 1.0, 2.0, 4.0))
+    return kl.simulate(cfg, scheme), scheme
+
+
+@needs_gcc
+def test_swapped_collisions_keep_the_in_run_cost_exact(monkeypatch, tracked_calls):
+    # kac_run makes the cost's dh in the recorded order (j, i) when the
+    # assignment swaps the pair; the in-run cost is the exact replay's
+    from kaclab.rate_function import dynamic_cost
+
+    traj, scheme = _swapped_cost_run()
+    assert all(tracked_calls)
+    log = traj.log
+    hit = ~log.fictitious & (log.i != log.j)
+    swapped = hit & (log.assignment >= 2)
+    pairs = {(int(a), int(b)) for a, b in zip(log.i[swapped], log.j[swapped])}
+    frozen = {0, 3, 5}
+    assert any(abs(a - b) == 1 for a, b in pairs)  # side by side
+    assert pairs & {(0, 7), (7, 0)}  # the two ends
+    assert any(a in frozen or b in frozen for a, b in pairs)
+    assert traj.rn_ledger.hit_zero and traj.dynamic_cost > 0.0
+    assert float(traj.dynamic_cost).hex() == float(dynamic_cost(traj, scheme, mode="exact")[0]).hex()
+    python, _ = _python_loop(monkeypatch, _swapped_cost_run)
+    assert float(python.dynamic_cost).hex() == float(traj.dynamic_cost).hex()
+    assert _outputs(python) == _outputs(traj)
 
 
 @needs_gcc

@@ -229,14 +229,19 @@ def test_table_rows_match_numpy_on_non_finite_distances():
     v[4, 1] = np.inf
     scheme = TiltingScheme(coeffs=np.array([1.5]), frozen_sets=[np.array([2])])
     pair_sum = _TiltPairSum(v, scheme, 0, 1.0, tau)
-    for first, m in ((0, 9), (4, 1)):
-        out = np.empty((m, 9))
-        pair_sum.lib.kac_rows(pair_sum.spec, None, first, m, out.ctypes.data, None)
-        assert out.tobytes() == pair_sum.rows(slice(first, first + m)).tobytes()
-    # and a collision's rows, which the kernel writes into its scratch
-    old = pair_sum.pre_collision(4, 0)
-    old = pair_sum.scratch[:18] if old is None else old
-    assert old.tobytes() == pair_sum.rows(np.array([4, 0])).tobytes()
+    for step in (9, 4, 1):  # out holds the last block's rows
+        out, sums = np.empty((step, 9)), np.empty((-(-9 // step), 2))
+        pair_sum.lib.kac_rows(pair_sum.spec, None, step, out.ctypes.data, None, sums.ctypes.data)
+        last = 8 // step * step
+        assert out[: 9 - last].tobytes() == pair_sum.rows(slice(last, 9)).tobytes()
+        want = [float(pair_sum.rows(slice(a, a + step)).sum()) for a in range(0, 9, step)]
+        assert sums[:, 0].tobytes() == np.array(want).tobytes()  # NaN where B is infinite
+    # and a collision's change of the rows, which the kernel writes into its scratch
+    old = pair_sum.rows(np.array([4, 0]))
+    assert pair_sum.pre_collision(4, 0) is None
+    v[0] += 0.5
+    pair_sum.post_collision(4, 0, None)
+    assert pair_sum.scratch[:18].tobytes() == (pair_sum.rows(np.array([4, 0])) - old).tobytes()
 
 
 @pytest.mark.parametrize("force_numpy", [False, True])
