@@ -48,26 +48,32 @@ So are `kac_write_events` and `kac_read_events`, behind
 rows with "%.17g" and decimal integers, as the Python writer does; the
 reader accepts only what it prints (`-?digits[.digits][e(+|-)digits]`,
 `-?digits` in range, a newline after every row but perhaps the last).
-Both convert most floats in exact integer arithmetic and the rest with
-glibc's sprintf and strtod, to the same bytes and doubles.  Both return
--1, and `config_io` takes its Python path (the `%`-template writer,
-`np.loadtxt`), on a log with a non-finite t or sigma, a locale whose
-decimal point is not '.', or, to the reader, any other text.
+The reader scans each float once, its digits eight bytes at a time, and
+converts most by Eisel and Lemire's method (one or, rarely, two 64 x
+64-bit products against a table of 5^-n, no division; about 25 ns a
+value); the writer prints most in exact integer arithmetic, eight digits
+at a time (about 35 ns a value), and its integers in the same words.  Both
+leave the other floats to glibc's sprintf and strtod, to the same bytes
+and doubles.  Both return -1, and `config_io` takes its Python path (the
+`%`-template writer, `np.loadtxt`), on a log with a non-finite t or sigma,
+a locale whose decimal point is not '.', or, to the reader, any other
+text.
 
 So are `kac_write_velocities` and `kac_read_velocities`, behind the
 "initial_velocities" block of `config_io.write_sidecar` and of its
 readers.  The writer prints the rows as `json.dumps(..., indent=1)` prints
 them, each float as float.__repr__ prints it: the shortest decimal that
 reads back as x, nearest x, found in exact 128-bit integer arithmetic for
-2^-19 <= |x| < 2^52 (about 100 ns a value against 1.1-1.5 us for
-float.__repr__); it leaves a NUL for every other value, which `config_io`
-prints with float.__repr__, and returns -1 on a host without 128-bit
-integers.  The reader accepts only the writer's layout, rows of equal
-length and floats in JSON's grammar with a point or an exponent, and
-converts them as `kac_read_events` does (about 90 ns a value against about
-500 ns for json's float parsing); it returns -1, and `config_io` reads the
-whole file with json.load, on any other text or a locale whose decimal
-point is not '.'.  A battery in the tests holds the writer to
+2^-19 <= |x| < 2^52 and printed by the event CSV's eight-digit emitter
+(about 50 ns a value against 1.1-1.5 us for float.__repr__); it leaves a
+NUL for every other value, which `config_io` prints with float.__repr__,
+and returns -1 on a host without 128-bit integers.  The reader accepts
+only the writer's layout, rows of equal length and floats in JSON's
+grammar with a point or an exponent, and converts them with
+`kac_read_events`' scanner (about 30 ns a value against about 500 ns for
+json's float parsing); it returns -1, and `config_io` reads the whole file
+with json.load, on any other text or a locale whose decimal point is not
+'.'.  A battery in the tests holds the writer to
 float.__repr__ byte for byte on about 126,000 values a dimension: random
 bit patterns in and about the band, the powers of two and ten with their
 neighbours, ties, the 1e-4 switch of layout and values outside the band.

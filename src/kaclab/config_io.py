@@ -232,7 +232,7 @@ def _format_rows(log: EventLog, d: int):
         return None
     cols = [np.ascontiguousarray(c) for c in (log.t, log.i, log.j, log.sigma, log.assignment,
                                               log.fictitious.view(np.uint8))]
-    buf = np.empty(len(log) * (25 * (d + 1) + 51), np.uint8)  # ROW_BYTES(d) a row
+    buf = np.empty(len(log) * (25 * (d + 1) + 58), np.uint8)  # ROW_BYTES(d) a row
     size = lib.kac_write_events(*(c.ctypes.data for c in cols), len(log), d, buf.ctypes.data,
                                 len(buf))
     return None if size < 0 else memoryview(buf)[:size]

@@ -22,9 +22,10 @@ There is one route, whatever the weights, and a fallback:
   solution: every reduced cost is nonnegative, an exact optimum up to a
   1e-11 pricing tolerance on costs of order 1.  No scipy module is loaded;
 * without the kernel, a sparse LP (HiGHS, interior point with crossover) on
-  the same pairs, taken from a dense distance matrix.  It stops within its
-  1e-7 optimality tolerance and misses the optimum by 1.6e-10 to 7.0e-10
-  relative where costs nearly tie.
+  the same pairs, taken from a dense distance matrix.  Its feasibility
+  tolerances are 1e-10 and its interior-point optimality tolerance 1e-12,
+  the smallest HiGHS accepts, and where costs nearly tie it misses the
+  optimum by up to 1e-11 relative (1.6e-9 at HiGHS's default 1e-7).
 
 Both routes see the same costs, the bytes of scipy's `cdist`.  The dual
 formulation and an assignment on equal-unit atoms are kept in the test
@@ -134,11 +135,17 @@ def _lp_route(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     m1 + m2 + min sum (c_ij - 2) pi_ij, row sums <= w1, column sums <= w2.
     Interior point with crossover, which ends on a vertex: dual simplex
     took 4x as long once a sixth of 4M pairs fell below the cap.  HiGHS's
-    tolerances are absolute (1e-7), so the weights are solved at the power
-    of two that brings the larger maximum into [0.5, 1), an exact rescale.
-    Its error bar: where costs nearly tie (lattice points moved by 1e-9) it
-    missed the exact optimum by 1.6e-10 to 7.0e-10 relative, with equal
-    units or not.
+    tolerances are absolute, so the weights are solved at the power of two
+    that brings the larger maximum into [0.5, 1), an exact rescale, and
+    they are set below the defaults (1e-7) to the smallest values HiGHS
+    accepts (it ignores smaller ones): 1e-10 on primal and dual feasibility
+    and 1e-12 on the interior point's optimality.  Its error bar: on 30
+    problems where costs nearly tie (30 + 17 lattice atoms of units 1/30
+    and 1/17, each moved by 1e-9) it missed the network simplex by at most
+    9.5e-12 relative, against 1.6e-9 at the defaults, and the exact
+    assignment of the tests' ten near ties by at most 9.1e-12; the two
+    500 x 500 solves of `log_pipeline` took 2.41 and 0.24 s against 2.20
+    and 0.21 s.
     """
     from scipy.optimize import linprog
     from scipy.sparse import csc_matrix
@@ -153,7 +160,10 @@ def _lp_route(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     a_ub = csc_matrix((np.ones(2 * len(ii)), np.stack([ii, n1 + jj], axis=1).ravel(),
                        np.arange(0, 2 * len(ii) + 1, 2)), shape=(n1 + n2, len(ii)))
     res = linprog(cost[ii, jj] - DISTANCE_CAP, A_ub=a_ub, b_ub=np.concatenate([w1, w2]) * scale,
-                  bounds=(0, None), method="highs-ipm")
+                  bounds=(0, None), method="highs-ipm",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10,
+                           "ipm_optimality_tolerance": 1e-12})
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     return base + float(res.fun) / scale

@@ -7,6 +7,7 @@ import os
 import re
 import shutil
 import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -605,6 +606,182 @@ def _reader_cases(rng) -> list:
     return out
 
 
+def _pow5_inv_table() -> list:
+    """The 23 entries 2^(127 + z) / 5^n, z = ceil(n log2 5), of to_double in
+    `_ktools.c`, read from the source (rounded up; exact at n = 0)."""
+    with open(_kloop.TOOLS_SOURCE) as fh:
+        source = fh.read()
+    block = source[source.index("POW5_INV[23][2] = {"):]
+    words = re.findall(r"\{(0x[0-9a-f]+), (0x[0-9a-f]+)\}", block[:block.index("};")])
+    return [int(hi, 16) << 64 | int(lo, 16) for hi, lo in words]
+
+
+def _products(table: list, w: int, n: int):
+    """to_double's product for w 10^-n in exact integers: its high and low
+    word, the shift that leaves 54 bits of the high word, and whether the
+    second product ran."""
+    W = w << (64 - w.bit_length())
+    a = W * (table[n] >> 64)
+    second = (a >> 64) & 0x1FF == 0x1FF
+    if second:
+        a += W * (table[n] & (2 ** 64 - 1)) >> 64
+    hi = a >> 64
+    return hi, a & (2 ** 64 - 1), 9 + (hi >> 63), second
+
+
+def _text(w: int, n: int, exponent: bool) -> str:
+    """w 10^-n as digits and an exponent, or with a point (none at n = 0)."""
+    if exponent:
+        return f"{w}e{-n:+03d}"
+    digits = str(w).rjust(n + 1, "0")
+    return digits[:len(digits) - n] + "." + digits[len(digits) - n:] if n else digits
+
+
+def _eisel_lemire_cases(rng) -> list:
+    """Texts w 10^-n, w < 10^19 and n <= 22, at every branch of to_double,
+    made in exact integers: 19-digit texts next to the midpoints of adjacent
+    doubles, which run the second product (the low 9 bits of the first
+    product's high word all ones) or come nearest to it; exact midpoints at
+    n <= 4, which round half to even (9007199254740993 = 2^53 + 1 among
+    them); and 19 significant digits at n = 0 and n = 22.  The all-ones
+    remainder after the second product, where a reader could not tell the
+    rounding, cannot occur at n <= 22: w 2^(63 + z) / 5^n is a whole
+    multiple of 2^64 or more than 2^63 / 5^n > 3800 from one, and the
+    product is within 1 of it.  Every second product met here is held to
+    that bound."""
+    table = _pow5_inv_table()
+    assert len(table) == 23 and table[0] == 2 ** 127
+    assert all(table[n] == 2 ** (127 + (5 ** n).bit_length()) // 5 ** n + 1 for n in range(1, 23))
+    out, seconds = [], 0
+    for n in range(23):
+        taken = 0
+        for x in rng.uniform(10.0 ** (18 - n), 10.0 ** (19 - n), 4000):
+            mid = (Fraction(x) + Fraction(float(np.nextafter(x, np.inf)))) / 2 * 10 ** n
+            for w in (math.floor(mid), math.ceil(mid)):
+                hi, lo, shift, second = _products(table, w, n)
+                if second:
+                    seconds += 1
+                    gap = 2 ** 63 // 5 ** n
+                    assert lo == 0 or gap - 1 <= lo <= 2 ** 64 - gap + 1, (w, n)
+                if second and taken < 12 or rng.random() < 0.002:
+                    taken += second
+                    out += [_text(w, n, False), _text(w, n, True)]
+    assert seconds > 23 * 12
+    halfway = ["9007199254740993", "9007199254740993e+00", "9007199254740995"]
+    for n in range(5):
+        for _ in range(40):
+            m = int(rng.integers(2 ** 52, 2 ** 53)) * 2 + 1
+            j = int(rng.integers(0, n + 1)) if n else -int(rng.integers(0, 10))
+            w = m * 5 ** n * 2 ** (n - j)  # w 10^-n = m 2^-j, 54 bits: a midpoint
+            if w < 10 ** 19:
+                hi, lo, shift, _ = _products(table, w, n)
+                assert lo == 0 and hi % 2 ** (shift + 1) == 2 ** shift, (w, n)
+                halfway += [_text(w, n, False), _text(w, n, True)]
+    assert len(halfway) > 300
+    long = []
+    for n in (0, 22):
+        for w in rng.integers(10 ** 18, 10 ** 19, 50, dtype=np.uint64).tolist():
+            long += [_text(w, n, False), _text(w, n, True)]
+    return out + halfway + long
+
+
+def _sidecar_of_texts(texts: list) -> bytes:
+    """A sidecar's text whose initial velocities are one row of the texts, as
+    the writer lays them out."""
+    return ('{\n "initial_velocities": [\n  [\n   ' + ",\n   ".join(texts)
+            + "\n  ]\n ]\n}").encode()
+
+
+def _n_digits(rng, n: int) -> int:
+    """A random integer of n digits, the last not 0."""
+    return int(rng.integers(10 ** (n - 1), 10 ** n)) // 10 * 10 + int(rng.integers(1, 10))
+
+
+def _digit_cases(rng) -> list:
+    """Doubles whose exact decimal expansion has n = 1 to 17 significant
+    digits and decimal exponent K, for every K from -6 to 15, so %.17g
+    prints them in every layout with every digit count: q / 2^b with q odd,
+    K + b + 1 digits, or c 10^j, a c of n digits, when n < K + 1."""
+    out = []
+    for K in range(-6, 16):
+        for n in range(1, 18):
+            b = n - K - 1
+            for _ in range(4):
+                if b >= 0:
+                    lo = math.ceil(Fraction(10) ** K * 2 ** b)
+                    hi = min(math.ceil(Fraction(10) ** (K + 1) * 2 ** b), 2 ** 53)
+                    if lo >= hi - 1:
+                        continue
+                    x = (int(rng.integers(lo, hi - 1)) | 1) / 2 ** b
+                else:
+                    c = _n_digits(rng, n)
+                    if c * 10 ** -b >= 2 ** 53:
+                        continue
+                    x = float(c * 10 ** -b)
+                digits = Decimal(x).normalize().as_tuple()
+                assert (len(digits.digits), Decimal(x).adjusted()) == (n, K), (x, n, K)
+                out.append(x)
+    return out
+
+
+def _repr_digit_cases(rng) -> list:
+    """The doubles nearest c 10^(K - n + 1) for c of n = 1 to 17 digits, the
+    last not 0, and K from -6 to 15: repr prints them with up to 17 digits
+    in every layout, ".0" after the whole numbers."""
+    out = []
+    for K in range(-6, 16):
+        for n in range(1, 18):
+            for _ in range(4):
+                out.append(float(f"{_n_digits(rng, n)}e{K - n + 1}"))
+    return out
+
+
+def _int_cases(rng) -> list:
+    """Integers of 1 to 19 digits, both signs, and the ends of int64."""
+    out = [0, 2 ** 63 - 1, -2 ** 63, -(2 ** 63 - 1)]
+    for n in range(1, 20):
+        for _ in range(6):
+            u = int(rng.integers(10 ** (n - 1) if n > 1 else 0, min(10 ** n, 2 ** 63 - 1)))
+            out += [u, -u]
+    return out
+
+
+# reads the texts given on stdin (JSON: a list of [kind, text]) with the text
+# put at the end of a page whose next page may not be read, so its NUL is the
+# last byte the reader may touch; prints the readers' results
+_GUARD_PAGE = r"""
+import ctypes, json, mmap, sys
+import numpy as np
+from kaclab import _kloop
+lib = _kloop.library()
+page = mmap.PAGESIZE
+m = mmap.mmap(-1, 2 * page, prot=mmap.PROT_READ | mmap.PROT_WRITE)
+base = ctypes.addressof(ctypes.c_char.from_buffer(m))
+libc = ctypes.CDLL(None, use_errno=True)
+libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+assert libc.mprotect(base + page, page, 0) == 0  # PROT_NONE
+out = []
+for kind, text in json.load(sys.stdin):
+    body = text.encode()
+    start = page - 1 - len(body)
+    m[start:page - 1] = body
+    m[page - 1] = 0
+    if kind == "csv":
+        rows = 64
+        cols = (np.empty(rows), np.empty(rows, np.int64), np.empty(rows, np.int64),
+                np.empty((rows, 3)), np.empty(rows, np.int8), np.empty(rows, np.int8))
+        got = lib.kac_read_events(base + start, len(body), 3, rows,
+                                  *(c.ctypes.data for c in cols))
+        out.append([got, cols[3][:max(got, 0)].tolist()])
+    else:
+        v, shape = np.empty(64), np.empty(2, np.int64)
+        got = lib.kac_read_velocities(base + start, len(body), v.ctypes.data, len(v),
+                                      shape.ctypes.data)
+        out.append([got, v[:shape[0] * shape[1]].tolist() if got >= 0 else []])
+print(json.dumps(out))
+"""
+
+
 class TestEventCsvFastPaths:
     """The writer's and the reader's integer fast paths against the Python
     writer and float(), on the cases at their edges."""
@@ -640,6 +817,107 @@ class TestEventCsvFastPaths:
         bad = [t for t, got, x in zip(texts, sigma.tolist(), want.tolist())
                if np.float64(got).tobytes() != np.float64(x).tobytes()]
         assert bad == []
+
+    @needs_kernel
+    def test_eisel_lemire_branches_read_as_float(self, tmp_path, monkeypatch):
+        texts = _eisel_lemire_cases(np.random.default_rng(13))
+        want = np.array([float(text) for text in texts])
+        path = tmp_path / "events.csv"
+        path.write_text("t,i,j,s0,assignment,fictitious\n"
+                        + "".join(f"0.5,0,1,{text},0,0\n" for text in texts))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("np.loadtxt read an event CSV in the writer's grammar")
+
+        monkeypatch.setattr(np, "loadtxt", fail)
+        got = read_event_csv(str(path), 2, 1.0).sigma[:, 0]
+        assert [t for t, a, b in zip(texts, got, want) if a.tobytes() != b.tobytes()] == []
+        # the sidecar's reader: JSON has no integer form of a float
+        json_texts = [t if "." in t or "e" in t else t + "e+00" for t in texts]
+        sidecar = _parse_sidecar(_sidecar_of_texts(json_texts))
+        assert sidecar is not None
+        got = sidecar["initial_velocities"][0]
+        assert [t for t, a, b in zip(json_texts, got, want) if a.tobytes() != b.tobytes()] == []
+
+    # the last row of a file, cut and whole: its last float's digits end 0
+    # to 7 bytes before the end of the text
+    TAILS = ["", ",", ",0", ",0\n", ",0,0", ",0,0\n", ",-1,0\n", ",-12,0\n", ",-128,1"]
+    SHORT = ["", "1", "0.5", "-7", "1,2", "0.5,0\n", "1234567", "0.25,0\n\n"]
+
+    @needs_kernel
+    def test_the_reader_stops_at_the_end_of_the_text(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(14)
+        header = "t,i,j,sx,sy,sz,assignment,fictitious\n"
+        bodies = self.SHORT + [f"0.25,0,1,0.5,-0.5,0.125,0,0\n0.5,1,0,0.1,0.2,{x:.{k}g}{tail}"
+                               for k in range(1, 18) for x in rng.uniform(-1.0, 1.0, 1)
+                               for tail in self.TAILS]
+        bodies += ["0.5,1,0,0.1,0.2,0.30000000000000004,0,0", "0,0,1,0,0,0,0,0",
+                   "12345678901234567,0,1,1,2,3,4,5"]
+        path = tmp_path / "events.csv"
+        read = 0
+        for body in bodies:
+            path.write_text(header + body)
+            outcome = _both_routes(path, monkeypatch)
+            read += isinstance(outcome[0], tuple)
+        assert read > 30  # the whole rows, against the cut ones
+
+    @needs_kernel
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="mprotect through libc")
+    def test_no_read_passes_the_nul_after_the_text(self):
+        # the text's NUL is the last byte of a page whose next page faults
+        rng = np.random.default_rng(15)
+        cases = [["csv", body] for body in self.SHORT]
+        cases += [["csv", f"0.5,1,0,0.1,0.2,{x:.{k}g}{tail}"] for k in range(1, 18)
+                  for x in rng.uniform(-1.0, 1.0, 1) for tail in self.TAILS]
+        cases += [["sidecar", '\n  [\n   0.5,\n   ' + f"{x!r}"[:k] + "\n  ]\n ]"[:cut]]
+                  for k in range(3, 19) for x in rng.uniform(-1.0, 1.0, 1) for cut in (0, 4, 7)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(_kloop.__file__)), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _GUARD_PAGE], input=json.dumps(cases),
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        results = json.loads(proc.stdout)
+        lib = _kloop.library()
+        for (kind, text), (got, values) in zip(cases, results):
+            body = text.encode()  # a bytes object ends in a NUL too
+            raw = np.frombuffer(body + b"\0", np.uint8)
+            if kind == "csv":
+                cols = (np.empty(64), np.empty(64, np.int64), np.empty(64, np.int64),
+                        np.empty((64, 3)), np.empty(64, np.int8), np.empty(64, np.int8))
+                want = lib.kac_read_events(raw.ctypes.data, len(body), 3, 64,
+                                           *(c.ctypes.data for c in cols))
+                assert (got, values) == (want, cols[3][:max(want, 0)].tolist()), text
+            else:
+                v, shape = np.empty(64), np.empty(2, np.int64)
+                want = lib.kac_read_velocities(raw.ctypes.data, len(body), v.ctypes.data, 64,
+                                               shape.ctypes.data)
+                assert got == want, text
+                if want >= 0:
+                    assert values == v[:shape[0] * shape[1]].tolist(), text
+        assert sum(got > 0 for got, _ in results) > 20
+
+    @needs_kernel
+    def test_writer_prints_every_digit_count_and_integer_alike(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(16)
+        values = np.array(_digit_cases(rng))
+        values = np.concatenate([values, -values])
+        log = _log_of(np.resize(values, -(-len(values) // 3) * 3), 3)
+        ints = np.resize(np.array(_int_cases(rng), dtype=np.int64), len(log))
+        log.assignment = np.resize(np.arange(-128, 128, dtype=np.int8), len(log))
+        path = tmp_path / "events.csv"
+        # particle indices of either sign, which the reader refuses on both
+        # routes, then of 1 to 19 digits that it reads back
+        for i in (ints, np.where(ints < 0, ~ints, ints) % (2 ** 63 - 1)):
+            log.i, log.j = i, i[::-1].copy()
+            write_event_csv(str(path), log, 3)
+            with monkeypatch.context() as m:
+                m.setattr(_kloop, "_lib", None)
+                write_event_csv(str(tmp_path / "python.csv"), log, 3)
+            assert path.read_bytes() == (tmp_path / "python.csv").read_bytes()
+            assert path.read_bytes() == TestPersistence._reference_csv(log, 3)
+            read = _both_routes(path, monkeypatch, n=2 ** 63 - 1, horizon=1.0)
+        for name, dtype, shape, data in read:
+            assert data == np.ascontiguousarray(getattr(log, name)).tobytes(), name
 
 
 def _is_tie(x: float) -> bool:
@@ -759,6 +1037,39 @@ class TestSidecarVelocities:
         want = _sidecar_payload(traj)
         del want["initial_velocities"]
         assert sidecar == want
+
+    @needs_kernel
+    def test_writer_prints_every_digit_count_as_repr_does(self):
+        values = np.array(_repr_digit_cases(np.random.default_rng(24)))
+        v = np.concatenate([values, -values]).reshape(-1, 2)
+        assert _velocity_block(v) == json.dumps(v.tolist(), indent=1).replace("\n", "\n ")
+        texts = [repr(x) for x in values.tolist()]
+        assert {len(t.replace("-", "").replace(".", "").split("e")[0].lstrip("0")) for t in texts
+                if not t.endswith(".0")} == set(range(1, 18))
+        assert any(t.endswith(".0") for t in texts) and any("e-0" in t for t in texts)
+
+    @needs_kernel
+    def test_the_block_read_at_the_end_of_the_text(self, tmp_path, monkeypatch):
+        # the last velocity of every digit count, right before "\n  ]", and
+        # the text cut after it
+        traj = kl.simulate(kl.SimConfig(n=24, t_max=0.8, kernel=Kernel.HARD_SPHERE, seed=3))
+        paths = save_trajectory(str(tmp_path), traj)
+        with open(paths["sidecar"]) as fh:
+            text = fh.read()
+        last = text.rindex("\n  ]\n ]")
+        before = text[:text.rindex("\n   ", 0, last) + 4]
+        read = 0
+        for k in range(1, 18):
+            value = repr(float(f"{0.123456789012345678:.{k}g}"))
+            for after in (text[last:], "\n  ]\n ]", "\n  ]", "\n ", ""):
+                with open(paths["sidecar"], "w") as fh:
+                    fh.write(before + value + after)
+                compiled = _load_outcome(paths)
+                with monkeypatch.context() as m:
+                    m.setattr(_kloop, "_lib", None)
+                    assert _load_outcome(paths) == compiled, (value, after)
+                read += isinstance(compiled[0][0], dict)
+        assert read == 17
 
     EDITS = {
         "as_written": lambda text: text,

@@ -797,7 +797,7 @@ def test_a_build_without_128_bit_integers_gives_the_python_bytes(tmp_path, monke
     assert out["python"][7] == v.tobytes()
     # the CSV and the sidecar's reader run on glibc's conversions; the
     # sidecar's writer declines
-    rows = np.empty(len(log) * (25 * 4 + 51), np.uint8)
+    rows = np.empty(len(log) * (25 * 4 + 58), np.uint8)
     cols = [np.ascontiguousarray(c) for c in (log.t, log.i, log.j, log.sigma, log.assignment,
                                               log.fictitious.view(np.uint8))]
     assert lib.kac_write_events(*(c.ctypes.data for c in cols), len(log), 3, rows.ctypes.data,

@@ -454,7 +454,8 @@ class TestNetworkSimplex:
     def test_near_ties_match_the_exact_assignment(self):
         # lattice points moved by 1e-9: many pairs nearly tie.  Units 1/12
         # and 1/8 are 2 and 3 copies of 1/24, so the assignment on the
-        # copies is the exact optimum; HiGHS is off here by about 1e-10
+        # copies is the exact optimum; HiGHS at its default tolerances was
+        # off here by about 1e-10
         for seed in range(10):
             rng = np.random.default_rng(seed)
             grid = np.array([(x, y) for x in range(3) for y in range(3)], dtype=float) * 0.5
@@ -465,6 +466,8 @@ class TestNetworkSimplex:
             got = metrics._simplex_route(_kloop.library(), p1, np.full(12, 1.0 / 12),
                                          p2, np.full(8, 0.125))
             assert got == pytest.approx(exact, rel=1e-12)
+            lp = metrics._lp_route(cost, np.full(12, 1.0 / 12), np.full(8, 0.125))
+            assert lp == pytest.approx(exact, rel=1e-11)
 
     def test_equal_units_500_a_side(self):
         # a bl_distance of two 1000-atom velocity samples at support cap 1000:
