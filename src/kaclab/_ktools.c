@@ -9,7 +9,6 @@
  * Errors are returned as status codes; the caller raises for each.
  */
 
-#include <inttypes.h>
 #include <locale.h>
 #include <math.h>
 #include <stdint.h>
@@ -440,8 +439,9 @@ int kac_transport(const double *p1, const double *w1, int64_t n1,
  * multiply-and-mask steps) and one byte at a time elsewhere, so no read
  * passes the NUL after the text.  Most floats then take a fast path in
  * integer arithmetic that gives glibc's bytes and doubles exactly; every
- * other float goes through sprintf and strtod, as do all of them, and the
- * integers too, on a host without 128-bit integers.  On uniforms in
+ * other float goes through sprintf and strtod, as do all of them on a host
+ * without 128-bit integers.  The integers are printed eight digits to a
+ * word (put_digits) on every host.  On uniforms in
  * (-1, 1) a float takes about 25 ns to read and 35 ns to print in a C loop
  * on a shared 2-vCPU Xeon; the sidecar's, below, about 30 and 50 ns.
  *   - put_float: x = m 2^-s with m < 2^53 and 2^-19 <= |x| < 2^52, so
@@ -540,13 +540,62 @@ static inline const char *digit_run(const char *p, const char *end, uint64_t *w,
     return p;
 }
 
-#ifdef __SIZEOF_INT128__
-typedef unsigned __int128 u128;
-
 static const uint64_t POW10[18] = {
     1, 10, 100, 1000, 10000, 100000, 1000000, 10000000, 100000000, 1000000000,
     10000000000, 100000000000, 1000000000000, 10000000000000, 100000000000000,
     1000000000000000, 10000000000000000, 100000000000000000};
+
+#define ZEROS 0x3030303030303030ull /* '0' in every byte */
+
+/* the eight digits of u < 10^8, leading zeros included, as one word whose
+ * low byte is the first digit, each byte a digit's value (or ZEROS into it
+ * for the text): u split into two halves of four digits, each half into two
+ * pairs and each pair into two digits, by multiplies and masks in lanes of
+ * 32, 16 and 8 bits */
+static uint64_t eight_digits(uint32_t u)
+{
+    uint64_t four = u / 10000 | (uint64_t)(u % 10000) << 32;
+    uint64_t hundreds = (four * 10486 >> 20) & 0x0000007f0000007full;
+    uint64_t two = hundreds | (four - 100 * hundreds) << 16;
+    uint64_t tens = (two * 103 >> 10) & 0x000f000f000f000full;
+    return tens | (two - 10 * tens) << 8;
+}
+
+/* the word into p[0..8), its low byte first (gcc merges no byte stores
+ * here, so the word is stored whole, its bytes reversed first on a
+ * big-endian host) */
+static void put8(char *p, uint64_t word)
+{
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    word = __builtin_bswap64(word);
+#endif
+    memcpy(p, &word, sizeof word);
+}
+
+/* the count of the decimal digits of u < 10^17, 1 for 0 */
+static int count_digits(uint64_t u)
+{
+    u |= 1; /* the same count: 10^k - 1 is odd */
+    int t = (64 - __builtin_clzll(u)) * 1233 >> 12; /* about log10 of 2^bits */
+    return t + (u >= POW10[t]);
+}
+
+/* the decimal digits of u into p, as many as it has, and up to 7 bytes
+ * after them (the slack of ROW_BYTES); the end of the text */
+static char *put_digits(char *p, uint64_t u)
+{
+    if (u >= 100000000) {
+        p = put_digits(p, u / 100000000);
+        put8(p, eight_digits((uint32_t)(u % 100000000)) | ZEROS);
+        return p + 8;
+    }
+    int n = count_digits(u);
+    put8(p, (eight_digits((uint32_t)u) | ZEROS) >> 8 * (8 - n)); /* the leading zeros go */
+    return p + n;
+}
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
 
 /* 5^-n as 2^(127 + z) / 5^n rounded up, z = ceil(n log2 5): high and low
  * word, n <= 22 */
@@ -606,33 +655,6 @@ static double to_double(uint64_t w, int n)
     return x;
 }
 
-#define ZEROS 0x3030303030303030ull /* '0' in every byte */
-
-/* the eight digits of u < 10^8, leading zeros included, as one word whose
- * low byte is the first digit, each byte a digit's value (or ZEROS into it
- * for the text): u split into two halves of four digits, each half into two
- * pairs and each pair into two digits, by multiplies and masks in lanes of
- * 32, 16 and 8 bits */
-static uint64_t eight_digits(uint32_t u)
-{
-    uint64_t four = u / 10000 | (uint64_t)(u % 10000) << 32;
-    uint64_t hundreds = (four * 10486 >> 20) & 0x0000007f0000007full;
-    uint64_t two = hundreds | (four - 100 * hundreds) << 16;
-    uint64_t tens = (two * 103 >> 10) & 0x000f000f000f000full;
-    return tens | (two - 10 * tens) << 8;
-}
-
-/* the word into p[0..8), its low byte first (gcc merges no byte stores
- * here, so the word is stored whole, its bytes reversed first on a
- * big-endian host) */
-static void put8(char *p, uint64_t word)
-{
-#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-    word = __builtin_bswap64(word);
-#endif
-    memcpy(p, &word, sizeof word);
-}
-
 /* the 17 digits of D < 10^17 into dig, a lead digit and two words of
  * eight, and zeros into dig[17..24); the count left once the trailing zeros
  * go (a word's last digits are its high bytes) */
@@ -655,28 +677,6 @@ static char *copy_words(char *p, const char *src, int n)
 {
     for (int i = 0; i < n; i += 8)
         memcpy(p + i, src + i, 8);
-    return p + n;
-}
-
-/* the count of the decimal digits of u < 10^17, 1 for 0 */
-static int count_digits(uint64_t u)
-{
-    u |= 1; /* the same count: 10^k - 1 is odd */
-    int t = (64 - __builtin_clzll(u)) * 1233 >> 12; /* about log10 of 2^bits */
-    return t + (u >= POW10[t]);
-}
-
-/* the decimal digits of u into p, as many as it has, and up to 7 bytes
- * after them, as copy_words; the end of the text */
-static char *put_digits(char *p, uint64_t u)
-{
-    if (u >= 100000000) {
-        p = put_digits(p, u / 100000000);
-        put8(p, eight_digits((uint32_t)(u % 100000000)) | ZEROS);
-        return p + 8;
-    }
-    int n = count_digits(u);
-    put8(p, (eight_digits((uint32_t)u) | ZEROS) >> 8 * (8 - n)); /* the leading zeros go */
     return p + n;
 }
 
@@ -748,12 +748,8 @@ static char *put_float(char *p, double x)
 
 static char *put_int(char *p, int64_t x)
 {
-#ifdef __SIZEOF_INT128__
     *p = '-';
     return put_digits(p + (x < 0), x < 0 ? 0 - (uint64_t)x : (uint64_t)x);
-#else
-    return p + sprintf(p, "%" PRId64, x);
-#endif
 }
 
 /* the rows of a log into buf, which holds cap bytes; the number of bytes

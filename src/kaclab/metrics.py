@@ -25,7 +25,7 @@ There is one route, whatever the weights, and a fallback:
   the same pairs, taken from a dense distance matrix.  Its feasibility
   tolerances are 1e-10 and its interior-point optimality tolerance 1e-12,
   the smallest HiGHS accepts, and where costs nearly tie it misses the
-  optimum by up to 1e-11 relative (1.6e-9 at HiGHS's default 1e-7).
+  optimum by up to 1e-11 relative.
 
 Both routes see the same costs, the bytes of scipy's `cdist`.  The dual
 formulation and an assignment on equal-unit atoms are kept in the test
@@ -141,11 +141,9 @@ def _lp_route(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     accepts (it ignores smaller ones): 1e-10 on primal and dual feasibility
     and 1e-12 on the interior point's optimality.  Its error bar: on 30
     problems where costs nearly tie (30 + 17 lattice atoms of units 1/30
-    and 1/17, each moved by 1e-9) it missed the network simplex by at most
-    9.5e-12 relative, against 1.6e-9 at the defaults, and the exact
-    assignment of the tests' ten near ties by at most 9.1e-12; the two
-    500 x 500 solves of `log_pipeline` took 2.41 and 0.24 s against 2.20
-    and 0.21 s.
+    and 1/17, each moved by 1e-9) it misses the network simplex by at most
+    9.5e-12 relative, and the exact assignment of the tests' ten near ties
+    by at most 9.1e-12.
     """
     from scipy.optimize import linprog
     from scipy.sparse import csc_matrix
