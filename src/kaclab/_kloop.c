@@ -2,10 +2,9 @@
  * tilt pair sums.
  *
  * kac_run is `_Engine.propose` repeated up to the end of a segment, tracked
- * or not: given a ledger it also keeps its pair sum, unless the rows are
- * constant, and settles the compensator and jump terms; given a cost it
- * keeps the pair sum of tau(K) B from the same distances and integrates
- * the dynamic cost over the spans between events.
+ * or not: given a ledger it also keeps the interval's pair sums and settles
+ * the compensator and jump terms, and at delta = 0 it integrates the
+ * dynamic cost over the spans between events.
  * It works in place on the engine's own arrays (velocities, speeds,
  * Fenwick tree and weights, draw buffers, event columns) and does every
  * operation of the Python loop in its order, so event logs, states and
@@ -17,10 +16,14 @@
  *   - all other arithmetic is unfused (built with -ffp-contract=off);
  *   - an empty draw buffer is refilled through the callback at exactly the
  *     draw where the Python loop refills it.
- * kac_rows evaluates the rows f(K) B of `engine._TiltPairSum` in the order
- * of `metrics._distances` and `TiltingScheme.pair_k`, and sums them block
- * by block; kac_pair_rows and kac_pair_update are `_PairSum.pre_collision`
- * and `post_collision` on them.
+ * The pair sums of a scheme interval (`engine._TiltPairSum`, `_BSums`) are
+ * the ledger's sum (K - 1) B at delta > 0, and at delta = 0 two sums of B,
+ * S_live and S_all, from which the ledger's and the cost's follow (TOTALS)
+ * with tau(c) from the caller: tau is never computed here.
+ * kac_rows evaluates the rows in the order of `metrics._distances` and
+ * `TiltingScheme.pair_k`, and sums them block by block; kac_pair_rows and
+ * kac_pair_update are `_TiltPairSum.pre_collision` and `post_collision` on
+ * them.
  * kac_replay applies a range of rows of an event log to the velocities with
  * kac_run's collision arithmetic, so a replayed state is the simulated one
  * to the bit; it is `engine.replay_rows`, the walk of a log that keeps no
@@ -33,17 +36,16 @@
  * own, so that an edit there leaves this library's bytes, and its code's
  * addresses, as they are.
  *
- * The rows are nearly all of a tracked run, and each element of a row is
- * made once, in registers, straight from the velocities: no distance row
- * and no old row is stored or read back.  A build writes f(K) B in one
- * pass per row and sums each block of rows in C.  A collision saves the
- * pair's velocities before it (kac_pair_rows, or kac_run itself), and
- * after it one pass per particle a of the pair writes dh = h(new) - h(old)
- * for every b, from |v_a^new - v_b| and |v_a^old - v_b|; at b in {i, j}
- * that pass reads the new v_b, so those four entries are made again from
- * the saved and the new velocities.  h(new) - h(old) is the old two-phase
- * update's new - (old - +0.0) to the bit.  A pair's scratch holds dh of
- * its two rows (2n doubles), then its two velocities (2d).
+ * The rows are nearly all of a tracked hard-sphere run, and each element
+ * of a row is made once, in registers, straight from the velocities: no
+ * distance row and no old row is stored or read back.  A build writes the
+ * rows in one pass per row and sums each block of rows in C.  A collision
+ * saves the pair's velocities before it (kac_pair_rows, or kac_run
+ * itself), and after it one pass per particle a of the pair writes dh =
+ * h(new) - h(old) for every b, from |v_a^new - v_b| and |v_a^old - v_b|;
+ * at b in {i, j} that pass reads the new v_b, so those four entries are
+ * made again from the saved and the new velocities.  A pair's scratch
+ * holds dh of its two rows of each sum (4n doubles), then its velocities.
  *
  * kac_rows and collision_rows, the one entry of a collision's rows (kac_run
  * and kac_pair_update call it), are cloned on x86-64 with glibc: built for
@@ -64,30 +66,23 @@
 typedef int (*refill_fn)(int which); /* 0 uniforms, 1 exponentials, 2 normals */
 
 /* slots of the scalar arrays shared with the caller */
-enum { F_T, F_COMP, F_TEND, F_C, F_INFL, F_GAMMA, F_KB, F_MAJ, F_TOTAL, F_COMPENSATOR, F_JUMP,
-       F_COST_TOTAL, F_COST, F_COST_T };
+enum { F_T, F_COMP, F_TEND, F_C, F_INFL, F_GAMMA, F_KB, F_MAJ, F_S0, F_S1, F_TAU_C,
+       F_COMPENSATOR, F_JUMP, F_COST, F_COST_T };
 enum { K_IU, K_IE, K_IN, K_EVENTS, K_COLL, K_SIZE, K_CAP, K_I, K_J, K_HIT };
 
 enum { DONE = 0, GROW = 1, ERR_MAJORANT = -1, ERR_WEIGHT = -2, ERR_ZERO_TOTAL = -3,
        ERR_REFILL = -4, ERR_INDEX = -5, ERR_LOG = -6 }; /* _ktools.c goes on from -7 */
 
-/* the pair function f(K) of a row: K - 1, or a table of f at the three
- * values K takes at delta = 0: 0 (a frozen pair), c, and the NaN of a
- * non-finite distance */
-enum { F_K_MINUS_1, F_K_TABLE };
-
-/* the rows f(K) B on one scheme interval: K = c (1 + delta u) live_a live_b,
- * B = 1 + beta u, u = |v_a - v_b| (`engine._TiltPairSum`) */
+/* one scheme interval of `engine._TiltPairSum` or `_BSums`: K = c (1 +
+ * delta u) live_a live_b, B = 1 + beta u, u = |v_a - v_b|.  Its rows: at
+ * delta > 0 one, (K - 1) B; at delta = 0 two, B live_a live_b and B */
 struct rowspec {
     const double *V;    /* (n, d) velocities in C order */
     const double *live; /* 1.0 outside the frozen set, 0.0 in it; all 1.0 when none is */
-    double *scratch;    /* 2n + 2d doubles: dh of a pair's two rows, then the pair's
-                         * velocities before the collision */
-    int64_t n, d, f;
-    int64_t constant;   /* the rows never change: one value, or at beta = delta = 0
-                         * the two values f(0) on frozen pairs and f(c) elsewhere */
+    double *scratch;    /* 4n + 2d doubles: dh of a pair's two rows of each sum, then
+                         * the pair's velocities before the collision */
+    int64_t n, d;
     double c, delta, beta;
-    double f0, fc, fnan; /* a table f */
 };
 
 /* the clones of the row entries: the loader picks one through glibc's
@@ -155,173 +150,139 @@ INLINE double dist(const double *va, const double *vb, int64_t d)
     return sqrt(s);
 }
 
-/* the pair functions of a pass: the spec's K, B and f, the cost's table,
- * and the shape, which selects the copy of the row loop (a spec with a
- * cost holds the ledger's K - 1 rows) */
-struct pairfn {
-    double c, delta, beta, f0, fc, fnan, g0, gc, gnan;
-    int table, scaled, with_cost;
-};
-
-INLINE struct pairfn pairfn_of(const struct rowspec *sp, const struct rowspec *cost)
+/* h of one pair at distance u with live product l (live_a live_b): at
+ * delta > 0, (K - 1) B with K = c (1 + delta u) l and B = 1 unless scaled;
+ * at delta = 0 (two), B l, and *g = B.  The one copy of the element
+ * arithmetic, in the order of `_TiltPairSum.rows` and `_BSums.rows` */
+INLINE double pair_h(const struct rowspec *k, double u, double l, double *g, const int two,
+                     const int scaled)
 {
-    struct pairfn k = {sp->c, sp->delta, sp->beta, sp->f0, sp->fc, sp->fnan, 0.0, 0.0, 0.0,
-                       sp->f == F_K_TABLE, sp->beta != 0.0, cost != 0};
-    if (cost) {
-        k.g0 = cost->f0;
-        k.gc = cost->fc;
-        k.gnan = cost->fnan;
+    if (two) {
+        *g = 1.0 + k->beta * u;
+        return *g * l;
     }
-    return k;
-}
-
-/* h = f(K) B of one pair at distance u with live product l (live_a live_b):
- * K = c (1 + delta u) l, f a table or K - 1, B = 1 unless scaled; with a
- * cost also *g = tau(K) B from the same K and B, by the cost's table.  The
- * one copy of the element arithmetic, in `_TiltPairSum.rows`' order */
-INLINE double pair_h(const struct pairfn *k, double u, double l, double *g, const int table,
-                     const int scaled, const int with_cost)
-{
     double kk = k->c * (1.0 + k->delta * u);
     kk = kk * l;
-    double fk = table ? (kk == 0.0 ? k->f0 : kk == k->c ? k->fc : k->fnan) : kk - 1.0;
-    double b = scaled ? 1.0 + k->beta * u : 1.0;
-    if (with_cost) {
-        double gk = kk == 0.0 ? k->g0 : kk == k->c ? k->gc : k->gnan;
-        *g = scaled ? gk * b : gk;
-    }
-    return scaled ? fk * b : fk;
+    return scaled ? (kk - 1.0) * (1.0 + k->beta * u) : kk - 1.0;
 }
 
-/* one pass over the row of a: o[b] = h(a, b), and with a cost cost_o[b] =
- * g(a, b); after a collision (post), with old a's velocity before it, the
- * change h(new) - h(old) instead, each from v_b as it is in V.  No branch
- * in the loop where the flags are constants: live is a row of 1.0 when
- * nothing is frozen (k * (1.0 * 1.0) == k) */
-INLINE void row_pass(const struct rowspec *sp, const struct pairfn *kp, int64_t a,
-                     const double *restrict old, double *restrict o, double *restrict cost_o,
-                     const int64_t d, const int table, const int scaled, const int with_cost,
-                     const int post)
+/* one pass over the row of a: o[b] = h(a, b), and at delta = 0 o2[b] = B;
+ * after a collision (post), with old a's velocity before it, the change
+ * h(new) - h(old) instead, each from v_b as it is in V.  No branch in the
+ * loop where the shape is constant: live is a row of 1.0 when nothing is
+ * frozen (x * (1.0 * 1.0) == x) */
+INLINE void row_pass(const struct rowspec *sp, int64_t a, const double *restrict old,
+                     double *restrict o, double *restrict o2, const int64_t d, const int two,
+                     const int scaled, const int post)
 {
-    const struct pairfn k = *kp;
-    const double *restrict V = sp->V, *restrict live = sp->live;
-    const int64_t n = sp->n;
+    const struct rowspec k = *sp; /* in registers */
+    const double *restrict V = k.V, *restrict live = k.live;
+    const int64_t n = k.n;
     const double *va = V + a * d, la = live[a];
     for (int64_t b = 0; b < n; b++) {
         const double *vb = V + b * d;
         const double l = la * live[b];
         double g = 0.0, g0 = 0.0;
-        double h = pair_h(&k, dist(va, vb, d), l, &g, table, scaled, with_cost);
+        double h = pair_h(&k, dist(va, vb, d), l, &g, two, scaled);
         if (post) {
-            h -= pair_h(&k, dist(old, vb, d), l, &g0, table, scaled, with_cost);
+            h -= pair_h(&k, dist(old, vb, d), l, &g0, two, scaled);
             g -= g0;
         }
         o[b] = h;
-        if (with_cost)
-            cost_o[b] = g;
+        if (two)
+            o2[b] = g;
     }
 }
 
-/* row_pass for the shape of k: the ledger's K - 1 with the cost's table,
- * or sp's f alone, each with B or without, at d = 3 as constants; at any
- * other d the same pass with the shape read at each pair */
-INLINE void row(const struct rowspec *sp, const struct pairfn *k, int64_t a, const double *old,
-                double *o, double *cost_o, const int post)
+/* row_pass for the interval's shape: at d = 3 as constants, (K - 1) B with
+ * B or without, or the two rows of delta = 0; at any other d the same pass
+ * with the shape read at each pair */
+INLINE void row(const struct rowspec *sp, int64_t a, const double *old, double *o, double *o2,
+                const int post)
 {
-    const int table = k->table, scaled = k->scaled, with_cost = k->with_cost;
+    const int two = sp->delta == 0.0, scaled = sp->beta != 0.0;
     if (sp->d != 3)
-        row_pass(sp, k, a, old, o, cost_o, sp->d, table, scaled, with_cost, post);
-    else if (with_cost && scaled)
-        row_pass(sp, k, a, old, o, cost_o, 3, 0, 1, 1, post);
-    else if (with_cost)
-        row_pass(sp, k, a, old, o, cost_o, 3, 0, 0, 1, post);
-    else if (!table && scaled)
-        row_pass(sp, k, a, old, o, 0, 3, 0, 1, 0, post);
-    else if (!table)
-        row_pass(sp, k, a, old, o, 0, 3, 0, 0, 0, post);
+        row_pass(sp, a, old, o, o2, sp->d, two, scaled, post);
+    else if (two)
+        row_pass(sp, a, old, o, o2, 3, 1, 1, post);
     else if (scaled)
-        row_pass(sp, k, a, old, o, 0, 3, 1, 1, 0, post);
+        row_pass(sp, a, old, o, 0, 3, 0, 1, post);
     else
-        row_pass(sp, k, a, old, o, 0, 3, 1, 0, 0, post);
+        row_pass(sp, a, old, o, 0, 3, 0, 0, post);
 }
 
-/* every row, in blocks of m rows written into out, (m, n) in C order, and
- * each block summed as numpy sums it (kac_sum over the block) into
- * sums[2 k]; with a cost (sp then holds the ledger's K - 1 rows) the
- * cost's rows from the same distances into cost_out, and their sum into
- * sums[2 k + 1] (0.0 without) */
-CLONED void kac_rows(const struct rowspec *sp, const struct rowspec *cost, int64_t m,
-                     double *out, double *cost_out, double *sums)
+/* every row, in blocks of m rows written into out: (m, n) in C order for
+ * the first sum, and at delta = 0 the second sum's block after it.  Each
+ * block of each sum is summed as numpy sums it (kac_sum over the block)
+ * into sums[2 k] and sums[2 k + 1] (0.0 at delta > 0) */
+CLONED void kac_rows(const struct rowspec *sp, int64_t m, double *out, double *sums)
 {
     const int64_t n = sp->n;
-    const struct pairfn k = pairfn_of(sp, cost);
+    const int two = sp->delta == 0.0;
     for (int64_t first = 0; first < n; first += m, sums += 2) {
         const int64_t rows = m < n - first ? m : n - first;
         for (int64_t r = 0; r < rows; r++)
-            row(sp, &k, first + r, 0, out + r * n, cost ? cost_out + r * n : 0, 0);
+            row(sp, first + r, 0, out + r * n, two ? out + (m + r) * n : 0, 0);
         sums[0] = kac_sum(out, rows * n);
-        sums[1] = cost ? kac_sum(cost_out, rows * n) : 0.0;
+        sums[1] = two ? kac_sum(out + m * n, rows * n) : 0.0;
     }
 }
 
 /* a collision's change of the rows of the pair (i, j), dh = h(new) -
- * h(old) of each row, into the first 2n doubles of scratch, from the
- * pair's velocities before the collision, saved after them by
- * kac_pair_rows; with a cost, its dh into its own scratch alike, in the
- * order (i, j) or, when swapped, (j, i).  One pass per particle reads the
- * new v_i and v_j at b in {i, j}, so those four entries are made again
- * from the saved and the new velocities.  The one entry of the pair rows,
- * out of line so that it can be cloned */
-static CLONED void collision_rows(const struct rowspec *sp, const struct rowspec *cost,
-                                  int64_t i, int64_t j, int swapped)
+ * h(old) of each row, into scratch: the rows of i and j of the first sum,
+ * then at delta = 0 those of the second, n doubles each, from the pair's
+ * velocities before the collision, saved after them by kac_pair_rows.  One
+ * pass per particle reads the new v_i and v_j at b in {i, j}, so those
+ * four entries are made again from the saved and the new velocities.  The
+ * one entry of the pair rows, out of line so that it can be cloned */
+static CLONED void collision_rows(const struct rowspec *sp, int64_t i, int64_t j)
 {
     const int64_t n = sp->n, d = sp->d;
-    const struct pairfn k = pairfn_of(sp, cost);
-    const double *saved = sp->scratch + 2 * n;
+    const int two = sp->delta == 0.0, scaled = sp->beta != 0.0;
+    double *dh = sp->scratch;
+    const double *saved = dh + 4 * n;
     for (int p = 0; p < 2; p++) /* p: i or j, a row of the pair */
-        row(sp, &k, p ? j : i, saved + p * d, sp->scratch + p * n,
-            cost ? cost->scratch + (p != swapped ? n : 0) : 0, 1);
+        row(sp, p ? j : i, saved + p * d, dh + p * n, dh + (2 + p) * n, 1);
     for (int p = 0; p < 4; p++) { /* the entries (a, b), a and b in {i, j} */
         const int pa = p >> 1, pb = p & 1;
         const int64_t a = pa ? j : i, b = pb ? j : i;
         const double l = sp->live[a] * sp->live[b];
         double g = 0.0, g0 = 0.0;
-        double h = pair_h(&k, dist(sp->V + a * d, sp->V + b * d, d), l, &g, k.table, k.scaled,
-                          k.with_cost);
-        h -= pair_h(&k, dist(saved + pa * d, saved + pb * d, d), l, &g0, k.table, k.scaled,
-                    k.with_cost);
-        sp->scratch[pa * n + b] = h;
-        if (cost)
-            cost->scratch[(pa != swapped ? n : 0) + b] = g - g0;
+        double h = pair_h(sp, dist(sp->V + a * d, sp->V + b * d, d), l, &g, two, scaled);
+        h -= pair_h(sp, dist(saved + pa * d, saved + pb * d, d), l, &g0, two, scaled);
+        dh[pa * n + b] = h;
+        if (two)
+            dh[(2 + pa) * n + b] = g - g0;
     }
 }
 
-/* the change of the pair sum from dh of the pair (a, b), as
- * `_PairSum.post_collision` */
-static double settle(const struct rowspec *sp, int64_t a, int64_t b)
+/* the change of a pair sum from dh, the change of the rows of a and b (2n
+ * doubles), as `engine._settle` */
+static double settle(const double *dh, int64_t n, int64_t a, int64_t b)
 {
-    const int64_t n = sp->n;
-    const double *dh = sp->scratch;
     return ((2.0 * kac_sum(dh, 2 * n) - dh[a]) - dh[n + b]) - 2.0 * dh[b];
 }
 
-/* _PairSum.pre_collision: the velocities of i and j, after dh in scratch */
+/* _TiltPairSum.pre_collision: the velocities of i and j, after dh in scratch */
 void kac_pair_rows(const struct rowspec *sp, int64_t i, int64_t j)
 {
     const int64_t d = sp->d;
-    double *saved = sp->scratch + 2 * sp->n;
+    double *saved = sp->scratch + 4 * sp->n;
     for (int64_t q = 0; q < d; q++) {
         saved[q] = sp->V[i * d + q];
         saved[d + q] = sp->V[j * d + q];
     }
 }
 
-/* _PairSum.post_collision: dh into scratch; returns the change of the
- * pair sum */
-double kac_pair_update(const struct rowspec *sp, int64_t i, int64_t j)
+/* _TiltPairSum.post_collision: dh into scratch, and the change of each
+ * pair sum into change (the second at delta = 0 only) */
+void kac_pair_update(const struct rowspec *sp, int64_t i, int64_t j, double *change)
 {
-    collision_rows(sp, 0, i, j, 0);
-    return settle(sp, i, j);
+    const int64_t n = sp->n;
+    collision_rows(sp, i, j);
+    change[0] = settle(sp->scratch, n, i, j);
+    if (sp->delta == 0.0)
+        change[1] = settle(sp->scratch + 2 * n, n, i, j);
 }
 
 static double fen_total(const double *tree, int64_t n)
@@ -379,28 +340,40 @@ static int fen_sample(const double *tree, int64_t n, double u, int64_t *out)
             compensator += (dt) * (total / (double)n);                    \
     } while (0)
 
-/* led: the ledger's K and its K - 1 rows on this interval (NULL: none);
- * cost: the tau(K) B rows of the same interval (NULL: none), whose pair sum
- * is updated at the recorded pair, as a replay of the log updates it */
+/* the ledger's sum (K - 1) B and, at delta = 0, the cost's sum tau(K) B
+ * from the interval's pair sums s0 and s1 (S_live and S_all at delta = 0),
+ * as `_BSums.total` and `cost` */
+#define TOTALS()                                                          \
+    do {                                                                  \
+        total = two ? (led->c - 1.0) * s0 - (s1 - s0) : s0;               \
+        cost_total = tau_c * s0 + (s1 - s0);                              \
+    } while (0)
+
+/* led: the ledger's scheme interval (NULL: none), whose pair sums move at
+ * the recorded pair, as a replay of the log moves them */
 int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
             double *V, double *speeds, double *tree, double *weights,
             const uint8_t *frozen, const double *ubuf, const double *ebuf,
             const double *nbuf, refill_fn refill,
             double *ev_t, int64_t *ev_i, int64_t *ev_j, double *ev_sigma,
-            int8_t *ev_asg, uint8_t *ev_fict, const struct rowspec *led,
-            const struct rowspec *cost)
+            int8_t *ev_asg, uint8_t *ev_fict, const struct rowspec *led)
 {
     double t = f[F_T], comp = f[F_COMP];
     const double t_end = f[F_TEND], c = f[F_C], infl = f[F_INFL], gamma = f[F_GAMMA];
-    double total = f[F_TOTAL], compensator = f[F_COMPENSATOR], jump = f[F_JUMP];
-    /* the cost's pair sum, the cost so far, and the time it reaches */
-    double cost_total = f[F_COST_TOTAL], cost_so_far = f[F_COST], cost_t = f[F_COST_T];
+    double compensator = f[F_COMPENSATOR], jump = f[F_JUMP];
+    /* the interval's pair sums, tau(c), the cost so far and the time it
+     * reaches; the ledger's and the cost's sums follow from them */
+    double s0 = f[F_S0], s1 = f[F_S1], total, cost_total;
+    double tau_c = f[F_TAU_C], cost_so_far = f[F_COST], cost_t = f[F_COST_T];
     const double nn = (double)(n * n);
     int64_t iu = k[K_IU], ie = k[K_IE], in = k[K_IN];
     int64_t events = k[K_EVENTS], coll = k[K_COLL], size = k[K_SIZE];
-    const int rows = led && !led->constant; /* rows that change at collisions */
+    const int two = led && led->delta == 0.0;
+    /* rows that move at a collision: those that read the distance */
+    const int rows = led && (led->delta != 0.0 || led->beta != 0.0);
     int64_t hit = k[K_HIT];
     int status = DONE;
+    TOTALS();
 
     for (;;) {
         if (ev_t && size == k[K_CAP]) {
@@ -428,7 +401,7 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
         double y = dt - comp, s = t + y; /* Kahan-summed clock */
         comp = (s - t) - y;
         t = s;
-        if (cost) { /* the span since the last event, as dynamic_cost's replay */
+        if (two) { /* the span since the last event, as dynamic_cost's replay */
             double span = t - cost_t;
             if (span > 0.0)
                 cost_so_far += span * cost_total / nn;
@@ -518,7 +491,7 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
             }
             if (i != j) {
                 if (rows)
-                    kac_pair_rows(led, i, j);
+                    kac_pair_rows(led, ri, rj);
                 /* kinetics._collide in the recorded parametrisation */
                 double *a = V + ri * d, *b = V + rj * d;
                 double dot = 0.0;
@@ -536,10 +509,11 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
                     CHECK(fen_update(tree, weights, n, j, speeds[j]));
                 }
                 if (rows) {
-                    collision_rows(led, cost, i, j, ri != i);
-                    total += settle(led, i, j);
-                    if (cost)
-                        cost_total += settle(cost, ri, rj);
+                    collision_rows(led, ri, rj);
+                    s0 += settle(led->scratch, n, ri, rj);
+                    if (two)
+                        s1 += settle(led->scratch + 2 * n, n, ri, rj);
+                    TOTALS();
                 }
             }
         }
@@ -558,10 +532,10 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
 out:
     f[F_T] = t;
     f[F_COMP] = comp;
-    f[F_TOTAL] = total;
+    f[F_S0] = s0;
+    f[F_S1] = s1;
     f[F_COMPENSATOR] = compensator;
     f[F_JUMP] = jump;
-    f[F_COST_TOTAL] = cost_total;
     f[F_COST] = cost_so_far;
     f[F_COST_T] = cost_t;
     k[K_HIT] = hit;

@@ -15,22 +15,24 @@ differs from numpy's `x @ y` in dimension d (the kernel must reproduce
 numpy's arithmetic bit for bit).  The same gate serves `kac_replay`, the
 compiled walk of an event log behind `engine.replay_rows`, whose collision
 is that dot product and unfused steps.  `kernel(d, sums=True)`, for the
-rows of `engine._TiltPairSum` and the tracked segments that update them,
-also asks that the kernel's row sum equals numpy's `a.sum()`; where it does
-not, only they run in Python and numpy.
+rows of `engine._TiltPairSum` and `_BSums` and the tracked segments that
+update them, also asks that the kernel's row sum equals numpy's `a.sum()`;
+where it does not, only they run in Python and numpy (a Maxwell interval
+at delta = 0 has no rows).
 
-The rows are made one element at a time straight from the velocities:
+The rows, (K - 1) B at delta > 0 and the pair (B live_a live_b, B) at
+delta = 0, are made one element at a time straight from the velocities:
 `kac_rows` writes each row of a build in one pass and sums each block of
 rows in C, and a collision's change of its pair's rows is one pass per
 particle, h(new) - h(old), from the pair's velocities saved before it
-(`kac_pair_rows`); a pair sum's scratch holds that change (2n doubles) and
-the saved velocities (2d).  On x86-64 with glibc the row functions
-`kac_rows` and `collision_rows` (the entry of a collision's rows, behind
-`kac_run` and `kac_pair_update`) are built twice into the engine library,
-for x86-64-v4 (AVX-512) and for baseline x86-64, and the dynamic loader
-picks the clone when the library is loaded.  The build key, source plus
-compile command, is therefore unchanged, and the clones' rows are the same
-bytes.
+(`kac_pair_rows`); a pair sum's scratch holds that change (4n doubles)
+and the saved velocities (2d).  On x86-64 with
+glibc the row functions `kac_rows` and `collision_rows` (the entry of a
+collision's rows, behind `kac_run` and `kac_pair_update`) are built twice
+into the engine library, for x86-64-v4 (AVX-512) and for baseline x86-64,
+and the dynamic loader picks the clone when the library is loaded.  The
+build key, source plus compile command, is therefore unchanged, and the
+clones' rows are the same bytes.
 
 `kac_transport` lists the pairs closer than the cap from the points, with
 their distances, straight into its arc arrays, and solves the capped
@@ -102,18 +104,15 @@ DONE, GROW = 0, 1
 ERR_MAJORANT, ERR_WEIGHT, ERR_ZERO_TOTAL, ERR_REFILL, ERR_INDEX, ERR_LOG = range(-1, -7, -1)
 # status codes of kac_transport, as in _ktools.c
 ERR_MEMORY, ERR_PIVOTS, ERR_ARTIFICIAL = range(-7, -10, -1)
-# the pair function f(K) of a row, as in _kloop.c
-F_K_MINUS_1, F_K_TABLE = 0, 1
-
 REFILL = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int)
 
 
 class RowSpec(ctypes.Structure):
-    """`struct rowspec` of _kloop.c: the rows f(K) B of one scheme interval."""
+    """`struct rowspec` of _kloop.c: one scheme interval of a tilt pair sum."""
 
     _fields_ = [*((name, ctypes.c_void_p) for name in ("V", "live", "scratch")),
-                *((name, ctypes.c_int64) for name in ("n", "d", "f", "constant")),
-                *((name, ctypes.c_double) for name in ("c", "delta", "beta", "f0", "fc", "fnan"))]
+                *((name, ctypes.c_int64) for name in ("n", "d")),
+                *((name, ctypes.c_double) for name in ("c", "delta", "beta"))]
 
 _UNLOADED = object()
 _lib = _UNLOADED  # the library once loaded; None takes every Python path (and HiGHS)
@@ -205,14 +204,14 @@ def bind(lib, tools):
     lib.kac_sum.argtypes = (ptr, i64)
     lib.kac_sum.restype = dbl
     spec = ctypes.POINTER(RowSpec)
-    lib.kac_rows.argtypes = (spec, spec, i64, ptr, ptr, ptr)
+    lib.kac_rows.argtypes = (spec, i64, ptr, ptr)
     lib.kac_rows.restype = None
     lib.kac_pair_rows.argtypes = (spec, i64, i64)
     lib.kac_pair_rows.restype = None
-    lib.kac_pair_update.argtypes = (spec, i64, i64)
-    lib.kac_pair_update.restype = dbl
+    lib.kac_pair_update.argtypes = (spec, i64, i64, ptr)
+    lib.kac_pair_update.restype = None
     lib.kac_run.argtypes = (ptr, ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-                            REFILL, ptr, ptr, ptr, ptr, ptr, ptr, spec, spec)
+                            REFILL, ptr, ptr, ptr, ptr, ptr, ptr, spec)
     lib.kac_run.restype = ctypes.c_int
     lib.kac_replay.argtypes = (ptr, i64, i64, ptr, ptr, ptr, ptr, i64, i64, ptr)
     lib.kac_replay.restype = ctypes.c_int

@@ -35,11 +35,10 @@ Under a ledger scheme the compensator rate (1/N) sum_{ij} (K - 1) B is a
 `_PairSum`: built in row blocks once per scheme interval (none where K = 1),
 in O(N) memory, and updated exactly in O(N) per collision.  The same pair
 sum serves the exact dynamic cost, Xi_2 and `total_rate`, each with its own
-pair function.  Each tilt pair sum of f(K) B is a `_TiltPairSum`, which
-also gives the ledger's jump term its K; its rows come from the kernel where
-it evaluates f, bit-identical to numpy's, and where they are free of the
-velocities no collision evaluates them.  At delta = 0 the ledger's pair sum
-carries the pair sum of tau(K) B from the same distance rows, and the run
+pair function: a `_TiltPairSum` of f(K) B at delta > 0, and at delta = 0
+two sums of B, `_BSums`, in which every tilt pair sum there is affine.
+Either gives the ledger's jump term its K and moves at each collision's
+recorded pair, as a replay of the log moves it.  At delta = 0 the run
 integrates the exact dynamic cost over the spans between its events, as
 `dynamic_cost` replays it (`Trajectory.dynamic_cost`).
 """
@@ -272,11 +271,11 @@ class Trajectory:
     Radon-Nikodym ledger.
 
     dynamic_cost is int tau(K) dmbar over [0, T] under the scheme passed to
-    `simulate`, integrated during the run in the spans and the arithmetic
-    of `rate_function.dynamic_cost`, so it is that replay's exact value to
-    the bit.  It is 0.0 with no scheme, and None where a tracked interval
-    has delta > 0 (no tau of the kernel there is numpy's to the bit) or on
-    a trajectory `simulate` did not make.
+    `simulate`, integrated during the run from the two sums of `_BSums` in
+    the spans and the arithmetic of `rate_function.dynamic_cost`, so it is
+    that replay's exact value to the bit.  It is 0.0 with no scheme, and
+    None where a tracked interval has delta > 0 (tau rows are numpy's
+    there) or on a trajectory `simulate` did not make.
     """
 
     initial_state: ParticleState
@@ -467,6 +466,12 @@ def _blocks(n: int) -> list:
     return [slice(a, a + step) for a in range(0, n, step)]
 
 
+def _settle(dh: np.ndarray, i: int, j: int) -> float:
+    """The change of a pair sum at a collision of i and j, from dh, the
+    change of their two rows: 2 dR_i + 2 dR_j - dh(i, i) - dh(j, j) - 2 dh(i, j)."""
+    return float(2.0 * dh.sum() - dh[0, i] - dh[1, j] - 2.0 * dh[0, j])
+
+
 class _PairSum:
     """S = sum_{a,b} h(a, b) over ordered pairs, diagonal included.
 
@@ -474,8 +479,8 @@ class _PairSum:
     slice or an index array), for a symmetric pair function h of the live
     velocities: h(rows) itself, or a subclass's own `rows` (h = None).  S is
     built in row blocks, so no N x N array exists, and a collision of i and
-    j updates it exactly from the old and new rows of its two particles:
-    S += 2 dR_i + 2 dR_j - dh(i, i) - dh(j, j) - 2 dh(i, j).
+    j updates it exactly from the old and new rows of its two particles
+    (`_settle`).
     """
 
     __slots__ = ("h", "total")
@@ -494,8 +499,7 @@ class _PairSum:
         return self.rows(np.array((i, j)))
 
     def post_collision(self, i: int, j: int, old: np.ndarray):
-        dh = self.rows(np.array((i, j))) - old
-        self.total += float(2.0 * dh.sum() - dh[0, i] - dh[1, j] - 2.0 * dh[0, j])
+        self.total += _settle(self.rows(np.array((i, j))) - old, i, j)
 
 
 def _k_minus_1(kk):
@@ -507,86 +511,56 @@ def _k_itself(kk):
 
 
 class _TiltPairSum(_PairSum):
-    """The pair sum of h = f(K) B on interval k of a scheme, B = 1 + beta u.
+    """The pair sum of h = f(K) B on a delta > 0 interval k of a scheme,
+    K = c (1 + delta u) on live pairs and 0 on the others, B = 1 + beta u.
 
     `rows` (a method, so the object holds no reference to itself) is the
-    numpy reference.  Where the compiled kernel evaluates f (K - 1 at every
-    delta, any f at delta = 0 by a table of f at the three values K takes
-    there: 0 on a frozen pair, c, and the NaN of a non-finite distance) it
-    matches `rows` bit for bit: `_build` is one call of `kac_rows`, which
-    writes each block of rows into buffers kept for the build and sums it
-    in numpy's summation order, and a collision saves its pair's
-    velocities in the kernel's scratch and makes the change of its two
-    rows there in one pass per particle.  `constant` rows (delta = beta =
-    0, no distance that can overflow) are f(c live_a live_b), free of the
-    velocities: they change by exactly 0.0 at a collision, so none are
-    evaluated after the build.
-
-    With `cost`, the object also carries `cost`, the pair sum of tau(K) B
-    on the same interval, built from the same distances in the same call
-    (numpy builds both where either lacks the kernel); the compiled loop
-    updates both in the same passes at a collision.
+    numpy reference.  The kernel makes the ledger's rows (f = K - 1) to the
+    bit: `_build` is one call of `kac_rows`, which sums each block of rows
+    in numpy's order, and a collision saves its pair's velocities in the
+    kernel's scratch and makes the change of its two rows there in one pass
+    per particle.  Other f (tau, K) run in numpy.
     """
 
-    __slots__ = ("v", "scheme", "k", "beta", "f", "c", "delta", "alive", "constant",
-                 "lib", "spec", "live", "scratch", "cost")
+    __slots__ = ("v", "scheme", "k", "beta", "f", "c", "delta", "alive", "lib", "spec", "live", "scratch")
 
-    def __init__(self, v: np.ndarray, scheme: TiltingScheme, k: int, beta: float, f,
-                 cost: bool = False):
-        self._describe(v, scheme, k, beta, f)
-        if cost:  # built with this object, in `_build`
-            self.cost = _TiltPairSum.__new__(_TiltPairSum)
-            self.cost._describe(v, scheme, k, beta, tau)
+    def __init__(self, v: np.ndarray, scheme: TiltingScheme, k: int, beta: float, f):
+        self.f = f
+        self._describe(v, scheme, k, beta, f is _k_minus_1 and scheme.deltas[k] > 0.0)
         super().__init__(len(v), None)
 
-    def _build(self, n: int) -> float:
-        cost = self.cost
-        parts = (self,) if cost is None else (self, cost)
-        blocks = _blocks(n)
-        if any(part.lib is None for part in parts):
-            sums = [[float(part.rows(sel).sum()) for part in parts] for sel in blocks]
-        else:
-            # one pass per row feeds both, block by block into buffers kept
-            # for the build; the blocks' sums come back as (ledger, cost) pairs
-            step = min(n, blocks[0].stop)
-            outs = [np.empty((step, n)) for _ in parts]
-            cost_spec, cost_out = (None, None) if cost is None else (cost.spec, outs[1].ctypes.data)
-            sums = np.empty((len(blocks), 2))
-            self.lib.kac_rows(self.spec, cost_spec, step, outs[0].ctypes.data, cost_out,
-                              sums.ctypes.data)
-            sums = sums.tolist()
-        if cost is not None:
-            cost.total = sum(s[1] for s in sums)
-        return sum(s[0] for s in sums)
-
-    def _describe(self, v, scheme, k, beta, f) -> None:
-        self.h, self.cost = None, None
-        self.v, self.scheme, self.k, self.beta, self.f = v, scheme, k, beta, f
-        c, delta = float(scheme.coeffs[k]), float(scheme.deltas[k])
-        self.c, self.delta = c, delta
+    def _describe(self, v, scheme, k, beta, compiled: bool) -> None:
+        self.h = None
+        self.v, self.scheme, self.k, self.beta = v, scheme, k, beta
+        self.c, self.delta = float(scheme.coeffs[k]), float(scheme.deltas[k])
         self.alive = ~scheme.frozen_mask(k, len(v)) if len(scheme.frozen_sets[k]) else None
-        # a row is f(c live_a live_b) where the distance is finite, and none overflows
-        # while 4 sum |v|^2 is finite: |v_a - v_b|^2 <= 2 sum |v|^2, which collisions conserve
-        self.constant = beta == 0.0 and delta == 0.0 and bool(np.isfinite(4.0 * np.sum(v * v)))
-        mode = _kloop.F_K_MINUS_1 if f is _k_minus_1 else _kloop.F_K_TABLE if delta == 0.0 else None
         self.lib = self.spec = self.live = self.scratch = None
-        if mode is not None and v.flags.c_contiguous and v.dtype == np.float64:
-            self.lib = _kloop.kernel(v.shape[1], sums=True)
+        if compiled and v.flags.c_contiguous and v.dtype == np.float64:
+            # rows that read no distance (Maxwell at delta = 0) are never summed
+            self.lib = _kloop.kernel(v.shape[1], sums=self.delta > 0.0 or beta > 0.0)
         if self.lib is not None:
-            # the kernel multiplies K by live_a live_b, each 1.0 or 0.0, as
-            # numpy multiplies it by the boolean alive_a & alive_b, and by
-            # 1.0 (exactly) where nothing is frozen, so its loops have no branch
+            # the kernel multiplies by live_a live_b, each 1.0 or 0.0, as numpy
+            # multiplies by the boolean alive_a & alive_b, and by 1.0 (exactly)
+            # where nothing is frozen, so its loops have no branch
             self.live = np.ones(len(v)) if self.alive is None else self.alive.astype(float)
-            self.scratch = np.empty(2 * len(v) + 2 * v.shape[1])  # dh of a pair's rows, its velocities
-            table = (0.0, 0.0, 0.0)
-            if mode == _kloop.F_K_TABLE:
-                with np.errstate(invalid="ignore"):  # K is NaN at an infinite distance
-                    k_values = scheme.pair_k(k, np.array([0.0, 0.0, np.inf]), np.array([False, True, True]))
-                table = f(k_values)
+            self.scratch = np.empty(4 * len(v) + 2 * v.shape[1])  # dh of a pair's rows, its velocities
             # the spec points into v, live and scratch, which this object keeps
-            self.spec = _kloop.RowSpec(v.ctypes.data, self.live.ctypes.data,
-                                       self.scratch.ctypes.data, len(v), v.shape[1], mode,
-                                       self.constant, c, delta, beta, *table)
+            self.spec = _kloop.RowSpec(v.ctypes.data, self.live.ctypes.data, self.scratch.ctypes.data,
+                                       len(v), v.shape[1], self.c, self.delta, beta)
+
+    def _build(self, n: int) -> float:
+        return sum(sums[0] for sums in self._block_sums(n))
+
+    def _block_sums(self, n: int) -> list:
+        """Each kind of row summed over each block of rows, by `kac_rows` or numpy."""
+        blocks = _blocks(n)
+        if self.lib is None:
+            return [[float(part.sum()) for part in rows.reshape(-1, *rows.shape[-2:])]
+                    for rows in map(self.rows, blocks)]
+        step = min(n, blocks[0].stop)
+        out, sums = np.empty((2, step, n)), np.empty((len(blocks), 2))
+        self.lib.kac_rows(self.spec, step, out.ctypes.data, sums.ctypes.data)
+        return sums.tolist()
 
     def rows(self, rows) -> np.ndarray:
         # factors that are 1 on every pair (nothing frozen, B = 1) are skipped
@@ -596,21 +570,69 @@ class _TiltPairSum(_PairSum):
         return fk * (1.0 + self.beta * u) if self.beta else fk
 
     def pre_collision(self, i: int, j: int):
-        if self.constant:
-            return None
         # an index outside [0, N) takes numpy's indexing rules, or its IndexError
         if self.lib is not None and 0 <= i < len(self.v) and 0 <= j < len(self.v):
             self.lib.kac_pair_rows(self.spec, i, j)
             return None
         return _PairSum.pre_collision(self, i, j)
 
-    def post_collision(self, i: int, j: int, old) -> None:
-        if self.constant:
-            return
+    def _change(self, i: int, j: int, old) -> list:
+        """Each kind's change at a collision: from `kac_pair_update` (dh left in the scratch) or numpy."""
         if old is None:
-            self.total += self.lib.kac_pair_update(self.spec, i, j)
+            change = np.zeros(2)
+            self.lib.kac_pair_update(self.spec, i, j, change.ctypes.data)
+            return change.tolist()
+        dh = self.rows(np.array((i, j))) - old
+        return [_settle(part, i, j) for part in dh.reshape(-1, 2, len(self.v))]
+
+    def post_collision(self, i: int, j: int, old) -> None:
+        self.total += self._change(i, j, old)[0]
+
+
+class _BSums(_TiltPairSum):
+    """S_live = sum B live_a live_b and S_all = sum B over ordered pairs on a
+    delta = 0 interval k of a scheme, where K is c on live pairs and 0 on
+    the others: the ledger's sum (K - 1) B is (c - 1) S_live - (S_all -
+    S_live) (`total`), the cost's tau(c) S_live + (S_all - S_live) (`cost`)
+    and `total_rate`'s c S_live.  For Maxwell molecules (B = 1) they are
+    N_t^2 and N^2, exact, and no row is made.  Otherwise `rows` is the pair
+    (B live_a live_b, B), (2, m, n), which the kernel makes from one
+    distance.  A distance that overflows makes B infinite: with hard spheres
+    the ledger and the cost are then NaN; Maxwell molecules read no distance.
+    """
+
+    __slots__ = ("s_live", "s_all", "tau_c")
+
+    def __init__(self, v: np.ndarray, scheme: TiltingScheme, k: int, beta: float):
+        self._describe(v, scheme, k, beta, True)
+        self.tau_c = tau(self.c)
+        n = len(v)
+        if beta == 0.0:
+            live = n if self.alive is None else int(np.count_nonzero(self.alive))
+            self.s_live, self.s_all = float(live * live), float(n * n)
             return
-        _PairSum.post_collision(self, i, j, old)
+        self.s_live, self.s_all = (sum(s) for s in zip(*self._block_sums(n)))
+
+    @property
+    def total(self) -> float:
+        return (self.c - 1.0) * self.s_live - (self.s_all - self.s_live)
+
+    @property
+    def cost(self) -> float:
+        return self.tau_c * self.s_live + (self.s_all - self.s_live)
+
+    def rows(self, rows) -> np.ndarray:
+        b = 1.0 + self.beta * _distances(self.v[rows], self.v)
+        return np.stack((b if self.alive is None else b * (self.alive[rows, None] & self.alive), b))
+
+    def pre_collision(self, i: int, j: int):
+        return None if self.beta == 0.0 else _TiltPairSum.pre_collision(self, i, j)
+
+    def post_collision(self, i: int, j: int, old) -> None:
+        if self.beta != 0.0:
+            d_live, d_all = self._change(i, j, old)
+            self.s_live += d_live
+            self.s_all += d_all
 
 
 # ---------------------------------------------------------------------------
@@ -678,27 +700,27 @@ class _Engine:
         if kl != self.k_led:
             # one ledger pair sum per scheme interval, carried across
             # checkpoints; none where K = 1, as log K = K - 1 = tau(K) = 0
-            # there.  At delta = 0 it carries the tau(K) B sum of the cost.
+            # there.  At delta = 0 it is `_BSums`, which also gives the cost.
             self.integrate_cost(self.t)  # the end of the last interval
             self.k_led = kl
             self.tracker = None
             if not led.is_unit(kl):
                 if led.deltas[kl] > 0.0:
                     self.cost = None
-                self.tracker = _TiltPairSum(self.V, led, kl, self.beta, _k_minus_1,
-                                            cost=self.cost is not None)
+                    self.tracker = _TiltPairSum(self.V, led, kl, self.beta, _k_minus_1)
+                else:
+                    self.tracker = _BSums(self.V, led, kl, self.beta)
                 self.cost_t = self.t
 
     def integrate_cost(self, t: float):
         """Add the span up to t, an event or the end of an interval, to the
         dynamic cost, in the spans and the arithmetic of `dynamic_cost`."""
-        cost_sum = self.tracker.cost if self.tracker is not None else None
-        if cost_sum is None:
+        if self.cost is None or self.tracker is None:
             return
         dt = t - self.cost_t
         self.cost_t = t
         if dt > 0.0:
-            self.cost += dt * cost_sum.total / self.n**2
+            self.cost += dt * self.tracker.cost / self.n**2
 
     # -- one proposal -------------------------------------------------------
 
@@ -768,7 +790,6 @@ class _Engine:
         rsigma = sigma if assignment % 2 == 0 else -sigma
 
         tracker = self.tracker
-        cost_sum = tracker.cost if tracker is not None else None
         if accepted:
             self.n_collisions += 1
             if tracker is not None:
@@ -777,9 +798,8 @@ class _Engine:
                 else:
                     self.ledger.jump_term += math.log(tracker.c * (1.0 + tracker.delta * u_dist))
             if i != j:
-                pre = tracker.pre_collision(i, j) if tracker is not None else None
-                # the cost's sum moves at the recorded pair, as in a replay
-                cost_pre = cost_sum.pre_collision(ri, rj) if cost_sum is not None else None
+                # the pair sums move at the recorded pair, as in a replay
+                pre = tracker.pre_collision(ri, rj) if tracker is not None else None
                 # apply the collision in the recorded parametrisation so a
                 # replay of the log reproduces the arithmetic bit for bit
                 apply_collision(self.V, ri, rj, rsigma)
@@ -789,9 +809,7 @@ class _Engine:
                     self.fen.update(i, self.speeds[i])
                     self.fen.update(j, self.speeds[j])
                 if tracker is not None:
-                    tracker.post_collision(i, j, pre)
-                if cost_sum is not None:
-                    cost_sum.post_collision(ri, rj, cost_pre)
+                    tracker.post_collision(ri, rj, pre)
         if self.events is not None:
             self.events.append(self.t, ri, rj, rsigma, assignment, not accepted)
         self.n_events += 1
@@ -805,8 +823,8 @@ class _Engine:
     def run_segment(self, t_end: float):
         self.enter_segment(self.t)
         lib = _kloop.kernel(self.d)
-        # a ledger pair sum is always one of K - 1 rows, which the kernel
-        # evaluates where they are compiled (the row sum check passed)
+        # a ledger pair sum runs compiled where its rows do (the row sum
+        # check passed) or where it has none (Maxwell at delta = 0)
         if lib is not None and (self.tracker is None or self.tracker.lib is not None):
             self._run_compiled(lib, t_end)
         else:
@@ -816,19 +834,19 @@ class _Engine:
     def _run_compiled(self, lib, t_end: float):
         """`propose` up to t_end in the compiled loop, on this engine's arrays.
 
-        The loop keeps the ledger pair sum, compensator, jump term and
-        hit_zero flag, and the cost's pair sum and integral, carried in and
-        out through the scalar slots.  It returns to grow the event buffer,
-        and on an error, which is raised here as the Python loop raises it.
+        The loop keeps the ledger's pair sums (S_live and S_all at delta =
+        0), compensator, jump term and hit_zero flag, and the cost's
+        integral, carried in and out through the scalar slots.  It returns to
+        grow the event buffer, and on an error, which is raised here as the
+        Python loop raises it.
         """
         draws, ev, fen, tracker, ledger = self.draws, self.events, self.fen, self.tracker, self.ledger
-        total, spec = (0.0, None) if tracker is None else (tracker.total, tracker.spec)
-        cost_sum = tracker.cost if tracker is not None else None
-        cost_total, cost_spec = (0.0, None) if cost_sum is None else (cost_sum.total, cost_sum.spec)
+        two = isinstance(tracker, _BSums)
+        sums = ((tracker.s_live, tracker.s_all, tracker.tau_c) if two
+                else (0.0 if tracker is None else tracker.total, 0.0, 0.0))
         # scalars in and out, in the slots of the F_* and K_* enums of _kloop.c
         f = np.array([self.t, self._t_comp, t_end, self.c_dyn, self.inflation, self.gamma, 0.0, 0.0,
-                      total, ledger.compensator_term, ledger.jump_term,
-                      cost_total, self.cost or 0.0, self.cost_t])
+                      *sums, ledger.compensator_term, ledger.jump_term, self.cost or 0.0, self.cost_t])
         k = np.array([draws._iu, draws._ie, draws._in, self.n_events, self.n_collisions,
                       ev.size if ev is not None else 0, 0, 0, 0, ledger.hit_zero], dtype=np.int64)
         raised = []
@@ -859,17 +877,20 @@ class _Engine:
                 fen.weights.ctypes.data if fen is not None else None,
                 self.frozen_dyn.ctypes.data if self.any_frozen_dyn else None,
                 draws._u.ctypes.data, draws._e.ctypes.data, draws._n.ctypes.data, callback, *cols,
-                spec, cost_spec)
+                None if tracker is None else tracker.spec)
         self.t, self._t_comp = float(f[0]), float(f[1])
         draws._iu, draws._ie, draws._in, self.n_events, self.n_collisions = (int(x) for x in k[:5])
         if ev is not None:
             ev.size = int(k[5])
         if tracker is not None:
-            tracker.total = float(f[8])
-            ledger.compensator_term, ledger.jump_term = float(f[9]), float(f[10])
+            if two:
+                tracker.s_live, tracker.s_all = float(f[8]), float(f[9])
+            else:
+                tracker.total = float(f[8])
+            ledger.compensator_term, ledger.jump_term = float(f[11]), float(f[12])
             ledger.hit_zero = bool(k[9])
-        if cost_sum is not None:
-            cost_sum.total, self.cost, self.cost_t = float(f[11]), float(f[12]), float(f[13])
+        if self.cost is not None:
+            self.cost, self.cost_t = float(f[13]), float(f[14])
         if status == _kloop.DONE:
             return
         if status == _kloop.ERR_MAJORANT:
@@ -893,11 +914,14 @@ def total_rate(state: ParticleState, kernel: Kernel, tilt: TiltingScheme | None 
     """Total event rate N int K B dmu dmu dsigma = (1/N) sum_{ij} K_ij B_ij.
 
     Exact pair sum (sigma-independent K), built in row blocks in O(N)
-    memory; diagonal pairs included.
+    memory; diagonal pairs included.  At delta = 0 it is c S_live / N.
     """
     tilt = tilt if tilt is not None else _IDENTITY_SCHEME
     k_idx = tilt.interval_index(state.time)
-    return _TiltPairSum(state.velocities, tilt, k_idx, kernel.slope, _k_itself).total / state.n
+    if tilt.deltas[k_idx] > 0.0:
+        return _TiltPairSum(state.velocities, tilt, k_idx, kernel.slope, _k_itself).total / state.n
+    sums = _BSums(state.velocities, tilt, k_idx, kernel.slope)
+    return sums.c * sums.s_live / state.n
 
 
 def step(state: ParticleState, kernel: Kernel, tilt: TiltingScheme | None, rng: np.random.Generator):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _PairSum, _TiltPairSum, replay_events, replay_rows
+from .engine import _BSums, _PairSum, _TiltPairSum, replay_events, replay_rows
 from .girsanov import InitialTilt, TiltingScheme, _tail_law, tau
 from .kinetics import post_collision, sphere_quadrature
 from .metrics import WeightedMeasure, _distances
@@ -210,11 +210,11 @@ def dynamic_cost(trajectory, scheme: TiltingScheme, mode: str = "exact",
     The integrand is piecewise constant in time between events and scheme
     breakpoints, so the integral splits exactly over those spans.  K = 0
     regions contribute tau(0) = 1 times their mbar mass.  "exact" keeps
-    the pair sum sum_{ij} tau(K) B as a `_PairSum`, built once per scheme
-    interval in O(N) memory and updated in O(N) per collision; intervals
-    where K = 1 cost nothing (tau(1) = 0) and build none.  "subsample" is
-    an unbiased uniform pair-subsampling estimate with reported standard
-    error.  stderr is 0 for exact evaluations.
+    the pair sum sum_{ij} tau(K) B (from `_BSums`' two sums at delta = 0),
+    built once per scheme interval in O(N) memory and updated in O(N) per
+    collision; intervals where K = 1 cost nothing (tau(1) = 0) and build
+    none.  "subsample" is an unbiased uniform pair-subsampling estimate with
+    reported standard error.  stderr is 0 for exact evaluations.
 
     This replays the log.  A run under a scheme with delta = 0 already
     carries this exact value for its own scheme, integrated in the same
@@ -245,7 +245,9 @@ def dynamic_cost(trajectory, scheme: TiltingScheme, mode: str = "exact",
             replay_rows(v, log, lo, hi)
             continue
         alive = ~scheme.frozen_mask(k_idx, n)
-        pair_sum = _TiltPairSum(v, scheme, k_idx, beta, tau) if exact else None
+        two, pair_sum = scheme.deltas[k_idx] == 0.0, None
+        if exact:
+            pair_sum = _BSums(v, scheme, k_idx, beta) if two else _TiltPairSum(v, scheme, k_idx, beta, tau)
         t_prev = b0
         for k in itertools.chain(replay_events(v, log, lo, hi, pair_sum), (None,)):
             t = b1 if k is None else float(log.t[k])
@@ -254,7 +256,7 @@ def dynamic_cost(trajectory, scheme: TiltingScheme, mode: str = "exact",
             if dt <= 0.0:
                 continue
             if exact:
-                total += dt * pair_sum.total / n**2
+                total += dt * (pair_sum.cost if two else pair_sum.total) / n**2
             else:
                 ii = rng.integers(0, n, size=pairs_per_interval)
                 jj = rng.integers(0, n, size=pairs_per_interval)

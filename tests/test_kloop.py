@@ -229,6 +229,8 @@ def test_huge_velocity_fails_alike(monkeypatch):
 # ---------------------------------------------------------------------------
 # tracked segments: the tilt rows, their sum, and the ledger in the kernel
 
+from test_pair_sums import tilt_sum  # noqa: E402
+
 from kaclab.engine import _k_itself, _k_minus_1, _TiltPairSum  # noqa: E402
 from kaclab.rate_function import tau  # noqa: E402
 
@@ -245,19 +247,24 @@ def _frozen_scheme(delta):
 @pytest.mark.parametrize("frozen", [False, True])
 @pytest.mark.parametrize("f", ["k_minus_1", "k", "tau"])
 def test_row_kernel_matches_numpy_rows(f, frozen, beta, d):
+    # the kernel makes the K - 1 rows of delta > 0 and the two rows of B of
+    # delta = 0 (at beta = 0 the engine asks for none: they are 1 and live_a
+    # live_b); every pair sum of f(K) B at delta = 0 is affine in the latter
     func = {"k_minus_1": _k_minus_1, "k": _k_itself, "tau": tau}[f]
     rng = np.random.default_rng(7 * d)
-    # a table f serves delta = 0 only; K - 1 runs in C for every delta
-    deltas = (0.0, 0.3) if f == "k_minus_1" else (0.0,)
-    for delta in deltas:
+    for delta in (0.0, 0.3) if f == "k_minus_1" else (0.0,):
         scheme = _frozen_scheme(delta)
         for n in (1, 7, 300):
             v = rng.standard_normal((n, d)) * np.exp(rng.uniform(-3.0, 3.0, (n, 1)))
-            pair_sum = _TiltPairSum(v, scheme, 0 if frozen else 1, beta, func)
+            pair_sum, read = tilt_sum(v, scheme, 0 if frozen else 1, beta, func)
             assert pair_sum.lib is not None
             got = _rows_of(pair_sum.lib, pair_sum, n)[0]  # one block of every row
             for sel in (slice(0, n), slice(n // 2, n + 5), slice(n - 1, None), slice(-1, 0)):
-                assert got[sel].tobytes() == pair_sum.rows(sel).tobytes(), (delta, n, sel)
+                assert got[:, sel].tobytes() == _numpy_rows(pair_sum, sel).tobytes(), (delta, n, sel)
+            # the numpy rows of f(K) B itself
+            oracle = _TiltPairSum(v, scheme, 0 if frozen else 1, beta, func)
+            assert oracle.lib is None or delta > 0.0
+            assert read() == pytest.approx(oracle.total, rel=1e-10, abs=0.0), (delta, n)
 
 
 @needs_gcc
@@ -285,6 +292,12 @@ def test_sum_check_gates_only_the_pair_sum_rows(monkeypatch, tracked_calls):
     assert eng.tracker.lib is None
     eng.run_segment(1.0)
     assert tracked_calls == [False] and eng.n_events > 0
+    # a Maxwell interval at delta = 0 has no rows, so it runs compiled
+    eng = _tracked_engine(scheme=scheme, kernel=Kernel.MAXWELL)
+    eng.run_segment(0.5)
+    assert eng.tracker.lib is lib
+    eng.run_segment(1.0)
+    assert tracked_calls == [False, True, False] and eng.n_collisions > 0
 
 
 @pytest.fixture
@@ -359,11 +372,11 @@ def test_tracked_runs_are_byte_identical(name, monkeypatch, tracked_calls):
         assert compiled.dynamic_cost > 0.0
 
 
-def _tracked_engine(chunk=37, capacity=1, scheme=None):
+def _tracked_engine(chunk=37, capacity=1, scheme=None, kernel=Kernel.HARD_SPHERE):
     rng = kl.make_rng(29)
     state = kl.ParticleState(kl.ReferenceMeasure(3).sample(rng, 50))
     scheme = scheme if scheme is not None else _frozen_scheme(0.0)
-    return _Engine(state, Kernel.HARD_SPHERE, TiltingScheme.identity(), scheme,
+    return _Engine(state, kernel, TiltingScheme.identity(), scheme,
                    RNLedger(), _Draws(rng, chunk=chunk), _EventBuffer(3, capacity=capacity))
 
 
@@ -459,17 +472,24 @@ def baseline_lib(tmp_path_factory):
     return _kloop.bind(*libs)
 
 
+def _kinds(pair_sum):
+    """The kinds of row of a tilt pair sum: (K - 1) B, or at delta = 0 B live_a live_b and B."""
+    return 2 if pair_sum.delta == 0.0 else 1
+
+
+def _numpy_rows(pair_sum, sel):
+    """numpy's rows of a tilt pair sum, (kinds, rows, n)."""
+    return pair_sum.rows(sel).reshape(_kinds(pair_sum), -1, len(pair_sum.v))
+
+
 def _rows_of(lib, pair_sum, step):
     """kac_rows of one library in blocks of step rows: the last block's
-    rows, the cost's rows too if it has a cost, and the (ledger, cost) sum
-    of each block."""
-    n, cost = len(pair_sum.v), pair_sum.cost
-    out, cost_out = np.empty((step, n)), np.empty((step, n))
-    sums = np.empty((-(-n // step), 2))
-    lib.kac_rows(pair_sum.spec, None if cost is None else cost.spec, step, out.ctypes.data,
-                 None if cost is None else cost_out.ctypes.data, sums.ctypes.data)
+    rows of each kind, (kinds, rows, n), and the two sums of each block."""
+    n = len(pair_sum.v)
+    out, sums = np.empty((2, step, n)), np.empty((-(-n // step), 2))
+    lib.kac_rows(pair_sum.spec, step, out.ctypes.data, sums.ctypes.data)
     last = (n - 1) // step * step
-    return out[: n - last], None if cost is None else cost_out[: n - last], sums
+    return out[: _kinds(pair_sum), : n - last], sums
 
 
 @needs_gcc
@@ -479,71 +499,68 @@ def _rows_of(lib, pair_sum, step):
 @pytest.mark.parametrize("frozen", [False, True])
 @pytest.mark.parametrize("f", ["k_minus_1", "table"])
 def test_baseline_rows_match_dispatched_and_numpy(baseline_lib, f, frozen, beta, d):
+    # "k_minus_1": the K - 1 rows of delta > 0; "table": the two rows of B of
+    # delta = 0, which every pair sum there is made of
     rng = np.random.default_rng(13 * d)
     n = 41
-    # K - 1 runs in C at every delta and carries the cost's table at delta = 0
-    for delta in (0.0, 0.3) if f == "k_minus_1" else (0.0,):
-        v = rng.standard_normal((n, d)) * np.exp(rng.uniform(-3.0, 3.0, (n, 1)))
-        v[4, min(1, d - 1)] = np.inf  # row and column 4 hold non-finite distances
-        scheme = _frozen_scheme(delta)
-        func = _k_minus_1 if f == "k_minus_1" else tau
-        pair_sum = _TiltPairSum(v, scheme, 0 if frozen else 1, beta, func,
-                                cost=f == "k_minus_1" and delta == 0.0)
-        lib, cost = pair_sum.lib, pair_sum.cost
-        assert lib is not None and lib is not baseline_lib
-        parts = [pair_sum] if cost is None else [pair_sum, cost]
-        for step in (n, n // 2, 1):
-            got = [[None if x is None else x.tobytes() for x in _rows_of(each, pair_sum, step)]
-                   for each in (baseline_lib, lib)]
-            assert got[0] == got[1], (delta, step)
-            # the last block's rows, and each block summed as numpy sums it
-            last = slice((n - 1) // step * step, n)
-            assert got[0][: len(parts)] == [part.rows(last).tobytes() for part in parts]
-            want = [[float(part.rows(slice(a, a + step)).sum()) for part in parts] + [0.0] * (2 - len(parts))
-                    for a in range(0, n, step)]
-            assert got[0][2] == np.array(want).tobytes(), (delta, step)
-        # a collision's rows and update: (4, 0) crosses the non-finite row,
-        # (3, 5) is a frozen pair in interval 0
-        for i, j in ((4, 0), (3, 5), (10, 27)):
-            saved = []
-            for each in (baseline_lib, lib):
-                each.kac_pair_rows(pair_sum.spec, i, j)
-                saved.append(pair_sum.scratch[2 * n:].tobytes())
-            assert saved[0] == saved[1] == v[[i, j]].tobytes(), (delta, i, j)
-            want = pair_sum.rows(np.array([i, j]))
-            v[i] += 0.25
-            v[j] -= 0.5
-            updates = []
-            for each in (baseline_lib, lib):  # the saved velocities stay as they are
-                change = each.kac_pair_update(pair_sum.spec, i, j)
-                updates.append((np.float64(change).tobytes(), pair_sum.scratch[: 2 * n].tobytes()))
-            dh = pair_sum.rows(np.array([i, j])) - want
-            change = 2.0 * dh.sum() - dh[0, i] - dh[1, j] - 2.0 * dh[0, j]
-            assert updates[0] == updates[1] == (np.float64(change).tobytes(), dh.tobytes()), (delta, i, j)
+    v = rng.standard_normal((n, d)) * np.exp(rng.uniform(-3.0, 3.0, (n, 1)))
+    v[4, min(1, d - 1)] = np.inf  # row and column 4 hold non-finite distances
+    scheme = _frozen_scheme(0.3 if f == "k_minus_1" else 0.0)
+    pair_sum = tilt_sum(v, scheme, 0 if frozen else 1, beta, _k_minus_1)[0]
+    lib, kinds = pair_sum.lib, _kinds(pair_sum)
+    assert lib is not None and lib is not baseline_lib
+    for step in (n, n // 2, 1):
+        got = [[x.tobytes() for x in _rows_of(each, pair_sum, step)] for each in (baseline_lib, lib)]
+        assert got[0] == got[1], step
+        # the last block's rows, and each block summed as numpy sums it
+        last = slice((n - 1) // step * step, n)
+        assert got[0][0] == _numpy_rows(pair_sum, last).tobytes()
+        want = [[float(part.sum()) for part in _numpy_rows(pair_sum, slice(a, a + step))] + [0.0] * (2 - kinds)
+                for a in range(0, n, step)]
+        assert got[0][1] == np.array(want).tobytes(), step
+    # a collision's rows and update: (4, 0) crosses the non-finite row,
+    # (3, 5) is a frozen pair in interval 0
+    for i, j in ((4, 0), (3, 5), (10, 27)):
+        saved = []
+        for each in (baseline_lib, lib):
+            each.kac_pair_rows(pair_sum.spec, i, j)
+            saved.append(pair_sum.scratch[4 * n:].tobytes())
+        assert saved[0] == saved[1] == v[[i, j]].tobytes(), (i, j)
+        old = _numpy_rows(pair_sum, np.array([i, j]))
+        v[i] += 0.25
+        v[j] -= 0.5
+        updates = []
+        for each in (baseline_lib, lib):  # the saved velocities stay as they are
+            change = np.zeros(2)
+            each.kac_pair_update(pair_sum.spec, i, j, change.ctypes.data)
+            updates.append((change.tobytes(), pair_sum.scratch[: 2 * kinds * n].tobytes()))
+        dh = _numpy_rows(pair_sum, np.array([i, j])) - old
+        change = [kl.engine._settle(part, i, j) for part in dh] + [0.0] * (2 - kinds)
+        assert updates[0] == updates[1] == (np.array(change).tobytes(), dh.tobytes()), (i, j)
 
 
 def _pair_updates(f, delta, beta, d, lib):
     """Collide pairs at the ends and side by side, frozen or not, and across
     a distance that overflows, with the pair sum's update in `lib` and with
-    numpy's `_PairSum` update; the totals (hex) and dh of each (bytes)."""
+    numpy's update; the pair sum of f (hex) and dh (bytes) after each."""
     rng = np.random.default_rng(17 + d)
     n = 12
     v = rng.standard_normal((n, d))
-    v[8, 0], v[9, 0] = 0.9e154, -0.9e154  # |v_8 - v_9|^2 overflows: K is NaN there
-    scheme = _frozen_scheme(delta)  # 0, 3 and 5 frozen on interval 0
-    pair_sum = _TiltPairSum(v, scheme, 0, beta, f)
+    v[8, 0], v[9, 0] = 0.9e154, -0.9e154  # |v_8 - v_9|^2 overflows: K or B is not finite there
+    pair_sum, read = tilt_sum(v, _frozen_scheme(delta), 0, beta, f)  # 0, 3 and 5 frozen on interval 0
     assert (pair_sum.lib is not None) == (lib is not None)
-    out = [float(pair_sum.total).hex()]
+    rows = delta > 0.0 or beta > 0.0  # Maxwell molecules at delta = 0 have none
+    out = [float(read()).hex()]
     for i, j in ((0, n - 1), (n - 1, 0), (5, 6), (6, 5), (0, 3), (4, 3), (8, 9), (9, 2), (7, 8)):
-        old = pair_sum.rows(np.array([i, j]))
+        old = _numpy_rows(pair_sum, np.array([i, j])) if rows else None
         pre = pair_sum.pre_collision(i, j)
         sigma = rng.standard_normal(d)
         kl.engine.apply_collision(v, i, j, sigma / np.sqrt(sigma @ sigma))
         pair_sum.post_collision(i, j, pre)
-        dh = pair_sum.rows(np.array([i, j])) - old
+        dh = _numpy_rows(pair_sum, np.array([i, j])) - old if rows else np.empty(0)
         if lib is not None:  # the kernel's dh, left in its scratch
-            assert pair_sum.scratch[: 2 * n].tobytes() == dh.tobytes(), (i, j)
-        out.append((float(pair_sum.total).hex(), dh.tobytes()))
+            assert pair_sum.scratch[: dh.size].tobytes() == dh.tobytes(), (i, j)
+        out.append((float(read()).hex(), dh.tobytes()))
     return out
 
 
@@ -575,8 +592,9 @@ def _swapped_cost_run():
 
 @needs_gcc
 def test_swapped_collisions_keep_the_in_run_cost_exact(monkeypatch, tracked_calls):
-    # kac_run makes the cost's dh in the recorded order (j, i) when the
-    # assignment swaps the pair; the in-run cost is the exact replay's
+    # kac_run moves the pair sums at the recorded pair, (j, i) when the
+    # assignment swaps it, as the replay does; the in-run cost is the exact
+    # replay's
     from kaclab.rate_function import dynamic_cost
 
     traj, scheme = _swapped_cost_run()
@@ -599,7 +617,8 @@ def test_swapped_collisions_keep_the_in_run_cost_exact(monkeypatch, tracked_call
 @needs_gcc
 @pytest.mark.parametrize("name", ["freeze", "frozen_q", "frozen_maxwell_delta", "pairwise_Q_n200"])
 def test_baseline_build_runs_byte_identical(name, baseline_lib, monkeypatch, tracked_calls):
-    # the ledger's rows, and with the freeze scheme the cost's, in kac_run
+    # the ledger's rows in kac_run: K - 1 at delta > 0, at delta = 0 the two
+    # rows of B, which also give the cost
     if name == "freeze":
         run = _freeze_run
     else:

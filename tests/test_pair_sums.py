@@ -15,7 +15,7 @@ import kaclab as kl
 from conftest import compensator_rate
 from kaclab import engine, freezing
 from kaclab.config_io import save_trajectory
-from kaclab.engine import _TiltPairSum, replay_events
+from kaclab.engine import _BSums, _k_itself, _k_minus_1, _TiltPairSum, replay_events
 from kaclab.girsanov import TiltingScheme
 from kaclab.kinetics import Kernel, sphere_quadrature
 from kaclab.rate_function import TestFunctionDescriptor, _xi2_pair_sum, dynamic_cost, tau, xi_functionals
@@ -52,14 +52,27 @@ def _xi2_dense(v, g, beta):
 
 
 def _tilt_dense(v, scheme, k, beta):
-    """(sum K B, sum tau(K) B) at interval k, as dense tables."""
+    """(sum K B, sum tau(K) B, S_live, S_all) at interval k, as dense tables."""
     n = len(v)
     u = np.sqrt(np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1))
     alive = np.ones(n, bool)
     alive[scheme.frozen_sets[k]] = False
-    kmat = scheme.coeffs[k] * (1.0 + scheme.deltas[k] * u) * np.outer(alive, alive)
+    live = np.outer(alive, alive)
+    kmat = scheme.coeffs[k] * (1.0 + scheme.deltas[k] * u) * live
     b = 1.0 + beta * u
-    return float(np.sum(kmat * b)), float(np.sum(tau(kmat) * b))
+    return float(np.sum(kmat * b)), float(np.sum(tau(kmat) * b)), float(np.sum(b * live)), float(np.sum(b))
+
+
+def tilt_sum(v, scheme, k, beta, f):
+    """The engine's pair sum of f(K) B (f = K - 1, tau or K) on interval k
+    of a scheme, and a function that reads it: the total of a `_TiltPairSum`
+    at delta > 0, and at delta = 0 what `_BSums` gives from S_live and S_all."""
+    if scheme.deltas[k] > 0.0:
+        pair_sum = _TiltPairSum(v, scheme, k, beta, f)
+        return pair_sum, lambda: pair_sum.total
+    sums = _BSums(v, scheme, k, beta)
+    read = {_k_minus_1: lambda: sums.total, tau: lambda: sums.cost, _k_itself: lambda: sums.c * sums.s_live}
+    return sums, read[f]
 
 
 class _Fan:
@@ -84,23 +97,28 @@ def test_four_sums_match_dense_after_every_row(name):
     beta = traj.config.kernel.slope
     g = TestFunctionDescriptor(kind="flux_test", coeff=0.4, radius=2.5, sigma_coupling=0.3)
     v = traj.initial_state.velocities.copy()
-    checked = 0
+    checked = checked_sums = 0
     for k_int in range(scheme.n_intervals()):
         b0, b1 = scheme.breakpoints[k_int], scheme.breakpoints[k_int + 1]
         lo, hi = np.searchsorted(log.t, (b0, b1))
-        ledger, cost, total = (_TiltPairSum(v, scheme, k_int, beta, f)
-                               for f in (lambda kk: kk - 1.0, tau, lambda kk: kk))
+        (ledger, read_ledger), (cost, read_cost), (total, read_total) = (
+            tilt_sum(v, scheme, k_int, beta, f) for f in (_k_minus_1, tau, _k_itself))
         xi2 = _xi2_pair_sum(v, g, beta)
         for _ in itertools.chain(replay_events(v, log, lo, hi, _Fan([ledger, cost, total, xi2])), (None,)):
             # v now holds the state after every row before this one
-            want_total, want_cost = _tilt_dense(v, scheme, k_int, beta)
+            want_total, want_cost, want_live, want_all = _tilt_dense(v, scheme, k_int, beta)
             want_ledger = compensator_rate(v, scheme, traj.config.kernel, b0) * n
-            assert ledger.total == pytest.approx(want_ledger, rel=RTOL, abs=0.0)
-            assert cost.total == pytest.approx(want_cost, rel=RTOL, abs=0.0)
-            assert total.total == pytest.approx(want_total, rel=RTOL, abs=0.0)
+            assert read_ledger() == pytest.approx(want_ledger, rel=RTOL, abs=0.0)
+            assert read_cost() == pytest.approx(want_cost, rel=RTOL, abs=0.0)
+            assert read_total() == pytest.approx(want_total, rel=RTOL, abs=0.0)
             assert xi2.total == pytest.approx(_xi2_dense(v, g, beta), rel=RTOL, abs=0.0)
+            if scheme.deltas[k_int] == 0.0:  # the two sums every pair sum there is made of
+                assert ledger.s_live == pytest.approx(want_live, rel=RTOL, abs=0.0)
+                assert ledger.s_all == pytest.approx(want_all, rel=RTOL, abs=0.0)
+                checked_sums += 1
             checked += 1
     assert checked == len(log) + scheme.n_intervals()
+    assert (checked_sums == checked) == (name == "hs_frozen_intervals")
 
 
 @pytest.mark.parametrize("name", ["maxwell_pairwise", "hs_frozen_intervals"])
@@ -155,11 +173,11 @@ def test_freeze_run_builds_one_pair_sum_per_tilted_interval(monkeypatch):
     # the criterion 7 configuration: t_grid [0, .5, .5, .5, 1], K = 1 after
     # t = 0.5, and checkpoints every 0.05
     builds = []
-    init = engine._PairSum.__init__
+    describe = engine._TiltPairSum._describe  # once for each tilt pair sum, of either kind
 
-    def counting_init(self, n, h):
-        builds.append(n)
-        init(self, n, h)
+    def counting_describe(self, v, *args):
+        builds.append(len(v))
+        describe(self, v, *args)
 
     schemes, after_simulate = [], []
     build_scheme, simulate = freezing.build_freeze_scheme, freezing.simulate
@@ -173,7 +191,7 @@ def test_freeze_run_builds_one_pair_sum_per_tilted_interval(monkeypatch):
         after_simulate.append(len(builds))
         return traj
 
-    monkeypatch.setattr(engine._PairSum, "__init__", counting_init)
+    monkeypatch.setattr(engine._TiltPairSum, "_describe", counting_describe)
     monkeypatch.setattr(freezing, "build_freeze_scheme", keep_scheme)
     monkeypatch.setattr(freezing, "simulate", counted_simulate)
     theta = kl.ThetaSchedule(jump_times=(0.5,), levels=(1.0, 2.0), horizon=1.0)
@@ -184,31 +202,31 @@ def test_freeze_run_builds_one_pair_sum_per_tilted_interval(monkeypatch):
     assert len(scheme.frozen_sets[0]) > 0
     assert scheme.is_unit(scheme.interval_index(0.5))
     assert after_simulate == [1]
-    assert len(builds) == 1  # the cost's tau rows come with the ledger's, and nothing replays
+    assert len(builds) == 1  # the cost comes from the ledger's two sums, and nothing replays
 
 
 # ---------------------------------------------------------------------------
-# the compiled rows and updates against numpy's, and the constant-row skip
+# the compiled rows and updates against numpy's, and the row-free Maxwell sums
 
 
 def _replayed_totals(traj, scheme, f):
-    """The totals of the tilt pair sums of f after every row of the log."""
+    """The tilt pair sums of f after every row of the log (hex)."""
     log, beta = traj.log, traj.config.kernel.slope
     v = traj.initial_state.velocities.copy()
     totals = []
     for k_int in range(scheme.n_intervals()):
         lo, hi = np.searchsorted(log.t, scheme.breakpoints[k_int: k_int + 2])
-        pair_sum = _TiltPairSum(v, scheme, k_int, beta, f)
+        pair_sum, read = tilt_sum(v, scheme, k_int, beta, f)
         for _ in replay_events(v, log, lo, hi, pair_sum):
-            totals.append(float(pair_sum.total).hex())
-        totals.append(float(pair_sum.total).hex())
+            totals.append(float(read()).hex())
+        totals.append(float(read()).hex())
     return totals
 
 
 @pytest.mark.parametrize("name", ["maxwell_pairwise", "hs_frozen_intervals"])
 @pytest.mark.parametrize("f", ["k_minus_1", "k", "tau"])
 def test_compiled_updates_match_numpy_bit_for_bit(name, f, monkeypatch):
-    func = {"k_minus_1": engine._k_minus_1, "k": engine._k_itself, "tau": tau}[f]
+    func = {"k_minus_1": _k_minus_1, "k": _k_itself, "tau": tau}[f]
     traj, scheme = _run(name)
     compiled = _replayed_totals(traj, scheme, func)
     with monkeypatch.context() as m:
@@ -220,61 +238,48 @@ def test_compiled_updates_match_numpy_bit_for_bit(name, f, monkeypatch):
     assert kl.total_rate(traj.final_state, traj.config.kernel, scheme) == rate
 
 
-@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_table_rows_match_numpy_on_non_finite_distances():
-    # an infinite velocity makes K NaN; the table holds f there too, so the
-    # kernel's rows are numpy's on every pair and nothing falls back
-    v = np.random.default_rng(5).standard_normal((9, 3))
-    v[4, 1] = np.inf
-    scheme = TiltingScheme(coeffs=np.array([1.5]), frozen_sets=[np.array([2])])
-    pair_sum = _TiltPairSum(v, scheme, 0, 1.0, tau)
-    for step in (9, 4, 1):  # out holds the last block's rows
-        out, sums = np.empty((step, 9)), np.empty((-(-9 // step), 2))
-        pair_sum.lib.kac_rows(pair_sum.spec, None, step, out.ctypes.data, None, sums.ctypes.data)
-        last = 8 // step * step
-        assert out[: 9 - last].tobytes() == pair_sum.rows(slice(last, 9)).tobytes()
-        want = [float(pair_sum.rows(slice(a, a + step)).sum()) for a in range(0, 9, step)]
-        assert sums[:, 0].tobytes() == np.array(want).tobytes()  # NaN where B is infinite
-    # and a collision's change of the rows, which the kernel writes into its scratch
-    old = pair_sum.rows(np.array([4, 0]))
-    assert pair_sum.pre_collision(4, 0) is None
-    v[0] += 0.5
-    pair_sum.post_collision(4, 0, None)
-    assert pair_sum.scratch[:18].tobytes() == (pair_sum.rows(np.array([4, 0])) - old).tobytes()
-
-
-@pytest.mark.parametrize("force_numpy", [False, True])
-def test_constant_rows_are_skipped_and_bit_identical(force_numpy, monkeypatch):
-    # Maxwell under a constant tilt: h = c - 1 on every pair, so each
-    # collision's dh is exactly 0.0 and no row is evaluated after the build
-    if force_numpy:
+@pytest.mark.parametrize("frozen", [True, False], ids=["freeze", "constant"])
+@pytest.mark.parametrize("loop", ["compiled", "python"])
+def test_maxwell_sums_at_delta_zero_are_counts(loop, frozen, monkeypatch):
+    # B = 1: S_live = N_t^2 and S_all = N^2, exact, and no row is made, built
+    # or moved, in either loop; the ledger is the counts' closed form
+    if loop == "python":
         monkeypatch.setattr(engine._kloop, "_lib", None)
-    scheme = TiltingScheme.constant(1.5)
-    traj = kl.simulate(kl.SimConfig(n=40, t_max=1.0, kernel=Kernel.MAXWELL, seed=409), scheme)
-    assert traj.log.n_collisions > 10
-    v = traj.initial_state.velocities.copy()
-    calls = []
-    rows = _TiltPairSum.rows
-    monkeypatch.setattr(_TiltPairSum, "rows", lambda self, sel: calls.append(1) or rows(self, sel))
-    skipping = _TiltPairSum(v, scheme, 0, 0.0, engine._k_minus_1)
-    evaluating = engine._PairSum(len(v), lambda sel: skipping.rows(sel))  # the plain update, rows and all
-    calls.clear()  # the two builds
-    scratch = skipping.scratch if skipping.lib is not None else np.empty(0)
-    scratch[:] = np.nan  # the kernel's pair rows would land here
-    for _ in replay_events(v.copy(), traj.log, tracker=skipping):
-        pass
-    assert calls == [] and np.isnan(scratch).all()
-    for _ in replay_events(v, traj.log, tracker=_Fan([skipping, evaluating])):
-        assert float(skipping.total).hex() == float(evaluating.total).hex()
-    assert len(calls) == 2 * int(np.sum(~traj.log.fictitious & (traj.log.i != traj.log.j)))
+    n, rng = 400, kl.make_rng(409)
+    if frozen:  # the criterion-7 freeze scheme: frozen sets, then K = 1
+        theta = kl.ThetaSchedule(jump_times=(0.5,), levels=(1.0, 2.0), horizon=1.0)
+        plan = kl.design_freeze_experiment(REF, theta, M=4.0, r=4)
+        v0 = kl.sample_tilted_initial(REF, TiltingScheme(initial_tilt=plan.initial_tilt), n, rng)
+        scheme = kl.build_freeze_scheme(v0, plan)
+    else:
+        v0, scheme = REF.sample(rng, n), TiltingScheme.constant(1.5)
+    calls, trackers = [], []
+    rows, init = _TiltPairSum.rows, _BSums.__init__
+    monkeypatch.setattr(_TiltPairSum, "rows", lambda self, sel: calls.append("rows") or rows(self, sel))
+    monkeypatch.setattr(_BSums, "rows", lambda self, sel: calls.append("rows") or rows(self, sel))
+    monkeypatch.setattr(_BSums, "__init__", lambda self, *args: trackers.append(self) or init(self, *args))
+    lib = engine._kloop.kernel(3)
+    if lib is not None:
+        monkeypatch.setattr(lib, "kac_rows", lambda *args: calls.append("kac_rows"))
+    cfg = kl.SimConfig(n=n, t_max=1.0, kernel=Kernel.MAXWELL, seed=409)
+    traj = kl.simulate(cfg, scheme, initial_state=kl.ParticleState(v0))
+    assert traj.log.n_collisions > 100 and calls == []
+    want, closed = [], 0.0
+    for k in range(scheme.n_intervals()):
+        if not scheme.is_unit(k):
+            live = n - len(scheme.frozen_sets[k])
+            want.append((float(live**2), float(n**2)))
+            span = min(scheme.breakpoints[k + 1], cfg.t_max) - scheme.breakpoints[k]
+            closed += span * ((scheme.coeffs[k] - 1.0) * live**2 - (n**2 - live**2)) / n
+    assert [(s.s_live, s.s_all) for s in trackers] == want
+    assert (want[0][0] < n**2) == frozen
+    assert traj.rn_ledger.compensator_term == pytest.approx(closed, rel=1e-12, abs=0.0)
 
 
 def _velocity_free_outputs(measure, frozen, overflow, tmp_path):
     """Saved artifacts, ledgers and costs of a Maxwell run at delta = 0 under
     the criterion-7 freeze scheme (frozen sets, then K = 1) or a constant
-    tilt; with `overflow`, two velocities whose distance overflows, so a
-    ledger row is not finite."""
+    tilt; with `overflow`, two velocities whose distance overflows."""
     theta = kl.ThetaSchedule(jump_times=(0.5,), levels=(1.0, 2.0), horizon=1.0)
     plan = kl.design_freeze_experiment(REF, theta, M=4.0, r=4)
     rng = kl.make_rng(426, 0)
@@ -298,32 +303,28 @@ def _velocity_free_outputs(measure, frozen, overflow, tmp_path):
 @pytest.mark.parametrize("frozen", [True, False], ids=["freeze", "constant"])
 @pytest.mark.parametrize("measure", ["Q", "P"])
 def test_velocity_free_rows_skip_alike(measure, frozen, overflow, tmp_path, monkeypatch):
-    # at beta = delta = 0 a row is f(c live_a live_b), frozen sets or not:
-    # skipping every row at a collision gives the bytes of evaluating them,
-    # and a distance that can overflow (tau(NaN) B = 1) turns the skip off
-    skipped = _velocity_free_outputs(measure, frozen, overflow, tmp_path / "skip")
-    describe = _TiltPairSum._describe
-
-    def evaluating(self, *args):
-        describe(self, *args)
-        self.constant = False
-        if self.spec is not None:
-            self.spec.constant = 0
-
-    monkeypatch.setattr(_TiltPairSum, "_describe", evaluating)
-    evaluated = _velocity_free_outputs(measure, frozen, overflow, tmp_path / "evaluate")
-    assert skipped == evaluated
-    ledger = json.loads(skipped[0]["sidecar"])["ledger"]
-    assert math.isnan(ledger["compensator_term"]) == overflow
+    # at beta = delta = 0 the pair sums are counts, in both loops, and read
+    # no distance: one that overflows leaves the ledger's compensator and the
+    # cost what they are without it, finite (it was NaN through K = c (1 + 0 inf))
+    compiled = _velocity_free_outputs(measure, frozen, overflow, tmp_path / "compiled")
+    with monkeypatch.context() as m:
+        m.setattr(engine._kloop, "_lib", None)
+        assert _velocity_free_outputs(measure, frozen, overflow, tmp_path / "python") == compiled
+    ledger = json.loads(compiled[0]["sidecar"])["ledger"]
+    if overflow:  # the same event times, so the same compensator and cost to the bit
+        finite = _velocity_free_outputs(measure, frozen, False, tmp_path / "finite")
+        assert json.loads(finite[0]["sidecar"])["ledger"]["compensator_term"] == ledger["compensator_term"]
+        assert finite[3] == compiled[3]
+    assert math.isfinite(ledger["compensator_term"])
     assert ledger["hit_zero"] == (measure == "P" and frozen)  # log dQ/dP = -inf
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
 def test_freeze_rows_are_all_compiled(monkeypatch):
-    # the ledger's K - 1 rows and the replay's tau rows (a table at delta = 0)
+    # the two rows of B behind the ledger, the in-run cost and the replay
     calls = []
-    rows = _TiltPairSum.rows
-    monkeypatch.setattr(_TiltPairSum, "rows", lambda self, sel: calls.append(1) or rows(self, sel))
+    for kind in (_TiltPairSum, _BSums):
+        monkeypatch.setattr(kind, "rows", lambda self, sel, rows=kind.rows: calls.append(1) or rows(self, sel))
     theta = kl.ThetaSchedule(jump_times=(0.5,), levels=(1.0, 2.0), horizon=1.0)
     plan = kl.design_freeze_experiment(REF, theta, M=4.0, r=4)
     rng = kl.make_rng(410, 0)
@@ -400,9 +401,11 @@ def test_in_run_cost_without_a_scheme_and_at_positive_delta():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_non_finite_distances_run_alike(monkeypatch):
-    # two velocities whose distance overflows: K is NaN on that pair, so the
-    # ledger's sum is NaN, while tau(NaN) B = 1 keeps the cost finite, in
-    # both loops and in the replay
+    # two velocities whose distance overflows.  Maxwell molecules at delta =
+    # 0 read no distance, so the ledger's compensator is the counts' closed
+    # form, finite, and so is the cost, in both loops and in the replay.
+    # Hard spheres read B = inf on that pair, so S_live and S_all are
+    # infinite and the ledger's and the cost's sums NaN, in C and in numpy
     v0 = REF.sample(kl.make_rng(425), 40)
     v0[0] = (math.sqrt(0.8e308), 0.0, 0.0)
     v0[1] = -v0[0]
@@ -413,9 +416,17 @@ def test_non_finite_distances_run_alike(monkeypatch):
         return kl.simulate(cfg, scheme, initial_state=kl.ParticleState(v0))
 
     traj = run()
-    assert math.isnan(traj.rn_ledger.compensator_term) and math.isfinite(traj.dynamic_cost)
+    closed = (0.5 * 38**2 - (40**2 - 38**2)) / 40  # T = 1
+    assert traj.rn_ledger.compensator_term == pytest.approx(closed, rel=1e-12, abs=0.0)
+    assert math.isfinite(traj.dynamic_cost)
     assert float(traj.dynamic_cost).hex() == float(dynamic_cost(traj, scheme, mode="exact")[0]).hex()
+    hard = _BSums(v0, scheme, 0, 1.0)
     with monkeypatch.context() as m:
         m.setattr(engine._kloop, "_lib", None)
         python = run()
+        hard_numpy = _BSums(v0, scheme, 0, 1.0)
     assert _cost_outputs(python) == _cost_outputs(traj)
+    assert (hard.lib is None) == (shutil.which("gcc") is None) and hard_numpy.lib is None
+    for sums in (hard, hard_numpy):
+        assert sums.s_live == sums.s_all == math.inf
+        assert math.isnan(sums.total) and math.isnan(sums.cost)
