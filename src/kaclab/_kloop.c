@@ -10,7 +10,10 @@
  * operation of the Python loop in its order, so event logs, states and
  * ledgers are bit-identical to it:
  *   - a dot product is an FMA chain s = fma(x_k, y_k, s), as numpy's BLAS
- *     computes a short `x @ y` (checked against numpy when loaded);
+ *     computes a short `x @ y`: one inline chain, `dot`, makes the five of
+ *     a proposal (the normals' norm, |v_i - v_j|, the collision's
+ *     (v_i - v_j).sigma and the two speeds), the replay's, and kac_dot's,
+ *     which is checked against numpy when loaded;
  *   - a row is summed in numpy's pairwise order (kac_sum, also checked
  *     when loaded);
  *   - all other arithmetic is unfused (built with -ffp-contract=off);
@@ -47,16 +50,18 @@
  * made again from the saved and the new velocities.  A pair's scratch
  * holds dh of its two rows of each sum (4n doubles), then its velocities.
  *
- * kac_rows and collision_rows, the one entry of a collision's rows (kac_run
- * and kac_pair_update call it), are cloned on x86-64 with glibc: built for
- * x86-64-v4 (AVX-512) and for baseline x86-64, with the helpers they call
- * inlined into each.  The loader picks the clone when the library is
- * loaded, so the build key (source and compile command) is unchanged.  The
- * clones are bit-identical: at d = 3 the row loops have no branch, and
- * each lane does the scalar loop's correctly rounded sub, mul, add and
- * sqrt in its order, unfused.  Any other d runs the same loop body with d
- * and the row's shape read at run time.  -DKAC_NO_CLONES builds the
- * baseline version alone, as on every other host.
+ * kac_run, kac_rows and collision_rows, the one entry of a collision's rows
+ * (kac_run and kac_pair_update call it), are cloned on x86-64 with glibc:
+ * built for x86-64-v3 (AVX2 and FMA) and for baseline x86-64, with the
+ * helpers they call inlined into each.  The loader picks the clone when
+ * the library is loaded, so the build key (source and compile command) is
+ * unchanged.  The clones are bit-identical.  In kac_run's v3 clone `dot`'s
+ * fma is the vfmadd instruction, in line; the baseline calls glibc's fma;
+ * both are the one correctly rounded x y + s.  At d = 3 the row loops have
+ * no branch, and each lane does the scalar loop's correctly rounded sub,
+ * mul, add and sqrt in its order, unfused.  Any other d runs the same loop
+ * body with d and the row's shape read at run time.  -DKAC_NO_CLONES
+ * builds the baseline version alone, as on every other host.
  */
 
 #include <math.h>
@@ -85,22 +90,40 @@ struct rowspec {
     double c, delta, beta;
 };
 
-/* the clones of the row entries: the loader picks one through glibc's
- * ifunc, so only x86-64 with glibc has them */
+/* the clones of the proposal loop and the row entries: the loader picks
+ * one through glibc's ifunc, so only x86-64 with glibc has them */
 #if defined(__x86_64__) && defined(__GLIBC__) && !defined(KAC_NO_CLONES)
-#define CLONED __attribute__((target_clones("arch=x86-64-v4", "default")))
+#define CLONED __attribute__((target_clones("arch=x86-64-v3", "default")))
 #else
 #define CLONED
 #endif
-/* the helpers of the rows: each clone inlines its own copy */
+/* the helpers of the clones: each clone inlines its own copy */
 #define INLINE static inline __attribute__((always_inline))
 
-double kac_dot(const double *x, const double *y, int64_t d)
+/* coordinate k of the proposal's sigma, raw / nrm, negated with neg */
+INLINE double sigma_k(const double *raw, double nrm, int neg, int64_t k)
+{
+    return neg ? -(raw[k] / nrm) : raw[k] / nrm;
+}
+
+/* the FMA chain s = fma(x_k, y_k, s), k = 0 .. d - 1, with x_k = a_k - b_k
+ * (a_k without b) and y_k = sigma_k(y, nrm, neg, k) (x_k without y) */
+INLINE double dot(const double *a, const double *b, const double *y, double nrm, int neg,
+                  int64_t d)
 {
     double s = 0.0;
-    for (int64_t k = 0; k < d; k++)
-        s = fma(x[k], y[k], s);
+    for (int64_t k = 0; k < d; k++) {
+        const double x = b ? a[k] - b[k] : a[k];
+        s = fma(x, y ? sigma_k(y, nrm, neg, k) : x, s);
+    }
     return s;
+}
+
+/* x.y (y / 1.0 == y): the chain that the load checks against numpy's
+ * `x @ y`, exported for that check alone */
+double kac_dot(const double *x, const double *y, int64_t d)
+{
+    return dot(x, 0, y, 1.0, 0, d);
 }
 
 /* numpy's pairwise summation of n doubles: under 8 elements one loop, up
@@ -331,7 +354,7 @@ static int fen_sample(const double *tree, int64_t n, double u, int64_t *out)
         (x) = buf[pos++];                                                \
     } while (0)
 #define CHECK(call) do { if ((status = (call)) != DONE) goto out; } while (0)
-#define SIGMA(k) (neg ? -(raw[k] / nrm) : raw[k] / nrm)
+#define SIGMA(k) sigma_k(raw, nrm, neg, k)
 
 /* the compensator over dt: dt (1/N) sum (K - 1) B, as _settle_compensator */
 #define SETTLE(dt)                                                        \
@@ -350,13 +373,15 @@ static int fen_sample(const double *tree, int64_t n, double u, int64_t *out)
     } while (0)
 
 /* led: the ledger's scheme interval (NULL: none), whose pair sums move at
- * the recorded pair, as a replay of the log moves them */
-int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
-            double *V, double *speeds, double *tree, double *weights,
-            const uint8_t *frozen, const double *ubuf, const double *ebuf,
-            const double *nbuf, refill_fn refill,
-            double *ev_t, int64_t *ev_i, int64_t *ev_j, double *ev_sigma,
-            int8_t *ev_asg, uint8_t *ev_fict, const struct rowspec *led)
+ * the recorded pair, as a replay of the log moves them.  K B is c where
+ * gamma = 0, and the jump term's K is c where the ledger's delta = 0: a
+ * pair distance that overflows is read by neither */
+CLONED int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
+                   double *V, double *speeds, double *tree, double *weights,
+                   const uint8_t *frozen, const double *ubuf, const double *ebuf,
+                   const double *nbuf, refill_fn refill,
+                   double *ev_t, int64_t *ev_i, int64_t *ev_j, double *ev_sigma,
+                   int8_t *ev_asg, uint8_t *ev_fict, const struct rowspec *led)
 {
     double t = f[F_T], comp = f[F_COMP];
     const double t_end = f[F_TEND], c = f[F_C], infl = f[F_INFL], gamma = f[F_GAMMA];
@@ -442,7 +467,7 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
             }
             raw = nbuf + in;
             in += d;
-            nrm = sqrt(kac_dot(raw, raw, d));
+            nrm = sqrt(dot(raw, 0, 0, 1.0, 0, d));
         } while (nrm < 1e-300);
         double u_accept;
         DRAW(u, ubuf, iu, 0);
@@ -450,17 +475,9 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
         DRAW(u_accept, ubuf, iu, 0);
 
         double *vi = V + i * d, *vj = V + j * d;
-        double u_dist = 0.0;
-        if (i != j) {
-            double s2 = 0.0;
-            for (int64_t q = 0; q < d; q++) {
-                double dq = vi[q] - vj[q];
-                s2 = fma(dq, dq, s2);
-            }
-            u_dist = sqrt(s2);
-        }
+        double u_dist = i != j ? sqrt(dot(vi, vj, 0, 1.0, 0, d)) : 0.0;
         int frozen_pair = frozen && (frozen[i] || frozen[j]);
-        double kb = frozen_pair ? 0.0 : c * (1.0 + gamma * u_dist);
+        double kb = frozen_pair ? 0.0 : gamma == 0.0 ? c : c * (1.0 + gamma * u_dist);
         double majorant = c * infl * (1.0 + gamma * (speeds[i] + speeds[j]));
         if (kb > majorant * (1.0 + 1e-12)) {
             f[F_KB] = kb;
@@ -481,7 +498,7 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
                 if (!(led->live[i] != 0.0 && led->live[j] != 0.0)) {
                     hit = 1;
                 } else {
-                    double arg = led->c * (1.0 + led->delta * u_dist);
+                    double arg = two ? led->c : led->c * (1.0 + led->delta * u_dist);
                     if (arg <= 0.0) { /* math.log refuses it */
                         status = ERR_LOG;
                         goto out;
@@ -494,16 +511,14 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
                     kac_pair_rows(led, ri, rj);
                 /* kinetics._collide in the recorded parametrisation */
                 double *a = V + ri * d, *b = V + rj * d;
-                double dot = 0.0;
-                for (int64_t q = 0; q < d; q++)
-                    dot = fma(a[q] - b[q], SIGMA(q), dot);
+                const double dt_ab = dot(a, b, raw, nrm, neg, d);
                 for (int64_t q = 0; q < d; q++) {
-                    double step = dot * SIGMA(q);
+                    double step = dt_ab * SIGMA(q);
                     a[q] = a[q] - step;
                     b[q] = b[q] + step;
                 }
-                speeds[i] = sqrt(kac_dot(vi, vi, d));
-                speeds[j] = sqrt(kac_dot(vj, vj, d));
+                speeds[i] = sqrt(dot(vi, 0, 0, 1.0, 0, d));
+                speeds[j] = sqrt(dot(vj, 0, 0, 1.0, 0, d));
                 if (tree) {
                     CHECK(fen_update(tree, weights, n, i, speeds[i]));
                     CHECK(fen_update(tree, weights, n, j, speeds[j]));
@@ -572,11 +587,9 @@ int kac_replay(double *V, int64_t n, int64_t d, const int64_t *ev_i, const int64
                 pairs[d + q] = b[q];
             }
         if (i != j) {
-            double dot = 0.0;
-            for (int64_t q = 0; q < d; q++)
-                dot = fma(a[q] - b[q], s[q], dot);
+            const double dt_ab = dot(a, b, s, 1.0, 0, d);
             for (int64_t q = 0; q < d; q++) {
-                double step = dot * s[q];
+                double step = dt_ab * s[q];
                 a[q] = a[q] - step;
                 b[q] = b[q] + step;
             }

@@ -26,13 +26,17 @@ delta = 0, are made one element at a time straight from the velocities:
 rows in C, and a collision's change of its pair's rows is one pass per
 particle, h(new) - h(old), from the pair's velocities saved before it
 (`kac_pair_rows`); a pair sum's scratch holds that change (4n doubles)
-and the saved velocities (2d).  On x86-64 with
-glibc the row functions `kac_rows` and `collision_rows` (the entry of a
-collision's rows, behind `kac_run` and `kac_pair_update`) are built twice
-into the engine library, for x86-64-v4 (AVX-512) and for baseline x86-64,
-and the dynamic loader picks the clone when the library is loaded.  The
-build key, source plus compile command, is therefore unchanged, and the
-clones' rows are the same bytes.
+and the saved velocities (2d).  On x86-64 with glibc the proposal loop
+`kac_run` and the row functions `kac_rows` and `collision_rows` (the entry
+of a collision's rows, behind `kac_run` and `kac_pair_update`) are built
+twice into the engine library, for x86-64-v3 (AVX2 and FMA) and for
+baseline x86-64, and the dynamic loader picks the clone when the library
+is loaded.  The build key, source plus compile command, is therefore
+unchanged, and CFLAGS carries no instruction-set flag.  The clones give
+the same bytes: the loop's dot products are one inline FMA chain, whose
+fma is the vfmadd instruction in the v3 clone and glibc's fma in the
+baseline, the same correctly rounded operation, so `kac_dot`, which the
+load checks against numpy, stands for both.
 
 `kac_transport` lists the pairs closer than the cap from the points, with
 their distances, straight into its arc arrays, and solves the capped
@@ -128,7 +132,7 @@ def compile_kernel(out_path: str, *extra: str,
                    source: str = SOURCE) -> subprocess.CompletedProcess:
     """gcc on a source (by default _kloop.c) with CFLAGS, and extra flags
     after them (the load passes none; `-DKAC_NO_CLONES` builds the baseline
-    rows alone)."""
+    loop and rows alone)."""
     return subprocess.run(_command(out_path, extra, source), capture_output=True, text=True)
 
 

@@ -230,12 +230,31 @@ class _EventBuffer:
         self.size = k + 1
 
     def to_log(self, n_particles: int, horizon: float) -> EventLog:
+        """The first `size` rows as a log: views of the buffer where its
+        unused rows are at most 1/8 of them, copies where there are more."""
         k = self.size
-        return EventLog(
-            self.t[:k].copy(), self.i[:k].copy(), self.j[:k].copy(),
-            self.sigma[:k].copy(), self.assignment[:k].copy(),
-            self.fictitious[:k].copy(), n_particles, horizon,
-        )
+        cols = [a[:k] for a in (self.t, self.i, self.j, self.sigma, self.assignment, self.fictitious)]
+        if 8 * (len(self.t) - k) > k:
+            cols = [a.copy() for a in cols]
+        return EventLog(*cols, n_particles, horizon)
+
+
+_MAX_RESERVED_ROWS = 1 << 20  # a run that proposes more grows its buffer by doubling
+
+
+def _reserved_rows(eng: "_Engine", t_max: float) -> int:
+    """The rows a run of `eng` from t = 0 to t_max is expected to propose:
+    the proposal loop's rate at t = 0, c inflation (N + 2 gamma sum |v_i|),
+    times t_max, plus 8 Poisson standard deviations; at most
+    _MAX_RESERVED_ROWS, and 1 where a speed is not finite (the run fails)."""
+    dyn = eng.dynamics
+    k = dyn.interval_index(0.0)
+    gamma = float(dyn.deltas[k]) + eng.beta
+    rate = float(dyn.coeffs[k]) * eng.inflation * (eng.n + 2.0 * gamma * float(eng.speeds.sum()))
+    mean = rate * t_max
+    if not math.isfinite(mean):
+        return 1
+    return int(min(mean + 8.0 * math.sqrt(mean), _MAX_RESERVED_ROWS - 1)) + 1
 
 
 @dataclass
@@ -776,7 +795,8 @@ class _Engine:
             dvec = vi - vj
             u_dist = math.sqrt(float(dvec @ dvec))
         frozen_pair = self.any_frozen_dyn and bool(self.frozen_dyn[i] or self.frozen_dyn[j])
-        kb = 0.0 if frozen_pair else self.c_dyn * (1.0 + gamma * u_dist)
+        # K B is c where gamma = 0, whatever the distance (one that overflows too)
+        kb = 0.0 if frozen_pair else self.c_dyn if gamma == 0.0 else self.c_dyn * (1.0 + gamma * u_dist)
         majorant = self.c_dyn * self.inflation * (1.0 + gamma * (self.speeds[i] + self.speeds[j]))
         if kb > majorant * (1.0 + 1e-12):
             raise _majorant_violation(kb, majorant, i, j)
@@ -796,7 +816,8 @@ class _Engine:
                 if tracker.alive is not None and not (tracker.alive[i] and tracker.alive[j]):
                     self.ledger.hit_zero = True
                 else:
-                    self.ledger.jump_term += math.log(tracker.c * (1.0 + tracker.delta * u_dist))
+                    kk = tracker.c if tracker.delta == 0.0 else tracker.c * (1.0 + tracker.delta * u_dist)
+                    self.ledger.jump_term += math.log(kk)
             if i != j:
                 # the pair sums move at the recorded pair, as in a replay
                 pre = tracker.pre_collision(ri, rj) if tracker is not None else None
@@ -933,7 +954,7 @@ def step(state: ParticleState, kernel: Kernel, tilt: TiltingScheme | None, rng: 
     dynamics = tilt if tilt is not None else _IDENTITY_SCHEME
     dynamics.validate_kernel(kernel)
     new_state = state.copy()
-    eng = _Engine(new_state, kernel, dynamics, None, RNLedger(), _Draws(rng), _EventBuffer(state.d))
+    eng = _Engine(new_state, kernel, dynamics, None, RNLedger(), _Draws(rng), _EventBuffer(state.d, 1))
     eng.enter_segment(state.time)
     if eng.c_dyn <= 0.0:
         raise ValueError("dynamics have zero total rate: there is no next event")
@@ -1016,12 +1037,13 @@ def simulate(config: SimConfig, scheme: TiltingScheme | None = None,
     checkpoint_set = set(config.checkpoint_times)
 
     initial = ParticleState._unchecked(state.velocities.copy(), 0.0)
-    events = _EventBuffer(config.d) if config.store_log else None
     checkpoints = []
     try:
         eng = _Engine(state, config.kernel, dynamics, scheme, ledger,
-                      _Draws.sized_for(rng, config.n, config.t_max, config.d), events,
+                      _Draws.sized_for(rng, config.n, config.t_max, config.d), None,
                       inflation=config.majorant_inflation)
+        if config.store_log:
+            eng.events = _EventBuffer(config.d, _reserved_rows(eng, config.t_max))
         if 0.0 in checkpoint_set:
             eng.enter_segment(0.0)
             checkpoints.append(_checkpoint(eng, config, 0.0))
@@ -1035,7 +1057,7 @@ def simulate(config: SimConfig, scheme: TiltingScheme | None = None,
         raise SimulationError(str(exc)) from exc
     eng.integrate_cost(eng.t)
     final = ParticleState._unchecked(state.velocities.copy(), config.t_max)
-    log = events.to_log(config.n, config.t_max) if events is not None else None
+    log = eng.events.to_log(config.n, config.t_max) if config.store_log else None
     return Trajectory(
         initial_state=initial, final_state=final, checkpoints=checkpoints,
         log=log, rn_ledger=ledger, seed=config.seed, config=config, dynamic_cost=eng.cost,

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 import kaclab as kl
-from kaclab import config_io
+from kaclab import config_io, engine
 from kaclab.engine import (MajorantViolationError, ParticleState, _Draws, _EventBuffer,
                            _Engine, final_state_from_log, replay_events, replay_rows)
 from kaclab.girsanov import RNLedger, TiltingScheme
@@ -147,6 +147,34 @@ class TestSimulate:
             if before is not None:
                 assert np.array_equal(v, before)
             before = v.copy() if k is not None and diag[k] else None
+
+
+class TestEventBuffer:
+    def test_simulate_reserves_the_rows_it_proposes(self, monkeypatch):
+        # the proposal loop's rate at t = 0 times T, plus 8 standard
+        # deviations: no growth, and the log of a buffer grown from one row
+        cfg = kl.SimConfig(n=2000, t_max=1.0, kernel=Kernel.HARD_SPHERE, seed=31)
+        grown_from = []
+        monkeypatch.setattr(_EventBuffer, "_grow",
+                            lambda self, grow=_EventBuffer._grow: grown_from.append(len(self.t)) or grow(self))
+        reserved = kl.simulate(cfg).log
+        assert grown_from == []
+        monkeypatch.setattr(engine, "_reserved_rows", lambda eng, t_max: 1)
+        grown = kl.simulate(cfg).log
+        assert grown_from[0] == 1 and len(grown_from) > 10
+        for name in ("t", "i", "j", "sigma", "assignment", "fictitious"):
+            assert getattr(reserved, name).tobytes() == getattr(grown, name).tobytes(), name
+
+    @pytest.mark.parametrize("capacity, shared", [(8, True), (9, True), (10, False), (1024, False)])
+    def test_to_log_shares_the_buffer_up_to_an_eighth_of_slack(self, capacity, shared):
+        buf = _EventBuffer(2, capacity)
+        for k in range(8):
+            buf.append(0.1 * k, k, k + 1, np.array([0.6, 0.8]), k % 4, k % 3 == 0)
+        log = buf.to_log(9, 1.0)
+        columns = ("t", "i", "j", "sigma", "assignment", "fictitious")
+        assert [np.shares_memory(getattr(log, name), getattr(buf, name)) for name in columns] == [shared] * 6
+        assert len(log) == 8 and log.i.tolist() == list(range(8)) and log.sigma.shape == (8, 2)
+        assert log.fictitious.tolist() == [k % 3 == 0 for k in range(8)]
 
 
 class TestThinning:

@@ -7,6 +7,7 @@ kernel handle set to None, which runs `_Engine.propose` everywhere.
 
 import ctypes
 import json
+import math
 import os
 import shutil
 
@@ -15,7 +16,7 @@ import pytest
 
 import kaclab as kl
 from kaclab import _kloop
-from kaclab.engine import MajorantViolationError, _Draws, _Engine, _EventBuffer
+from kaclab.engine import MajorantViolationError, _Draws, _Engine, _EventBuffer, replay_rows
 from kaclab.girsanov import RNLedger, TiltingScheme
 from kaclab.kinetics import Kernel
 
@@ -98,6 +99,10 @@ def test_compiled_loop_is_byte_identical(name, monkeypatch, compiled_calls):
 def test_refills_and_buffer_growth_are_byte_identical(monkeypatch, compiled_calls):
     # 37 draws per buffer: every buffer refills many times, and the normals
     # discard the tail of their buffer; the event buffer grows from 1 row
+    grown_from = []
+    monkeypatch.setattr(_EventBuffer, "_grow",
+                        lambda self, grow=_EventBuffer._grow: grown_from.append(len(self.t)) or grow(self))
+
     def run():
         rng = kl.make_rng(23)
         state = kl.ParticleState(kl.ReferenceMeasure(3).sample(rng, 50))
@@ -112,6 +117,7 @@ def test_refills_and_buffer_growth_are_byte_identical(monkeypatch, compiled_call
 
     compiled = run()
     assert len(compiled_calls) == 3 and compiled[1] > 200
+    assert grown_from[:3] == [1, 2, 4]
     assert _python_loop(monkeypatch, run) == compiled
 
 
@@ -130,7 +136,7 @@ def test_compiled_loop_is_live(monkeypatch):
 
 @needs_gcc
 def test_kernel_builds_without_warnings(tmp_path):
-    # both libraries as loaded, and with the row clones compiled out
+    # both libraries as loaded, and with the clones compiled out
     for source in (_kloop.SOURCE, _kloop.TOOLS_SOURCE):
         for extra in ((), ("-DKAC_NO_CLONES",)):
             proc = _kloop.compile_kernel(str(tmp_path / "kloop.so"), *extra, source=source)
@@ -208,6 +214,36 @@ def test_errors_match_python_loop(name, monkeypatch, compiled_calls):
     assert compiled_calls
     assert compiled[0] is exc_type
     assert _python_loop(monkeypatch, lambda: _failing_segment(v, corrupt)) == compiled
+
+
+@needs_gcc
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_maxwell_accepts_pairs_at_an_overflowing_distance(monkeypatch):
+    # K B is c on every pair of Maxwell molecules, so an untilted run accepts
+    # every proposal, and a delta = 0 ledger's K is c: |v_i - v_j|^2
+    # overflows on the pair (0, 1), and c (1 + 0 inf) would be NaN
+    v0 = np.array([[math.sqrt(0.8e308), 0.0, 0.0], [-math.sqrt(0.8e308), 0.0, 0.0], [0.0, 1.0, 0.0]])
+    runs = {"untilted": (None, "Q"), "constant_p": (TiltingScheme.constant(1.5), "P"),
+            "constant_q": (TiltingScheme.constant(1.5), "Q")}
+
+    def run(name):
+        scheme, measure = runs[name]
+        cfg = kl.SimConfig(n=3, t_max=200.0, kernel=Kernel.MAXWELL, seed=1, measure=measure)
+        return kl.simulate(cfg, scheme, initial_state=kl.ParticleState(v0))
+
+    for name in runs:
+        traj = run(name)
+        log = traj.log
+        assert not np.any(log.fictitious), name
+        before = replay_rows(v0.copy(), log, pairs=True)[:, :2]
+        overflowing = (log.i != log.j) & np.isinf(np.sum((before[:, 0] - before[:, 1]) ** 2, axis=1))
+        assert np.count_nonzero(overflowing) > 100, name
+        ledger = traj.rn_ledger
+        assert math.isfinite(ledger.jump_term) and math.isfinite(ledger.compensator_term), name
+        if name != "untilted":
+            assert ledger.jump_term == pytest.approx(len(log) * math.log(1.5), rel=1e-12)
+            assert math.isfinite(traj.dynamic_cost)
+        assert _outputs(_python_loop(monkeypatch, lambda: run(name))) == _outputs(traj), name
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -455,14 +491,15 @@ def test_python_loop_writes_python_floats(name, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the baseline build of the rows, which a host with AVX-512 never runs from
-# the library as loaded (there the loader picks the x86-64-v4 clone)
+# the baseline build of the proposal loop and the rows, which a host with
+# AVX2 and FMA never runs from the library as loaded (there the loader picks
+# the x86-64-v3 clones)
 
 
 @pytest.fixture(scope="module")
 def baseline_lib(tmp_path_factory):
-    """_kloop.c built with its row clones compiled out, and _ktools.c with
-    the same flag."""
+    """_kloop.c built with its clones compiled out, and _ktools.c with the
+    same flag."""
     libs = []
     for source in (_kloop.SOURCE, _kloop.TOOLS_SOURCE):
         path = tmp_path_factory.mktemp("baseline") / "lib.so"
@@ -614,32 +651,61 @@ def test_swapped_collisions_keep_the_in_run_cost_exact(monkeypatch, tracked_call
     assert _outputs(python) == _outputs(traj)
 
 
+def _untilted_engine_run(kernel, d):
+    """An untilted run of 200 particles in R^d, in two segments: its log
+    columns, final velocities and Fenwick tree (None without one)."""
+    rng = kl.make_rng(98, d)
+    state = kl.ParticleState(kl.ReferenceMeasure(d).sample(rng, 200))
+    eng = _Engine(state, kernel, TiltingScheme.identity(), None, RNLedger(),
+                  _Draws.sized_for(rng, 200, 1.0, d), _EventBuffer(d))
+    for t_end in (0.4, 1.0):
+        eng.run_segment(t_end)
+    log = eng.events.to_log(eng.n, eng.t)
+    return {"final": eng.V.tobytes(), "fenwick": None if eng.fen is None else eng.fen.tree.tobytes(),
+            **{name: getattr(log, name).tobytes() for name in ("t", "i", "j", "sigma", "assignment", "fictitious")}}
+
+
+UNTILTED = {**{f"untilted_hs_d{d}": (Kernel.HARD_SPHERE, d) for d in (1, 2, 3, 5, 15)},
+            "untilted_maxwell_d3": (Kernel.MAXWELL, 3)}
+
+
 @needs_gcc
-@pytest.mark.parametrize("name", ["freeze", "frozen_q", "frozen_maxwell_delta", "pairwise_Q_n200"])
+@pytest.mark.parametrize("name", ["freeze", "frozen_q", "frozen_maxwell_delta", "pairwise_Q_n200",
+                                  *UNTILTED])
 def test_baseline_build_runs_byte_identical(name, baseline_lib, monkeypatch, tracked_calls):
-    # the ledger's rows in kac_run: K - 1 at delta > 0, at delta = 0 the two
-    # rows of B, which also give the cost
-    if name == "freeze":
-        run = _freeze_run
-    else:
-        kwargs, scheme = TRACKED[name]
-        cfg = kl.SimConfig(t_max=1.0, seed=97, checkpoint_times=(0.0, 0.3, 1.0), **kwargs)
-
-        def run():
-            return kl.simulate(cfg, scheme)
-
+    # the proposal loop's clone against the baseline build, whose dot products
+    # call glibc's fma; and the ledger's rows in kac_run: K - 1 at delta > 0,
+    # at delta = 0 the two rows of B, which also give the cost
     def outputs(traj):
         return {**_outputs(traj), "cost": repr(traj.dynamic_cost),
                 **{term: float(getattr(traj.rn_ledger, term)).hex()
                    for term in ("initial_term", "jump_term", "compensator_term")}}
 
-    dispatched = outputs(run())
-    assert any(tracked_calls)
+    if name in UNTILTED:
+        def run():
+            return _untilted_engine_run(*UNTILTED[name])
+    elif name == "freeze":
+        def run():
+            return outputs(_freeze_run())
+    else:
+        kwargs, scheme = TRACKED[name]
+        cfg = kl.SimConfig(t_max=1.0, seed=97, checkpoint_times=(0.0, 0.3, 1.0), **kwargs)
+
+        def run():
+            return outputs(kl.simulate(cfg, scheme))
+
+    dispatched = run()
+    assert tracked_calls and any(tracked_calls) == (name not in UNTILTED)
+    n_calls = len(tracked_calls)
     with monkeypatch.context() as m:
         m.setattr(_kloop, "_lib", baseline_lib)
         baseline = run()
-    assert (baseline.dynamic_cost is not None) == (name in ("freeze", "frozen_q"))  # delta = 0
-    assert outputs(baseline) == dispatched
+    assert len(tracked_calls) == 2 * n_calls  # the baseline build ran every segment too
+    if name in UNTILTED:
+        assert (baseline["fenwick"] is None) == (UNTILTED[name][0] is Kernel.MAXWELL)
+    else:
+        assert (baseline["cost"] != "None") == (name in ("freeze", "frozen_q"))  # delta = 0
+    assert baseline == dispatched
 
 
 @needs_gcc
@@ -671,7 +737,7 @@ def test_baseline_pairs_match_dispatched(baseline_lib, d):
 from test_engine import GOLDEN_DIGESTS, _golden_run  # noqa: E402
 
 from kaclab import config_io  # noqa: E402
-from kaclab.engine import final_state_from_log, replay_events, replay_rows  # noqa: E402
+from kaclab.engine import final_state_from_log, replay_events  # noqa: E402
 from kaclab.rate_function import TestFunctionDescriptor, dynamic_cost, xi_functionals  # noqa: E402
 
 
