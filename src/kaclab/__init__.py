@@ -7,7 +7,7 @@ numerical evaluation of the entropic rate function, bounded-Lipschitz
 metrics, and closed-moment diagnostics.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .engine import (CollisionEvent, EventLog, InitialCondition, ParticleState,
                      SimConfig, Trajectory, empirical_measure, flux_measure,

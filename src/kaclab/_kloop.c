@@ -9,14 +9,14 @@
  * Fenwick tree and weights, draw buffers, event columns) and does every
  * operation of the Python loop in its order, so event logs, states and
  * ledgers are bit-identical to it:
- *   - a dot product is an FMA chain s = fma(x_k, y_k, s), as numpy's BLAS
- *     computes a short `x @ y`: one inline chain, `dot`, makes the five of
- *     a proposal (the normals' norm, |v_i - v_j|, the collision's
- *     (v_i - v_j).sigma and the two speeds), the replay's, and kac_dot's,
- *     which is checked against numpy when loaded;
- *   - a row is summed in numpy's pairwise order (kac_sum, also checked
- *     when loaded);
- *   - all other arithmetic is unfused (built with -ffp-contract=off);
+ *   - a dot product is the unfused sum in coordinate order, s = x_0 y_0,
+ *     then s += x_k y_k, as `kinetics._dot` and as `dist` below: one inline
+ *     loop, `dot`, makes the five of a proposal (the normals' norm,
+ *     |v_i - v_j|, the collision's (v_i - v_j).sigma and the two speeds)
+ *     and the replay's;
+ *   - a row is summed in numpy's pairwise order (kac_sum, checked against
+ *     numpy when loaded);
+ *   - no arithmetic is fused (built with -ffp-contract=off);
  *   - an empty draw buffer is refilled through the callback at exactly the
  *     draw where the Python loop refills it.
  * The pair sums of a scheme interval (`engine._TiltPairSum`, `_BSums`) are
@@ -50,18 +50,18 @@
  * made again from the saved and the new velocities.  A pair's scratch
  * holds dh of its two rows of each sum (4n doubles), then its velocities.
  *
- * kac_run, kac_rows and collision_rows, the one entry of a collision's rows
- * (kac_run and kac_pair_update call it), are cloned on x86-64 with glibc:
- * built for x86-64-v3 (AVX2 and FMA) and for baseline x86-64, with the
- * helpers they call inlined into each.  The loader picks the clone when
- * the library is loaded, so the build key (source and compile command) is
- * unchanged.  The clones are bit-identical.  In kac_run's v3 clone `dot`'s
- * fma is the vfmadd instruction, in line; the baseline calls glibc's fma;
- * both are the one correctly rounded x y + s.  At d = 3 the row loops have
- * no branch, and each lane does the scalar loop's correctly rounded sub,
- * mul, add and sqrt in its order, unfused.  Any other d runs the same loop
- * body with d and the row's shape read at run time.  -DKAC_NO_CLONES
- * builds the baseline version alone, as on every other host.
+ * kac_rows and collision_rows, the one entry of a collision's rows (kac_run
+ * and kac_pair_update call it), are cloned on x86-64 with glibc: built for
+ * x86-64-v3 (AVX2) and for baseline x86-64, with the helpers they call
+ * inlined into each.  The loader picks the clone when the library is
+ * loaded, so the build key (source and compile command) is unchanged.  The
+ * clones are bit-identical: at d = 3 the row loops have no branch, and each
+ * lane does the scalar loop's correctly rounded sub, mul, add and sqrt in
+ * its order, unfused.  Any other d runs the same loop body with d and the
+ * row's shape read at run time.  kac_run is built once: its dot products
+ * are plain products and sums, and its one library call is the ledger's
+ * log.  -DKAC_NO_CLONES builds the baseline rows alone, as on every other
+ * host.
  */
 
 #include <math.h>
@@ -90,8 +90,8 @@ struct rowspec {
     double c, delta, beta;
 };
 
-/* the clones of the proposal loop and the row entries: the loader picks
- * one through glibc's ifunc, so only x86-64 with glibc has them */
+/* the clones of the row entries: the loader picks one through glibc's
+ * ifunc, so only x86-64 with glibc has them */
 #if defined(__x86_64__) && defined(__GLIBC__) && !defined(KAC_NO_CLONES)
 #define CLONED __attribute__((target_clones("arch=x86-64-v3", "default")))
 #else
@@ -106,24 +106,19 @@ INLINE double sigma_k(const double *raw, double nrm, int neg, int64_t k)
     return neg ? -(raw[k] / nrm) : raw[k] / nrm;
 }
 
-/* the FMA chain s = fma(x_k, y_k, s), k = 0 .. d - 1, with x_k = a_k - b_k
- * (a_k without b) and y_k = sigma_k(y, nrm, neg, k) (x_k without y) */
+/* the unfused sum s = x_0 y_0, then s += x_k y_k, k = 1 .. d - 1, with x_k =
+ * a_k - b_k (a_k without b) and y_k = sigma_k(y, nrm, neg, k) (x_k without
+ * y), as `kinetics._dot` */
 INLINE double dot(const double *a, const double *b, const double *y, double nrm, int neg,
                   int64_t d)
 {
     double s = 0.0;
     for (int64_t k = 0; k < d; k++) {
         const double x = b ? a[k] - b[k] : a[k];
-        s = fma(x, y ? sigma_k(y, nrm, neg, k) : x, s);
+        const double p = x * (y ? sigma_k(y, nrm, neg, k) : x);
+        s = k ? s + p : p;
     }
     return s;
-}
-
-/* x.y (y / 1.0 == y): the chain that the load checks against numpy's
- * `x @ y`, exported for that check alone */
-double kac_dot(const double *x, const double *y, int64_t d)
-{
-    return dot(x, 0, y, 1.0, 0, d);
 }
 
 /* numpy's pairwise summation of n doubles: under 8 elements one loop, up
@@ -374,14 +369,15 @@ static int fen_sample(const double *tree, int64_t n, double u, int64_t *out)
 
 /* led: the ledger's scheme interval (NULL: none), whose pair sums move at
  * the recorded pair, as a replay of the log moves them.  K B is c where
- * gamma = 0, and the jump term's K is c where the ledger's delta = 0: a
- * pair distance that overflows is read by neither */
-CLONED int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
-                   double *V, double *speeds, double *tree, double *weights,
-                   const uint8_t *frozen, const double *ubuf, const double *ebuf,
-                   const double *nbuf, refill_fn refill,
-                   double *ev_t, int64_t *ev_i, int64_t *ev_j, double *ev_sigma,
-                   int8_t *ev_asg, uint8_t *ev_fict, const struct rowspec *led)
+ * gamma = 0, and so is the majorant, and the jump term's K is c where the
+ * ledger's delta = 0: a pair distance or a speed that overflows is read by
+ * none of them */
+int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
+            double *V, double *speeds, double *tree, double *weights,
+            const uint8_t *frozen, const double *ubuf, const double *ebuf,
+            const double *nbuf, refill_fn refill,
+            double *ev_t, int64_t *ev_i, int64_t *ev_j, double *ev_sigma,
+            int8_t *ev_asg, uint8_t *ev_fict, const struct rowspec *led)
 {
     double t = f[F_T], comp = f[F_COMP];
     const double t_end = f[F_TEND], c = f[F_C], infl = f[F_INFL], gamma = f[F_GAMMA];
@@ -478,7 +474,8 @@ CLONED int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
         double u_dist = i != j ? sqrt(dot(vi, vj, 0, 1.0, 0, d)) : 0.0;
         int frozen_pair = frozen && (frozen[i] || frozen[j]);
         double kb = frozen_pair ? 0.0 : gamma == 0.0 ? c : c * (1.0 + gamma * u_dist);
-        double majorant = c * infl * (1.0 + gamma * (speeds[i] + speeds[j]));
+        double majorant = gamma == 0.0 ? c * infl
+                                       : c * infl * (1.0 + gamma * (speeds[i] + speeds[j]));
         if (kb > majorant * (1.0 + 1e-12)) {
             f[F_KB] = kb;
             f[F_MAJ] = majorant;
@@ -566,9 +563,9 @@ out:
 /* rows start..stop-1 of an event log (columns i, j, sigma, fictitious)
  * applied to V in place, as `engine.replay_events` walks them: fictitious
  * rows are skipped and a diagonal row leaves V unchanged; any other row is
- * kac_run's collision, an FMA-chain dot product and unfused steps.  With
- * pairs, each non-fictitious row also writes (v_i, v_j) before it and
- * after it, four rows of d doubles, into the next 4d of pairs */
+ * kac_run's collision, `dot` and unfused steps.  With pairs, each
+ * non-fictitious row also writes (v_i, v_j) before it and after it, four
+ * rows of d doubles, into the next 4d of pairs */
 int kac_replay(double *V, int64_t n, int64_t d, const int64_t *ev_i, const int64_t *ev_j,
                const double *ev_sigma, const uint8_t *ev_fict, int64_t start, int64_t stop,
                double *pairs)

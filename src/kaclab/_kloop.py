@@ -8,17 +8,16 @@ command, and loaded through ctypes; the two compile at the same time, and a
 build removes the libraries of that source's other versions from `_build/`.
 The two are separate libraries so that an edit to the tools leaves the
 engine library, and its code's addresses, as they are.  `library()` returns
-the engine library with the tools' functions bound on it, and `kernel(d)`
-returns it too, or None where the Python loop must run instead: no gcc, a
-failed build or load of either library, or a kernel dot product that
-differs from numpy's `x @ y` in dimension d (the kernel must reproduce
-numpy's arithmetic bit for bit).  The same gate serves `kac_replay`, the
-compiled walk of an event log behind `engine.replay_rows`, whose collision
-is that dot product and unfused steps.  `kernel(d, sums=True)`, for the
-rows of `engine._TiltPairSum` and `_BSums` and the tracked segments that
-update them, also asks that the kernel's row sum equals numpy's `a.sum()`;
-where it does not, only they run in Python and numpy (a Maxwell interval
-at delta = 0 has no rows).
+the engine library with the tools' functions bound on it, and `kernel()`
+returns it too, or None where the Python loop must run instead: no gcc, or
+a failed build or load of either library.  The loop's dot products are
+`kinetics._dot`'s unfused sums in coordinate order, written out in C, so
+they need no check against numpy; the same holds for `kac_replay`, the
+compiled walk of an event log behind `engine.replay_rows`.
+`kernel(sums=True)`, for the rows of `engine._TiltPairSum` and `_BSums` and
+the tracked segments that update them, also asks that the kernel's row sum
+equals numpy's `a.sum()`, checked once at load; where it does not, only
+they run in Python and numpy (a Maxwell interval at delta = 0 has no rows).
 
 The rows, (K - 1) B at delta > 0 and the pair (B live_a live_b, B) at
 delta = 0, are made one element at a time straight from the velocities:
@@ -26,17 +25,15 @@ delta = 0, are made one element at a time straight from the velocities:
 rows in C, and a collision's change of its pair's rows is one pass per
 particle, h(new) - h(old), from the pair's velocities saved before it
 (`kac_pair_rows`); a pair sum's scratch holds that change (4n doubles)
-and the saved velocities (2d).  On x86-64 with glibc the proposal loop
-`kac_run` and the row functions `kac_rows` and `collision_rows` (the entry
-of a collision's rows, behind `kac_run` and `kac_pair_update`) are built
-twice into the engine library, for x86-64-v3 (AVX2 and FMA) and for
-baseline x86-64, and the dynamic loader picks the clone when the library
-is loaded.  The build key, source plus compile command, is therefore
-unchanged, and CFLAGS carries no instruction-set flag.  The clones give
-the same bytes: the loop's dot products are one inline FMA chain, whose
-fma is the vfmadd instruction in the v3 clone and glibc's fma in the
-baseline, the same correctly rounded operation, so `kac_dot`, which the
-load checks against numpy, stands for both.
+and the saved velocities (2d).  On x86-64 with glibc the row functions
+`kac_rows` and `collision_rows` (the entry of a collision's rows, behind
+`kac_run` and `kac_pair_update`) are built twice into the engine library,
+for x86-64-v3 (AVX2) and for baseline x86-64, and the dynamic loader picks
+the clone when the library is loaded.  The build key, source plus compile
+command, is therefore unchanged, and CFLAGS carries no instruction-set
+flag.  The clones give the same bytes: nothing is fused
+(-ffp-contract=off), and each vector lane does the scalar loop's
+operations in its order.
 
 `kac_transport` lists the pairs closer than the cap from the points, with
 their distances, straight into its arc arrays, and solves the capped
@@ -47,7 +44,7 @@ result against every listed pair, bringing in any that prices below the
 tolerance and going on until none does.  Its arithmetic needs no match
 with numpy (the distances are scipy's `cdist` bytes, unfused sums in
 coordinate order), so `library()` hands it out wherever the libraries
-load, without the dimension and sum gates.
+load, without the sum gate.
 
 So are `kac_write_events` and `kac_read_events`, behind
 `config_io.write_event_csv` and `read_event_csv`.  The writer prints the
@@ -120,7 +117,6 @@ class RowSpec(ctypes.Structure):
 
 _UNLOADED = object()
 _lib = _UNLOADED  # the library once loaded; None takes every Python path (and HiGHS)
-_dot_ok = {}  # dimension -> the kernel's dot matches numpy's
 _sum_ok = False  # the kernel's row sum matches numpy's
 
 
@@ -132,7 +128,7 @@ def compile_kernel(out_path: str, *extra: str,
                    source: str = SOURCE) -> subprocess.CompletedProcess:
     """gcc on a source (by default _kloop.c) with CFLAGS, and extra flags
     after them (the load passes none; `-DKAC_NO_CLONES` builds the baseline
-    loop and rows alone)."""
+    rows alone)."""
     return subprocess.run(_command(out_path, extra, source), capture_output=True, text=True)
 
 
@@ -203,8 +199,6 @@ def bind(lib, tools):
     tools library, and bind the tools' functions on the engine's; the
     engine library."""
     ptr, i64, dbl = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.kac_dot.argtypes = (ptr, ptr, i64)
-    lib.kac_dot.restype = dbl
     lib.kac_sum.argtypes = (ptr, i64)
     lib.kac_sum.restype = dbl
     spec = ctypes.POINTER(RowSpec)
@@ -248,11 +242,6 @@ def _sum_matches(lib) -> bool:
     return True
 
 
-def _dot_matches(lib, d: int) -> bool:
-    pairs = np.random.default_rng(0).standard_normal((256, 2, d))
-    return all(lib.kac_dot(x.ctypes.data, y.ctypes.data, d) == float(x @ y) for x, y in pairs)
-
-
 def library():
     """The loaded engine library with the tools' functions, or None where
     there is no gcc or a build or load failed; no arithmetic gate (the
@@ -264,11 +253,8 @@ def library():
     return _lib
 
 
-def kernel(d: int, sums: bool = False):
-    """The compiled loop for velocities in R^d, or None; with `sums`, the
-    compiled pair-sum rows too, or None."""
-    if library() is None:
-        return None
-    if d not in _dot_ok:
-        _dot_ok[d] = _dot_matches(_lib, d)
-    return _lib if _dot_ok[d] and (_sum_ok or not sums) else None
+def kernel(sums: bool = False):
+    """The compiled loop, at every d, or None; with `sums`, the compiled
+    pair-sum rows too, or None."""
+    lib = library()
+    return lib if _sum_ok or not sums else None

@@ -53,7 +53,7 @@ import numpy as np
 from . import _kloop
 from .fenwick import BAD_WEIGHT, ZERO_TOTAL, FenwickSampler
 from .girsanov import RNLedger, TiltingScheme, sample_tilted_initial, tau
-from .kinetics import Kernel, _collide
+from .kinetics import Kernel, _collide, _dot
 from .metrics import WeightedMeasure, _distances
 from .reference import ReferenceMeasure
 
@@ -556,7 +556,7 @@ class _TiltPairSum(_PairSum):
         self.lib = self.spec = self.live = self.scratch = None
         if compiled and v.flags.c_contiguous and v.dtype == np.float64:
             # rows that read no distance (Maxwell at delta = 0) are never summed
-            self.lib = _kloop.kernel(v.shape[1], sums=self.delta > 0.0 or beta > 0.0)
+            self.lib = _kloop.kernel(sums=self.delta > 0.0 or beta > 0.0)
         if self.lib is not None:
             # the kernel multiplies by live_a live_b, each 1.0 or 0.0, as numpy
             # multiplies by the boolean alive_a & alive_b, and by 1.0 (exactly)
@@ -671,7 +671,7 @@ class _Engine:
         self.draws = draws
         self.events = events
         self.inflation = float(inflation)
-        self.speeds = np.linalg.norm(self.V, axis=1)
+        self.speeds = np.sqrt(_dot(self.V))
         self.fen = None
         self.t = state.time
         self._t_comp = 0.0  # Kahan compensation for the clock
@@ -778,26 +778,22 @@ class _Engine:
             j = self.fen.sample(draws.uniform())
             i = int(draws.uniform() * n)
 
-        raw = draws.normals(self.d)
-        nrm = math.sqrt(float(raw @ raw))
+        nrm = 0.0
         while nrm < 1e-300:
             raw = draws.normals(self.d)
-            nrm = math.sqrt(float(raw @ raw))
+            nrm = math.sqrt(_dot(raw))
         sigma = raw / nrm
         assignment = int(draws.uniform() * 4.0)
         u_accept = draws.uniform()
 
-        vi = self.V[i]
-        vj = self.V[j]
-        if i == j:
-            u_dist = 0.0
-        else:
-            dvec = vi - vj
-            u_dist = math.sqrt(float(dvec @ dvec))
+        u_dist = 0.0 if i == j else math.sqrt(_dot(self.V[i] - self.V[j]))
         frozen_pair = self.any_frozen_dyn and bool(self.frozen_dyn[i] or self.frozen_dyn[j])
-        # K B is c where gamma = 0, whatever the distance (one that overflows too)
+        # K B and the majorant are c and c inflation where gamma = 0, whatever
+        # the distance and the speeds (ones that overflow too)
         kb = 0.0 if frozen_pair else self.c_dyn if gamma == 0.0 else self.c_dyn * (1.0 + gamma * u_dist)
-        majorant = self.c_dyn * self.inflation * (1.0 + gamma * (self.speeds[i] + self.speeds[j]))
+        majorant = self.c_dyn * self.inflation
+        if gamma != 0.0:
+            majorant *= 1.0 + gamma * (self.speeds[i] + self.speeds[j])
         if kb > majorant * (1.0 + 1e-12):
             raise _majorant_violation(kb, majorant, i, j)
         accepted = u_accept * majorant < kb
@@ -824,8 +820,8 @@ class _Engine:
                 # apply the collision in the recorded parametrisation so a
                 # replay of the log reproduces the arithmetic bit for bit
                 apply_collision(self.V, ri, rj, rsigma)
-                self.speeds[i] = math.sqrt(float(self.V[i] @ self.V[i]))
-                self.speeds[j] = math.sqrt(float(self.V[j] @ self.V[j]))
+                self.speeds[i] = math.sqrt(_dot(self.V[i]))
+                self.speeds[j] = math.sqrt(_dot(self.V[j]))
                 if self.fen is not None:
                     self.fen.update(i, self.speeds[i])
                     self.fen.update(j, self.speeds[j])
@@ -843,7 +839,7 @@ class _Engine:
 
     def run_segment(self, t_end: float):
         self.enter_segment(self.t)
-        lib = _kloop.kernel(self.d)
+        lib = _kloop.kernel()
         # a ledger pair sum runs compiled where its rows do (the row sum
         # check passed) or where it has none (Maxwell at delta = 0)
         if lib is not None and (self.tracker is None or self.tracker.lib is not None):
@@ -1115,7 +1111,7 @@ def replay_rows(v: np.ndarray, log: EventLog, start: int = 0, stop: int | None =
     n, d = v.shape
     real = ~log.fictitious[start:stop]
     out = np.empty((int(np.count_nonzero(real)), 4, d)) if pairs else None
-    lib = _kloop.kernel(d)
+    lib = _kloop.kernel()
     # the kernel reads v and the columns through raw pointers: check their shapes
     if (lib is not None and v.flags.c_contiguous and v.dtype == np.float64
             and len(log.i) == len(log.j) == len(log.fictitious) == len(log)

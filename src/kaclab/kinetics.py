@@ -13,6 +13,8 @@ is the one Python copy of this arithmetic: the Python proposal loop, the
 Python log walk and the rate-function increments all call it, and the
 compiled loop and log walk of ``_kloop.c`` repeat it operation by
 operation, so a replayed path reproduces the simulated one bit for bit.
+Its dot product, as every dot product of the engine, is ``_dot``: the
+unfused sum in coordinate order, in Python and in C, whatever BLAS numpy uses.
 
 Two kernels are supported: Maxwell molecules ``B = 1`` and regularised hard
 spheres ``B = 1 + |v - v_star|``; both are bounded below by 1 and independent
@@ -64,9 +66,22 @@ def post_collision(v: np.ndarray, v_star: np.ndarray, sigma: np.ndarray):
     return _collide(v, v_star, sigma)
 
 
+def _dot(x: np.ndarray, y: np.ndarray | None = None):
+    """x . y (x . x without y) over the last axis in the engine's one order:
+    s = x_0 y_0, then s += x_k y_k, each product and sum rounded (no fused
+    multiply-add), as `dot` in _kloop.c; a float for vectors, an array for
+    rows of them."""
+    p = x * (x if y is None else y)
+    terms = p.tolist() if p.ndim == 1 else p.T
+    s = terms[0]
+    for term in terms[1:]:
+        s = s + term
+    return s
+
+
 def _collide(v: np.ndarray, v_star: np.ndarray, sigma: np.ndarray):
     """The collision map on float arrays, unchecked; returns (v', v_star')."""
-    a = float((v - v_star) @ sigma)
+    a = _dot(v - v_star, sigma)
     step = a * sigma
     return v - step, v_star + step
 

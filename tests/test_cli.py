@@ -384,7 +384,7 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_fenwick_failure_in_compiled_loop_is_runtime_error(self, tmp_path, monkeypatch, capsys):
         from kaclab import _kloop
-        if _kloop.kernel(3) is None:
+        if _kloop.kernel() is None:
             pytest.skip("no compiled loop")
         rc, err = self._overflowing_run(tmp_path, monkeypatch, capsys)
         assert rc == 3

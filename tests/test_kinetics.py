@@ -1,9 +1,15 @@
+import ast
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kaclab.kinetics import Kernel, eval_kernel, post_collision, sample_sigma, sphere_quadrature
+from kaclab import engine, kinetics
+from kaclab.kinetics import (Kernel, _dot, eval_kernel, post_collision, sample_sigma,
+                             sphere_quadrature)
 
 finite_vec = st.lists(st.floats(-50, 50), min_size=3, max_size=3).map(np.array)
 
@@ -94,6 +100,33 @@ class TestPostCollision:
         wp, wsp = post_collision(vs, v, sigma)
         assert np.max(np.abs(wp - vsp)) <= 1e-12 * scale
         assert np.max(np.abs(wsp - vp)) <= 1e-12 * scale
+
+
+class TestDot:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16, 20])
+    def test_unfused_coordinate_order(self, d):
+        # s = x_0 y_0, then s += x_k y_k, each rounded: for vectors a float,
+        # for rows the same bits row by row
+        rng = np.random.default_rng(40 + d)
+        x, y = rng.standard_normal((2, 64, d)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, 64, d))
+        want = []
+        for a, b in zip(x.tolist(), y.tolist()):
+            s = a[0] * b[0]
+            for k in range(1, d):
+                s = s + a[k] * b[k]
+            want.append(s)
+        got = [_dot(a, b) for a, b in zip(x, y)]
+        assert all(type(s) is float for s in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes() == _dot(x, y).tobytes()
+        assert _dot(x).tobytes() == _dot(x, x).tobytes()
+
+    def test_engine_collision_has_no_matmul(self):
+        # one convention for every dot product of the engine: numpy's `@`
+        # follows the BLAS it was built with, which may fuse or reorder
+        for func in (kinetics._collide, engine._Engine.propose):
+            tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+            ops = [node.op for node in ast.walk(tree) if isinstance(node, ast.BinOp)]
+            assert not any(isinstance(op, ast.MatMult) for op in ops), func.__qualname__
 
 
 class TestSampleSigma:

@@ -70,6 +70,10 @@ MIXTURE = kl.InitialCondition(kind="scale_mixture", weights=(0.2, 0.8), scales=(
 CASES = {
     **{f"{kernel.value}_n{n}": dict(n=n, kernel=kernel)
        for kernel in (Kernel.MAXWELL, Kernel.HARD_SPHERE) for n in (1, 2, 200)},
+    # the loop's dot products are the unfused sums of `kinetics._dot` at
+    # every d, so the compiled loop runs at every d and gives Python's bytes
+    **{f"{kernel.value}_d{d}": dict(n=60, d=d, kernel=kernel)
+       for kernel in (Kernel.MAXWELL, Kernel.HARD_SPHERE) for d in (1, 2, 5, 16, 20)},
     "inflation": dict(n=50, kernel=Kernel.HARD_SPHERE, majorant_inflation=1.7),
     "scale_mixture": dict(n=80, kernel=Kernel.HARD_SPHERE, initial=MIXTURE),
     "no_log": dict(n=80, kernel=Kernel.HARD_SPHERE, store_log=False),
@@ -124,7 +128,7 @@ def test_refills_and_buffer_growth_are_byte_identical(monkeypatch, compiled_call
 @needs_gcc
 def test_compiled_loop_is_live(monkeypatch):
     """With a C compiler on the path the simulation must not fall back."""
-    assert _kloop.kernel(3) is not None
+    assert _kloop.kernel() is not None
 
     def refuse(self, t_end):
         raise AssertionError("Python proposal loop ran")
@@ -221,26 +225,29 @@ def test_errors_match_python_loop(name, monkeypatch, compiled_calls):
 def test_maxwell_accepts_pairs_at_an_overflowing_distance(monkeypatch):
     # K B is c on every pair of Maxwell molecules, so an untilted run accepts
     # every proposal, and a delta = 0 ledger's K is c: |v_i - v_j|^2
-    # overflows on the pair (0, 1), and c (1 + 0 inf) would be NaN
+    # overflows on the pair (0, 1), and c (1 + 0 inf) would be NaN.  The
+    # majorant is c inflation: in "untilted_speed" |v_0|^2 overflows too,
+    # and c inflation (1 + 0 inf) would be NaN
     v0 = np.array([[math.sqrt(0.8e308), 0.0, 0.0], [-math.sqrt(0.8e308), 0.0, 0.0], [0.0, 1.0, 0.0]])
-    runs = {"untilted": (None, "Q"), "constant_p": (TiltingScheme.constant(1.5), "P"),
-            "constant_q": (TiltingScheme.constant(1.5), "Q")}
+    v_speed = np.array([[1e200, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    runs = {"untilted": (None, "Q", v0), "constant_p": (TiltingScheme.constant(1.5), "P", v0),
+            "constant_q": (TiltingScheme.constant(1.5), "Q", v0), "untilted_speed": (None, "Q", v_speed)}
 
     def run(name):
-        scheme, measure = runs[name]
+        scheme, measure, v = runs[name]
         cfg = kl.SimConfig(n=3, t_max=200.0, kernel=Kernel.MAXWELL, seed=1, measure=measure)
-        return kl.simulate(cfg, scheme, initial_state=kl.ParticleState(v0))
+        return kl.simulate(cfg, scheme, initial_state=kl.ParticleState(v))
 
     for name in runs:
         traj = run(name)
         log = traj.log
         assert not np.any(log.fictitious), name
-        before = replay_rows(v0.copy(), log, pairs=True)[:, :2]
+        before = replay_rows(runs[name][2].copy(), log, pairs=True)[:, :2]
         overflowing = (log.i != log.j) & np.isinf(np.sum((before[:, 0] - before[:, 1]) ** 2, axis=1))
         assert np.count_nonzero(overflowing) > 100, name
         ledger = traj.rn_ledger
         assert math.isfinite(ledger.jump_term) and math.isfinite(ledger.compensator_term), name
-        if name != "untilted":
+        if runs[name][0] is not None:
             assert ledger.jump_term == pytest.approx(len(log) * math.log(1.5), rel=1e-12)
             assert math.isfinite(traj.dynamic_cost)
         assert _outputs(_python_loop(monkeypatch, lambda: run(name))) == _outputs(traj), name
@@ -305,7 +312,7 @@ def test_row_kernel_matches_numpy_rows(f, frozen, beta, d):
 
 @needs_gcc
 def test_pair_sum_matches_numpy_sum():
-    lib = _kloop.kernel(3)
+    lib = _kloop.kernel()
     rng = np.random.default_rng(31)
     for n in (*range(1, 301), 12345):
         a = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-8.0, 9.0, (2, n))
@@ -316,10 +323,10 @@ def test_pair_sum_matches_numpy_sum():
 
 @needs_gcc
 def test_sum_check_gates_only_the_pair_sum_rows(monkeypatch, tracked_calls):
-    lib = _kloop.kernel(3)
-    assert lib is not None and _kloop.kernel(3, sums=True) is lib
+    lib = _kloop.kernel()
+    assert lib is not None and _kloop.kernel(sums=True) is lib
     monkeypatch.setattr(_kloop, "_sum_ok", False)
-    assert _kloop.kernel(3) is lib and _kloop.kernel(3, sums=True) is None
+    assert _kloop.kernel() is lib and _kloop.kernel(sums=True) is None
     # the tracked interval runs in Python, the K = 1 one still compiled
     scheme = TiltingScheme(breakpoints=np.array([0.0, 0.5, 1.0]), coeffs=np.array([1.25, 1.0]),
                            deltas=np.zeros(2), frozen_sets=[np.array([0, 3, 5]), np.array([], int)])
@@ -370,9 +377,9 @@ TRACKED = {
     # the rows at d != 3: the same element arithmetic with d read at run time;
     # the hard-sphere runs at delta = 0 carry the cost
     **{f"frozen_q_d{d}": (dict(n=60, d=d, kernel=Kernel.HARD_SPHERE), _frozen_scheme(0.0))
-       for d in (1, 2, 5)},
+       for d in (1, 2, 5, 16, 20)},
     **{f"frozen_maxwell_delta_d{d}": (dict(n=60, d=d, kernel=Kernel.MAXWELL), _frozen_scheme(0.3))
-       for d in (1, 2, 5)},
+       for d in (1, 2, 5, 16, 20)},
 }
 
 
@@ -491,9 +498,8 @@ def test_python_loop_writes_python_floats(name, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the baseline build of the proposal loop and the rows, which a host with
-# AVX2 and FMA never runs from the library as loaded (there the loader picks
-# the x86-64-v3 clones)
+# the baseline build of the rows, which a host with AVX2 never runs from the
+# library as loaded (there the loader picks the x86-64-v3 clones)
 
 
 @pytest.fixture(scope="module")
@@ -611,7 +617,7 @@ def test_pair_update_matches_numpy_on_the_patched_entries(f, delta, beta, d, mon
     # b in {i, j}; those four entries are made again from the saved
     # velocities, and the update must still be numpy's to the bit
     func = {"k_minus_1": _k_minus_1, "tau": tau}[f]
-    compiled = _pair_updates(func, delta, beta, d, _kloop.kernel(d, sums=True))
+    compiled = _pair_updates(func, delta, beta, d, _kloop.kernel(sums=True))
     with monkeypatch.context() as m:
         m.setattr(_kloop, "_lib", None)
         assert _pair_updates(func, delta, beta, d, None) == compiled
@@ -651,40 +657,18 @@ def test_swapped_collisions_keep_the_in_run_cost_exact(monkeypatch, tracked_call
     assert _outputs(python) == _outputs(traj)
 
 
-def _untilted_engine_run(kernel, d):
-    """An untilted run of 200 particles in R^d, in two segments: its log
-    columns, final velocities and Fenwick tree (None without one)."""
-    rng = kl.make_rng(98, d)
-    state = kl.ParticleState(kl.ReferenceMeasure(d).sample(rng, 200))
-    eng = _Engine(state, kernel, TiltingScheme.identity(), None, RNLedger(),
-                  _Draws.sized_for(rng, 200, 1.0, d), _EventBuffer(d))
-    for t_end in (0.4, 1.0):
-        eng.run_segment(t_end)
-    log = eng.events.to_log(eng.n, eng.t)
-    return {"final": eng.V.tobytes(), "fenwick": None if eng.fen is None else eng.fen.tree.tobytes(),
-            **{name: getattr(log, name).tobytes() for name in ("t", "i", "j", "sigma", "assignment", "fictitious")}}
-
-
-UNTILTED = {**{f"untilted_hs_d{d}": (Kernel.HARD_SPHERE, d) for d in (1, 2, 3, 5, 15)},
-            "untilted_maxwell_d3": (Kernel.MAXWELL, 3)}
-
-
 @needs_gcc
-@pytest.mark.parametrize("name", ["freeze", "frozen_q", "frozen_maxwell_delta", "pairwise_Q_n200",
-                                  *UNTILTED])
+@pytest.mark.parametrize("name", ["freeze", "frozen_q", "frozen_maxwell_delta", "pairwise_Q_n200"])
 def test_baseline_build_runs_byte_identical(name, baseline_lib, monkeypatch, tracked_calls):
-    # the proposal loop's clone against the baseline build, whose dot products
-    # call glibc's fma; and the ledger's rows in kac_run: K - 1 at delta > 0,
-    # at delta = 0 the two rows of B, which also give the cost
+    # the rows' clones against the baseline build, in kac_run's tracked
+    # segments: the ledger's rows K - 1 at delta > 0, and at delta = 0 the
+    # two rows of B, which also give the cost
     def outputs(traj):
         return {**_outputs(traj), "cost": repr(traj.dynamic_cost),
                 **{term: float(getattr(traj.rn_ledger, term)).hex()
                    for term in ("initial_term", "jump_term", "compensator_term")}}
 
-    if name in UNTILTED:
-        def run():
-            return _untilted_engine_run(*UNTILTED[name])
-    elif name == "freeze":
+    if name == "freeze":
         def run():
             return outputs(_freeze_run())
     else:
@@ -695,16 +679,13 @@ def test_baseline_build_runs_byte_identical(name, baseline_lib, monkeypatch, tra
             return outputs(kl.simulate(cfg, scheme))
 
     dispatched = run()
-    assert tracked_calls and any(tracked_calls) == (name not in UNTILTED)
+    assert any(tracked_calls)
     n_calls = len(tracked_calls)
     with monkeypatch.context() as m:
         m.setattr(_kloop, "_lib", baseline_lib)
         baseline = run()
     assert len(tracked_calls) == 2 * n_calls  # the baseline build ran every segment too
-    if name in UNTILTED:
-        assert (baseline["fenwick"] is None) == (UNTILTED[name][0] is Kernel.MAXWELL)
-    else:
-        assert (baseline["cost"] != "None") == (name in ("freeze", "frozen_q"))  # delta = 0
+    assert (baseline["cost"] != "None") == (name in ("freeze", "frozen_q"))  # delta = 0
     assert baseline == dispatched
 
 
@@ -736,7 +717,7 @@ def test_baseline_pairs_match_dispatched(baseline_lib, d):
 
 from test_engine import GOLDEN_DIGESTS, _golden_run  # noqa: E402
 
-from kaclab import config_io  # noqa: E402
+from kaclab import config_io, engine  # noqa: E402
 from kaclab.engine import final_state_from_log, replay_events  # noqa: E402
 from kaclab.rate_function import TestFunctionDescriptor, dynamic_cost, xi_functionals  # noqa: E402
 
@@ -749,8 +730,12 @@ def _small_run(d):
 
 
 REPLAY_CASES = {**{name: lambda name=name: _golden_run(name) for name in GOLDEN_DIGESTS},
-                "small_d2": lambda: _small_run(2), "small_d3": lambda: _small_run(3),
+                **{f"small_d{d}": lambda d=d: _small_run(d) for d in (1, 2, 3, 5, 16, 20)},
                 "maxwell_d2": lambda: kl.simulate(kl.SimConfig(n=30, t_max=1.0, d=2, seed=406))}
+
+
+def _refuse_python_walk(*args, **kwargs):
+    raise AssertionError("the Python log walk ran")
 
 
 @needs_gcc
@@ -761,12 +746,13 @@ def test_compiled_walk_is_byte_identical(name, monkeypatch):
     if name.startswith("small"):
         real = ~log.fictitious
         assert np.any(log.fictitious) and np.any(real & (log.i == log.j)) and np.any(real & (log.i != log.j))
-    assert _kloop.kernel(traj.initial_state.d) is not None
     # consecutive sub-ranges, an empty one and an overlong stop among them
     bounds = [(0, m // 3), (m // 3, m // 3), (m // 3, m // 2), (m // 2, m + 7)]
     v_c, v_p, v_o = (traj.initial_state.velocities.copy() for _ in range(3))
     for start, stop in bounds:
-        pairs = replay_rows(v_c, log, start, stop, pairs=True)
+        with monkeypatch.context() as m:  # the compiled walk runs at every d
+            m.setattr(engine, "replay_events", _refuse_python_walk)
+            pairs = replay_rows(v_c, log, start, stop, pairs=True)
         want = _python_loop(monkeypatch, lambda: replay_rows(v_p, log, start, stop, pairs=True))
         for _ in replay_events(v_o, log, start, stop):
             pass
@@ -810,17 +796,13 @@ def test_log_readers_match_on_both_walks(name, monkeypatch, tmp_path):
 @needs_gcc
 def test_untracked_readers_run_the_compiled_walk(monkeypatch, tmp_path):
     """With a C compiler on the path, no untracked walk of a log falls back."""
-    from kaclab import engine, rate_function
+    from kaclab import rate_function
 
     traj = _golden_run("hard_sphere")
     paths = config_io.save_trajectory(str(tmp_path), traj)
     f = TestFunctionDescriptor(kind="product", a_kind="poly", a_param=1.0, b_kind="energy")
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the Python log walk ran")
-
     for module in (engine, rate_function, config_io):
-        monkeypatch.setattr(module, "replay_events", refuse, raising=False)
+        monkeypatch.setattr(module, "replay_events", _refuse_python_walk, raising=False)
     assert final_state_from_log(traj.initial_state, traj.log).velocities.tobytes() == \
         traj.final_state.velocities.tobytes()
     assert len(kl.flux_measure(traj).points) == traj.log.n_collisions
@@ -831,7 +813,7 @@ def test_untracked_readers_run_the_compiled_walk(monkeypatch, tmp_path):
 @needs_gcc
 @pytest.mark.parametrize("index", [-1, 5, 1 << 40])
 def test_replay_kernel_refuses_bad_indices(index):
-    lib = _kloop.kernel(3)
+    lib = _kloop.kernel()
     v = np.random.default_rng(3).standard_normal((5, 3))
     sigma = np.tile([[0.6, 0.8, 0.0]], (3, 1))
     i, j = np.array([0, index, 3], dtype=np.int64), np.array([1, 2, index], dtype=np.int64)

@@ -258,7 +258,7 @@ def test_maxwell_sums_at_delta_zero_are_counts(loop, frozen, monkeypatch):
     monkeypatch.setattr(_TiltPairSum, "rows", lambda self, sel: calls.append("rows") or rows(self, sel))
     monkeypatch.setattr(_BSums, "rows", lambda self, sel: calls.append("rows") or rows(self, sel))
     monkeypatch.setattr(_BSums, "__init__", lambda self, *args: trackers.append(self) or init(self, *args))
-    lib = engine._kloop.kernel(3)
+    lib = engine._kloop.kernel()
     if lib is not None:
         monkeypatch.setattr(lib, "kac_rows", lambda *args: calls.append("kac_rows"))
     cfg = kl.SimConfig(n=n, t_max=1.0, kernel=Kernel.MAXWELL, seed=409)
