@@ -657,18 +657,41 @@ def test_swapped_collisions_keep_the_in_run_cost_exact(monkeypatch, tracked_call
     assert _outputs(python) == _outputs(traj)
 
 
+def _untilted_engine_run(kernel, d):
+    """An untilted run of 200 particles in R^d, in two segments: its log
+    columns, final velocities and Fenwick tree (None without one)."""
+    rng = kl.make_rng(98, d)
+    state = kl.ParticleState(kl.ReferenceMeasure(d).sample(rng, 200))
+    eng = _Engine(state, kernel, TiltingScheme.identity(), None, RNLedger(),
+                  _Draws.sized_for(rng, 200, 1.0, d), _EventBuffer(d))
+    for t_end in (0.4, 1.0):
+        eng.run_segment(t_end)
+    log = eng.events.to_log(eng.n, eng.t)
+    return {"final": eng.V.tobytes(), "fenwick": None if eng.fen is None else eng.fen.tree.tobytes(),
+            **{name: getattr(log, name).tobytes() for name in ("t", "i", "j", "sigma", "assignment", "fictitious")}}
+
+
+UNTILTED = {**{f"untilted_hs_d{d}": (Kernel.HARD_SPHERE, d) for d in (1, 2, 3, 5, 15)},
+            "untilted_maxwell_d3": (Kernel.MAXWELL, 3)}
+
+
 @needs_gcc
-@pytest.mark.parametrize("name", ["freeze", "frozen_q", "frozen_maxwell_delta", "pairwise_Q_n200"])
+@pytest.mark.parametrize("name", ["freeze", "frozen_q", "frozen_maxwell_delta", "pairwise_Q_n200",
+                                  *UNTILTED])
 def test_baseline_build_runs_byte_identical(name, baseline_lib, monkeypatch, tracked_calls):
-    # the rows' clones against the baseline build, in kac_run's tracked
-    # segments: the ledger's rows K - 1 at delta > 0, and at delta = 0 the
-    # two rows of B, which also give the cost
+    # kac_run of the baseline build against the library as loaded: in
+    # untilted segments the proposal loop alone, and in tracked segments the
+    # rows' clones too, the ledger's rows K - 1 at delta > 0, and at
+    # delta = 0 the two rows of B, which also give the cost
     def outputs(traj):
         return {**_outputs(traj), "cost": repr(traj.dynamic_cost),
                 **{term: float(getattr(traj.rn_ledger, term)).hex()
                    for term in ("initial_term", "jump_term", "compensator_term")}}
 
-    if name == "freeze":
+    if name in UNTILTED:
+        def run():
+            return _untilted_engine_run(*UNTILTED[name])
+    elif name == "freeze":
         def run():
             return outputs(_freeze_run())
     else:
@@ -679,13 +702,16 @@ def test_baseline_build_runs_byte_identical(name, baseline_lib, monkeypatch, tra
             return outputs(kl.simulate(cfg, scheme))
 
     dispatched = run()
-    assert any(tracked_calls)
+    assert tracked_calls and any(tracked_calls) == (name not in UNTILTED)
     n_calls = len(tracked_calls)
     with monkeypatch.context() as m:
         m.setattr(_kloop, "_lib", baseline_lib)
         baseline = run()
     assert len(tracked_calls) == 2 * n_calls  # the baseline build ran every segment too
-    assert (baseline["cost"] != "None") == (name in ("freeze", "frozen_q"))  # delta = 0
+    if name in UNTILTED:
+        assert (baseline["fenwick"] is None) == (UNTILTED[name][0] is Kernel.MAXWELL)
+    else:
+        assert (baseline["cost"] != "None") == (name in ("freeze", "frozen_q"))  # delta = 0
     assert baseline == dispatched
 
 
