@@ -14,6 +14,19 @@
  *     loop, `dot`, makes the five of a proposal (the normals' norm,
  *     |v_i - v_j|, the collision's (v_i - v_j).sigma and the two speeds)
  *     and the replay's;
+ *   - sigma = +-raw / |raw| is divided out once per proposal, d divisions,
+ *     into its event row (or a scratch row where no log is kept), and the
+ *     collision's dot product and step read that one copy, as `propose`
+ *     reads its one array;
+ *   - the Fenwick descent (fen_sample) makes `FenwickSampler.sample`'s
+ *     comparisons tree[x] <= target and subtractions target - tree[x] in
+ *     its order, from the total that the proposal's rate has just read.
+ *     It goes two levels a step: the node of the first level and both
+ *     candidates of the second are loaded at once, and each outcome is a
+ *     mask, not a branch, so a step waits on one load and not on a
+ *     mispredicted branch per level.  The tree is the (n + 1)-entry view of
+ *     a buffer padded with NaN to 2 2^L entries (L the bit length of n): a
+ *     NaN node is never taken, whatever the target, so no index is checked;
  *   - a row is summed in numpy's pairwise order (kac_sum, checked against
  *     numpy when loaded);
  *   - no arithmetic is fused (built with -ffp-contract=off);
@@ -32,6 +45,11 @@
  * to the bit; it is `engine.replay_rows`, the walk of a log that keeps no
  * pair sum, and can also write each collision's velocities before and
  * after it.
+ * kac_moments is `engine.state_moments` in one pass, to numpy's bits: each
+ * row's sum of squares pairwise (as `np.sum(v * v, axis=1)`; kac_squares
+ * alone gives them), the means of the squares, of their squares and of the
+ * truncated squares by kac_sum's order over n, and the momentum as
+ * `v.mean(axis=0)` sums it, row after row at d >= 2 and pairwise at d = 1.
  * Errors are returned as status codes; the caller raises the Python loop's
  * exception for each.
  * The transport solve of `metrics` and the event CSV of `config_io` are not
@@ -67,6 +85,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 typedef int (*refill_fn)(int which); /* 0 uniforms, 1 exponentials, 2 normals */
 
@@ -100,22 +119,15 @@ struct rowspec {
 /* the helpers of the clones: each clone inlines its own copy */
 #define INLINE static inline __attribute__((always_inline))
 
-/* coordinate k of the proposal's sigma, raw / nrm, negated with neg */
-INLINE double sigma_k(const double *raw, double nrm, int neg, int64_t k)
-{
-    return neg ? -(raw[k] / nrm) : raw[k] / nrm;
-}
-
 /* the unfused sum s = x_0 y_0, then s += x_k y_k, k = 1 .. d - 1, with x_k =
- * a_k - b_k (a_k without b) and y_k = sigma_k(y, nrm, neg, k) (x_k without
- * y), as `kinetics._dot` */
-INLINE double dot(const double *a, const double *b, const double *y, double nrm, int neg,
-                  int64_t d)
+ * a_k - b_k (a_k without b) and y_k = y[k] (x_k without y), as
+ * `kinetics._dot` */
+INLINE double dot(const double *a, const double *b, const double *y, int64_t d)
 {
     double s = 0.0;
     for (int64_t k = 0; k < d; k++) {
         const double x = b ? a[k] - b[k] : a[k];
-        const double p = x * (y ? sigma_k(y, nrm, neg, k) : x);
+        const double p = x * (y ? y[k] : x);
         s = k ? s + p : p;
     }
     return s;
@@ -150,10 +162,17 @@ static double pairwise(const double *a, int64_t n)
     return pairwise(a, n2) + pairwise(a + n2, n - n2);
 }
 
-/* `a.sum()` of a contiguous array: the reduction starts from +0.0 */
-double kac_sum(const double *a, int64_t n)
+/* `a.sum()` of a contiguous array: the reduction starts from +0.0.  sum0
+ * is the copy that the library's moments call without going through the
+ * exported symbol */
+static double sum0(const double *a, int64_t n)
 {
     return 0.0 + pairwise(a, n);
+}
+
+double kac_sum(const double *a, int64_t n)
+{
+    return sum0(a, n);
 }
 
 /* |v_b - v_a|: the sum of squares in coordinate order, unfused, then sqrt,
@@ -322,19 +341,48 @@ static int fen_update(double *tree, double *weights, int64_t n, int64_t i, doubl
     return DONE;
 }
 
-static int fen_sample(const double *tree, int64_t n, double u, int64_t *out)
+/* x where the mask m is all ones, y where it is zero */
+static inline double pick_bits(uint64_t m, double x, double y)
 {
-    double total = fen_total(tree, n);
+    uint64_t a, b;
+    memcpy(&a, &x, sizeof a);
+    memcpy(&b, &y, sizeof b);
+    a = (a & m) | (b & ~m);
+    memcpy(&x, &a, sizeof x);
+    return x;
+}
+
+/* the first level of fen_sample's descent for n >= 1 weights: 2^L with L
+ * the bit length of n where L is odd, else 2^(L - 1) (the level 2^L > n is
+ * never taken), so that the levels down to 1 come in pairs */
+static int64_t fen_top(int64_t n)
+{
+    return (int64_t)1 << ((63 - __builtin_clzll((uint64_t)n | 1)) | 1);
+}
+
+/* `FenwickSampler.sample` at u, given its total: the same comparisons
+ * tree[x] <= target and subtractions target - tree[x], level by level.
+ * Two levels a step: the node of the first and both candidates of the
+ * second are loaded together, and each level's outcome is selected by a
+ * mask, not a branch.  The tree is padded with NaN up to 2 2^L entries, L
+ * the bit length of n, so a node past n is never taken, whatever the
+ * target (+inf too), and no index is checked */
+static int fen_sample(const double *tree, int64_t n, int64_t top, double total, double u,
+                      int64_t *out)
+{
     double target = u * total;
     if (total <= 0.0)
         return ERR_ZERO_TOTAL;
     int64_t idx = 0;
-    for (int64_t bit = (int64_t)1 << (64 - __builtin_clzll((uint64_t)n)); bit; bit >>= 1) {
-        int64_t nxt = idx + bit;
-        if (nxt <= n && tree[nxt] <= target) {
-            idx = nxt;
-            target -= tree[nxt];
-        }
+    for (int64_t bit = top, half = top >> 1; bit; bit >>= 2, half >>= 2) {
+        const double a = tree[idx + bit], b0 = tree[idx + half], b1 = tree[idx + bit + half];
+        const uint64_t ta = -(uint64_t)(a <= target);
+        target = pick_bits(ta, target - a, target);
+        idx += bit & (int64_t)ta;
+        const double b = pick_bits(ta, b1, b0);
+        const uint64_t tb = -(uint64_t)(b <= target);
+        target = pick_bits(tb, target - b, target);
+        idx += half & (int64_t)tb;
     }
     *out = idx < n - 1 ? idx : n - 1;
     return DONE;
@@ -349,7 +397,6 @@ static int fen_sample(const double *tree, int64_t n, double u, int64_t *out)
         (x) = buf[pos++];                                                \
     } while (0)
 #define CHECK(call) do { if ((status = (call)) != DONE) goto out; } while (0)
-#define SIGMA(k) sigma_k(raw, nrm, neg, k)
 
 /* the compensator over dt: dt (1/N) sum (K - 1) B, as _settle_compensator */
 #define SETTLE(dt)                                                        \
@@ -367,7 +414,8 @@ static int fen_sample(const double *tree, int64_t n, double u, int64_t *out)
         cost_total = tau_c * s0 + (s1 - s0);                              \
     } while (0)
 
-/* led: the ledger's scheme interval (NULL: none), whose pair sums move at
+/* sigma: d doubles for the proposal's sigma where ev_t is NULL (no log).
+ * led: the ledger's scheme interval (NULL: none), whose pair sums move at
  * the recorded pair, as a replay of the log moves them.  K B is c where
  * gamma = 0, and so is the majorant, and the jump term's K is c where the
  * ledger's delta = 0: a pair distance or a speed that overflows is read by
@@ -375,7 +423,7 @@ static int fen_sample(const double *tree, int64_t n, double u, int64_t *out)
 int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
             double *V, double *speeds, double *tree, double *weights,
             const uint8_t *frozen, const double *ubuf, const double *ebuf,
-            const double *nbuf, refill_fn refill,
+            const double *nbuf, refill_fn refill, double *sigma,
             double *ev_t, int64_t *ev_i, int64_t *ev_j, double *ev_sigma,
             int8_t *ev_asg, uint8_t *ev_fict, const struct rowspec *led)
 {
@@ -394,6 +442,7 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
     const int rows = led && (led->delta != 0.0 || led->beta != 0.0);
     int64_t hit = k[K_HIT];
     int status = DONE;
+    const int64_t top = fen_top(n);
     TOTALS();
 
     for (;;) {
@@ -440,12 +489,12 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
             j = (int64_t)(u * (double)n);
         } else if (pick < (double)n + gamma * a_sum) {
             DRAW(u, ubuf, iu, 0);
-            CHECK(fen_sample(tree, n, u, &i));
+            CHECK(fen_sample(tree, n, top, a_sum, u, &i));
             DRAW(u, ubuf, iu, 0);
             j = (int64_t)(u * (double)n);
         } else {
             DRAW(u, ubuf, iu, 0);
-            CHECK(fen_sample(tree, n, u, &j));
+            CHECK(fen_sample(tree, n, top, a_sum, u, &j));
             DRAW(u, ubuf, iu, 0);
             i = (int64_t)(u * (double)n);
         }
@@ -463,15 +512,20 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
             }
             raw = nbuf + in;
             in += d;
-            nrm = sqrt(dot(raw, 0, 0, 1.0, 0, d));
+            nrm = sqrt(dot(raw, 0, 0, d));
         } while (nrm < 1e-300);
         double u_accept;
         DRAW(u, ubuf, iu, 0);
         int asg = (int)(u * 4.0);
         DRAW(u_accept, ubuf, iu, 0);
+        /* sigma in the recorded view, once: into its event row where the log
+         * is kept */
+        double *sig = ev_t ? ev_sigma + size * d : sigma;
+        for (int64_t q = 0; q < d; q++)
+            sig[q] = asg % 2 ? -(raw[q] / nrm) : raw[q] / nrm;
 
         double *vi = V + i * d, *vj = V + j * d;
-        double u_dist = i != j ? sqrt(dot(vi, vj, 0, 1.0, 0, d)) : 0.0;
+        double u_dist = i != j ? sqrt(dot(vi, vj, 0, d)) : 0.0;
         int frozen_pair = frozen && (frozen[i] || frozen[j]);
         double kb = frozen_pair ? 0.0 : gamma == 0.0 ? c : c * (1.0 + gamma * u_dist);
         double majorant = gamma == 0.0 ? c * infl
@@ -488,7 +542,6 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
 
         /* recorded assignment view: 0 (i,j,s) 1 (i,j,-s) 2 (j,i,s) 3 (j,i,-s) */
         int64_t ri = asg >= 2 ? j : i, rj = asg >= 2 ? i : j;
-        int neg = asg % 2;
         if (accepted) {
             coll++;
             if (led) {
@@ -508,14 +561,14 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
                     kac_pair_rows(led, ri, rj);
                 /* kinetics._collide in the recorded parametrisation */
                 double *a = V + ri * d, *b = V + rj * d;
-                const double dt_ab = dot(a, b, raw, nrm, neg, d);
+                const double dt_ab = dot(a, b, sig, d);
                 for (int64_t q = 0; q < d; q++) {
-                    double step = dt_ab * SIGMA(q);
+                    double step = dt_ab * sig[q];
                     a[q] = a[q] - step;
                     b[q] = b[q] + step;
                 }
-                speeds[i] = sqrt(dot(vi, 0, 0, 1.0, 0, d));
-                speeds[j] = sqrt(dot(vj, 0, 0, 1.0, 0, d));
+                speeds[i] = sqrt(dot(vi, 0, 0, d));
+                speeds[j] = sqrt(dot(vj, 0, 0, d));
                 if (tree) {
                     CHECK(fen_update(tree, weights, n, i, speeds[i]));
                     CHECK(fen_update(tree, weights, n, j, speeds[j]));
@@ -533,8 +586,6 @@ int kac_run(double *f, int64_t *k, int64_t n, int64_t d, int64_t chunk,
             ev_t[size] = t;
             ev_i[size] = ri;
             ev_j[size] = rj;
-            for (int64_t q = 0; q < d; q++)
-                ev_sigma[size * d + q] = SIGMA(q);
             ev_asg[size] = (int8_t)asg;
             ev_fict[size] = !accepted;
             size++;
@@ -584,7 +635,7 @@ int kac_replay(double *V, int64_t n, int64_t d, const int64_t *ev_i, const int64
                 pairs[d + q] = b[q];
             }
         if (i != j) {
-            const double dt_ab = dot(a, b, s, 1.0, 0, d);
+            const double dt_ab = dot(a, b, s, d);
             for (int64_t q = 0; q < d; q++) {
                 double step = dt_ab * s[q];
                 a[q] = a[q] - step;
@@ -600,4 +651,57 @@ int kac_replay(double *V, int64_t n, int64_t d, const int64_t *ev_i, const int64
         }
     }
     return DONE;
+}
+
+/* `engine._squared_speeds`: s[a] = |v_a|^2 in `np.sum(v * v, axis=1)`'s
+ * order, each row's squares summed pairwise from +0.0: under 8 of them
+ * pairwise's one loop, inline, else sum0 of the squares written into w (d
+ * doubles) */
+void kac_squares(const double *V, int64_t n, int64_t d, double *s, double *w)
+{
+    for (int64_t a = 0; a < n; a++) {
+        const double *v = V + a * d;
+        if (d < 8) {
+            double r = 0.0;
+            for (int64_t q = 0; q < d; q++)
+                r += v[q] * v[q];
+            s[a] = 0.0 + r;
+        } else {
+            for (int64_t q = 0; q < d; q++)
+                w[q] = v[q] * v[q];
+            s[a] = sum0(w, d);
+        }
+    }
+}
+
+/* `engine.state_moments` in one pass, to numpy's bits: s as kac_squares,
+ * and into out the momentum (d doubles), m2, m4 and the m2 truncated at
+ * each of the n_thr thresholds thr.  Each mean is sum0 of its terms,
+ * written into w (max(n, d) doubles), over n; the momentum is
+ * `v.mean(axis=0)`, which numpy sums row after row at d >= 2 and pairwise
+ * at d = 1 */
+void kac_moments(const double *V, int64_t n, int64_t d, const double *thr, int64_t n_thr,
+                 double *s, double *w, double *out)
+{
+    kac_squares(V, n, d, s, w);
+    if (d == 1) {
+        out[0] = sum0(V, n);
+    } else {
+        for (int64_t q = 0; q < d; q++)
+            out[q] = 0.0;
+        for (int64_t a = 0; a < n; a++)
+            for (int64_t q = 0; q < d; q++)
+                out[q] += V[a * d + q];
+    }
+    for (int64_t q = 0; q < d; q++)
+        out[q] /= (double)n;
+    out[d] = sum0(s, n) / (double)n;
+    for (int64_t a = 0; a < n; a++)
+        w[a] = s[a] * s[a];
+    out[d + 1] = sum0(w, n) / (double)n;
+    for (int64_t t = 0; t < n_thr; t++) {
+        for (int64_t a = 0; a < n; a++)
+            w[a] = s[a] * (double)(sqrt(s[a]) <= thr[t]);
+        out[d + 2 + t] = sum0(w, n) / (double)n;
+    }
 }

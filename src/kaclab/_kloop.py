@@ -15,9 +15,11 @@ a failed build or load of either library.  The loop's dot products are
 they need no check against numpy; the same holds for `kac_replay`, the
 compiled walk of an event log behind `engine.replay_rows`.
 `kernel(sums=True)`, for the rows of `engine._TiltPairSum` and `_BSums` and
-the tracked segments that update them, also asks that the kernel's row sum
-equals numpy's `a.sum()`, checked once at load; where it does not, only
-they run in Python and numpy (a Maxwell interval at delta = 0 has no rows).
+the tracked segments that update them, and for a checkpoint's moments
+(`kac_moments`, behind `engine.state_moments`), also asks that the
+kernel's row sum equals numpy's `a.sum()`, checked once at load; where it
+does not, only they run in Python and numpy (a Maxwell interval at delta =
+0 has no rows).
 
 The rows, (K - 1) B at delta > 0 and the pair (B live_a live_b, B) at
 delta = 0, are made one element at a time straight from the velocities:
@@ -209,10 +211,14 @@ def bind(lib, tools):
     lib.kac_pair_update.argtypes = (spec, i64, i64, ptr)
     lib.kac_pair_update.restype = None
     lib.kac_run.argtypes = (ptr, ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-                            REFILL, ptr, ptr, ptr, ptr, ptr, ptr, spec)
+                            REFILL, ptr, ptr, ptr, ptr, ptr, ptr, ptr, spec)
     lib.kac_run.restype = ctypes.c_int
     lib.kac_replay.argtypes = (ptr, i64, i64, ptr, ptr, ptr, ptr, i64, i64, ptr)
     lib.kac_replay.restype = ctypes.c_int
+    lib.kac_squares.argtypes = (ptr, i64, i64, ptr, ptr)
+    lib.kac_squares.restype = None
+    lib.kac_moments.argtypes = (ptr, i64, i64, ptr, i64, ptr, ptr, ptr)
+    lib.kac_moments.restype = None
     lib.kac_transport = tools.kac_transport
     lib.kac_transport.argtypes = (ptr, ptr, i64, ptr, ptr, i64, i64, dbl, i64, ptr, ptr, ptr)
     lib.kac_transport.restype = ctypes.c_int

@@ -877,6 +877,7 @@ class _Engine:
             return 0
 
         callback = _kloop.REFILL(refill)
+        sigma = np.empty(self.d)  # the proposal's sigma where no log is kept
         status = _kloop.GROW
         while status == _kloop.GROW:
             if ev is not None:
@@ -893,8 +894,8 @@ class _Engine:
                 fen.tree.ctypes.data if fen is not None else None,
                 fen.weights.ctypes.data if fen is not None else None,
                 self.frozen_dyn.ctypes.data if self.any_frozen_dyn else None,
-                draws._u.ctypes.data, draws._e.ctypes.data, draws._n.ctypes.data, callback, *cols,
-                None if tracker is None else tracker.spec)
+                draws._u.ctypes.data, draws._e.ctypes.data, draws._n.ctypes.data, callback,
+                sigma.ctypes.data, *cols, None if tracker is None else tracker.spec)
         self.t, self._t_comp = float(f[0]), float(f[1])
         draws._iu, draws._ie, draws._in, self.n_events, self.n_collisions = (int(x) for x in k[:5])
         if ev is not None:
@@ -969,11 +970,41 @@ def step(state: ParticleState, kernel: Kernel, tilt: TiltingScheme | None, rng: 
     return new_state, event
 
 
+def _sums_kernel(v: np.ndarray):
+    """The kernel with numpy's row sums where it can read v in place (a C
+    order float64 (N, d) array), else None."""
+    ok = v.dtype == np.float64 and v.ndim == 2 and v.flags.c_contiguous
+    return _kloop.kernel(sums=True) if ok else None
+
+
+def _squared_speeds(v: np.ndarray) -> np.ndarray:
+    """|v_a|^2 of each row, `np.sum(v * v, axis=1)` to the bit."""
+    lib = _sums_kernel(v)
+    if lib is None:
+        return np.sum(v * v, axis=1)
+    s, row = np.empty(len(v)), np.empty(v.shape[1])
+    lib.kac_squares(v.ctypes.data, len(v), v.shape[1], s.ctypes.data, row.ctypes.data)
+    return s
+
+
 def state_moments(v: np.ndarray, thresholds) -> tuple:
-    """(momentum, m2, m4, {threshold: m2 of particles with |v| <= threshold})."""
-    s = np.sum(v * v, axis=1)
-    trunc = {float(thr): float(np.mean(s * (np.sqrt(s) <= thr))) for thr in thresholds}
-    return v.mean(axis=0), float(np.mean(s)), float(np.mean(s * s)), trunc
+    """(momentum, m2, m4, {threshold: m2 of particles with |v| <= threshold}).
+
+    One compiled pass (`kac_moments`) gives the bits of the numpy formula
+    below, which runs where the kernel does not load or cannot read v in
+    place, and which the tests hold it to."""
+    lib = _sums_kernel(v)
+    if lib is None:
+        s = np.sum(v * v, axis=1)
+        trunc = {float(thr): float(np.mean(s * (np.sqrt(s) <= thr))) for thr in thresholds}
+        return v.mean(axis=0), float(np.mean(s)), float(np.mean(s * s)), trunc
+    n, d = v.shape
+    thr = np.array(thresholds, dtype=float)
+    s, terms, out = np.empty(n), np.empty(max(n, d)), np.empty(d + 2 + len(thr))
+    lib.kac_moments(v.ctypes.data, n, d, thr.ctypes.data, len(thr), s.ctypes.data,
+                    terms.ctypes.data, out.ctypes.data)
+    trunc = {float(t): float(x) for t, x in zip(thr, out[d + 2:])}
+    return out[:d], float(out[d]), float(out[d + 1]), trunc
 
 
 def _checkpoint(eng: _Engine, cfg: SimConfig, t: float) -> CheckpointSummary:

@@ -4,6 +4,12 @@ The event engine proposes collision partners with probability proportional
 to particle speed; speeds change at every accepted collision, so the
 structure must support O(log N) weight updates and O(log N) sampling by
 prefix-sum descent.
+
+`tree` is the (n + 1)-entry view of a buffer of 2 2^L doubles, L the bit
+length of n, whose entries past n are NaN.  The compiled loop's descent
+(`fen_sample` in `_kloop.c`) reads the buffer without an index check: a
+NaN node compares false against every target, +inf included, so no node
+past n is ever taken.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ class FenwickSampler:
         # j - 2^m, m = L-1 down to 0, which have lower levels: built level
         # by level, every node gets the additions of a one-node-at-a-time
         # build in the same order, so the tree is the same to the bit.
-        tree = np.zeros(self.n + 1)
+        tree = np.full(2 << self.n.bit_length(), np.nan)[: self.n + 1]
+        tree[0] = 0.0
         tree[1:] = w
         level = 1
         while (1 << level) <= self.n:
@@ -69,9 +76,17 @@ class FenwickSampler:
             j += j & -j
 
     def sample(self, u: float) -> int:
-        """Index i with probability w_i / total; u is uniform on [0, 1)."""
-        target = u * self.total
-        if self.total <= 0.0:
+        """Index i with probability w_i / total; u is uniform on [0, 1).
+
+        The descent visits the levels 2^L, L from the bit length of n down
+        to 0: at each it takes the node idx + 2^L where that is at most n
+        and tree[idx + 2^L] <= target, and then subtracts the node from
+        target.  `fen_sample` in `_kloop.c` makes the same comparisons and
+        subtractions in this order, two levels a step, and so returns the
+        same index."""
+        total = self.total
+        target = u * total
+        if total <= 0.0:
             raise ValueError(ZERO_TOTAL)
         idx = 0
         bitmask = 1 << (self.n.bit_length())

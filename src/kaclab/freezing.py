@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config_io import _atomic_write, map_runs, mean_se
-from .engine import ParticleState, SimConfig, make_rng, simulate
+from .engine import ParticleState, SimConfig, _squared_speeds, make_rng, simulate
 from .girsanov import InitialTilt, TiltingScheme, _tail_law, _tail_mass, sample_tilted_initial
 from .kinetics import Kernel
 from .rate_function import dynamic_cost
@@ -397,7 +397,7 @@ def _experiment_one_run(args):
     drift = 0.0
     e0 = traj.checkpoints[0].m2 if checkpoint_times[0] == 0.0 else float(np.mean(s0))
     for k, cp in enumerate(traj.checkpoints):
-        s = np.sum(cp.state.velocities**2, axis=1)
+        s = _squared_speeds(cp.state.velocities)
         k_int = scheme.interval_index(min(cp.time, t_max * (1 - 1e-15)))
         alive = ~scheme.frozen_mask(k_int, n)
         n_t = int(alive.sum())

@@ -902,3 +902,115 @@ def test_a_build_without_128_bit_integers_gives_the_python_bytes(tmp_path, monke
         m.setattr(_kloop, "_lib", lib)
         assert config_io._parse_rows((tmp_path / "python.csv").read_bytes(), 3) is not None
         assert config_io._parse_sidecar((tmp_path / "python.json").read_bytes()) is not None
+
+
+# ---------------------------------------------------------------------------
+# the Fenwick descent and the checkpoint moments against their oracles,
+# `FenwickSampler.sample` and the numpy formula of `state_moments`
+
+
+@pytest.fixture(scope="module", params=[(), ("-DKAC_NO_CLONES",)], ids=["loaded", "baseline"])
+def descent(request, tmp_path_factory):
+    """_kloop.c's fen_sample as kac_run calls it, exported by a wrapper that
+    includes the source, built with the load's flags or the baseline's."""
+    src = tmp_path_factory.mktemp("descent") / "descent.c"
+    src.write_text(f'#include "{_kloop.SOURCE}"\n'
+                   "int descent(const double *tree, int64_t n, double u, int64_t *out)\n"
+                   "{ return fen_sample(tree, n, fen_top(n), fen_total(tree, n), u, out); }\n")
+    path = src.with_suffix(".so")
+    proc = _kloop.compile_kernel(str(path), *request.param, source=str(src))
+    assert proc.returncode == 0, proc.stderr
+    lib = ctypes.CDLL(str(path))
+    lib.descent.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p)
+    lib.descent.restype = ctypes.c_int
+    return lib
+
+
+def _descent_cases():
+    """(name, weights, draws u)."""
+    rng = np.random.default_rng(30)
+    edges = [0.0, 0.5, 1.0 - 2.0**-53]
+    for n in (1, 2, 3, 7, 8, 9, 15, 16, 17, 1000, 12345):
+        yield f"random_{n}", rng.exponential(size=n), edges + list(rng.random(200))
+    # integer weights summing to 2^m: u = k / 2^m makes the target k, which
+    # ties the prefix sums and the nodes exactly
+    for n in (1, 2, 3, 7, 16, 17, 1000):
+        w = rng.integers(0, 4, n).astype(float)
+        w[-1] += (1 << int(w.sum()).bit_length()) - w.sum()
+        total = int(w.sum())
+        yield f"ties_{n}", w, edges + [k / total for k in range(total)]
+    few = rng.exponential(size=6)
+    for n in (9, 17, 1000):
+        one = np.zeros(n)
+        one[n // 3] = 2.5
+        yield f"one_nonzero_{n}", one, edges + list(rng.random(50))
+    yield "leading_zeros", np.r_[np.zeros(9), few], edges + list(rng.random(50))
+    yield "trailing_zeros", np.r_[few, np.zeros(9)], edges + list(rng.random(50))
+    yield "inner_zeros", np.r_[few[:3], np.zeros(7), few[3:]], edges + list(rng.random(50))
+    # nodes, and so the total, that overflow to +inf: an infinite target
+    # takes every node up to the first infinite one, whose NaN remainder
+    # takes none after it; at 7 and 23 a node past n (the first level at 7,
+    # 24 after 16 at 23) comes before that node
+    for n in (3, 7, 9, 1000):
+        yield f"overflow_{n}", np.full(n, 1e308), edges + list(rng.random(50))
+    yield "overflow_23", np.r_[few, np.ones(10), np.full(7, 1e308)], edges + list(rng.random(50))
+
+
+@needs_gcc
+@pytest.mark.parametrize("name,weights,draws", list(_descent_cases()),
+                         ids=[case[0] for case in _descent_cases()])
+def test_descent_matches_python_sample(descent, name, weights, draws):
+    with np.errstate(over="ignore"):
+        fen = kl.FenwickSampler(weights)
+    n = len(weights)
+    # the buffer that fen_sample reads without an index check
+    pad = fen.tree.base
+    assert pad is not None and len(pad) == 2 << n.bit_length() and np.isnan(pad[n + 1:]).all()
+    assert math.isinf(fen.total) == name.startswith("overflow")
+    out = ctypes.c_int64(-1)
+    for u in draws:
+        assert descent.descent(fen.tree.ctypes.data, n, u, ctypes.byref(out)) == _kloop.DONE
+        with np.errstate(invalid="ignore"):  # inf - inf in the overflow cases
+            assert out.value == fen.sample(u), (u, out.value)
+
+
+@needs_gcc
+def test_descent_refuses_a_zero_total(descent):
+    fen = kl.FenwickSampler(np.zeros(5))
+    out = ctypes.c_int64(-1)
+    assert descent.descent(fen.tree.ctypes.data, 5, 0.5, ctypes.byref(out)) == _kloop.ERR_ZERO_TOTAL
+    with pytest.raises(ValueError, match="all-zero"):
+        fen.sample(0.5)
+
+
+def _moment_bytes(v, thresholds):
+    momentum, m2, m4, trunc = engine.state_moments(v, thresholds)
+    return (np.asarray(momentum).tobytes(), m2.hex(), m4.hex(),
+            [(key, val.hex()) for key, val in trunc.items()],
+            engine._squared_speeds(v).tobytes())
+
+
+@needs_gcc
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 9, 16, 20])
+def test_compiled_moments_match_numpy(d, monkeypatch):
+    assert _kloop.kernel(sums=True) is not None
+    rng = np.random.default_rng(50 + d)
+    for n in (1, 2, 7, 8, 9, 129, 10_000):
+        v = rng.standard_normal((n, d)) * np.exp(rng.uniform(-4.0, 4.0, (n, 1)))
+        v[rng.random((n, d)) < 0.1] = -0.0
+        v[n // 2] = 0.0
+        # negative zeros alone: numpy's sums start from +0.0
+        for each in (v, np.full((n, d), -0.0)):
+            for thresholds in ((), (1.5,), (0.7, 2.5)):
+                compiled = _moment_bytes(each, thresholds)
+                assert compiled == _python_loop(monkeypatch, lambda: _moment_bytes(each, thresholds)), (n, thresholds)
+
+
+@needs_gcc
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_golden_checkpoints_match_python(name, monkeypatch):
+    def checkpoints():
+        traj = _golden_run(name)
+        return json.dumps([cp.to_dict() for cp in traj.checkpoints])
+
+    assert checkpoints() == _python_loop(monkeypatch, checkpoints)
